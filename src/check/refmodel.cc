@@ -149,7 +149,7 @@ class Model {
     if (parts.empty()) {
       out.node = root_;
       out.parent = root_;
-      out.final_name = "/";
+      out.final_name = '/';
       return out;
     }
     uint64_t dir = root_;

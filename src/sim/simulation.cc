@@ -1,7 +1,5 @@
 #include "src/sim/simulation.h"
 
-#include <ucontext.h>
-
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
@@ -17,8 +15,138 @@
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
 
+// Sanitizers cannot see a hand-rolled stack switch, so the switch wrapper
+// below tells them about every fiber. GCC defines __SANITIZE_*__; clang
+// reports the same through __has_feature.
+#if defined(__SANITIZE_THREAD__)
+#define ARTC_TSAN_FIBERS 1
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define ARTC_ASAN_FIBERS 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer) && !defined(ARTC_TSAN_FIBERS)
+#define ARTC_TSAN_FIBERS 1
+#endif
+#if __has_feature(address_sanitizer) && !defined(ARTC_ASAN_FIBERS)
+#define ARTC_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef ARTC_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+#ifdef ARTC_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+#if !defined(__x86_64__)
+#error "artc_sim_switch in src/sim/simulation.cc is x86-64 SysV only; port that one function"
+#endif
+
+// Saves the running context's callee-saved state on its own stack, stores
+// the resulting stack pointer in *save_sp, and resumes the context whose
+// stack pointer is next_sp. The saved frame, from next_sp upwards, is: x87
+// control word (2 bytes, then padding), MXCSR at +8, r15, r14, r13, r12,
+// rbx, rbp, return address. Like glibc's context swap it keeps the FP
+// control state per context; unlike it, it never touches the signal mask,
+// so a switch is a handful of instructions with no syscall.
+extern "C" void artc_sim_switch(void** save_sp, void* next_sp);
+
+asm(R"(
+  .text
+  .globl artc_sim_switch
+  .type artc_sim_switch, @function
+  .p2align 4
+artc_sim_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr 8(%rsp)
+  fldcw (%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size artc_sim_switch, .-artc_sim_switch
+)");
+
 namespace artc::sim {
+
+// One side of a fiber switch: a fiber, or the shard scheduler running on
+// whichever host thread drives the shard. `sp` is only meaningful while the
+// context is switched out.
+struct FiberContext {
+  void* sp = nullptr;
+#ifdef ARTC_TSAN_FIBERS
+  void* tsan_fiber = nullptr;
+#endif
+#ifdef ARTC_ASAN_FIBERS
+  const void* stack_bottom = nullptr;
+  size_t stack_size = 0;
+  void* fake_stack = nullptr;
+#endif
+};
+
 namespace {
+
+// Switches from the running context `from` to `to`, returning when `to`
+// switches back. Every switch is scheduler <-> fiber, so whoever resumes
+// `from` is always `to`; the sanitizer bookkeeping relies on that. A fiber
+// that finished passes `exiting`: its stack is never resumed.
+void SwitchContext(FiberContext* from, FiberContext* to, [[maybe_unused]] bool exiting) {
+#ifdef ARTC_TSAN_FIBERS
+  from->tsan_fiber = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(to->tsan_fiber, 0);
+#endif
+#ifdef ARTC_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(exiting ? nullptr : &from->fake_stack,
+                                 to->stack_bottom, to->stack_size);
+#endif
+  artc_sim_switch(&from->sp, to->sp);
+#ifdef ARTC_ASAN_FIBERS
+  // `to` resumed us, possibly from another host thread's stack (kParallel).
+  __sanitizer_finish_switch_fiber(from->fake_stack, &to->stack_bottom, &to->stack_size);
+#endif
+}
+
+// Tells ASan the first switch into a fresh fiber has landed; records the
+// scheduler's stack, which the fiber switches back to.
+void FinishFirstSwitch([[maybe_unused]] FiberContext* sched) {
+#ifdef ARTC_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &sched->stack_bottom, &sched->stack_size);
+#endif
+}
+
+// Lays out a fresh stack as artc_sim_switch would have saved it, so the
+// first switch into it returns into `entry` with the stack aligned as a call
+// leaves it (rsp + 8 a multiple of 16). Above the return address sits a
+// zero "return address" for `entry` itself, which ends unwinding there. The
+// FP control state starts as the creating context's.
+void* InitialFrame(char* stack, size_t size, void (*entry)()) {
+  uint32_t mxcsr;
+  uint16_t fpu_cw;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpu_cw));
+  const uintptr_t top = (reinterpret_cast<uintptr_t>(stack) + size) & ~uintptr_t{15};
+  uint64_t* frame = reinterpret_cast<uint64_t*>(top) - 10;
+  std::fill(frame, frame + 10, 0);
+  frame[0] = fpu_cw;
+  frame[1] = mxcsr;
+  frame[8] = reinterpret_cast<uint64_t>(entry);  // frame[2..7]: r15..rbp
+  return frame;
+}
 
 // Thrown out of blocking primitives when the Simulation is destroyed while
 // threads are still blocked (e.g., a deadlocked test); unwinds the simulated
@@ -83,7 +211,7 @@ struct ThreadState {
 
   // Fiber contexts. The stack comes from the shard pool lazily on first
   // schedule, so spawned-but-never-run threads cost only this record.
-  ucontext_t ctx;
+  FiberContext ctx;
   std::unique_ptr<char[]> stack;
   bool fiber_started = false;
 };
@@ -119,10 +247,10 @@ struct Shard {
   std::unordered_map<uint64_t, PendingEvent*> live_callbacks;
 
   // Fiber contexts: the shard scheduler's own context; fibers resume it when
-  // they yield or finish (also the uc_link of every fiber). Its contents are
-  // refreshed by every swap *from* the currently driving host thread, which
-  // is what lets the destructor unwind fibers that last ran on a worker.
-  ucontext_t sched_ctx;
+  // they yield or finish. Its saved stack pointer is rewritten by every
+  // switch *from* the currently driving host thread, which is what lets the
+  // destructor unwind fibers that last ran on a worker.
+  FiberContext sched;
   // Stacks of finished threads, reused by later spawns.
   std::vector<std::unique_ptr<char[]>> free_stacks;
   size_t stacks_allocated = 0;
@@ -155,9 +283,9 @@ namespace {
 // thread.
 thread_local ThreadState* g_current = nullptr;
 
-// Argument hand-off into a starting fiber: makecontext's entry function
-// takes no usable pointer argument, so FiberSwitchTo parks the target here
-// immediately before the first swap into it.
+// Argument hand-off into a starting fiber: FiberEntry is entered by the
+// switch's `ret`, not by a call, so FiberSwitchTo parks the target here
+// immediately before the first switch into it.
 thread_local ThreadState* g_fiber_launch = nullptr;
 
 // The shard whose scheduler loop is executing on this host thread. Gives
@@ -181,7 +309,13 @@ class ScopedActiveShard {
 void Simulation::FiberEntry() {
   ThreadState* t = g_fiber_launch;
   g_fiber_launch = nullptr;
+  FinishFirstSwitch(&t->shard->sched);
   t->sim->FiberMain(t);
+  // The fiber is done: switch to the shard scheduler for the last time (on
+  // whichever host thread now drives the shard); it returns this stack to
+  // the pool.
+  SwitchContext(&t->ctx, &t->shard->sched, /*exiting=*/true);
+  __builtin_unreachable();
 }
 
 void Simulation::FiberMain(ThreadState* t) {
@@ -192,7 +326,6 @@ void Simulation::FiberMain(ThreadState* t) {
     aborted = true;
   }
   FinishThread(t, aborted);
-  // Returning ends the fiber; uc_link resumes the shard scheduler context.
 }
 
 SimBackend DefaultSimBackend() {
@@ -228,24 +361,7 @@ const char* SimBackendName(SimBackend backend) {
   return "?";
 }
 
-bool Simulation::UsesFiberContexts() const {
-  switch (backend_) {
-    case SimBackend::kFibers:
-      return true;
-    case SimBackend::kThreads:
-      return false;
-    case SimBackend::kParallel:
-      // Sanitizer builds (TSan cannot follow swapcontext) run kParallel on
-      // host-thread contexts: same shard/window/mailbox machinery, same
-      // schedule, real synchronization TSan can see.
-#ifdef ARTC_SIM_DEFAULT_BACKEND_THREADS
-      return false;
-#else
-      return true;
-#endif
-  }
-  return true;
-}
+bool Simulation::UsesFiberContexts() const { return backend_ != SimBackend::kThreads; }
 
 uint64_t Simulation::ShardSeed(uint64_t seed, size_t shard) {
   if (shard == 0) {
@@ -279,7 +395,7 @@ Simulation::~Simulation() {
     // blocking primitive, unwinding its stack (running destructors) before
     // the stacks are freed. Index-based: an unwinding destructor may Spawn.
     // Safe on this host thread even for fibers that last ran on a worker:
-    // the swap refreshes sched_ctx (the uc_link target) in place.
+    // the switch rewrites the shard's saved scheduler context in place.
     for (auto& sp : shards_) {
       Shard* s = sp.get();
       ScopedActiveShard active(s);
@@ -441,20 +557,27 @@ void Simulation::FiberSwitchTo(Shard* s, ThreadState* t) {
       s->stacks_allocated++;
     }
     s->stacks_in_use++;
-    ARTC_CHECK(getcontext(&t->ctx) == 0);
-    t->ctx.uc_stack.ss_sp = t->stack.get();
-    t->ctx.uc_stack.ss_size = kFiberStackBytes;
-    t->ctx.uc_link = &s->sched_ctx;
-    makecontext(&t->ctx, &Simulation::FiberEntry, 0);
+    t->ctx.sp = InitialFrame(t->stack.get(), kFiberStackBytes, &Simulation::FiberEntry);
+#ifdef ARTC_TSAN_FIBERS
+    t->ctx.tsan_fiber = __tsan_create_fiber(0);
+#endif
+#ifdef ARTC_ASAN_FIBERS
+    t->ctx.stack_bottom = t->stack.get();
+    t->ctx.stack_size = kFiberStackBytes;
+#endif
     t->fiber_started = true;
     g_fiber_launch = t;
   }
   g_current = t;
-  ARTC_CHECK(swapcontext(&s->sched_ctx, &t->ctx) == 0);
+  SwitchContext(&s->sched, &t->ctx, /*exiting=*/false);
   g_current = nullptr;
   if (t->state == ThreadState::Run::kDone && t->stack != nullptr) {
-    // The fiber ran to completion (or unwound) and resumed us through
-    // uc_link; its stack is dead and goes back to the shard pool.
+    // The fiber ran to completion (or unwound) and switched back for the
+    // last time; its stack is dead and goes back to the shard pool.
+#ifdef ARTC_TSAN_FIBERS
+    __tsan_destroy_fiber(t->ctx.tsan_fiber);
+    t->ctx.tsan_fiber = nullptr;
+#endif
     s->free_stacks.push_back(std::move(t->stack));
     s->stacks_in_use--;
   }
@@ -745,8 +868,8 @@ TimeNs Simulation::RunWindowed() {
       // Static shard→worker map: worker w owns shards w, w+N, w+2N, ...
       // Shard state may still move between host threads (single-active-shard
       // windows run on the coordinator below) — safe because a shard's
-      // sched_ctx is refreshed on every resume and the barrier serializes
-      // all of a shard's windows.
+      // saved scheduler context is rewritten on every switch into one of
+      // its fibers and the barrier serializes all of a shard's windows.
       team.threads.emplace_back([this, &team, w, workers] {
         uint64_t seen = 0;
         while (true) {
@@ -900,7 +1023,7 @@ void Simulation::YieldToScheduler(ThreadState* t, bool runnable_again) {
     t->state = ThreadState::Run::kBlocked;
   }
   if (UsesFiberContexts()) {
-    ARTC_CHECK(swapcontext(&t->ctx, &s->sched_ctx) == 0);
+    SwitchContext(&t->ctx, &s->sched, /*exiting=*/false);
     if (shutdown_.load()) {
       throw SimShutdown{};
     }

@@ -283,7 +283,7 @@ Vfs::ResolveOutcome Vfs::ResolveWithBudget(const std::string& path, bool follow_
   if (parts.empty()) {
     out.node = dir;
     out.parent = dir;
-    out.final_name = "/";
+    out.final_name = '/';  // char overload: GCC 12 -Wrestrict misfires on "/"
     return out;
   }
   for (size_t i = 0; i < parts.size(); ++i) {

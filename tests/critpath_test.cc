@@ -41,7 +41,7 @@ struct SynthAction {
   uint32_t thread = 0;
   TimeNs exec = 0;
   TimeNs pace = 0;
-  std::vector<Dep> deps;
+  std::vector<Dep> deps = {};
 };
 
 CompiledBenchmark BuildBench(uint32_t threads,

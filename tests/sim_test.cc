@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cfenv>
+#include <functional>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/sim/schedule.h"
@@ -350,6 +355,180 @@ TEST(Simulation, DestructorReleasesBlockedThreads) {
   EXPECT_EQ(sim->UnfinishedThreads(), 1u);
   sim.reset();  // must join cleanly
 }
+
+// ---- The fiber switch's contract: per-context FP control state, ABI stack
+// alignment, and unwinding, on one host thread and on the kParallel worker
+// team, where a fiber may resume on another host thread. ----
+
+struct SwitchCase {
+  const char* name;
+  SimBackend backend;
+  size_t shards;
+  size_t workers;
+};
+
+void PrintTo(const SwitchCase& c, std::ostream* os) { *os << c.name; }
+
+// 1/3 with operands the compiler cannot fold: the SSE rounding mode (MXCSR)
+// decides the last bit.
+double Third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+// Address of a 16-byte-aligned local in a fresh frame, read back through a
+// volatile so the compiler cannot assume the alignment being checked.
+[[gnu::noinline]] uintptr_t AlignedLocalAddress() {
+  alignas(16) char probe[16];
+  volatile uintptr_t addr = reinterpret_cast<uintptr_t>(probe);
+  return addr;
+}
+
+[[gnu::noinline]] void SleepThenThrow(Simulation& sim, TimeNs d) {
+  sim.Sleep(d);
+  throw std::runtime_error("after sleep");
+}
+
+// Counts how often the calling fiber found itself on a different host
+// thread than at its previous call.
+class HostThreadHops {
+ public:
+  void Note() {
+    const std::thread::id id = std::this_thread::get_id();
+    hops_ += (last_ != std::thread::id() && id != last_) ? 1 : 0;
+    last_ = id;
+  }
+  int hops() const { return hops_; }
+
+ private:
+  std::thread::id last_;  // default: no thread seen yet
+  int hops_ = 0;
+};
+
+using FiberBody = std::function<void(Simulation&, const std::function<void()>& note)>;
+
+class FiberSwitch : public ::testing::TestWithParam<SwitchCase> {
+ protected:
+  // Runs `probe` on shard 0 and `pacer` on the last shard; both call note()
+  // on entry and after every resume (the pacer's is a no-op). On 2 shards
+  // with 2 workers the windows alternate between both shards due (run on
+  // the workers) and one (run inline on the coordinator), so the probe's
+  // fiber changes host thread; the test fails if it never did.
+  void RunPair(const FiberBody& probe, const FiberBody& pacer) {
+    SimConfig config;
+    config.shards = GetParam().shards;
+    config.workers = GetParam().workers;
+    Simulation sim(1, GetParam().backend, config);
+    HostThreadHops probe_hops;
+    sim.SpawnOnShard(0, "probe", [&] { probe(sim, [&] { probe_hops.Note(); }); });
+    sim.SpawnOnShard(config.shards - 1, "pacer", [&] { pacer(sim, [] {}); });
+    sim.Run();
+    EXPECT_EQ(sim.UnfinishedThreads(), 0u);
+    if (config.workers > 1) {
+      EXPECT_GT(probe_hops.hops(), 0) << "the probe never resumed on another host thread";
+    }
+  }
+};
+
+TEST_P(FiberSwitch, FpControlStateIsPerContext) {
+  const double nearest = Third();
+  ASSERT_EQ(fegetround(), FE_TONEAREST);
+  int probe_checks = 0;
+  int pacer_checks = 0;
+  RunPair(
+      [&](Simulation& sim, const std::function<void()>& note) {
+        note();
+        ASSERT_EQ(fesetround(FE_UPWARD), 0);
+        ASSERT_GT(Third(), nearest);
+        // While the probe sleeps with FE_UPWARD set, the scheduler runs
+        // this callback in its own context.
+        sim.ScheduleCallback(sim.Now() + Us(10), [&] {
+          EXPECT_EQ(fegetround(), FE_TONEAREST) << "leaked into the scheduler";
+          EXPECT_EQ(Third(), nearest) << "MXCSR leaked into the scheduler";
+        });
+        for (int i = 0; i < 4; ++i) {
+          sim.Sleep(Us(50));
+          note();
+          EXPECT_EQ(fegetround(), FE_UPWARD) << "lost across a switch";
+          EXPECT_GT(Third(), nearest) << "MXCSR lost across a switch";
+          probe_checks++;
+        }
+      },
+      [&](Simulation& sim, const std::function<void()>& note) {
+        for (int i = 0; i < 4; ++i) {
+          note();
+          EXPECT_EQ(fegetround(), FE_TONEAREST) << "leaked into another fiber";
+          EXPECT_EQ(Third(), nearest) << "MXCSR leaked into another fiber";
+          pacer_checks++;
+          sim.Sleep(Us(25));
+        }
+      });
+  EXPECT_EQ(probe_checks, 4);
+  EXPECT_EQ(pacer_checks, 4);
+  EXPECT_EQ(fegetround(), FE_TONEAREST) << "leaked into the host";
+}
+
+TEST_P(FiberSwitch, StackIsAbiAlignedAtEntryAndAfterResume) {
+  auto check = [](const char* where) {
+    alignas(16) char local[16];
+    volatile uintptr_t addr = reinterpret_cast<uintptr_t>(local);
+    EXPECT_EQ(addr % 16, 0u) << where;
+    EXPECT_EQ(AlignedLocalAddress() % 16, 0u) << where;
+  };
+  auto body = [&](TimeNs nap) -> FiberBody {
+    return [&, nap](Simulation& sim, const std::function<void()>& note) {
+      note();
+      check("fiber entry");
+      for (int i = 0; i < 4; ++i) {
+        sim.Sleep(nap);
+        note();
+        check("after resume");
+      }
+    };
+  };
+  RunPair(body(Us(50)), body(Us(25)));
+}
+
+TEST_P(FiberSwitch, ExceptionUnwindsAcrossSleepInsideFiber) {
+  struct Guard {
+    int* destroyed;
+    ~Guard() { ++*destroyed; }
+  };
+  std::atomic<int> caught{0};  // the two fibers may run on two workers at once
+  auto body = [&](TimeNs nap) -> FiberBody {
+    return [&, nap](Simulation& sim, const std::function<void()>& note) {
+      note();
+      for (int i = 0; i < 3; ++i) {
+        int destroyed = 0;
+        try {
+          Guard guard{&destroyed};
+          sim.Sleep(nap);
+          note();
+          SleepThenThrow(sim, nap);
+          ADD_FAILURE() << "SleepThenThrow returned";
+        } catch (const std::runtime_error& e) {
+          note();
+          EXPECT_STREQ(e.what(), "after sleep");
+          EXPECT_EQ(destroyed, 1);
+          caught++;
+        }
+        sim.Sleep(nap);  // the fiber keeps running after the catch
+        note();
+      }
+    };
+  };
+  RunPair(body(Us(50)), body(Us(25)));
+  EXPECT_EQ(caught.load(), 6);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, FiberSwitch,
+    ::testing::Values(SwitchCase{"fibers", SimBackend::kFibers, 1, 1},
+                      SwitchCase{"parallel_2x2", SimBackend::kParallel, 2, 2}),
+    [](const ::testing::TestParamInfo<SwitchCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace artc::sim

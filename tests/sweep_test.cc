@@ -193,7 +193,7 @@ TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
   std::map<std::string, std::pair<TimeNs, uint64_t>> by_config;
   for (const CellStats& stats : report.stats) {
     CellConfig scrubbed = stats.config;
-    scrubbed.backend = "*";
+    scrubbed.backend = '*';
     auto [it, inserted] = by_config.emplace(
         scrubbed.Echo(), std::make_pair(stats.end_ns, stats.digest));
     if (!inserted) {
