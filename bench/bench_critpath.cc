@@ -191,7 +191,7 @@ int Main(int argc, char** argv) {
       !sim::ParseSimBackendName(backend, &opt.target.sim_backend)) {
     obs::LogError("artc_critpath", "unknown --backend value",
                   {{"backend", backend},
-                   {"expected", "fibers, threads, or parallel"}});
+                   {"expected", "fibers or parallel"}});
     return 2;
   }
   // Host worker threads for compilation and the parallel backend

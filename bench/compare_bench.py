@@ -5,9 +5,11 @@ Usage:
     compare_bench.py BASELINE CURRENT [BASELINE CURRENT ...]
                      [--threshold 0.15] [--update]
 
-Compares each CURRENT bench JSON (as emitted by bench_compile_throughput /
-bench_replay_throughput) against its committed BASELINE and exits non-zero
-on a regression. Two classes of metric, gated differently:
+Compares each CURRENT bench JSON (as emitted by bench_compile_throughput,
+bench_parallel_replay, bench_sync_compile, bench_sweep, or
+bench_components_micro via gbench_to_flat.py) against its committed
+BASELINE and exits non-zero on a regression. Two classes of metric, gated
+differently:
 
  * Deterministic virtual-time metrics (action counts, virtual end times,
    edge counts, failure counts, backend parity) do not depend on the host,
@@ -67,25 +69,16 @@ DETERMINISTIC_KEYS = (
 
 THROUGHPUT_SUFFIX = "_per_sec"
 
-# Path segments whose throughput is ungateable even after normalization.
-# The threads sim backend burns its wall time in host context switches,
-# whose cost varies several-fold across runner generations — far beyond any
-# usable threshold. Its *virtual* metrics stay exact-gated above; only its
-# host-side throughput is skipped.
-NOISY_SEGMENTS = frozenset(["threads"])
-
-
 def flatten(node, prefix=""):
-    """Flattens nested dicts/lists to {dotted.key: leaf}. List items keyed by
-    their "backend" name when present, else by index."""
+    """Flattens nested dicts/lists to {dotted.key: leaf}; list items are
+    keyed by index."""
     out = {}
     if isinstance(node, dict):
         for k, v in node.items():
             out.update(flatten(v, f"{prefix}{k}."))
     elif isinstance(node, list):
         for i, v in enumerate(node):
-            tag = v.get("backend", str(i)) if isinstance(v, dict) else str(i)
-            out.update(flatten(v, f"{prefix}{tag}."))
+            out.update(flatten(v, f"{prefix}{i}."))
     else:
         out[prefix[:-1]] = node
     return out
@@ -113,8 +106,8 @@ def compare_pair(base_path, cur_path, problems, ratios):
                 f"{bval} -> {cval} (must match the committed baseline exactly)"
             )
         elif name.endswith(THROUGHPUT_SUFFIX):
-            if not bval or NOISY_SEGMENTS.intersection(key.split(".")):
-                continue  # zero baseline or host-noise-bound metric
+            if not bval:
+                continue  # zero baseline
             ratios.append((f"{cur_path}:{key}", cval / bval))
 
 

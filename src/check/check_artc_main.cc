@@ -109,7 +109,7 @@ int Main(int argc, char** argv) {
       !sim::ParseSimBackendName(backend, &opt.target.sim_backend)) {
     obs::LogError("check_artc", "unknown --backend value",
                   {{"backend", backend},
-                   {"expected", "fibers, threads, or parallel"}});
+                   {"expected", "fibers or parallel"}});
     return 2;
   }
   // 0 = ARTC_JOBS / host core count; forwarded to the parallel backend.

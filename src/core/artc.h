@@ -28,10 +28,10 @@ struct SimTarget {
   EmulationPolicy emulation;
   ReplayOptions replay;     // pacing
   uint64_t seed = 1;        // simulated-scheduler seed
-  // Context-switch backend for the simulation. The build default (fibers
-  // unless -DARTC_SIM_BACKEND=threads) is right for everything except
-  // differential backend testing.
-  sim::SimBackend sim_backend = sim::DefaultSimBackend();
+  // Simulation backend. kParallel only changes anything for suite replays
+  // (one shard per benchmark), where it spreads the shards over `jobs`
+  // host workers.
+  sim::SimBackend sim_backend = sim::SimBackend::kFibers;
   // Scheduler choice-point policy for the simulation. kDefault keeps the
   // built-in seeded-random scheduler and is bit-identical to not setting a
   // policy at all; kRandom / kPct explore alternative legal interleavings
@@ -41,7 +41,7 @@ struct SimTarget {
   bool delta_init = false;
   // Host worker threads for sim::SimBackend::kParallel suite replays
   // (0 = util::DefaultJobs(), i.e. ARTC_JOBS or the core count). Ignored by
-  // single-shard replays and by the fibers/threads backends.
+  // single-shard replays and by the fibers backend.
   size_t jobs = 0;
   // Turns on the process-wide observability switch (obs::Enable) for this
   // replay, so instrumented spans/counters are collected even without

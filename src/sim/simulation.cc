@@ -150,7 +150,7 @@ void* InitialFrame(char* stack, size_t size, void (*entry)()) {
 
 // Thrown out of blocking primitives when the Simulation is destroyed while
 // threads are still blocked (e.g., a deadlocked test); unwinds the simulated
-// thread so its stack (fiber) or host thread can be reclaimed.
+// thread so its fiber stack can be reclaimed.
 struct SimShutdown {};
 
 // Owned stack for one fiber. Replay threads call through the VFS and the
@@ -206,11 +206,8 @@ struct ThreadState {
   Simulation* sim = nullptr;
   Shard* shard = nullptr;
 
-  // Host-thread contexts.
-  std::thread host;
-
-  // Fiber contexts. The stack comes from the shard pool lazily on first
-  // schedule, so spawned-but-never-run threads cost only this record.
+  // The stack comes from the shard pool lazily on first schedule, so
+  // spawned-but-never-run threads cost only this record.
   FiberContext ctx;
   std::unique_ptr<char[]> stack;
   bool fiber_started = false;
@@ -246,23 +243,15 @@ struct Shard {
   std::vector<PendingEvent*> free_events;
   std::unordered_map<uint64_t, PendingEvent*> live_callbacks;
 
-  // Fiber contexts: the shard scheduler's own context; fibers resume it when
-  // they yield or finish. Its saved stack pointer is rewritten by every
-  // switch *from* the currently driving host thread, which is what lets the
-  // destructor unwind fibers that last ran on a worker.
+  // The shard scheduler's own context; fibers resume it when they yield or
+  // finish. Its saved stack pointer is rewritten by every switch *from* the
+  // currently driving host thread, which is what lets the destructor unwind
+  // fibers that last ran on a worker.
   FiberContext sched;
   // Stacks of finished threads, reused by later spawns.
   std::vector<std::unique_ptr<char[]>> free_stacks;
   size_t stacks_allocated = 0;
   size_t stacks_in_use = 0;
-
-  // Host-thread contexts: synchronization implementing the shard-local run
-  // token (one token per shard — shards of a kParallel simulation switch
-  // independently).
-  std::mutex token_mu;
-  std::condition_variable token_cv;
-  ThreadState* running = nullptr;  // simulated thread holding the token
-  bool scheduler_turn = true;
 
   // Incoming cross-shard messages, drained at window barriers.
   ShardMailbox inbox;
@@ -276,11 +265,9 @@ struct Shard {
 
 namespace {
 
-// The simulated thread currently executing on this host thread. With fiber
-// contexts everything belonging to a shard runs on the host thread driving
-// that shard, so the scheduler updates this around every fiber switch; with
-// host-thread contexts each simulated thread sets it once from its own host
-// thread.
+// The simulated thread currently executing on this host thread. Everything
+// belonging to a shard runs on the host thread driving that shard, so the
+// scheduler updates this around every fiber switch.
 thread_local ThreadState* g_current = nullptr;
 
 // Argument hand-off into a starting fiber: FiberEntry is entered by the
@@ -328,19 +315,9 @@ void Simulation::FiberMain(ThreadState* t) {
   FinishThread(t, aborted);
 }
 
-SimBackend DefaultSimBackend() {
-#ifdef ARTC_SIM_DEFAULT_BACKEND_THREADS
-  return SimBackend::kThreads;
-#else
-  return SimBackend::kFibers;
-#endif
-}
-
 bool ParseSimBackendName(const std::string& name, SimBackend* out) {
   if (name == "fibers") {
     *out = SimBackend::kFibers;
-  } else if (name == "threads") {
-    *out = SimBackend::kThreads;
   } else if (name == "parallel") {
     *out = SimBackend::kParallel;
   } else {
@@ -353,15 +330,11 @@ const char* SimBackendName(SimBackend backend) {
   switch (backend) {
     case SimBackend::kFibers:
       return "fibers";
-    case SimBackend::kThreads:
-      return "threads";
     case SimBackend::kParallel:
       return "parallel";
   }
   return "?";
 }
-
-bool Simulation::UsesFiberContexts() const { return backend_ != SimBackend::kThreads; }
 
 uint64_t Simulation::ShardSeed(uint64_t seed, size_t shard) {
   if (shard == 0) {
@@ -389,33 +362,19 @@ Simulation::Simulation(uint64_t seed, SimBackend backend, SimConfig config)
 }
 
 Simulation::~Simulation() {
-  shutdown_.store(true);
-  if (UsesFiberContexts()) {
-    // Resume every unfinished fiber so it throws SimShutdown out of its
-    // blocking primitive, unwinding its stack (running destructors) before
-    // the stacks are freed. Index-based: an unwinding destructor may Spawn.
-    // Safe on this host thread even for fibers that last ran on a worker:
-    // the switch rewrites the shard's saved scheduler context in place.
-    for (auto& sp : shards_) {
-      Shard* s = sp.get();
-      ScopedActiveShard active(s);
-      for (size_t i = 0; i < s->threads.size(); ++i) {
-        ThreadState* t = s->threads[i].get();
-        if (t->fiber_started && t->state != ThreadState::Run::kDone) {
-          FiberSwitchTo(s, t);
-        }
-      }
-    }
-    return;
-  }
+  shutdown_ = true;
+  // Resume every unfinished fiber so it throws SimShutdown out of its
+  // blocking primitive, unwinding its stack (running destructors) before the
+  // stacks are freed. Index-based: an unwinding destructor may Spawn. Safe on
+  // this host thread even for fibers that last ran on a worker: the switch
+  // rewrites the shard's saved scheduler context in place.
   for (auto& sp : shards_) {
-    std::lock_guard<std::mutex> lk(sp->token_mu);
-    sp->token_cv.notify_all();
-  }
-  for (auto& sp : shards_) {
-    for (auto& t : sp->threads) {
-      if (t->host.joinable()) {
-        t->host.join();
+    Shard* s = sp.get();
+    ScopedActiveShard active(s);
+    for (size_t i = 0; i < s->threads.size(); ++i) {
+      ThreadState* t = s->threads[i].get();
+      if (t->fiber_started && t->state != ThreadState::Run::kDone) {
+        FiberSwitchTo(s, t);
       }
     }
   }
@@ -521,9 +480,6 @@ SimThreadId Simulation::SpawnOn(Shard* s, std::string name, std::function<void()
     obs::DefaultTracer().SetTrackName(obs::ClockDomain::kVirtual, raw->id,
                                       raw->name);
   }
-  if (!UsesFiberContexts()) {
-    raw->host = std::thread([this, raw] { HostThreadMain(raw); });
-  }
   return raw->id;
 }
 
@@ -545,7 +501,7 @@ void Simulation::FinishThread(ThreadState* t, bool aborted) {
   t->cross_joiners.clear();
 }
 
-// ---- Fiber contexts ----
+// ---- Fiber switching ----
 
 void Simulation::FiberSwitchTo(Shard* s, ThreadState* t) {
   if (!t->fiber_started) {
@@ -583,47 +539,7 @@ void Simulation::FiberSwitchTo(Shard* s, ThreadState* t) {
   }
 }
 
-// ---- Host-thread contexts ----
-
-void Simulation::HostThreadMain(ThreadState* t) {
-  Shard* s = t->shard;
-  // Wait to be scheduled for the first time.
-  {
-    std::unique_lock<std::mutex> lk(s->token_mu);
-    s->token_cv.wait(lk, [&] {
-      return (s->running == t && !s->scheduler_turn) || shutdown_.load();
-    });
-    if (shutdown_.load()) {
-      t->state = ThreadState::Run::kDone;
-      return;
-    }
-  }
-  g_current = t;
-  bool aborted = false;
-  try {
-    t->body();
-  } catch (const SimShutdown&) {
-    aborted = true;
-  }
-  FinishThread(t, aborted);
-  if (!aborted) {
-    // Hand the token back to the shard scheduler permanently.
-    std::lock_guard<std::mutex> lk(s->token_mu);
-    s->running = nullptr;
-    s->scheduler_turn = true;
-    s->token_cv.notify_all();
-  }
-}
-
-void Simulation::HostThreadSwitchTo(Shard* s, ThreadState* t) {
-  std::unique_lock<std::mutex> lk(s->token_mu);
-  s->running = t;
-  s->scheduler_turn = false;
-  s->token_cv.notify_all();
-  s->token_cv.wait(lk, [&] { return s->scheduler_turn; });
-}
-
-// ---- Shared scheduler ----
+// ---- Scheduler ----
 
 size_t Simulation::ChooseIndex(Shard* s, ChoicePoint point,
                                const std::vector<ThreadState*>& candidates) {
@@ -659,11 +575,7 @@ void Simulation::RunThread(Shard* s, ThreadState* t) {
   // runnable thread observes 1, matching run-queue-depth convention.
   ARTC_OBS_OBSERVE("sim.run_queue_depth", s->ready.size() + 1);
   t->state = ThreadState::Run::kRunning;
-  if (UsesFiberContexts()) {
-    FiberSwitchTo(s, t);
-  } else {
-    HostThreadSwitchTo(s, t);
-  }
+  FiberSwitchTo(s, t);
 }
 
 namespace {
@@ -1022,21 +934,8 @@ void Simulation::YieldToScheduler(ThreadState* t, bool runnable_again) {
   } else {
     t->state = ThreadState::Run::kBlocked;
   }
-  if (UsesFiberContexts()) {
-    SwitchContext(&t->ctx, &s->sched, /*exiting=*/false);
-    if (shutdown_.load()) {
-      throw SimShutdown{};
-    }
-    return;
-  }
-  std::unique_lock<std::mutex> lk(s->token_mu);
-  s->running = nullptr;
-  s->scheduler_turn = true;
-  s->token_cv.notify_all();
-  s->token_cv.wait(lk, [&] {
-    return (s->running == t && !s->scheduler_turn) || shutdown_.load();
-  });
-  if (shutdown_.load()) {
+  SwitchContext(&t->ctx, &s->sched, /*exiting=*/false);
+  if (shutdown_) {
     throw SimShutdown{};
   }
 }
@@ -1143,7 +1042,7 @@ bool Simulation::CancelCallback(uint64_t id) {
 }
 
 void Simulation::WakeThread(ThreadState* t) {
-  if (shutdown_.load()) {
+  if (shutdown_) {
     return;  // unwinding destructors may notify already-unwound threads
   }
   Shard* s = t->shard;

@@ -8,20 +8,17 @@
 // models, the VFS, and the trace replayer be written in plain blocking
 // style while virtual time advances deterministically.
 //
-// Three backends implement that transfer:
+// Every simulated thread is a user-space stackful coroutine (fiber) with
+// its own owned stack. A simulated context switch is `artc_sim_switch`, an
+// x86-64 routine that saves only the callee-saved registers and the FP
+// control words, with no syscall. In a two-context ping-pong on a 4-vCPU
+// Intel Xeon VM a round trip costs ~29 ns; glibc's context swap, which also
+// saves and restores the signal mask with a syscall, cost ~500 ns. TSan and
+// ASan are told about every switch (fiber API). Two backends decide which
+// host threads drive the fibers:
 //
-//  - kFibers (default): every simulated thread is a user-space stackful
-//    coroutine with its own owned stack, all running on the one host thread
-//    that called Run(). A simulated context switch is `artc_sim_switch`, an
-//    x86-64 routine that saves only the callee-saved registers and the FP
-//    control words, with no syscall. In a two-context ping-pong on a
-//    4-vCPU Intel Xeon VM a round trip costs ~29 ns; glibc's context swap,
-//    which also saves and restores the signal mask with a syscall, cost
-//    ~500 ns. TSan and ASan are told about every switch (fiber API).
-//  - kThreads: every simulated thread is a real std::thread and the run
-//    token is handed over a mutex/condition_variable pair — two kernel
-//    wakeups per simulated switch. Kept as a differential-testing oracle
-//    for the fiber backend.
+//  - kFibers (default): every shard runs on the one host thread that called
+//    Run().
 //  - kParallel: the simulation is partitioned into SimConfig::shards
 //    independent scheduler shards, each with its own virtual clock, run
 //    queue, event queue, and RNG stream, distributed over N host worker
@@ -32,10 +29,11 @@
 //    mailboxes drained at window boundaries (src/sim/mailbox.h). Because
 //    every cross-shard effect lands at least δ in the receiver's future,
 //    the result is bit-identical regardless of worker count — including
-//    worker count 1, which is how the single-threaded backends double as
-//    the parallel backend's exactness oracle. See DESIGN.md §5f.
+//    worker count 1, which is how kFibers doubles as the parallel
+//    backend's exactness oracle. A fiber may resume on a different worker
+//    than it last ran on. See DESIGN.md §5f.
 //
-// All backends share the per-shard scheduler itself (ready list, event
+// Both backends share the per-shard scheduler itself (ready list, event
 // queue, RNG), so a run is bit-identical across backends: same seed, same
 // schedule, same virtual end time, same switch count.
 //
@@ -46,7 +44,6 @@
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -78,18 +75,13 @@ constexpr SimThreadId PackThreadId(uint32_t shard, uint32_t local) {
   return (shard << kShardIdShift) | local;
 }
 
-// Context-switch backend for a Simulation instance.
+// Which host threads run a Simulation instance's fibers.
 enum class SimBackend : uint8_t {
-  kFibers,    // user-space stackful coroutines (one host thread total)
-  kThreads,   // one host OS thread per simulated thread, condvar token
+  kFibers,    // every shard on the host thread that called Run()
   kParallel,  // sharded windowed execution across host worker threads
 };
 
-// The build-selected default backend (CMake option ARTC_SIM_BACKEND,
-// "fibers" unless configured otherwise).
-SimBackend DefaultSimBackend();
-
-// Parses "fibers" / "threads" / "parallel" (the CLI --backend= vocabulary);
+// Parses "fibers" / "parallel" (the CLI --backend= vocabulary);
 // returns false on anything else, leaving *out untouched.
 bool ParseSimBackendName(const std::string& name, SimBackend* out);
 const char* SimBackendName(SimBackend backend);
@@ -170,7 +162,7 @@ class SimCondVar {
 };
 
 // A mutex for simulated threads. Execution within a shard is serialized by
-// the run token, so this exists to model *contention* (waiting in virtual
+// its scheduler, so this exists to model *contention* (waiting in virtual
 // time), not to protect memory.
 class SimMutex {
  public:
@@ -208,7 +200,7 @@ class SimBarrier {
 
 class Simulation {
  public:
-  explicit Simulation(uint64_t seed, SimBackend backend = DefaultSimBackend(),
+  explicit Simulation(uint64_t seed, SimBackend backend = SimBackend::kFibers,
                       SimConfig config = SimConfig{});
   ~Simulation();
   Simulation(const Simulation&) = delete;
@@ -308,10 +300,10 @@ class Simulation {
   // *simultaneously outstanding* events, not the total scheduled.
   size_t allocated_event_count() const;
 
-  // Fiber-stack pool diagnostics (kFibers contexts). Stacks are returned to
-  // a per-shard free pool when their thread finishes and are reused by later
-  // spawns, so `allocated` is the high-water mark of concurrently *live*
-  // threads, not the total ever spawned.
+  // Fiber-stack pool diagnostics. Stacks are returned to a per-shard free
+  // pool when their thread finishes and are reused by later spawns, so
+  // `allocated` is the high-water mark of concurrently *live* threads, not
+  // the total ever spawned.
   size_t FiberStacksAllocated() const;
   size_t FiberStacksInUse() const;
 
@@ -361,15 +353,9 @@ class Simulation {
   void ApplyMessage(Shard* s, const struct ShardMessage& m);
   void SendJoinDone(Shard* from, SimThreadId joiner);
 
-  // Fiber backend.
   static void FiberEntry();            // first frame of every fiber
   void FiberSwitchTo(Shard* s, ThreadState* t);  // scheduler/destructor -> fiber
   void FiberMain(ThreadState* t);      // fiber trampoline body
-  bool UsesFiberContexts() const;
-
-  // Host-thread backend.
-  void HostThreadMain(ThreadState* t);  // host-thread trampoline
-  void HostThreadSwitchTo(Shard* s, ThreadState* t);
 
   SimBackend backend_;
   SimConfig config_;
@@ -377,9 +363,8 @@ class Simulation {
   size_t workers_used_ = 1;
   uint64_t messages_delivered_ = 0;
   uint64_t windows_ = 0;
-  // Set by the destructor; read by unwinding simulated threads (possibly on
-  // other host threads under kThreads contexts).
-  std::atomic<bool> shutdown_{false};
+  // Set by the destructor; read by the simulated threads it unwinds.
+  bool shutdown_ = false;
 };
 
 // RAII lock for SimMutex.

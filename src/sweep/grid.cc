@@ -217,7 +217,7 @@ bool SweepGrid::Validate(std::string* error) const {
     sim::SimBackend be;
     if (!sim::ParseSimBackendName(v, &be)) {
       return fail(StrFormat(
-          "unknown backend '%s' (expected fibers, threads, or parallel)",
+          "unknown backend '%s' (expected fibers or parallel)",
           v.c_str()));
     }
   }

@@ -219,12 +219,22 @@ void Vfs::DirtyInodeBlock(const Inode* inode) {
   stack_->cache().InsertDirty(inode->inode_block_lba, 1);
 }
 
-void Vfs::ReadDirBlocks(Inode* dir) {
+Vfs::Inode* Vfs::ReadDirBlocks(Inode* dir) {
+  const uint64_t ino = dir->ino;
   uint64_t blocks = std::max<uint64_t>(1, BlocksForSize(dir->size));
   EnsureExtents(dir, blocks);
   for (const auto& [lba, len] : MapRange(dir, 0, blocks)) {
     stack_->Read(lba, len, /*sequential_hint=*/false);
   }
+  return GetInode(ino);
+}
+
+Vfs::Inode* Vfs::LinkedChild(Inode* dir, const std::string& name, uint64_t ino) {
+  if (dir == nullptr) {
+    return nullptr;
+  }
+  auto it = dir->children.find(name);
+  return it != dir->children.end() && it->second == ino ? GetInode(ino) : nullptr;
 }
 
 void Vfs::TouchDirData(Inode* dir) {
@@ -411,12 +421,15 @@ VfsResult Vfs::Open(const std::string& path, uint32_t flags, uint32_t mode) {
     Inode* node = r.node;
     if (r.err == kENOENT && (flags & kOpenCreate) && r.parent != nullptr) {
       // Create the file.
-      ReadDirBlocks(r.parent);
+      Inode* parent = ReadDirBlocks(r.parent);
+      if (parent == nullptr) {
+        return {0, kENOENT};
+      }
       node = NewInode(kTypeFile);
       node->mode = mode;
       node->nlink = 1;
-      r.parent->children[r.final_name] = node->ino;
-      TouchDirData(r.parent);
+      parent->children[r.final_name] = node->ino;
+      TouchDirData(parent);
       DirtyInodeBlock(node);
       JournalAppend();
     } else if (r.err != 0) {
@@ -538,13 +551,16 @@ VfsResult Vfs::Mkdir(const std::string& path, uint32_t mode) {
     if (r.err != kENOENT || r.parent == nullptr) {
       return {0, r.err};
     }
-    ReadDirBlocks(r.parent);
+    Inode* parent = ReadDirBlocks(r.parent);
+    if (parent == nullptr) {
+      return {0, kENOENT};  // a concurrent rmdir removed the parent
+    }
     Inode* dir = NewInode(kTypeDir);
     dir->mode = mode;
     dir->nlink = 2;
-    r.parent->children[r.final_name] = dir->ino;
-    r.parent->nlink++;
-    TouchDirData(r.parent);
+    parent->children[r.final_name] = dir->ino;
+    parent->nlink++;
+    TouchDirData(parent);
     DirtyInodeBlock(dir);
     JournalAppend();
     return {0, 0};
@@ -569,13 +585,22 @@ VfsResult Vfs::Rmdir(const std::string& path) {
     if (r.node->ino == root_ino_) {
       return {0, kEPERM};
     }
-    ReadDirBlocks(r.parent);
-    r.parent->children.erase(r.final_name);
-    r.parent->nlink--;
-    r.node->nlink = 0;
-    TouchDirData(r.parent);
+    const uint64_t ino = r.node->ino;
+    Inode* parent = ReadDirBlocks(r.parent);
+    // The read can block; look the tree up again before changing it.
+    Inode* node = LinkedChild(parent, r.final_name, ino);
+    if (node == nullptr) {
+      return {0, kENOENT};
+    }
+    if (!node->children.empty()) {
+      return {0, kENOTEMPTY};
+    }
+    parent->children.erase(r.final_name);
+    parent->nlink--;
+    node->nlink = 0;
+    TouchDirData(parent);
     JournalAppend();
-    UnrefInode(r.node->ino);
+    UnrefInode(ino);
     return {0, 0};
   }, std::move(proto));
 }
@@ -592,12 +617,18 @@ VfsResult Vfs::Unlink(const std::string& path) {
     if (r.node->type == kTypeDir) {
       return {0, kEISDIR};
     }
-    ReadDirBlocks(r.parent);
-    r.parent->children.erase(r.final_name);
-    r.node->nlink--;
-    TouchDirData(r.parent);
+    const uint64_t ino = r.node->ino;
+    Inode* parent = ReadDirBlocks(r.parent);
+    // The read can block; look the tree up again before changing it.
+    Inode* node = LinkedChild(parent, r.final_name, ino);
+    if (node == nullptr) {
+      return {0, kENOENT};
+    }
+    parent->children.erase(r.final_name);
+    node->nlink--;
+    TouchDirData(parent);
     JournalAppend();
-    UnrefInode(r.node->ino);
+    UnrefInode(ino);
     return {0, 0};
   }, std::move(proto));
 }
@@ -612,9 +643,17 @@ VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
     if (src.err != 0) {
       return {0, src.err};
     }
+    const uint64_t src_ino = src.node->ino;
+    const uint64_t src_dir_ino = src.parent->ino;
     ResolveOutcome dst = Resolve(to, /*follow_last=*/false, /*timed=*/true);
     if (dst.err != 0 && !(dst.err == kENOENT && dst.parent != nullptr)) {
       return {0, dst.err};
+    }
+    // Resolving `to` can block; look `from` up again.
+    src.parent = GetInode(src_dir_ino);
+    src.node = LinkedChild(src.parent, src.final_name, src_ino);
+    if (src.node == nullptr) {
+      return {0, kENOENT};
     }
     if (src.node->type == kTypeDir) {
       // A directory cannot be moved into its own subtree.
@@ -646,19 +685,28 @@ VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
       dst.parent->children.erase(dst.final_name);
       UnrefInode(doomed);
     }
+    // The reads can block; look the tree up again before changing it.
+    const bool same_dir = dst.parent == src.parent;
+    const uint64_t dst_dir_ino = dst.parent->ino;
     ReadDirBlocks(src.parent);
-    if (dst.parent != src.parent) {
-      ReadDirBlocks(dst.parent);
+    if (!same_dir && GetInode(dst_dir_ino) != nullptr) {
+      ReadDirBlocks(GetInode(dst_dir_ino));
     }
-    src.parent->children.erase(src.final_name);
-    dst.parent->children[dst.final_name] = src.node->ino;
-    if (src.node->type == kTypeDir && src.parent != dst.parent) {
-      src.parent->nlink--;
-      dst.parent->nlink++;
+    Inode* src_dir = GetInode(src_dir_ino);
+    Inode* dst_dir = GetInode(dst_dir_ino);
+    Inode* node = LinkedChild(src_dir, src.final_name, src_ino);
+    if (node == nullptr || dst_dir == nullptr) {
+      return {0, kENOENT};
     }
-    TouchDirData(src.parent);
-    if (dst.parent != src.parent) {
-      TouchDirData(dst.parent);
+    src_dir->children.erase(src.final_name);
+    dst_dir->children[dst.final_name] = src_ino;
+    if (node->type == kTypeDir && !same_dir) {
+      src_dir->nlink--;
+      dst_dir->nlink++;
+    }
+    TouchDirData(src_dir);
+    if (!same_dir) {
+      TouchDirData(dst_dir);
     }
     JournalAppend();
     return {0, 0};
@@ -685,10 +733,16 @@ VfsResult Vfs::Link(const std::string& existing, const std::string& link) {
     if (dst.err != kENOENT || dst.parent == nullptr) {
       return {0, dst.err};
     }
-    ReadDirBlocks(dst.parent);
-    dst.parent->children[dst.final_name] = src.node->ino;
-    src.node->nlink++;
-    TouchDirData(dst.parent);
+    const uint64_t src_ino = src.node->ino;
+    Inode* parent = ReadDirBlocks(dst.parent);
+    // The read can block; the link target may have been freed meanwhile.
+    Inode* node = GetInode(src_ino);
+    if (parent == nullptr || node == nullptr) {
+      return {0, kENOENT};
+    }
+    parent->children[dst.final_name] = src_ino;
+    node->nlink++;
+    TouchDirData(parent);
     JournalAppend();
     return {0, 0};
   }, std::move(proto));
@@ -707,13 +761,16 @@ VfsResult Vfs::Symlink(const std::string& target, const std::string& link) {
     if (dst.err != kENOENT || dst.parent == nullptr) {
       return {0, dst.err};
     }
-    ReadDirBlocks(dst.parent);
+    Inode* parent = ReadDirBlocks(dst.parent);
+    if (parent == nullptr) {
+      return {0, kENOENT};  // a concurrent rmdir removed the parent
+    }
     Inode* node = NewInode(kTypeSymlink);
     node->symlink_target = target;
     node->nlink = 1;
     node->size = target.size();
-    dst.parent->children[dst.final_name] = node->ino;
-    TouchDirData(dst.parent);
+    parent->children[dst.final_name] = node->ino;
+    TouchDirData(parent);
     DirtyInodeBlock(node);
     JournalAppend();
     return {0, 0};
@@ -1183,7 +1240,7 @@ VfsResult Vfs::GetDirEntries(int32_t fd, uint64_t count) {
     if (node->type != kTypeDir) {
       return {0, kENOTDIR};
     }
-    ReadDirBlocks(node);
+    ReadDirBlocks(node);  // an open directory is never freed
     // One scan returns everything (offset bookkeeping elided): value is the
     // entry count on the first call, 0 on subsequent calls (EOF).
     if (of->offset == 0) {

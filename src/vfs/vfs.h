@@ -198,7 +198,13 @@ class Vfs {
                                                       uint64_t nblocks) const;
   void ReadInodeBlock(const Inode* inode);   // metadata read through cache
   void DirtyInodeBlock(const Inode* inode);  // metadata write (cache)
-  void ReadDirBlocks(Inode* dir);
+  // Reads a directory's data blocks. The read can block, and a concurrent
+  // rmdir may free the directory meanwhile, so it returns the directory
+  // looked up again by inode number: nullptr means it is gone.
+  Inode* ReadDirBlocks(Inode* dir);
+  // The inode `name` in `dir` links to, if that is still `ino`; nullptr when
+  // `dir` is gone or a concurrent operation unlinked or replaced the entry.
+  Inode* LinkedChild(Inode* dir, const std::string& name, uint64_t ino);
   void TouchDirData(Inode* dir);
   void JournalAppend();            // buffer one metadata transaction
   void JournalCommit();            // write buffered txns + barrier

@@ -127,8 +127,9 @@ void MiniKv::Put(uint64_t key) {
   // Wait until applied by some batch writer, or until we are the front.
   // SimCondVar has no attached mutex, so the monitor discipline is explicit:
   // unlock, wait, relock. Simulated threads only yield at blocking points,
-  // so no wakeup can be lost between Unlock() and Wait().
-  while (!self.applied && (writers_.front() != &self || writer_active_)) {
+  // so no wakeup can be lost between Unlock() and Wait(). writer_active_
+  // goes first: the active writer took the whole queue, which may be empty.
+  while (!self.applied && (writer_active_ || writers_.front() != &self)) {
     mu_->Unlock();
     cv_->Wait();
     mu_->Lock();

@@ -1,13 +1,15 @@
-// Differential test for the three Simulation context-switch backends: the
-// fiber backend (default), the host-thread token-passing backend, and the
-// sharded parallel backend must produce bit-identical schedules for the
-// same seed — same virtual end time, same switch count, same side-effect
-// order, same replay reports. The scheduler (ready list, RNG, event queue)
-// is shared between backends, so any divergence means the context-switch
-// layer (or, for kParallel, the window machinery) leaked into scheduling.
+// Differential test for the two Simulation backends: the single-host-thread
+// fiber backend (default) and the sharded parallel backend must produce
+// bit-identical schedules for the same seed — same virtual end time, same
+// switch count, same side-effect order, same replay reports. The scheduler
+// (ready list, RNG, event queue) is shared between backends, so any
+// divergence means the window machinery leaked into scheduling. Both must
+// also equal goldens recorded from an independent switch mechanism (one
+// host std::thread per simulated thread, run token over a mutex/condvar).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/check/generator.h"
@@ -28,8 +30,7 @@ using sim::SimCondVar;
 using sim::SimMutex;
 using sim::Simulation;
 
-constexpr SimBackend kAllBackends[] = {SimBackend::kFibers, SimBackend::kThreads,
-                                       SimBackend::kParallel};
+constexpr SimBackend kAllBackends[] = {SimBackend::kFibers, SimBackend::kParallel};
 
 // A deliberately messy program exercising every scheduling primitive:
 // seeded ready-list picks, sleeps, condvars (NotifyOne's RNG choice),
@@ -89,14 +90,31 @@ ChaosResult RunChaos(uint64_t seed, SimBackend backend) {
 }
 
 TEST(SimBackendParity, ChaosProgramIdenticalAcrossBackends) {
-  for (uint64_t seed : {1ull, 7ull, 42ull, 20260806ull}) {
-    ChaosResult fibers = RunChaos(seed, SimBackend::kFibers);
-    ChaosResult threads = RunChaos(seed, SimBackend::kThreads);
-    ChaosResult parallel = RunChaos(seed, SimBackend::kParallel);
-    EXPECT_EQ(fibers, threads) << "seed " << seed;
-    EXPECT_EQ(fibers, parallel) << "seed " << seed;
-    EXPECT_FALSE(fibers.order.empty());
+  struct Golden {
+    uint64_t seed;
+    ChaosResult result;
+  };
+  const Golden kGolden[] = {
+      {1, {322000, 37, {300, 301, 100, 200, 201, 0, 202, 5, 4, 3, 2, 1}}},
+      {7, {322000, 37, {300, 301, 100, 200, 201, 0, 202, 4, 5, 3, 1, 2}}},
+      {42, {322000, 37, {300, 301, 100, 200, 201, 0, 202, 2, 4, 1, 5, 3}}},
+      {20260806, {322000, 37, {300, 301, 100, 200, 201, 0, 202, 2, 3, 5, 1, 4}}},
+  };
+  for (const Golden& g : kGolden) {
+    for (SimBackend backend : kAllBackends) {
+      EXPECT_EQ(RunChaos(g.seed, backend), g.result)
+          << "seed " << g.seed << " on " << sim::SimBackendName(backend);
+    }
   }
+}
+
+TEST(SimBackendParity, BackendNamesRoundTripAndThreadsIsRejected) {
+  SimBackend out = SimBackend::kFibers;
+  EXPECT_TRUE(sim::ParseSimBackendName("parallel", &out));
+  EXPECT_STREQ(sim::SimBackendName(out), "parallel");
+  // "threads" names no backend; a failed parse leaves the output untouched.
+  EXPECT_FALSE(sim::ParseSimBackendName("threads", &out));
+  EXPECT_EQ(out, SimBackend::kParallel);
 }
 
 TEST(SimBackendParity, DeterministicWithinEachBackend) {
@@ -126,6 +144,20 @@ core::CompiledBenchmark CompileParityBench() {
   return core::Compile(run.trace, run.snapshot, {});
 }
 
+// Golden virtual results of one replay.
+struct ReplayGolden {
+  TimeNs end_time;
+  uint64_t switches;
+  TimeNs wall_time;
+};
+
+void ExpectGoldenReplay(const SimReplayResult& r, const ReplayGolden& g,
+                        const char* label) {
+  EXPECT_EQ(r.sim_end_time, g.end_time) << label;
+  EXPECT_EQ(r.sim_switches, g.switches) << label;
+  EXPECT_EQ(r.report.wall_time, g.wall_time) << label;
+}
+
 void ExpectIdenticalReplays(const SimReplayResult& a, const SimReplayResult& b,
                             const char* label) {
   EXPECT_EQ(a.sim_end_time, b.sim_end_time) << label;
@@ -145,10 +177,11 @@ void ExpectIdenticalReplays(const SimReplayResult& a, const SimReplayResult& b,
 }
 
 // Full pipeline: trace a multithreaded workload once, replay the compiled
-// benchmark on all three backends, and require identical reports down to
-// the per-action timestamps — also under the exploration schedule policies
-// (random / PCT), which consume extra RNG at every choice point and so
-// catch any backend that perturbs choice-point order.
+// benchmark on both backends, and require identical reports down to the
+// per-action timestamps and golden end time, switch count and wall time —
+// also under the exploration schedule policies (random / PCT), which
+// consume extra RNG at every choice point and so catch any backend that
+// perturbs choice-point order.
 TEST(SimBackendParity, ReplayReportsIdenticalAcrossBackends) {
   core::CompiledBenchmark bench = CompileParityBench();
   ASSERT_GT(bench.actions.size(), 200u);
@@ -161,8 +194,12 @@ TEST(SimBackendParity, ReplayReportsIdenticalAcrossBackends) {
   pct_spec.seed = 77;
   pct_spec.pct_change_points = 5;
   pct_spec.pct_horizon = 4000;
-  for (const sim::ScheduleSpec& spec :
-       {sim::ScheduleSpec{}, random_spec, pct_spec}) {
+  const std::pair<sim::ScheduleSpec, ReplayGolden> kCases[] = {
+      {sim::ScheduleSpec{}, {598647149, 275, 598647149}},
+      {random_spec, {598647149, 274, 598647149}},
+      {pct_spec, {598647149, 274, 598647149}},
+  };
+  for (const auto& [spec, golden] : kCases) {
     const std::string schedule_name = spec.ToString();
     const char* schedule = schedule_name.c_str();
     SimTarget target;
@@ -170,14 +207,11 @@ TEST(SimBackendParity, ReplayReportsIdenticalAcrossBackends) {
     target.schedule = spec;
     target.sim_backend = SimBackend::kFibers;
     SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
-    target.sim_backend = SimBackend::kThreads;
-    SimReplayResult threads = core::ReplayCompiledOnSimTarget(bench, target);
     target.sim_backend = SimBackend::kParallel;
     SimReplayResult parallel = core::ReplayCompiledOnSimTarget(bench, target);
 
-    ExpectIdenticalReplays(fibers, threads, schedule);
+    ExpectGoldenReplay(fibers, golden, schedule);
     ExpectIdenticalReplays(fibers, parallel, schedule);
-    EXPECT_GT(fibers.sim_switches, 0u);
   }
 }
 
@@ -215,25 +249,27 @@ TEST(SimBackendParity, SyncTraceReplayIdenticalAcrossBackends) {
   sim::ScheduleSpec random_spec;
   random_spec.kind = sim::ScheduleKind::kRandom;
   random_spec.seed = 31;
-  for (const sim::ScheduleSpec& spec : {sim::ScheduleSpec{}, random_spec}) {
+  const std::pair<sim::ScheduleSpec, ReplayGolden> kCases[] = {
+      {sim::ScheduleSpec{}, {29436636, 705, 29436636}},
+      {random_spec, {29436636, 700, 29436636}},
+  };
+  for (const auto& [spec, golden] : kCases) {
     const std::string schedule_name = spec.ToString();
     SimTarget target;
     target.seed = 777;
     target.schedule = spec;
     target.sim_backend = SimBackend::kFibers;
     SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
-    target.sim_backend = SimBackend::kThreads;
-    SimReplayResult threads = core::ReplayCompiledOnSimTarget(bench, target);
     target.sim_backend = SimBackend::kParallel;
     SimReplayResult parallel = core::ReplayCompiledOnSimTarget(bench, target);
-    ExpectIdenticalReplays(fibers, threads, schedule_name.c_str());
+    ExpectGoldenReplay(fibers, golden, schedule_name.c_str());
     ExpectIdenticalReplays(fibers, parallel, schedule_name.c_str());
   }
 }
 
 // Critical-path analysis consumes the replay report + compiled benchmark
 // only, so identical replays must yield identical stall attributions on
-// every backend (and turning the analyzer on must not perturb the replay).
+// both backends (and turning the analyzer on must not perturb the replay).
 TEST(SimBackendParity, CritPathIdenticalAcrossBackends) {
   core::CompiledBenchmark bench = CompileParityBench();
 
@@ -243,22 +279,20 @@ TEST(SimBackendParity, CritPathIdenticalAcrossBackends) {
   SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
   obs::CritPathReport base = obs::AnalyzeSimReplay(bench, fibers);
 
-  for (SimBackend backend : {SimBackend::kThreads, SimBackend::kParallel}) {
-    target.sim_backend = backend;
-    SimReplayResult other = core::ReplayCompiledOnSimTarget(bench, target);
-    obs::CritPathReport cp = obs::AnalyzeSimReplay(bench, other);
-    EXPECT_EQ(base.segments.size(), cp.segments.size());
-    EXPECT_EQ(base.end_time, cp.end_time);
-    EXPECT_EQ(base.exec_ns, cp.exec_ns);
-    EXPECT_EQ(base.stall_ns, cp.stall_ns);
-    EXPECT_EQ(base.pacing_ns, cp.pacing_ns);
-    EXPECT_EQ(base.stall_unattributed, cp.stall_unattributed);
-    for (size_t i = 0; i < base.stall_by_rule_kind.size(); ++i) {
-      EXPECT_EQ(base.stall_by_rule_kind[i], cp.stall_by_rule_kind[i])
-          << "rule " << i;
-    }
-    EXPECT_EQ(base.stall_by_resource, cp.stall_by_resource);
+  target.sim_backend = SimBackend::kParallel;
+  SimReplayResult other = core::ReplayCompiledOnSimTarget(bench, target);
+  obs::CritPathReport cp = obs::AnalyzeSimReplay(bench, other);
+  EXPECT_EQ(base.segments.size(), cp.segments.size());
+  EXPECT_EQ(base.end_time, cp.end_time);
+  EXPECT_EQ(base.exec_ns, cp.exec_ns);
+  EXPECT_EQ(base.stall_ns, cp.stall_ns);
+  EXPECT_EQ(base.pacing_ns, cp.pacing_ns);
+  EXPECT_EQ(base.stall_unattributed, cp.stall_unattributed);
+  for (size_t i = 0; i < base.stall_by_rule_kind.size(); ++i) {
+    EXPECT_EQ(base.stall_by_rule_kind[i], cp.stall_by_rule_kind[i])
+        << "rule " << i;
   }
+  EXPECT_EQ(base.stall_by_resource, cp.stall_by_resource);
 }
 
 }  // namespace

@@ -106,6 +106,12 @@ TEST(SweepGridTest, RejectsUnknownAxesAndValues) {
   SweepGrid bad_cache;
   ASSERT_TRUE(ParseGridText("cache_mb = 0\n", &bad_cache, &error));
   EXPECT_FALSE(bad_cache.Expand("t", &cells, &error));
+
+  // The backend vocabulary is fibers|parallel; "threads" is not a backend.
+  SweepGrid bad_backend;
+  ASSERT_TRUE(ParseGridText("backend = fibers, threads\n", &bad_backend, &error));
+  EXPECT_FALSE(bad_backend.Expand("t", &cells, &error));
+  EXPECT_NE(error.find("unknown backend 'threads'"), std::string::npos) << error;
 }
 
 TEST(SweepGridTest, CellIdsAreContentAddressedAndUnique) {

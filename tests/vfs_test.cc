@@ -476,5 +476,118 @@ TEST_F(VfsTest, FsProfilesDiffer) {
             MakeFsProfile("ext3").alloc_chunk_blocks);
 }
 
+// Namespace operations resolve a path, then read the parent directory's
+// blocks, which can wait on the device, then change the tree. A concurrent
+// operation that lands inside that wait must not leave the first one
+// writing through a stale inode pointer. Each test forces the interleaving
+// on an HDD (reads of cold blocks take milliseconds, cached ones
+// microseconds) and checks the Linux result.
+class VfsRaceTest : public ::testing::Test {
+ protected:
+  VfsRaceTest()
+      : stack_(&sim_, storage::MakeNamedConfig("hdd")),
+        profile_(MakeFsProfile("ext4")),
+        vfs_(&sim_, &stack_, profile_) {}
+
+  // Runs `first` and `second` as two simulated threads. `second` starts
+  // once `first` has set up and called go(), plus `delay`.
+  void Race(std::function<void(std::function<void()> go)> first, TimeNs delay,
+            std::function<void()> second) {
+    sim::SimCondVar cv(&sim_);
+    bool started = false;
+    sim_.Spawn("first", [&] {
+      first([&] {
+        started = true;
+        cv.NotifyAll();
+      });
+    });
+    sim_.Spawn("second", [&] {
+      while (!started) {
+        cv.Wait();
+      }
+      sim_.Sleep(delay);
+      second();
+    });
+    sim_.Run();
+    ASSERT_EQ(sim_.UnfinishedThreads(), 0u);
+  }
+
+  sim::Simulation sim_{1};
+  storage::StorageStack stack_;
+  FsProfile profile_;
+  Vfs vfs_;
+};
+
+TEST_F(VfsRaceTest, RmdirDuringMkdirParentReadGivesEnoent) {
+  vfs_.MustMkdirAll("/d");
+  VfsResult mkdir_result;
+  VfsResult rmdir_result;
+  TimeNs mkdir_done = 0;
+  TimeNs rmdir_done = 0;
+  Race(
+      [&](std::function<void()> go) {
+        // Caches the root's blocks, so the rmdir never waits on the device.
+        ASSERT_TRUE(vfs_.Mkdir("/warm").ok());
+        go();
+        mkdir_result = vfs_.Mkdir("/d/sub");  // waits on /d's cold blocks
+        mkdir_done = sim_.Now();
+      },
+      // Past mkdir's timed resolve of two components.
+      profile_.meta_cpu + 2 * profile_.lookup_cpu + Us(1),
+      [&] {
+        rmdir_result = vfs_.Rmdir("/d");
+        rmdir_done = sim_.Now();
+      });
+  EXPECT_TRUE(rmdir_result.ok());
+  EXPECT_LT(rmdir_done, mkdir_done) << "rmdir did not land inside mkdir's read";
+  EXPECT_EQ(mkdir_result.err, kENOENT);
+  EXPECT_FALSE(vfs_.Exists("/d"));
+}
+
+TEST_F(VfsRaceTest, MkdirDuringRmdirParentReadGivesEnotempty) {
+  vfs_.MustMkdirAll("/d");
+  VfsResult mkdir_result;
+  VfsResult rmdir_result;
+  TimeNs mkdir_done = 0;
+  TimeNs rmdir_done = 0;
+  Race(
+      [&](std::function<void()> go) {
+        // Caches /d's blocks but not the root's.
+        ASSERT_TRUE(vfs_.Mkdir("/d/warm").ok());
+        ASSERT_TRUE(vfs_.Rmdir("/d/warm").ok());
+        go();
+        rmdir_result = vfs_.Rmdir("/d");  // waits on the root's cold blocks
+        rmdir_done = sim_.Now();
+      },
+      // Past rmdir's timed resolve and its emptiness check.
+      profile_.meta_cpu + profile_.lookup_cpu + Us(1),
+      [&] {
+        mkdir_result = vfs_.Mkdir("/d/sub");
+        mkdir_done = sim_.Now();
+      });
+  EXPECT_TRUE(mkdir_result.ok());
+  EXPECT_LT(mkdir_done, rmdir_done) << "mkdir did not land inside rmdir's read";
+  EXPECT_EQ(rmdir_result.err, kENOTEMPTY);
+  EXPECT_TRUE(vfs_.Exists("/d/sub"));
+}
+
+TEST_F(VfsRaceTest, SecondUnlinkOfOneNameGivesEnoent) {
+  vfs_.MustCreateFile("/f", 4096);
+  VfsResult first_result;
+  VfsResult second_result;
+  Race(
+      [&](std::function<void()> go) {
+        go();
+        first_result = vfs_.Unlink("/f");  // waits on the root's cold blocks
+      },
+      // Past the first unlink's timed resolve: both resolve /f, then both
+      // wait for the root's blocks.
+      profile_.meta_cpu + profile_.lookup_cpu + Us(1),
+      [&] { second_result = vfs_.Unlink("/f"); });
+  EXPECT_TRUE(first_result.ok());
+  EXPECT_EQ(second_result.err, kENOENT);
+  EXPECT_FALSE(vfs_.Exists("/f"));
+}
+
 }  // namespace
 }  // namespace artc::vfs
