@@ -83,7 +83,7 @@ int Main(int argc, char** argv) {
           .count();
   sweep_once(1, &rows_serial, &serial_report);
   const bool jobs_match = rows_parallel == rows_serial &&
-                          report.digest_xor == serial_report.digest_xor;
+                          report.digest_sum == serial_report.digest_sum;
 
   std::printf("{\n");
   std::printf("  \"workload\": \"%s\",\n", plan.trace_name.c_str());
@@ -97,8 +97,8 @@ int Main(int argc, char** argv) {
               static_cast<long long>(report.stall_ns_sum));
   std::printf("  \"exec_ns_sum\": %lld,\n",
               static_cast<long long>(report.exec_ns_sum));
-  std::printf("  \"digest_xor\": \"%016llx\",\n",
-              static_cast<unsigned long long>(report.digest_xor));
+  std::printf("  \"digest_sum\": \"%016llx\",\n",
+              static_cast<unsigned long long>(report.digest_sum));
   std::printf("  \"host_wall_ms\": %.1f,\n", sweep_ms);
   std::printf("  \"cells_per_sec\": %.0f,\n",
               sweep_ms > 0 ? 1000.0 * static_cast<double>(report.cells) / sweep_ms

@@ -63,7 +63,7 @@ DETERMINISTIC_KEYS = (
     "end_ns_sum",
     "stall_ns_sum",
     "exec_ns_sum",
-    "digest_xor",
+    "digest_sum",
     "jobs_match",
 )
 

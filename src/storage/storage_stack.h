@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/storage/block_device.h"
@@ -92,6 +91,11 @@ class StorageStack {
   // complete (fsync path). Ranges are (lba, nblocks) pairs.
   void Flush(const std::vector<std::pair<uint64_t, uint32_t>>& ranges);
 
+  // Writes every dirty block to media, oldest first in batches of 1024, and
+  // blocks until done (sync(2), and fsync on file systems that flush all
+  // dirty data). Each block counts once as written back.
+  void FlushAllDirty();
+
   // Drops cached copies of a range (file deletion).
   void Discard(uint64_t lba, uint32_t nblocks);
 
@@ -134,6 +138,8 @@ class StorageStack {
   void WriteBlocksOut(std::vector<uint64_t> blocks, uint32_t issuer,
                       ServiceCat cat);
   void ThrottleDirty();
+  // True if some thread is fetching lba from media right now.
+  bool ReadInflight(uint64_t lba) const;
   void AccountService(TimeNs dt, ServiceCat cat);
 
   sim::Simulation* sim_;
@@ -142,9 +148,14 @@ class StorageStack {
   std::unique_ptr<IoScheduler> scheduler_;
   std::unique_ptr<PageCache> cache_;
 
-  // Blocks currently being fetched by some thread; concurrent readers of the
-  // same block wait on inflight_cv_ instead of duplicating the I/O.
-  std::unordered_set<uint64_t> inflight_reads_;
+  // Block ranges [begin, end) currently being fetched, at most one per
+  // reading thread; concurrent readers of the same block wait on
+  // inflight_cv_ instead of duplicating the I/O.
+  struct InflightRead {
+    uint64_t begin;
+    uint64_t end;
+  };
+  std::vector<InflightRead> inflight_reads_;
   sim::SimCondVar inflight_cv_;
 
   uint64_t media_read_blocks_ = 0;

@@ -164,6 +164,12 @@ ProgressMetrics& SweepProgressMetrics() {
 
 }  // namespace
 
+uint64_t MixCellDigest(uint64_t digest) {
+  digest = (digest ^ (digest >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  digest = (digest ^ (digest >> 27)) * 0x94D049BB133111EBULL;
+  return digest ^ (digest >> 31);
+}
+
 const core::CompiledBenchmark& SweepPlan::BenchFor(
     const CellConfig& cell) const {
   auto it = compiled.find(cell.method);
@@ -413,15 +419,15 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
         parked.emplace(i, row);
         emit_ready();
 
-        // Order-independent aggregates (integer sums / xor), so completion
-        // order cannot leak into the report.
+        // Order-independent aggregates (wrapping integer sums), so
+        // completion order cannot leak into the report.
         if (stats.failed_events > 0) {
           ++out->failed_cells;
         }
         out->end_ns_sum += stats.end_ns;
         out->stall_ns_sum += stats.stall_ns;
         out->exec_ns_sum += stats.exec_ns;
-        out->digest_xor ^= stats.digest;
+        out->digest_sum += MixCellDigest(stats.digest);
         for (size_t r = 0; r < stats.stall_by_rule.size(); ++r) {
           out->stall_by_rule_sum[r] += stats.stall_by_rule[r];
         }
@@ -495,8 +501,8 @@ std::string SweepReport::ToJson() const {
   AppendIntField(&out, "stall_ns_sum", stall_ns_sum, &first);
   AppendIntField(&out, "exec_ns_sum", exec_ns_sum, &first);
   AppendStrField(
-      &out, "digest_xor",
-      StrFormat("%016llx", static_cast<unsigned long long>(digest_xor)),
+      &out, "digest_sum",
+      StrFormat("%016llx", static_cast<unsigned long long>(digest_sum)),
       &first);
   out += ",\"stall_by_rule\":{";
   bool rule_first = true;

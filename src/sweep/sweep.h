@@ -117,6 +117,10 @@ struct AxisAgg {
   double EndSensitivity(double grand_mean_end) const;
 };
 
+// The SplitMix64 finaliser, applied to each cell digest before it is added
+// into SweepReport::digest_sum.
+uint64_t MixCellDigest(uint64_t digest);
+
 struct SweepReport {
   std::string trace_name;
   size_t cells = 0;
@@ -128,7 +132,9 @@ struct SweepReport {
   TimeNs end_ns_sum = 0;
   TimeNs stall_ns_sum = 0;
   TimeNs exec_ns_sum = 0;
-  uint64_t digest_xor = 0;   // XOR of all cell digests (order-independent)
+  // Wrapping sum of MixCellDigest over all cells: order-independent, and
+  // equal cell digests add up instead of cancelling.
+  uint64_t digest_sum = 0;
   std::array<TimeNs, static_cast<size_t>(core::RuleTag::kCount)>
       stall_by_rule_sum{};
 

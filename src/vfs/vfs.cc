@@ -1044,21 +1044,7 @@ VfsResult Vfs::Fsync(int32_t fd) {
     }
     if (fs_.fsync_flushes_all_dirty) {
       // ext3-ordered-mode behaviour: everything dirty goes out too.
-      while (stack_->cache().DirtyCount() > 0) {
-        std::vector<uint64_t> victims = stack_->cache().CollectOldestDirty(1024);
-        if (victims.empty()) {
-          break;
-        }
-        std::vector<std::pair<uint64_t, uint32_t>> ranges;
-        for (uint64_t b : victims) {
-          ranges.push_back({b, 1});
-        }
-        // Re-dirty and flush so coalescing happens in one place.
-        for (const auto& [b, n] : ranges) {
-          stack_->cache().InsertDirty(b, n);
-        }
-        stack_->Flush(ranges);
-      }
+      stack_->FlushAllDirty();
     }
     JournalCommit();
     if (!platform_.fsync_is_device_flush_only) {
@@ -1108,18 +1094,7 @@ VfsResult Vfs::FullFsync(int32_t fd) {
 VfsResult Vfs::SyncAll() {
   trace::TraceEvent proto;
   return Traced(trace::Sys::kSync, [&]() -> VfsResult {
-    while (stack_->cache().DirtyCount() > 0) {
-      std::vector<uint64_t> victims = stack_->cache().CollectOldestDirty(1024);
-      if (victims.empty()) {
-        break;
-      }
-      std::vector<std::pair<uint64_t, uint32_t>> ranges;
-      for (uint64_t b : victims) {
-        stack_->cache().InsertDirty(b, 1);
-        ranges.push_back({b, 1});
-      }
-      stack_->Flush(ranges);
-    }
+    stack_->FlushAllDirty();
     JournalCommit();
     DeviceBarrier();
     return {0, 0};

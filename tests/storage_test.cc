@@ -3,12 +3,14 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/artc.h"
 #include "src/sim/simulation.h"
 #include "src/storage/hdd_model.h"
 #include "src/storage/io_scheduler.h"
 #include "src/storage/raid0.h"
 #include "src/storage/ssd_model.h"
 #include "src/storage/storage_stack.h"
+#include "src/workloads/magritte.h"
 
 namespace artc::storage {
 namespace {
@@ -339,6 +341,92 @@ TEST(PageCacheStack, ReadaheadFetchesExtraBlocksSequentially) {
     EXPECT_EQ(stack.MediaReadBlocks(), after);
   });
   sim.Run();
+}
+
+// Every StorageCounters field plus the virtual end time, so a rewrite of the
+// cache or the stack cannot move any of them unnoticed.
+struct StackGolden {
+  uint64_t cache_hit_blocks;
+  uint64_t cache_miss_blocks;
+  uint64_t cache_evicted_blocks;
+  uint64_t cache_writeback_blocks;
+  uint64_t media_read_blocks;
+  uint64_t media_write_blocks;
+  uint64_t cfq_context_switches;
+  TimeNs service_cache_ns;
+  TimeNs service_media_read_ns;
+  TimeNs service_media_write_ns;
+  TimeNs service_writeback_ns;
+  TimeNs end_ns;
+};
+
+void ExpectGolden(const StorageCounters& c, TimeNs end_ns, const StackGolden& g) {
+  EXPECT_EQ(c.cache_hit_blocks, g.cache_hit_blocks);
+  EXPECT_EQ(c.cache_miss_blocks, g.cache_miss_blocks);
+  EXPECT_EQ(c.cache_evicted_blocks, g.cache_evicted_blocks);
+  EXPECT_EQ(c.cache_writeback_blocks, g.cache_writeback_blocks);
+  EXPECT_EQ(c.media_read_blocks, g.media_read_blocks);
+  EXPECT_EQ(c.media_write_blocks, g.media_write_blocks);
+  EXPECT_EQ(c.cfq_context_switches, g.cfq_context_switches);
+  EXPECT_TRUE(c.raid_member_read_blocks.empty());
+  EXPECT_TRUE(c.raid_member_write_blocks.empty());
+  EXPECT_EQ(c.service_cache_ns, g.service_cache_ns);
+  EXPECT_EQ(c.service_media_read_ns, g.service_media_read_ns);
+  EXPECT_EQ(c.service_media_write_ns, g.service_media_write_ns);
+  EXPECT_EQ(c.service_writeback_ns, g.service_writeback_ns);
+  EXPECT_EQ(end_ns, g.end_ns);
+}
+
+TEST(StackGoldens, MixedFourThreadDriverOnSmallCache) {
+  // 256 blocks of cache over a 2048-block region: reads evict, writers pass
+  // the dirty limit (102 blocks) and throttle, and the four threads often
+  // miss on the same blocks, so they share in-flight fetches.
+  sim::Simulation sim(7);
+  StorageConfig cfg = MakeNamedConfig("smallcache");
+  cfg.cache.capacity_blocks = 256;
+  StorageStack stack(&sim, cfg);
+  for (int t = 0; t < 4; ++t) {
+    sim.Spawn("driver", [&stack, t] {
+      Rng rng(100 + static_cast<uint64_t>(t));
+      for (int i = 0; i < 400; ++i) {
+        const uint64_t lba = rng.NextBelow(2048);
+        const uint32_t n = 1 + static_cast<uint32_t>(rng.NextBelow(16));
+        const uint64_t op = rng.NextBelow(100);
+        if (op < 45) {
+          stack.Read(lba, n, /*sequential_hint=*/rng.NextBool(0.5));
+        } else if (op < 75) {
+          stack.Write(lba, n);
+        } else if (op < 82) {
+          stack.WriteSync(lba, n);
+        } else if (op < 94) {
+          stack.Flush({{lba, n}, {rng.NextBelow(2048), 32}});
+        } else {
+          stack.Discard(lba, n);
+        }
+      }
+    });
+  }
+  sim.Run();
+  ASSERT_EQ(sim.UnfinishedThreads(), 0u);
+  ExpectGolden(stack.Counters(), sim.Now(),
+               StackGolden{725, 14006, 17884, 3890, 14006, 4786, 0, 9500000,
+                           6147345163, 1274271518, 5432991186, 3350510971});
+}
+
+TEST(StackGoldens, MagritteReplayOnSmallCache) {
+  // ext3 makes every fsync write back all dirty data through the
+  // collect-oldest-dirty path as well as the per-file flush.
+  workloads::SourceConfig src;
+  workloads::TracedRun run =
+      workloads::TraceMagritte(workloads::FindMagritteSpec("iphoto_import"), src);
+  core::SimTarget target;
+  target.storage = MakeNamedConfig("smallcache");
+  target.fs_profile = "ext3";
+  core::SimReplayResult res =
+      core::ReplayOnSimTarget(run.trace, run.snapshot, core::CompileOptions{}, target);
+  ExpectGolden(res.storage, res.sim_end_time,
+               StackGolden{15501, 206652, 316394, 205821, 206652, 209033, 0,
+                           441406000, 22559888488, 24364177137, 0, 29165281385});
 }
 
 TEST(Cfq, LargeSliceBeatsSmallSliceForCompetingSequentialReaders) {

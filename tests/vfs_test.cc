@@ -342,6 +342,36 @@ TEST_F(VfsTest, Ext3FsyncFlushesForeignDirtyData) {
   EXPECT_GT(dirty_after_fsync("ext4"), 0u);
 }
 
+TEST_F(VfsTest, SyncWritebackCountsEachBlockOnce) {
+  // sync, and fsync under ext3, write back every dirty block in the cache;
+  // each block written back counts once in the cache's writeback counter.
+  for (const bool fsync : {false, true}) {
+    RunInSim(
+        [fsync](Vfs& vfs) {
+          vfs.MustCreateFile("/a", 0);
+          vfs.MustCreateFile("/b", 0);
+          int32_t a = static_cast<int32_t>(vfs.Open("/a", kOpenWrite).value);
+          int32_t b = static_cast<int32_t>(vfs.Open("/b", kOpenWrite).value);
+          vfs.Write(a, 10 * 4096);
+          vfs.Write(b, 8 * 4096);
+          storage::PageCache& cache = vfs.stack().cache();
+          const uint64_t dirty = cache.DirtyCount();
+          const uint64_t writeback = cache.WritebackBlocks();
+          ASSERT_GE(dirty, 18u);
+          if (fsync) {
+            vfs.Fsync(a);
+          } else {
+            vfs.SyncAll();
+          }
+          EXPECT_EQ(cache.DirtyCount(), 0u);
+          EXPECT_EQ(cache.WritebackBlocks() - writeback, dirty) << "fsync=" << fsync;
+          vfs.Close(a);
+          vfs.Close(b);
+        },
+        "ext3");
+  }
+}
+
 TEST_F(VfsTest, ExchangeDataSwapsContents) {
   RunInSim([](Vfs& vfs) {
     vfs.MustCreateFile("/a", 100);
