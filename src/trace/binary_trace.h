@@ -196,8 +196,9 @@ class ArtctReader {
 
   // Best-effort: drops the record pages of chunks [first, first+count) from
   // the resident set (madvise; clean read-only file pages re-fault on the
-  // next touch). The windowed reader calls this after consuming a window so
-  // a multi-GB mapping never accumulates in RSS.
+  // next touch). The windowed reader calls this after consuming a window,
+  // and the parallel reader after decoding each chunk, so a multi-GB
+  // mapping never accumulates in RSS.
   void ReleaseChunkPages(uint32_t first, uint32_t count) const;
 
   std::string_view StringAt(uint32_t id) const;

@@ -176,6 +176,9 @@ bool ParallelReadArtct(const std::string& path, util::ThreadPool& pool,
     const uint32_t ci = static_cast<uint32_t>(i);
     reader->DecodeChunkInto(ci, events.data() + reader->chunk(ci).first_event,
                             &chunk_errors[i]);
+    // The events own copies of everything decoded; drop the chunk's pages
+    // so the whole file is never resident beside the event array.
+    reader->ReleaseChunkPages(ci, 1);
   });
   for (const std::string& e : chunk_errors) {
     if (!e.empty()) {

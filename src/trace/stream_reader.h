@@ -11,7 +11,9 @@
 //    the single output vector, and a parallel parse directly into those
 //    slices — chunks stitch in order with zero copies. Snapshot lines
 //    ("#snapshot ...") are collected per chunk and joined in file order,
-//    so bundles parse identically to trace_io::ReadTraceBundle.
+//    so bundles parse identically to trace_io::ReadTraceBundle. ARTCT
+//    chunks hand their file pages back to the kernel as soon as they are
+//    decoded, so the whole file is never resident beside the events.
 //
 //  * StreamReader: windowed sequential access for out-of-core pipelines.
 //    Open() surfaces the snapshot up front (ARTCT keeps it in the footer;

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "src/check/generator.h"
+#include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "src/trace/binary_trace.h"
 #include "src/trace/event.h"
 #include "src/trace/snapshot.h"
@@ -196,6 +198,47 @@ TEST(ParallelRead, ArtctMatchesText) {
   ASSERT_TRUE(trace::ParallelReadTraceFile(bin, opt, &res, &diag))
       << diag.Format();
   EXPECT_TRUE(res.from_binary);
+  ExpectBundlesEqual(orig, res.bundle);
+  std::remove(bin.c_str());
+}
+
+// The parallel ARTCT path drops each chunk's file pages once decoded, so
+// the mapping never sits in RSS beside the event array; decoding must not
+// depend on pages a neighbouring chunk released.
+TEST(ParallelRead, ArtctReleasesDecodedChunkPages) {
+  check::GenOptions gen;
+  gen.seed = 12;
+  gen.threads = 4;
+  gen.ops_per_thread = 2000;
+  trace::TraceBundle orig = check::GenerateTrace(gen);
+  const std::string bin = TempPath("artct_release.artct");
+  std::string error;
+  ASSERT_TRUE(trace::WriteArtctFile(bin, orig.trace, orig.snapshot, &error,
+                                    /*chunk_events=*/512));
+  util::ThreadPool pool(4);
+  trace::ParallelReadOptions opt;
+  opt.pool = &pool;
+  trace::ParallelReadResult res;
+  trace::ParseDiag diag;
+#ifndef ARTC_OBS_DISABLED
+  const bool was_enabled = obs::Enabled();
+  obs::Enable();
+  auto released = [] {
+    const auto counters = obs::DefaultRegistry().Snapshot().counters;
+    const auto it = counters.find("stream.madvised_pages");
+    return it == counters.end() ? int64_t{0} : it->second;
+  };
+  const int64_t before = released();
+#endif
+  ASSERT_TRUE(trace::ParallelReadTraceFile(bin, opt, &res, &diag))
+      << diag.Format();
+#ifndef ARTC_OBS_DISABLED
+  EXPECT_GT(released() - before, 0);
+  if (!was_enabled) {
+    obs::Disable();
+  }
+#endif
+  EXPECT_GT(res.chunks, 1u);
   ExpectBundlesEqual(orig, res.bundle);
   std::remove(bin.c_str());
 }
