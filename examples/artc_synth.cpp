@@ -1,8 +1,8 @@
 // artc_synth: generates large synthetic traces (web-server, parallel-build,
 // mail-spool, or lock-server shaped) straight into an ARTCT file — or, with
 // --text, into a text bundle. Generation streams, so --events 10000000 runs
-// in constant memory; this is how the CI perf-smoke step and the
-// streaming-RSS acceptance check mint their inputs. The lockserver scenario
+// in constant memory; this is how the CI pipeline-smoke job's streaming
+// ingest step and the streaming-RSS acceptance check mint their inputs. The lockserver scenario
 // emits first-class sync events (mutex_lock/unlock on a contended shard
 // pool, barrier_wait phases), exercising the sync ordering rules at scale.
 //

@@ -52,7 +52,7 @@ struct CellConfig {
   int64_t cache_mb = -1;
   std::string schedule = "default";  // sim::ScheduleSpec::ToString() form
   uint64_t seed = 1;
-  std::string backend = "fibers";    // fibers | threads | parallel
+  std::string backend = "fibers";    // fibers | parallel
   std::string pacing = "afap";       // afap | natural
 
   // Canonical one-line rendering, "k=v,k=v,..." in a fixed key order. This

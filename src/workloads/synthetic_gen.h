@@ -2,8 +2,8 @@
 // I/O-shaped workload families (web-server access logging, parallel build,
 // maildir-style mail spool) that emit traces *procedurally* — no simulated
 // file system, no materialized trace — so a 10M+-action ARTCT file can be
-// produced in seconds and O(threads) memory. This is how the perf-smoke CI
-// step and the RSS acceptance test obtain multi-million-action inputs
+// produced in seconds and O(threads) memory. This is how the pipeline-smoke
+// CI job and the RSS acceptance test obtain multi-million-action inputs
 // without shipping multi-GB fixtures.
 //
 // Unlike the workloads built on the replay VFS (magritte, minikv, micro),

@@ -16,6 +16,7 @@
 #include "src/trace/binary_trace.h"
 #include "src/trace/trace_io.h"
 #include "src/workloads/magritte.h"
+#include "src/workloads/micro.h"
 #include "src/workloads/workload.h"
 
 namespace artc {
@@ -213,6 +214,45 @@ TEST(CompileStream, FileDriverSyncTraceDigestStable) {
     }
   }
   std::remove(txt.c_str());
+  std::remove(bin.c_str());
+}
+
+// Golden for the 104k-action random-readers-16 trace (16 threads x 6500
+// reads, default source): action, thread and edge counts with pruning on
+// and off, and the windowed stream compile of its ARTCT file at a
+// 65536-event window landing on the batch digest.
+TEST(CompileStream, RandomReaders16Golden) {
+  workloads::RandomReaders::Options opt;
+  opt.threads = 16;
+  opt.reads_per_thread = 6500;
+  workloads::RandomReaders workload(opt);
+  workloads::TracedRun traced = workloads::TraceWorkload(workload, {});
+
+  CompiledBenchmark kept = core::Compile(traced.trace, traced.snapshot, {});
+  CompileOptions unpruned_opts;
+  unpruned_opts.prune_redundant_deps = false;
+  CompiledBenchmark unpruned =
+      core::Compile(traced.trace, traced.snapshot, unpruned_opts);
+  EXPECT_EQ(kept.actions.size(), 104032u);
+  EXPECT_EQ(kept.thread_actions.size(), 16u);
+  EXPECT_EQ(kept.model_warnings, 0u);
+  EXPECT_EQ(unpruned.dep_arena.size(), 15u);
+  EXPECT_EQ(kept.dep_arena.size(), 15u);
+  EXPECT_EQ(kept.edge_stats.TotalPruned(), 0u);
+  EXPECT_EQ(kept.dep_arena.size() + kept.edge_stats.TotalPruned(),
+            unpruned.dep_arena.size());
+
+  const std::string bin = TempPath("cstream_rr16.artct");
+  std::string error;
+  ASSERT_TRUE(trace::WriteArtctFile(bin, traced.trace, traced.snapshot, &error))
+      << error;
+  trace::StreamReaderOptions ropts;
+  ropts.window_events = 65536;
+  core::CompileStreamFileResult res;
+  trace::ParseDiag diag;
+  ASSERT_TRUE(core::CompileStreamFile(bin, ropts, {}, &res, nullptr, &diag))
+      << diag.Format();
+  EXPECT_EQ(res.digest, core::DigestBenchmark(kept));
   std::remove(bin.c_str());
 }
 

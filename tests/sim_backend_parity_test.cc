@@ -8,6 +8,7 @@
 // host std::thread per simulated thread, run token over a mutex/condvar).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "src/sim/schedule.h"
 #include "src/sim/simulation.h"
 #include "src/workloads/micro.h"
+#include "src/workloads/synthetic_gen.h"
 #include "src/workloads/workload.h"
 
 namespace artc {
@@ -265,6 +267,90 @@ TEST(SimBackendParity, SyncTraceReplayIdenticalAcrossBackends) {
     ExpectGoldenReplay(fibers, golden, schedule_name.c_str());
     ExpectIdenticalReplays(fibers, parallel, schedule_name.c_str());
   }
+}
+
+// The 200k-event lockserver synthetic (8 threads, synth seed 31) compiled
+// and replayed at seed 7: sync edge counts and the mutex/barrier stall
+// split of its critical path.
+TEST(SimBackendParity, LockServerGolden) {
+  workloads::SynthOptions opt;
+  opt.scenario = workloads::SynthScenario::kLockServer;
+  opt.threads = 8;
+  opt.events = 200000;
+  opt.seed = 31;
+  trace::TraceBundle bundle = workloads::GenerateSyntheticBundle(opt);
+  core::CompiledBenchmark bench = core::Compile(bundle.trace, bundle.snapshot, {});
+  EXPECT_EQ(bench.actions.size(), 200000u);
+  EXPECT_EQ(bench.thread_actions.size(), 9u);
+  EXPECT_EQ(bench.dep_arena.size(), 44048u);
+  uint64_t sync_edges = 0;
+  for (core::RuleTag rule : {core::RuleTag::kMutex, core::RuleTag::kBarrier,
+                             core::RuleTag::kCond, core::RuleTag::kJoin}) {
+    sync_edges += bench.edge_stats.count_by_rule[static_cast<size_t>(rule)];
+  }
+  EXPECT_EQ(sync_edges, 45937u);
+
+  SimTarget target;
+  target.seed = 7;
+  SimReplayResult replay = core::ReplayCompiledOnSimTarget(bench, target);
+  obs::CritPathReport cp = obs::AnalyzeSimReplay(bench, replay);
+  EXPECT_EQ(replay.report.failed_events, 0u);
+  EXPECT_EQ(replay.report.wall_time, 2433767932);
+  EXPECT_EQ(cp.StallByRule(core::RuleTag::kMutex), 1960081845);
+  EXPECT_EQ(cp.StallByRule(core::RuleTag::kBarrier), 115791361);
+}
+
+core::CompiledBenchmark CompileRandomReaders16() {
+  workloads::RandomReaders::Options opt;
+  opt.threads = 16;
+  opt.reads_per_thread = 6500;
+  workloads::RandomReaders workload(opt);
+  workloads::TracedRun run = workloads::TraceWorkload(workload, {});
+  return core::Compile(run.trace, run.snapshot, {});
+}
+
+// The 104k-action random-readers-16 trace replayed at seed 1 on fibers and
+// on a one-shard kParallel simulation.
+TEST(SimBackendParity, RandomReaders16ReplayGolden) {
+  core::CompiledBenchmark bench = CompileRandomReaders16();
+  SimTarget target;
+  target.seed = 1;
+  target.sim_backend = SimBackend::kFibers;
+  SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
+  target.sim_backend = SimBackend::kParallel;
+  SimReplayResult parallel = core::ReplayCompiledOnSimTarget(bench, target);
+
+  ExpectGoldenReplay(fibers, {209688891493, 104132, 209688891493}, "rr16");
+  EXPECT_EQ(fibers.report.failed_events, 0u);
+  ExpectIdenticalReplays(fibers, parallel, "rr16");
+}
+
+// Eight copies of the same trace as one sharded kParallel suite at seed 1.
+// SimParallel.SuiteShardsMatchStandaloneRuns holds each shard to its
+// standalone run; this pins the suite's totals.
+TEST(SimBackendParity, RandomReaders16SuiteGolden) {
+  core::CompiledBenchmark bench = CompileRandomReaders16();
+  std::vector<const core::CompiledBenchmark*> benches(8, &bench);
+  SimTarget target;
+  target.seed = 1;
+  target.sim_backend = SimBackend::kParallel;
+  core::SuiteReplayResult suite = core::ReplaySuiteOnSimTarget(benches, target);
+  ASSERT_EQ(suite.runs.size(), 8u);
+
+  uint64_t switches = 0;
+  uint64_t failed = 0;
+  TimeNs max_end = 0;
+  TimeNs max_wall = 0;
+  for (const SimReplayResult& run : suite.runs) {
+    switches += run.sim_switches;
+    failed += run.report.failed_events;
+    max_end = std::max(max_end, run.sim_end_time);
+    max_wall = std::max(max_wall, run.report.wall_time);
+  }
+  EXPECT_EQ(switches, 833049u);
+  EXPECT_EQ(max_end, 209688891493);
+  EXPECT_EQ(max_wall, 209688891493);
+  EXPECT_EQ(failed, 0u);
 }
 
 // Critical-path analysis consumes the replay report + compiled benchmark

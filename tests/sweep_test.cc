@@ -169,6 +169,39 @@ TEST(SweepTest, JsonlRowsAreByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(r1.failed_cells, r4.failed_cells);
 }
 
+// Golden for a fixed 12-cell grid (method x storage x seed) over
+// RandomReaders 4x250 traced on ssd at seed 1: the grid-wide virtual
+// aggregates, and the same rows at 4 workers as at 1.
+TEST(SweepTest, TwelveCellGridGolden) {
+  workloads::RandomReaders::Options opt;
+  opt.threads = 4;
+  opt.reads_per_thread = 250;
+  workloads::RandomReaders w(opt);
+  workloads::SourceConfig source;
+  source.storage = storage::MakeNamedConfig("ssd");
+  source.seed = 1;
+  workloads::TracedRun run = workloads::TraceWorkload(w, source);
+  SweepGrid grid;
+  grid.method = {"artc", "temporal"};
+  grid.storage = {"hdd", "ssd", "raid0"};
+  grid.seed = {1, 2};
+  SweepPlan plan;
+  std::string error;
+  ASSERT_TRUE(BuildSweepPlan(std::move(run.trace), run.snapshot,
+                             std::move(grid), "random_readers", &plan, &error))
+      << error;
+
+  SweepReport r4, r1;
+  const std::string rows4 = SweepToString(plan, 4, 0, &r4);
+  EXPECT_EQ(rows4, SweepToString(plan, 1, 0, &r1));
+  EXPECT_EQ(r4.cells, 12u);
+  EXPECT_EQ(r4.failed_cells, 0u);
+  EXPECT_EQ(r4.end_ns_sum, 23074146472);
+  EXPECT_EQ(r4.stall_ns_sum, 3636401646);
+  EXPECT_EQ(r4.exec_ns_sum, 19437744826);
+  EXPECT_EQ(r4.digest_sum, 0xc52b11f5c3c3c728u);
+}
+
 TEST(SweepTest, EqualCellDigestsDoNotCancelInTheAggregate) {
   // The backend axis leaves virtual results alone, so both cells end in the
   // same file-system state.
