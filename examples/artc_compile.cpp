@@ -31,10 +31,13 @@
 #include "src/core/serialize.h"
 #include "src/obs/log.h"
 #include "src/obs/obs.h"
+#include "src/storage/storage_stack.h"
 #include "src/trace/binary_trace.h"
 #include "src/trace/strace_parser.h"
 #include "src/trace/stream_reader.h"
 #include "src/trace/trace_io.h"
+#include "src/util/strings.h"
+#include "src/vfs/vfs.h"
 
 namespace {
 
@@ -113,6 +116,17 @@ int main(int argc, char** argv) {
   }
   if (trace_path.empty() && load_path.empty()) {
     Usage();
+    return 2;
+  }
+  if (!replay_on.empty() && !artc::storage::FindNamedConfig(replay_on)) {
+    std::fprintf(stderr, "artc_compile: unknown --replay-on '%s' (expected %s)\n",
+                 replay_on.c_str(),
+                 artc::JoinNames(artc::storage::kNamedConfigNames).c_str());
+    return 2;
+  }
+  if (!replay_on.empty() && !artc::vfs::FindFsProfile(fs_profile)) {
+    std::fprintf(stderr, "artc_compile: unknown --fs '%s' (expected %s)\n",
+                 fs_profile.c_str(), artc::JoinNames(artc::vfs::kFsProfileNames).c_str());
     return 2;
   }
 

@@ -20,10 +20,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "bench/bench_common.h"
+#include "src/storage/storage_stack.h"
 #include "src/sweep/sweep.h"
+#include "src/util/strings.h"
 #include "src/util/thread_pool.h"
 #include "src/workloads/magritte.h"
 #include "src/workloads/micro.h"
@@ -69,8 +72,15 @@ workloads::TracedRun TraceInput(int argc, char** argv, std::string* name) {
   source.seed = FlagValue(argc, argv, "seed", 1);
   const std::string micro = StringFlag(argc, argv, "micro", "");
   if (!micro.empty()) {
-    source.storage =
-        storage::MakeNamedConfig(StringFlag(argc, argv, "source", "ssd"));
+    const std::string source_name = StringFlag(argc, argv, "source", "ssd");
+    const std::optional<storage::StorageConfig> config =
+        storage::FindNamedConfig(source_name);
+    if (!config) {
+      std::fprintf(stderr, "unknown --source=%s (expected %s)\n", source_name.c_str(),
+                   JoinNames(storage::kNamedConfigNames).c_str());
+      std::exit(2);
+    }
+    source.storage = *config;
     *name = micro;
     if (micro == "seq_readers") {
       workloads::CompetingSequentialReaders w({});

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,7 +104,16 @@ int Main(int argc, char** argv) {
   opt.differential_backend = FlagValue(argc, argv, "differential", 1) != 0;
   opt.repro_dir = out_dir;
   opt.repro_obs_trace = FlagValue(argc, argv, "obs-repro", 0) != 0;
-  opt.target.storage = storage::MakeNamedConfig(StringFlag(argc, argv, "storage", "ssd"));
+  const std::string storage_name = StringFlag(argc, argv, "storage", "ssd");
+  const std::optional<storage::StorageConfig> storage_config =
+      storage::FindNamedConfig(storage_name);
+  if (!storage_config) {
+    obs::LogError("check_artc", "unknown --storage value",
+                  {{"storage", storage_name},
+                   {"expected", JoinNames(storage::kNamedConfigNames)}});
+    return 2;
+  }
+  opt.target.storage = *storage_config;
   const std::string backend = StringFlag(argc, argv, "backend", "");
   if (!backend.empty() &&
       !sim::ParseSimBackendName(backend, &opt.target.sim_backend)) {

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <unordered_map>
 
 #include "src/obs/obs.h"
 #include "src/sim/mailbox.h"
@@ -160,13 +159,21 @@ struct SimShutdown {};
 // maximum number of *live* threads, not the total ever spawned.
 constexpr size_t kFiberStackBytes = 512 * 1024;
 
-// ScheduleCallback ids carry their shard in the high bits so CancelCallback
-// can find the owning shard without a search. Shard 0 ids are the plain
-// counter values the single-shard engine always returned.
-constexpr int kCallbackShardShift = 40;
+// A ScheduleCallback id names where its event record lives: the shard in
+// the top 11 bits (thread ids pack at most 2^11 shards), the record's slot
+// in the shard's event pool in the next 21, and the slot's generation in
+// the low 32. A record takes the next generation each time it carries a
+// callback, and CancelCallback matches the whole id against the record's,
+// so a stale id never cancels a later callback unless the same slot
+// carried 2^32 callbacks in between. Generation 0 is skipped, so no
+// id is 0.
+constexpr int kCallbackShardShift = 53;
+constexpr int kCallbackSlotShift = 32;
+constexpr uint64_t kCallbackSlotLimit = uint64_t{1} << (kCallbackShardShift - kCallbackSlotShift);
 
-constexpr uint64_t MakeCallbackId(uint32_t shard, uint64_t local) {
-  return (static_cast<uint64_t>(shard) << kCallbackShardShift) | local;
+constexpr uint64_t MakeCallbackId(uint32_t shard, uint32_t slot, uint32_t generation) {
+  return (static_cast<uint64_t>(shard) << kCallbackShardShift) |
+         (static_cast<uint64_t>(slot) << kCallbackSlotShift) | generation;
 }
 
 }  // namespace
@@ -176,8 +183,10 @@ struct PendingEvent {
   uint64_t seq;  // tie-break for stable ordering
   ThreadState* thread;              // wake this thread, or
   std::function<void()> callback;   // run this callback
-  uint64_t callback_id;
+  uint64_t callback_id;             // 0 unless it holds a live callback
   bool cancelled;
+  uint32_t slot = 0;                // index in the shard's event_pool
+  uint32_t generation = 0;          // of the last callback id given out here
 };
 
 namespace {
@@ -230,7 +239,6 @@ struct Shard {
   std::vector<SimThreadId> policy_ids;   // scratch for policy candidate lists
   uint64_t seq = 0;
   uint64_t switches = 0;
-  uint64_t next_callback_id = 1;
   uint64_t sends = 0;  // cross-shard messages sent (deterministic sort key)
 
   std::vector<std::unique_ptr<ThreadState>> threads;
@@ -241,7 +249,6 @@ struct Shard {
   // free_events, so a long run does not grow this without bound).
   std::deque<std::unique_ptr<PendingEvent>> event_pool;
   std::vector<PendingEvent*> free_events;
-  std::unordered_map<uint64_t, PendingEvent*> live_callbacks;
 
   // The shard scheduler's own context; fibers resume it when they yield or
   // finish. Its saved stack pointer is rewritten by every switch *from* the
@@ -587,7 +594,9 @@ PendingEvent* AllocEvent(Shard* s) {
     return ev;
   }
   s->event_pool.push_back(std::make_unique<PendingEvent>());
-  return s->event_pool.back().get();
+  PendingEvent* ev = s->event_pool.back().get();
+  ev->slot = static_cast<uint32_t>(s->event_pool.size() - 1);
+  return ev;
 }
 
 void ReleaseEvent(Shard* s, PendingEvent* ev) {
@@ -644,7 +653,6 @@ void Simulation::RunShardWindow(Shard* s, TimeNs horizon) {
       s->ready.push_back(ev->thread);
       ReleaseEvent(s, ev);
     } else if (ev->callback) {
-      s->live_callbacks.erase(ev->callback_id);
       auto fn = std::move(ev->callback);
       ReleaseEvent(s, ev);
       fn();
@@ -1015,12 +1023,13 @@ uint64_t Simulation::ScheduleCallback(TimeNs when, std::function<void()> fn) {
   ev->seq = s->seq++;
   ev->thread = nullptr;
   ev->callback = std::move(fn);
-  ev->callback_id = MakeCallbackId(s->index, s->next_callback_id++);
+  ARTC_CHECK_MSG(ev->slot < kCallbackSlotLimit,
+                 "more than 2^21 events outstanding on one shard");
+  ev->generation = ev->generation == UINT32_MAX ? 1 : ev->generation + 1;
+  ev->callback_id = MakeCallbackId(s->index, ev->slot, ev->generation);
   ev->cancelled = false;
-  uint64_t id = ev->callback_id;
-  s->live_callbacks[id] = ev;
   s->events.push(ev);
-  return id;
+  return ev->callback_id;
 }
 
 bool Simulation::CancelCallback(uint64_t id) {
@@ -1029,15 +1038,19 @@ bool Simulation::CancelCallback(uint64_t id) {
   Shard* s = shards_[shard_idx].get();
   ARTC_CHECK_MSG(s == ActiveShard(),
                  "callbacks may only be cancelled from their own shard");
-  auto it = s->live_callbacks.find(id);
-  if (it == s->live_callbacks.end()) {
+  const uint64_t slot = (id >> kCallbackSlotShift) & (kCallbackSlotLimit - 1);
+  if (slot >= s->event_pool.size()) {
     return false;
+  }
+  PendingEvent* ev = s->event_pool[slot].get();
+  if (ev->callback_id != id) {
+    return false;  // fired, cancelled, or the slot has moved on
   }
   // The event stays in the queue (lazy deletion) and is recycled when
   // popped, but the callback's captures are released immediately.
-  it->second->cancelled = true;
-  it->second->callback = nullptr;
-  s->live_callbacks.erase(it);
+  ev->cancelled = true;
+  ev->callback = nullptr;
+  ev->callback_id = 0;
   return true;
 }
 

@@ -53,17 +53,30 @@ class HddModel : public BlockDevice {
 
  private:
   void StartNext();
+  // Fires the in-service request's completion, then starts the next one.
+  void Complete();
   TimeNs SeekTime(uint64_t head, uint64_t lba) const;
   // Angular position (fraction of a revolution) of a block / of the platter
   // at a given time.
   double BlockAngle(uint64_t lba) const;
   double PlatterAngle(TimeNs t) const;
+  // Transfer time of nblocks at the media rate.
+  TimeNs TransferTime(uint32_t nblocks) const;
 
   sim::Simulation* sim_;
   HddParams params_;
   uint64_t blocks_per_track_;
+  // True when no seek exceeds two rotations, so StartNext can fold the
+  // arrival angle with two conditional subtractions instead of a `%`.
+  bool fold_twice_;
+  // Pending requests, with each one's LBA and BlockAngle cached in flat
+  // arrays in the same order for the NCQ scan.
   std::vector<BlockRequest> pending_;
+  std::vector<uint64_t> pending_lba_;
+  std::vector<double> pending_angle_;
   bool busy_ = false;
+  // Completion of the request in service; busy_ is true while it is set.
+  std::function<void()> in_service_done_;
   uint64_t head_ = 0;
   TimeNs total_positioning_ = 0;
   uint64_t serviced_ = 0;

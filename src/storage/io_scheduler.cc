@@ -30,8 +30,8 @@ void CfqScheduler::Submit(BlockRequest req) {
   q.requests.push_back(std::move(req));
   if (was_empty) {
     bool in_rr = false;
-    for (uint32_t id : rr_) {
-      if (id == issuer) {
+    for (size_t i = 0; i < rr_.size(); ++i) {
+      if (rr_[i] == issuer) {
         in_rr = true;
         break;
       }
@@ -92,19 +92,10 @@ void CfqScheduler::SwitchQueue() {
 }
 
 void CfqScheduler::SubmitToDevice(BlockRequest req, uint32_t issuer) {
-  auto done = std::move(req.done);
-  [[maybe_unused]] TimeNs dispatch_start = sim_->Now();
-  req.done = [this, issuer, dispatch_start, done = std::move(done)] {
-    ARTC_OBS_IF_ENABLED {
-      obs::DefaultTracer().CompleteSpan(
-          obs::ClockDomain::kVirtual, obs::kIoSchedulerTrack, "storage",
-          issuer == kAsyncIssuer ? "dispatch_async" : "dispatch",
-          dispatch_start, sim_->Now() - dispatch_start, "issuer",
-          static_cast<int64_t>(issuer));
-    }
-    done();
-    OnComplete(issuer);
-  };
+  in_service_done_ = std::move(req.done);
+  in_service_issuer_ = issuer;
+  dispatch_start_ = sim_->Now();
+  req.done = [this] { OnComplete(); };
   device_busy_ = true;
   device_->Submit(std::move(req));
 }
@@ -159,8 +150,16 @@ void CfqScheduler::Dispatch() {
   }
 }
 
-void CfqScheduler::OnComplete(uint32_t issuer) {
-  (void)issuer;
+void CfqScheduler::OnComplete() {
+  ARTC_OBS_IF_ENABLED {
+    obs::DefaultTracer().CompleteSpan(
+        obs::ClockDomain::kVirtual, obs::kIoSchedulerTrack, "storage",
+        in_service_issuer_ == kAsyncIssuer ? "dispatch_async" : "dispatch",
+        dispatch_start_, sim_->Now() - dispatch_start_, "issuer",
+        static_cast<int64_t>(in_service_issuer_));
+  }
+  std::function<void()> done = std::move(in_service_done_);
+  done();
   device_busy_ = false;
   Dispatch();
 }

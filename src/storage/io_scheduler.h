@@ -13,11 +13,11 @@
 #define SRC_STORAGE_IO_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 
 #include "src/storage/block_device.h"
+#include "src/util/ring_queue.h"
 
 namespace artc::storage {
 
@@ -54,15 +54,16 @@ class CfqScheduler : public IoScheduler {
 
  private:
   struct Queue {
-    std::deque<BlockRequest> requests;
+    util::RingQueue<BlockRequest> requests;
   };
 
   void Dispatch();                 // dispatch next request if device idle
-  // Hands one request to the device, wrapping its completion to re-enter the
-  // scheduler (and, when tracing, to emit the dispatch span on the
-  // io-scheduler pseudo-track).
+  // Hands one request to the device. The scheduler keeps the request's
+  // completion and has the device call OnComplete instead.
   void SubmitToDevice(BlockRequest req, uint32_t issuer);
-  void OnComplete(uint32_t issuer);
+  // Emits the dispatch span on the io-scheduler pseudo-track when tracing,
+  // fires the in-service completion and dispatches the next request.
+  void OnComplete();
   void SwitchQueue();              // rotate to the next busy context
   void StartIdleTimer();
   void CancelIdleTimer();
@@ -73,13 +74,18 @@ class CfqScheduler : public IoScheduler {
   CfqParams params_;
 
   std::map<uint32_t, Queue> queues_;     // sync contexts, keyed by issuer
-  std::deque<uint32_t> rr_;              // round-robin order of busy contexts
-  std::deque<BlockRequest> async_;       // non-anticipated I/O
+  util::RingQueue<uint32_t> rr_;         // round-robin order of busy contexts
+  util::RingQueue<BlockRequest> async_;  // non-anticipated I/O
 
   uint32_t active_ = kAsyncIssuer;       // context holding the slice
   bool has_active_ = false;
   TimeNs slice_end_ = 0;
+  // At most one request is on the device. While device_busy_, these hold
+  // its completion, its issuer and when it was dispatched.
   bool device_busy_ = false;
+  std::function<void()> in_service_done_;
+  uint32_t in_service_issuer_ = kAsyncIssuer;
+  TimeNs dispatch_start_ = 0;
   uint64_t idle_timer_ = 0;              // callback id, 0 if none
   uint64_t context_switches_ = 0;
 };

@@ -39,14 +39,23 @@ size_t Raid0::Inflight() const {
 void Raid0::Submit(BlockRequest req) {
   ARTC_CHECK(req.done != nullptr);
   ARTC_CHECK(req.lba + req.nblocks <= capacity_);
+  ARTC_CHECK(req.nblocks > 0);
 
-  // Split into per-chunk pieces first so we know the fan-out count.
-  struct Piece {
-    size_t member;
-    uint64_t member_lba;
-    uint32_t nblocks;
-  };
-  std::vector<Piece> pieces;
+  uint32_t f = free_fanout_;
+  if (f != kNoFanout) {
+    free_fanout_ = fanouts_[f].next_free;
+  } else {
+    f = static_cast<uint32_t>(fanouts_.size());
+    fanouts_.emplace_back();
+  }
+  // Member completions always arrive later, from the event queue, so the
+  // count is complete before the first one can fire.
+  const uint64_t first_chunk = req.lba / chunk_blocks_;
+  const uint64_t last_chunk = (req.lba + req.nblocks - 1) / chunk_blocks_;
+  fanouts_[f].outstanding = static_cast<uint32_t>(last_chunk - first_chunk + 1);
+  fanouts_[f].done = std::move(req.done);
+
+  // Split into per-chunk member requests.
   uint64_t lba = req.lba;
   uint32_t remaining = req.nblocks;
   while (remaining > 0) {
@@ -55,28 +64,28 @@ void Raid0::Submit(BlockRequest req) {
     uint32_t take = std::min(remaining, chunk_blocks_ - offset_in_chunk);
     size_t member = static_cast<size_t>(chunk_index % members_.size());
     uint64_t member_chunk = chunk_index / members_.size();
-    pieces.push_back(Piece{member, member_chunk * chunk_blocks_ + offset_in_chunk, take});
+    (req.is_write ? member_write_blocks_ : member_read_blocks_)[member] += take;
+    BlockRequest sub;
+    sub.lba = member_chunk * chunk_blocks_ + offset_in_chunk;
+    sub.nblocks = take;
+    sub.is_write = req.is_write;
+    sub.issuer = req.issuer;
+    sub.done = [this, f] { PieceDone(f); };
+    members_[member]->Submit(std::move(sub));
     lba += take;
     remaining -= take;
   }
+}
 
-  auto outstanding = std::make_shared<size_t>(pieces.size());
-  auto done = std::make_shared<std::function<void()>>(std::move(req.done));
-  for (const Piece& p : pieces) {
-    (req.is_write ? member_write_blocks_ : member_read_blocks_)[p.member] +=
-        p.nblocks;
-    BlockRequest sub;
-    sub.lba = p.member_lba;
-    sub.nblocks = p.nblocks;
-    sub.is_write = req.is_write;
-    sub.issuer = req.issuer;
-    sub.done = [outstanding, done] {
-      if (--*outstanding == 0) {
-        (*done)();
-      }
-    };
-    members_[p.member]->Submit(std::move(sub));
+void Raid0::PieceDone(uint32_t f) {
+  if (--fanouts_[f].outstanding > 0) {
+    return;
   }
+  // Recycle the record before firing: the completion may submit again.
+  std::function<void()> done = std::move(fanouts_[f].done);
+  fanouts_[f].next_free = free_fanout_;
+  free_fanout_ = f;
+  done();
 }
 
 }  // namespace artc::storage

@@ -35,11 +35,24 @@ class Raid0 : public BlockDevice {
   }
 
  private:
+  // One array request fanned out to its member requests. Records are pooled
+  // and recycled through a free list, so a request allocates nothing.
+  struct Fanout {
+    uint32_t outstanding = 0;  // member requests not yet complete
+    uint32_t next_free = 0;    // free-list link while unused
+    std::function<void()> done;
+  };
+  static constexpr uint32_t kNoFanout = UINT32_MAX;
+  // Counts one member completion of fanouts_[f]; the last fires `done`.
+  void PieceDone(uint32_t f);
+
   std::vector<std::unique_ptr<BlockDevice>> members_;
   uint32_t chunk_blocks_;
   uint64_t capacity_;
   std::vector<uint64_t> member_read_blocks_;
   std::vector<uint64_t> member_write_blocks_;
+  std::vector<Fanout> fanouts_;
+  uint32_t free_fanout_ = kNoFanout;
 };
 
 }  // namespace artc::storage

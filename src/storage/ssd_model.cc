@@ -25,17 +25,20 @@ void SsdModel::StartNext(uint32_t ch) {
     return;
   }
   c.busy = true;
-  BlockRequest req = std::move(c.queue.front());
-  c.queue.pop_front();
+  BlockRequest& req = c.queue.front();
   TimeNs lat = req.is_write ? params_.write_latency : params_.read_latency;
   double bytes = static_cast<double>(req.nblocks) * kBlockSize;
   TimeNs transfer = static_cast<TimeNs>(bytes / params_.bandwidth_bytes_per_sec * kNsPerSec);
-  auto done = std::move(req.done);
-  sim_->ScheduleCallback(sim_->Now() + lat + transfer, [this, ch, done = std::move(done)] {
-    inflight_--;
-    done();
-    StartNext(ch);
-  });
+  c.in_service_done = std::move(req.done);
+  c.queue.pop_front();
+  sim_->ScheduleCallback(sim_->Now() + lat + transfer, [this, ch] { Complete(ch); });
+}
+
+void SsdModel::Complete(uint32_t ch) {
+  std::function<void()> done = std::move(channels_[ch].in_service_done);
+  inflight_--;
+  done();
+  StartNext(ch);
 }
 
 }  // namespace artc::storage

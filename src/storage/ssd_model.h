@@ -4,10 +4,10 @@
 #define SRC_STORAGE_SSD_MODEL_H_
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "src/storage/block_device.h"
+#include "src/util/ring_queue.h"
 
 namespace artc::storage {
 
@@ -34,10 +34,14 @@ class SsdModel : public BlockDevice {
 
  private:
   struct Channel {
-    std::deque<BlockRequest> queue;
+    util::RingQueue<BlockRequest> queue;
     bool busy = false;
+    // Completion of the request in service; busy is true while it is set.
+    std::function<void()> in_service_done;
   };
   void StartNext(uint32_t ch);
+  // Fires channel ch's in-service completion, then starts its next request.
+  void Complete(uint32_t ch);
 
   sim::Simulation* sim_;
   SsdParams params_;

@@ -8,7 +8,7 @@
 
 namespace artc::storage {
 
-StorageConfig MakeNamedConfig(const std::string& name) {
+std::optional<StorageConfig> FindNamedConfig(const std::string& name) {
   StorageConfig c;
   c.name = name;
   if (name == "hdd") {
@@ -43,8 +43,13 @@ StorageConfig MakeNamedConfig(const std::string& name) {
     c.cfq.slice_sync = Ms(100);
     return c;
   }
-  ARTC_CHECK_MSG(false, "unknown storage config '%s'", name.c_str());
-  return c;
+  return std::nullopt;
+}
+
+StorageConfig MakeNamedConfig(const std::string& name) {
+  std::optional<StorageConfig> c = FindNamedConfig(name);
+  ARTC_CHECK_MSG(c.has_value(), "unknown storage config '%s'", name.c_str());
+  return *c;
 }
 
 TimeNs MinDeviceLatencyNs(const StorageConfig& config) {
@@ -131,22 +136,28 @@ TimeNs StorageStack::ServiceNsForCurrentThread() const {
 void StorageStack::BlockingIo(uint64_t lba, uint32_t nblocks, bool is_write,
                               uint32_t issuer, ServiceCat cat) {
   const TimeNs t0 = sim_->Now();
-  bool done = false;
-  sim::SimCondVar cv(sim_);
+  // The completion wakes this thread directly: one captured pointer keeps
+  // the closure inside std::function's small buffer, and a lone wake-up
+  // draws no randomness, exactly like notifying a one-waiter condvar.
+  struct Waiter {
+    sim::Simulation* sim;
+    sim::ThreadState* thread;
+    bool done;
+  } waiter{sim_, sim_->CurrentState(), false};
   BlockRequest req;
   req.lba = lba;
   req.nblocks = nblocks;
   req.is_write = is_write;
   req.issuer = issuer;
-  req.done = [&done, &cv] {
-    done = true;
-    cv.NotifyAll();
+  req.done = [w = &waiter] {
+    w->done = true;
+    w->sim->WakeThread(w->thread);
   };
   ARTC_OBS_GAUGE_ADD("storage.inflight_requests", 1);
   ARTC_OBS_OBSERVE("storage.request_blocks", nblocks);
   scheduler_->Submit(std::move(req));
-  while (!done) {
-    cv.Wait();
+  while (!waiter.done) {
+    sim_->BlockCurrent();
   }
   ARTC_OBS_GAUGE_ADD("storage.inflight_requests", -1);
   AccountService(sim_->Now() - t0, cat);

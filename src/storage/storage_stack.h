@@ -7,6 +7,7 @@
 #define SRC_STORAGE_STORAGE_STACK_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,14 @@ struct StorageConfig {
   PageCacheParams cache;
 };
 
-// Named configurations used by the benchmark harnesses:
-//   "hdd", "raid0", "ssd", "smallcache", "cfq-1ms", "cfq-100ms"
+// The named configurations used by the benchmark harnesses and CLIs.
+inline constexpr const char* kNamedConfigNames[] = {
+    "hdd", "raid0", "ssd", "smallcache", "bigcache", "cfq-1ms", "cfq-100ms"};
+
+// The named configuration, or nullopt for a name not in kNamedConfigNames.
+std::optional<StorageConfig> FindNamedConfig(const std::string& name);
+
+// FindNamedConfig for a name the caller knows is valid; aborts otherwise.
 StorageConfig MakeNamedConfig(const std::string& name);
 
 // The MinLatencyNs a stack built from `config` will report, computed from

@@ -8,44 +8,16 @@
 #include "src/storage/storage_stack.h"
 #include "src/util/check.h"
 #include "src/util/strings.h"
+#include "src/vfs/vfs.h"
 
 namespace artc::sweep {
 namespace {
 
-// Vocabularies accepted by the layers below. MakeFsProfile /
-// MakePlatformProfile / MakeNamedConfig ARTC_CHECK-abort on unknown names,
-// so these lists are the grid's soft-validation front door. Kept local and
-// explicit rather than probing the factories (which cannot be probed
-// without aborting).
+// Vocabularies of the axes whose layers have no lookup of their own. Storage
+// configs and fs profiles are checked against their layers' name tables.
 const char* const kMethods[] = {"artc", "single", "temporal", "unconstrained"};
-const char* const kFsProfiles[] = {"ext4", "ext3", "jfs", "xfs"};
-const char* const kStorageConfigs[] = {"hdd",        "raid0",   "ssd",
-                                       "smallcache", "bigcache", "cfq-1ms",
-                                       "cfq-100ms"};
 const char* const kIoScheds[] = {"base", "noop", "cfq-1ms", "cfq-100ms"};
 const char* const kPacings[] = {"afap", "natural"};
-
-template <size_t N>
-bool OneOf(const std::string& v, const char* const (&set)[N]) {
-  for (const char* s : set) {
-    if (v == s) {
-      return true;
-    }
-  }
-  return false;
-}
-
-template <size_t N>
-std::string SetList(const char* const (&set)[N]) {
-  std::string out;
-  for (const char* s : set) {
-    if (!out.empty()) {
-      out += ", ";
-    }
-    out += s;
-  }
-  return out;
-}
 
 uint64_t Fnv1a64(const std::string& s) {
   uint64_t h = 1469598103934665603ull;
@@ -174,27 +146,27 @@ bool SweepGrid::Validate(std::string* error) const {
     return false;
   };
   for (const std::string& v : method) {
-    if (!OneOf(v, kMethods)) {
+    if (!IsOneOf(v, kMethods)) {
       return fail(StrFormat("unknown method '%s' (expected %s)", v.c_str(),
-                            SetList(kMethods).c_str()));
+                            JoinNames(kMethods).c_str()));
     }
   }
   for (const std::string& v : fs) {
-    if (!OneOf(v, kFsProfiles)) {
+    if (!vfs::FindFsProfile(v)) {
       return fail(StrFormat("unknown fs '%s' (expected %s)", v.c_str(),
-                            SetList(kFsProfiles).c_str()));
+                            JoinNames(vfs::kFsProfileNames).c_str()));
     }
   }
   for (const std::string& v : storage) {
-    if (!OneOf(v, kStorageConfigs)) {
+    if (!storage::FindNamedConfig(v)) {
       return fail(StrFormat("unknown storage '%s' (expected %s)", v.c_str(),
-                            SetList(kStorageConfigs).c_str()));
+                            JoinNames(storage::kNamedConfigNames).c_str()));
     }
   }
   for (const std::string& v : iosched) {
-    if (!OneOf(v, kIoScheds)) {
+    if (!IsOneOf(v, kIoScheds)) {
       return fail(StrFormat("unknown iosched '%s' (expected %s)", v.c_str(),
-                            SetList(kIoScheds).c_str()));
+                            JoinNames(kIoScheds).c_str()));
     }
   }
   for (int64_t v : cache_mb) {
@@ -222,9 +194,9 @@ bool SweepGrid::Validate(std::string* error) const {
     }
   }
   for (const std::string& v : pacing) {
-    if (!OneOf(v, kPacings)) {
+    if (!IsOneOf(v, kPacings)) {
       return fail(StrFormat("unknown pacing '%s' (expected %s)", v.c_str(),
-                            SetList(kPacings).c_str()));
+                            JoinNames(kPacings).c_str()));
     }
   }
   return true;

@@ -13,10 +13,9 @@
 // position in the grid, so drill-down ids stay valid when the grid around
 // them grows or is reordered.
 //
-// Values are validated while the grid is parsed — MakeNamedConfig and
-// MakeFsProfile abort the process on unknown names, so the grid layer is
-// the soft-error boundary: bad axis values come back as error strings, not
-// aborts.
+// Values are validated while the grid is parsed, storage configs and fs
+// profiles through their layers' FindNamedConfig and FindFsProfile, so bad
+// axis values come back as error strings, not aborts.
 #ifndef SRC_SWEEP_GRID_H_
 #define SRC_SWEEP_GRID_H_
 

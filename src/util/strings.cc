@@ -118,6 +118,26 @@ std::string_view BaseName(std::string_view path) {
   return path.substr(pos + 1);
 }
 
+bool IsOneOf(std::string_view s, std::span<const char* const> names) {
+  for (const char* name : names) {
+    if (s == name) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string JoinNames(std::span<const char* const> names) {
+  std::string out;
+  for (const char* name : names) {
+    if (!out.empty()) {
+      out += ", ";
+    }
+    out += name;
+  }
+  return out;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list ap;
   va_start(ap, fmt);

@@ -2,6 +2,7 @@
 #ifndef SRC_UTIL_STRINGS_H_
 #define SRC_UTIL_STRINGS_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +35,12 @@ std::string_view DirName(std::string_view path);
 
 // Final component ("/a/b" -> "b", "/" -> "/").
 std::string_view BaseName(std::string_view path);
+
+// True if s equals one of names.
+bool IsOneOf(std::string_view s, std::span<const char* const> names);
+
+// The names joined with ", ", for the expected-values part of a diagnostic.
+std::string JoinNames(std::span<const char* const> names);
 
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -41,7 +41,7 @@ uint64_t BlocksForSize(uint64_t bytes) { return (bytes + kBlockSize - 1) / kBloc
 
 }  // namespace
 
-FsProfile MakeFsProfile(const std::string& name) {
+std::optional<FsProfile> FindFsProfile(const std::string& name) {
   FsProfile p;
   p.name = name;
   if (name == "ext4") {
@@ -66,8 +66,13 @@ FsProfile MakeFsProfile(const std::string& name) {
     p.alloc_chunk_blocks = 4096;
     return p;
   }
-  ARTC_CHECK_MSG(false, "unknown fs profile '%s'", name.c_str());
-  return p;
+  return std::nullopt;
+}
+
+FsProfile MakeFsProfile(const std::string& name) {
+  std::optional<FsProfile> p = FindFsProfile(name);
+  ARTC_CHECK_MSG(p.has_value(), "unknown fs profile '%s'", name.c_str());
+  return *p;
 }
 
 PlatformProfile MakePlatformProfile(const std::string& name) {

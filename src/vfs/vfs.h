@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,7 +45,12 @@ struct FsProfile {
   uint32_t alloc_chunk_blocks = 2048;  // delayed-allocation granularity
 };
 
-// "ext4", "ext3", "jfs", "xfs".
+inline constexpr const char* kFsProfileNames[] = {"ext4", "ext3", "jfs", "xfs"};
+
+// The named profile, or nullopt for a name not in kFsProfileNames.
+std::optional<FsProfile> FindFsProfile(const std::string& name);
+
+// FindFsProfile for a name the caller knows is valid; aborts otherwise.
 FsProfile MakeFsProfile(const std::string& name);
 
 // OS personality knobs that the paper's emulation section cares about.

@@ -112,6 +112,24 @@ TEST(Simulation, CancelCallback) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Simulation, StaleCallbackIdDoesNotCancelReusedEvent) {
+  Simulation sim(1);
+  bool second_fired = false;
+  bool stale_cancelled = true;
+  uint64_t first = 0;
+  first = sim.ScheduleCallback(Ms(1), [&] {
+    // The first callback's event record is free again, so the second
+    // callback gets the same record under a new id.
+    uint64_t second = sim.ScheduleCallback(sim.Now() + Ms(1), [&] { second_fired = true; });
+    EXPECT_NE(second, first);
+    stale_cancelled = sim.CancelCallback(first);
+  });
+  sim.Run();
+  EXPECT_EQ(sim.allocated_event_count(), 1u);
+  EXPECT_FALSE(stale_cancelled);
+  EXPECT_TRUE(second_fired);
+}
+
 TEST(Simulation, CallbackCanScheduleCallback) {
   Simulation sim(1);
   TimeNs second_fire = 0;

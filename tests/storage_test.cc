@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -175,6 +177,140 @@ TEST(HddModel, NcqReordersForThroughput) {
     return sim.Run();
   };
   EXPECT_LT(run_batched(), run_serial());
+}
+
+// The NCQ pick against a brute-force reference: a strict-< argmin, lowest
+// index on a tie, of the public ServiceTime(now, head, lba, 0) over the
+// pending requests in submission order. Queues are seeded and random, with
+// duplicate LBAs, a request at the head at a non-zero index, distances at
+// the near threshold +-1, and requests arriving from completions; the
+// parameter sets cover seeks of one and of two rotations or more (the
+// fold's % fallback) and zero settle.
+TEST(HddModel, NcqPickMatchesBruteForceArgmin) {
+  const TimeNs kPeriod = HddParams{}.rotation_period;
+  std::vector<HddParams> variants(6);
+  variants[1].seek_max = kPeriod;
+  variants[2].seek_max = 2 * kPeriod;
+  variants[3].seek_max = 3 * kPeriod;
+  variants[4].settle = 0;
+  variants[4].seek_min = Ms(4);  // near vs far outlasts most rotational waits
+  variants[5].capacity_blocks = 1 << 20;
+  variants[5].seek_min = 0;
+  variants[5].settle = 0;
+
+  struct Req {
+    int id;
+    uint64_t lba;
+    uint32_t nblocks;
+  };
+  Rng rng(2024);
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE(trial);
+    const HddParams& p = variants[static_cast<size_t>(trial) % variants.size()];
+    const uint64_t cap = p.capacity_blocks;
+    const TimeNs t0 = static_cast<TimeNs>(rng.NextBelow(Ms(60'000)));
+    const uint64_t seed = rng.Next();
+    // The first request puts the head at `head`; the queue behind it is
+    // picked from there.
+    const uint32_t nb0 = 1 + static_cast<uint32_t>(rng.NextBelow(8));
+    const uint64_t h0 = rng.NextBelow(cap - 2 * p.near_threshold - 64) + p.near_threshold;
+    const uint64_t head = h0 + nb0;
+    const size_t depth = 1 + rng.NextBelow(32);
+    std::vector<Req> reqs = {{0, h0, nb0}};
+    for (size_t i = 0; i < depth; ++i) {
+      uint64_t lba = rng.NextBelow(cap - 16);
+      switch (rng.NextBelow(5)) {
+        case 0:  // a duplicate of an earlier LBA
+          lba = reqs[rng.NextBelow(reqs.size())].lba;
+          break;
+        case 1:  // at the near threshold, one either side of it, either way
+          lba = head + p.near_threshold - 1 + rng.NextBelow(3);
+          if (rng.NextBool(0.5)) {
+            lba = 2 * head - lba;
+          }
+          break;
+        case 2:
+          lba = std::min(head + rng.NextBelow(4096), cap - 16);
+          break;
+        default:
+          break;
+      }
+      reqs.push_back({static_cast<int>(reqs.size()), lba,
+                      1 + static_cast<uint32_t>(rng.NextBelow(16))});
+    }
+    // In half the trials a request at the head, at queue index >= 1, wins
+    // the first pick at cost 0; in the others the threshold cases can.
+    if (depth >= 2 && rng.NextBool(0.5)) {
+      reqs[2 + rng.NextBelow(depth - 1)].lba = head;
+    }
+
+    // The model, with a fresh request arriving from some completions.
+    sim::Simulation sim(1);
+    HddModel hdd(&sim, p);
+    std::vector<int> order;
+    std::vector<TimeNs> times;
+    Rng arrivals(seed);
+    int next_id = static_cast<int>(reqs.size());
+    std::function<void(int, uint64_t, uint32_t)> submit = [&](int id, uint64_t lba,
+                                                              uint32_t nblocks) {
+      BlockRequest r;
+      r.lba = lba;
+      r.nblocks = nblocks;
+      r.done = [&, id] {
+        order.push_back(id);
+        times.push_back(sim.Now());
+        if (arrivals.NextBool(0.3)) {
+          const uint64_t a = arrivals.NextBelow(cap - 16);
+          submit(next_id++, a, 1 + static_cast<uint32_t>(arrivals.NextBelow(16)));
+        }
+      };
+      hdd.Submit(std::move(r));
+    };
+    sim.ScheduleCallback(t0, [&] {
+      for (const Req& r : reqs) {
+        submit(r.id, r.lba, r.nblocks);
+      }
+    });
+    sim.Run();
+
+    // The reference: the first request is served alone (the device was
+    // idle when it arrived), then each pick is the brute-force argmin.
+    std::vector<int> want_order;
+    std::vector<TimeNs> want_times;
+    TimeNs want_positioning = 0;
+    Rng ref_arrivals(seed);
+    int ref_next_id = static_cast<int>(reqs.size());
+    std::vector<Req> pending = reqs;
+    TimeNs now = t0;
+    uint64_t at = 0;
+    size_t pick = 0;
+    while (!pending.empty()) {
+      TimeNs best_cost = INT64_MAX;
+      for (size_t i = 0; i < pending.size() && !want_order.empty(); ++i) {
+        const TimeNs cost = hdd.ServiceTime(now, at, pending[i].lba, 0);
+        if (cost < best_cost) {
+          best_cost = cost;
+          pick = i;
+        }
+      }
+      const Req r = pending[pick];
+      pending.erase(pending.begin() + static_cast<ptrdiff_t>(pick));
+      want_positioning += hdd.ServiceTime(now, at, r.lba, 0);
+      now += hdd.ServiceTime(now, at, r.lba, r.nblocks);
+      at = r.lba + r.nblocks;
+      want_order.push_back(r.id);
+      want_times.push_back(now);
+      if (ref_arrivals.NextBool(0.3)) {
+        const uint64_t a = ref_arrivals.NextBelow(cap - 16);
+        pending.push_back(
+            {ref_next_id++, a, 1 + static_cast<uint32_t>(ref_arrivals.NextBelow(16))});
+      }
+    }
+    ASSERT_EQ(order, want_order);
+    ASSERT_EQ(times, want_times);
+    ASSERT_EQ(hdd.TotalPositioningNs(), want_positioning);
+    ASSERT_EQ(hdd.ServicedRequests(), want_order.size());
+  }
 }
 
 TEST(SsdModel, ParallelChannelsOverlap) {
@@ -358,6 +494,8 @@ struct StackGolden {
   TimeNs service_media_write_ns;
   TimeNs service_writeback_ns;
   TimeNs end_ns;
+  std::vector<uint64_t> raid_member_read_blocks;   // empty off RAID-0
+  std::vector<uint64_t> raid_member_write_blocks;
 };
 
 void ExpectGolden(const StorageCounters& c, TimeNs end_ns, const StackGolden& g) {
@@ -368,8 +506,8 @@ void ExpectGolden(const StorageCounters& c, TimeNs end_ns, const StackGolden& g)
   EXPECT_EQ(c.media_read_blocks, g.media_read_blocks);
   EXPECT_EQ(c.media_write_blocks, g.media_write_blocks);
   EXPECT_EQ(c.cfq_context_switches, g.cfq_context_switches);
-  EXPECT_TRUE(c.raid_member_read_blocks.empty());
-  EXPECT_TRUE(c.raid_member_write_blocks.empty());
+  EXPECT_EQ(c.raid_member_read_blocks, g.raid_member_read_blocks);
+  EXPECT_EQ(c.raid_member_write_blocks, g.raid_member_write_blocks);
   EXPECT_EQ(c.service_cache_ns, g.service_cache_ns);
   EXPECT_EQ(c.service_media_read_ns, g.service_media_read_ns);
   EXPECT_EQ(c.service_media_write_ns, g.service_media_write_ns);
@@ -377,12 +515,14 @@ void ExpectGolden(const StorageCounters& c, TimeNs end_ns, const StackGolden& g)
   EXPECT_EQ(end_ns, g.end_ns);
 }
 
-TEST(StackGoldens, MixedFourThreadDriverOnSmallCache) {
-  // 256 blocks of cache over a 2048-block region: reads evict, writers pass
-  // the dirty limit (102 blocks) and throttle, and the four threads often
-  // miss on the same blocks, so they share in-flight fetches.
+// Four threads run a seeded mix of reads, buffered and synchronous
+// writes, flushes and discards over a 2048-block region, behind a 256-block
+// cache: reads evict, writers pass the dirty limit (102 blocks) and
+// throttle, and the threads often miss on the same blocks, so they share
+// in-flight fetches. Every device completion path (NCQ, SSD channels,
+// RAID-0 fan-out, CFQ dispatch) sits under it.
+void RunMixedFourThreadsAndExpect(StorageConfig cfg, const StackGolden& golden) {
   sim::Simulation sim(7);
-  StorageConfig cfg = MakeNamedConfig("smallcache");
   cfg.cache.capacity_blocks = 256;
   StorageStack stack(&sim, cfg);
   for (int t = 0; t < 4; ++t) {
@@ -408,9 +548,35 @@ TEST(StackGoldens, MixedFourThreadDriverOnSmallCache) {
   }
   sim.Run();
   ASSERT_EQ(sim.UnfinishedThreads(), 0u);
-  ExpectGolden(stack.Counters(), sim.Now(),
-               StackGolden{725, 14006, 17884, 3890, 14006, 4786, 0, 9500000,
-                           6147345163, 1274271518, 5432991186, 3350510971});
+  ExpectGolden(stack.Counters(), sim.Now(), golden);
+}
+
+TEST(StackGoldens, MixedFourThreadDriverOnSmallCache) {
+  RunMixedFourThreadsAndExpect(
+      MakeNamedConfig("smallcache"),
+      StackGolden{725, 14006, 17884, 3890, 14006, 4786, 0, 9500000, 6147345163,
+                  1274271518, 5432991186, 3350510971, {}, {}});
+}
+
+TEST(StackGoldens, MixedFourThreadsOnRaid0) {
+  RunMixedFourThreadsAndExpect(
+      MakeNamedConfig("raid0"),
+      StackGolden{775, 13555, 17464, 3876, 13555, 4772, 0, 9600000, 5419846567,
+                  962862620, 4603440516, 3050960235, {6478, 7077}, {2300, 2472}});
+}
+
+TEST(StackGoldens, MixedFourThreadsOnSsd) {
+  RunMixedFourThreadsAndExpect(
+      MakeNamedConfig("ssd"),
+      StackGolden{853, 13749, 17673, 3880, 13749, 4776, 0, 9756000, 217734562,
+                  31822900, 152803902, 117604477, {}, {}});
+}
+
+TEST(StackGoldens, MixedFourThreadsOnCfq1ms) {
+  RunMixedFourThreadsAndExpect(
+      MakeNamedConfig("cfq-1ms"),
+      StackGolden{667, 14008, 18001, 3873, 14008, 4769, 1000, 9384000, 6664485207,
+                  1294833379, 18330150771, 6885467447, {}, {}});
 }
 
 TEST(StackGoldens, MagritteReplayOnSmallCache) {
@@ -426,7 +592,8 @@ TEST(StackGoldens, MagritteReplayOnSmallCache) {
       core::ReplayOnSimTarget(run.trace, run.snapshot, core::CompileOptions{}, target);
   ExpectGolden(res.storage, res.sim_end_time,
                StackGolden{15501, 206652, 316394, 205821, 206652, 209033, 0,
-                           441406000, 22559888488, 24364177137, 0, 29165281385});
+                           441406000, 22559888488, 24364177137, 0, 29165281385,
+                           {}, {}});
 }
 
 TEST(Cfq, LargeSliceBeatsSmallSliceForCompetingSequentialReaders) {
@@ -486,12 +653,18 @@ TEST(Cfq, SingleContextUnaffectedBySlice) {
 }
 
 TEST(NamedConfigs, AllBuild) {
-  for (const char* name : {"hdd", "raid0", "ssd", "smallcache", "bigcache", "cfq-1ms",
-                           "cfq-100ms"}) {
+  for (const char* name : kNamedConfigNames) {
     sim::Simulation sim(1);
     StorageStack stack(&sim, MakeNamedConfig(name));
     EXPECT_GT(stack.device().CapacityBlocks(), 0u) << name;
   }
+}
+
+TEST(NamedConfigs, UnknownNameIsNotFound) {
+  EXPECT_TRUE(FindNamedConfig("raid0").has_value());
+  EXPECT_EQ(FindNamedConfig("raid0")->raid_members, 2u);
+  EXPECT_FALSE(FindNamedConfig("nvme").has_value());
+  EXPECT_FALSE(FindNamedConfig("").has_value());
 }
 
 }  // namespace

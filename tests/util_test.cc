@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 
+#include "src/util/ring_queue.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/strings.h"
@@ -64,6 +66,35 @@ TEST(Rng, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+TEST(RingQueue, MatchesDequeAcrossWrapAndGrowth) {
+  // Seeded pushes and pops against std::deque; the queue wraps and then
+  // grows with its head mid-ring.
+  util::RingQueue<int> ring;
+  std::deque<int> want;
+  Rng rng(17);
+  for (int i = 0; i < 5000; ++i) {
+    if (want.empty() || rng.NextBool(0.55)) {
+      ring.push_back(i);
+      want.push_back(i);
+    } else {
+      ASSERT_EQ(ring.front(), want.front());
+      ring.pop_front();
+      want.pop_front();
+    }
+    ASSERT_EQ(ring.size(), want.size());
+    for (size_t k = 0; k < want.size(); k += 7) {
+      ASSERT_EQ(ring[k], want[k]);
+    }
+  }
+}
+
+TEST(Strings, IsOneOfAndJoinNames) {
+  const char* const names[] = {"a", "bc", "d"};
+  EXPECT_TRUE(IsOneOf("bc", names));
+  EXPECT_FALSE(IsOneOf("b", names));
+  EXPECT_EQ(JoinNames(names), "a, bc, d");
 }
 
 TEST(SampleStats, Basics) {

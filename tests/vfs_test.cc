@@ -41,6 +41,14 @@ class VfsTest : public ::testing::Test {
   }
 };
 
+TEST(FsProfiles, EveryNameIsFoundAndUnknownIsNot) {
+  for (const char* name : kFsProfileNames) {
+    ASSERT_TRUE(FindFsProfile(name).has_value()) << name;
+    EXPECT_EQ(FindFsProfile(name)->name, name);
+  }
+  EXPECT_FALSE(FindFsProfile("ntfs").has_value());
+}
+
 TEST_F(VfsTest, CreateWriteReadRoundTrip) {
   RunInSim([](Vfs& vfs) {
     vfs.MustMkdirAll("/data");
