@@ -84,7 +84,7 @@ StorageStack::StorageStack(sim::Simulation* simulation, const StorageConfig& con
   } else {
     scheduler_ = std::make_unique<NoopScheduler>(top_device_.get());
   }
-  cache_ = std::make_unique<PageCache>(sim_, scheduler_.get(), config_.cache);
+  cache_ = std::make_unique<PageCache>(config_.cache);
 }
 
 StorageStack::~StorageStack() = default;
@@ -170,68 +170,84 @@ void StorageStack::BlockingIo(uint64_t lba, uint32_t nblocks, bool is_write,
   }
 }
 
-bool StorageStack::ReadInflight(uint64_t lba) const {
+uint64_t StorageStack::FirstInflight(uint64_t lba, uint64_t end) const {
+  uint64_t first = end;
   for (const InflightRead& r : inflight_reads_) {
-    if (lba >= r.begin && lba < r.end) {
-      return true;
+    if (r.begin < first && r.end > lba) {
+      first = std::max(r.begin, lba);
     }
   }
-  return false;
+  return first;
 }
 
+uint64_t StorageStack::MissingEnd(uint64_t lba, uint64_t end) const {
+  return std::min(cache_->FirstResident(lba, end), FirstInflight(lba, end));
+}
+
+BlockRuns StorageStack::TakeRuns() {
+  if (spare_runs_.empty()) {
+    return {};
+  }
+  BlockRuns runs = std::move(spare_runs_.back());
+  spare_runs_.pop_back();
+  runs.clear();
+  return runs;
+}
+
+void StorageStack::GiveBack(BlockRuns runs) { spare_runs_.push_back(std::move(runs)); }
+
 void StorageStack::Read(uint64_t lba, uint32_t nblocks, bool sequential_hint) {
-  uint32_t issuer = sim_->CurrentThread();
-  uint64_t end = lba + nblocks;
+  const uint32_t issuer = sim_->CurrentThread();
+  const uint64_t end = lba + nblocks;
   uint64_t b = lba;
-  uint32_t hit_run = 0;
+  uint64_t hits = 0;
   while (b < end) {
-    if (cache_->Touch(b)) {
-      hit_run++;
-      b++;
-      continue;
+    // Resident blocks are hits even while being fetched (a write landed
+    // during the fetch), so residency is checked first.
+    const uint64_t resident_end = cache_->TouchResident(b, end);
+    hits += resident_end - b;
+    b = resident_end;
+    if (b == end) {
+      break;
     }
-    if (ReadInflight(b)) {
+    if (FirstInflight(b, b + 1) == b) {
       // Another thread is already fetching this block; waiting on its I/O
       // is still time the media serves this reader.
       const TimeNs w0 = sim_->Now();
-      while (ReadInflight(b)) {
+      while (FirstInflight(b, b + 1) == b) {
         inflight_cv_.Wait();
       }
       AccountService(sim_->Now() - w0, ServiceCat::kMediaRead);
       continue;  // re-check residency
     }
-    // Find the contiguous miss run within the request.
-    uint64_t miss_end = b + 1;
-    while (miss_end < end && !cache_->Resident(miss_end) &&
-           !ReadInflight(miss_end)) {
-      miss_end++;
-    }
-    uint32_t fetch = static_cast<uint32_t>(miss_end - b);
-    if (sequential_hint) {
+    // The contiguous miss run within the request; a one-block miss, the
+    // common case, needs no scan.
+    const uint64_t miss_end = b + 1 < end ? MissingEnd(b + 1, end) : end;
+    uint64_t fetch_end = miss_end;
+    if (sequential_hint && miss_end == end) {
       // Extend with read-ahead past the request, stopping at resident or
       // already-inflight blocks and the device capacity.
-      uint64_t ra_end = b + fetch + cache_->params().readahead_blocks;
-      ra_end = std::min(ra_end, top_device_->CapacityBlocks());
-      while (b + fetch < ra_end && !cache_->Resident(b + fetch) &&
-             !ReadInflight(b + fetch)) {
-        fetch++;
-      }
+      const uint64_t ra_end = std::min(end + cache_->params().readahead_blocks,
+                                       top_device_->CapacityBlocks());
+      fetch_end = std::max(end, MissingEnd(end, ra_end));
     }
+    const auto fetch = static_cast<uint32_t>(fetch_end - b);
     cache_->CountMiss(fetch);
     // The scan above saw no block of the range in flight and nothing has
     // yielded since, so in-flight ranges never overlap.
-    inflight_reads_.push_back(InflightRead{b, b + fetch});
+    inflight_reads_.push_back(InflightRead{b, fetch_end});
     BlockingIo(b, fetch, /*is_write=*/false, issuer, ServiceCat::kMediaRead);
     cache_->InsertClean(b, fetch);
     std::erase_if(inflight_reads_, [b](const InflightRead& r) { return r.begin == b; });
     inflight_cv_.NotifyAll();
-    WriteBlocksOut(cache_->EvictToCapacity(), kAsyncIssuer, ServiceCat::kWriteback);
-    b += std::min<uint64_t>(fetch, miss_end - b);
+    EvictAndWriteOut(kAsyncIssuer);
+    b = miss_end;
   }
-  if (hit_run > 0) {
-    cache_->CountHit(hit_run);
-    sim_->Sleep(cache_->params().hit_cost * hit_run);
-    AccountService(cache_->params().hit_cost * hit_run, ServiceCat::kCache);
+  if (hits > 0) {
+    const TimeNs cost = cache_->params().hit_cost * static_cast<TimeNs>(hits);
+    cache_->CountHit(static_cast<uint32_t>(hits));
+    sim_->Sleep(cost);
+    AccountService(cost, ServiceCat::kCache);
   }
 }
 
@@ -239,8 +255,7 @@ void StorageStack::Write(uint64_t lba, uint32_t nblocks) {
   cache_->InsertDirty(lba, nblocks);
   sim_->Sleep(cache_->params().hit_cost * nblocks);
   AccountService(cache_->params().hit_cost * nblocks, ServiceCat::kCache);
-  WriteBlocksOut(cache_->EvictToCapacity(), sim_->CurrentThread(),
-                 ServiceCat::kWriteback);
+  EvictAndWriteOut(sim_->CurrentThread());
   ThrottleDirty();
 }
 
@@ -248,62 +263,74 @@ void StorageStack::WriteSync(uint64_t lba, uint32_t nblocks) {
   uint32_t issuer = sim_->CurrentThread();
   cache_->InsertClean(lba, nblocks);  // resident, not dirty: it's on media
   BlockingIo(lba, nblocks, /*is_write=*/true, issuer, ServiceCat::kMediaWrite);
-  WriteBlocksOut(cache_->EvictToCapacity(), issuer, ServiceCat::kWriteback);
+  EvictAndWriteOut(issuer);
+}
+
+void StorageStack::EvictAndWriteOut(uint32_t issuer) {
+  if (cache_->ResidentCount() <= cache_->params().capacity_blocks) {
+    return;
+  }
+  BlockRuns victims = TakeRuns();
+  cache_->EvictToCapacity(&victims);
+  WriteRunsOut(&victims, issuer, ServiceCat::kWriteback);
+  GiveBack(std::move(victims));
 }
 
 void StorageStack::ThrottleDirty() {
   // Foreground throttling: writers over the dirty limit must clean pages.
-  while (cache_->OverDirtyLimit()) {
-    std::vector<uint64_t> victims = cache_->CollectOldestDirty(256);
-    if (victims.empty()) {
-      return;
-    }
-    WriteBlocksOut(std::move(victims), sim_->CurrentThread(),
-                   ServiceCat::kWriteback);
-  }
-}
-
-void StorageStack::WriteBlocksOut(std::vector<uint64_t> blocks, uint32_t issuer,
-                                  ServiceCat cat) {
-  if (blocks.empty()) {
+  if (!cache_->OverDirtyLimit()) {
     return;
   }
-  std::sort(blocks.begin(), blocks.end());
-  size_t i = 0;
-  while (i < blocks.size()) {
-    size_t j = i + 1;
-    while (j < blocks.size() && blocks[j] == blocks[j - 1] + 1) {
-      j++;
+  BlockRuns victims = TakeRuns();
+  while (cache_->OverDirtyLimit()) {
+    victims.clear();
+    cache_->CollectOldestDirty(256, &victims);
+    if (victims.empty()) {
+      break;
     }
-    BlockingIo(blocks[i], static_cast<uint32_t>(j - i), /*is_write=*/true,
-               issuer, cat);
-    i = j;
+    WriteRunsOut(&victims, sim_->CurrentThread(), ServiceCat::kWriteback);
+  }
+  GiveBack(std::move(victims));
+}
+
+void StorageStack::WriteRunsOut(BlockRuns* runs, uint32_t issuer, ServiceCat cat) {
+  std::sort(runs->begin(), runs->end(),
+            [](const BlockRun& x, const BlockRun& y) { return x.lba < y.lba; });
+  size_t i = 0;
+  while (i < runs->size()) {
+    const uint64_t lba = (*runs)[i].lba;
+    uint32_t n = (*runs)[i].nblocks;
+    while (++i < runs->size() && (*runs)[i].lba == lba + n) {
+      n += (*runs)[i].nblocks;
+    }
+    BlockingIo(lba, n, /*is_write=*/true, issuer, cat);
   }
 }
 
 void StorageStack::Flush(const std::vector<std::pair<uint64_t, uint32_t>>& ranges) {
-  std::vector<uint64_t> dirty;
+  BlockRuns dirty = TakeRuns();
   for (const auto& [lba, nblocks] : ranges) {
-    std::vector<uint64_t> d = cache_->CollectDirty(lba, nblocks);
-    dirty.insert(dirty.end(), d.begin(), d.end());
+    cache_->CollectDirty(lba, nblocks, &dirty);
   }
-  WriteBlocksOut(std::move(dirty), sim_->CurrentThread(),
-                 ServiceCat::kMediaWrite);
+  WriteRunsOut(&dirty, sim_->CurrentThread(), ServiceCat::kMediaWrite);
+  GiveBack(std::move(dirty));
 }
 
 void StorageStack::FlushAllDirty() {
+  BlockRuns victims = TakeRuns();
   while (cache_->DirtyCount() > 0) {
-    std::vector<uint64_t> victims = cache_->CollectOldestDirty(1024);
+    victims.clear();
+    cache_->CollectOldestDirty(1024, &victims);
     // A non-zero dirty count with an empty dirty list would loop forever.
     ARTC_CHECK(!victims.empty());
     // A sync leaves each written-back block most recently used, oldest
     // first.
-    for (uint64_t b : victims) {
-      cache_->Touch(b);
+    for (const BlockRun& r : victims) {
+      cache_->TouchResident(r.lba, r.lba + r.nblocks);
     }
-    WriteBlocksOut(std::move(victims), sim_->CurrentThread(),
-                   ServiceCat::kMediaWrite);
+    WriteRunsOut(&victims, sim_->CurrentThread(), ServiceCat::kMediaWrite);
   }
+  GiveBack(std::move(victims));
 }
 
 void StorageStack::Discard(uint64_t lba, uint32_t nblocks) {

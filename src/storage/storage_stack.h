@@ -141,12 +141,22 @@ class StorageStack {
   // blocks until it completes.
   void BlockingIo(uint64_t lba, uint32_t nblocks, bool is_write, uint32_t issuer,
                   ServiceCat cat);
-  // Writes a set of blocks (coalescing contiguous runs) and waits for all.
-  void WriteBlocksOut(std::vector<uint64_t> blocks, uint32_t issuer,
-                      ServiceCat cat);
+  // Writes a set of disjoint runs in ascending LBA order, coalescing
+  // contiguous ones, and waits for all. Sorts *runs.
+  void WriteRunsOut(BlockRuns* runs, uint32_t issuer, ServiceCat cat);
+  // Evicts down to the cache's capacity and writes the dirty victims out.
+  void EvictAndWriteOut(uint32_t issuer);
   void ThrottleDirty();
-  // True if some thread is fetching lba from media right now.
-  bool ReadInflight(uint64_t lba) const;
+  // The first block of [lba, end) that some thread is fetching from media
+  // right now, or end.
+  uint64_t FirstInflight(uint64_t lba, uint64_t end) const;
+  // The end of the blocks at the start of [lba, end) that are neither
+  // resident nor being fetched.
+  uint64_t MissingEnd(uint64_t lba, uint64_t end) const;
+  // An empty run buffer, reusing the storage of one given back earlier.
+  // Write-outs block, so each caller takes its own and gives it back.
+  BlockRuns TakeRuns();
+  void GiveBack(BlockRuns runs);
   void AccountService(TimeNs dt, ServiceCat cat);
 
   sim::Simulation* sim_;
@@ -164,6 +174,7 @@ class StorageStack {
   };
   std::vector<InflightRead> inflight_reads_;
   sim::SimCondVar inflight_cv_;
+  std::vector<BlockRuns> spare_runs_;
 
   uint64_t media_read_blocks_ = 0;
   uint64_t media_write_blocks_ = 0;
