@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -254,6 +257,77 @@ TEST(CompileStream, RandomReaders16Golden) {
       << diag.Format();
   EXPECT_EQ(res.digest, core::DigestBenchmark(kept));
   std::remove(bin.c_str());
+}
+
+// Golden for every replay method: the canonical digest and the replay
+// thread count of the batch compile, on two Magritte traces and one sync
+// fuzz trace, with ARTC both pruned and unpruned. Any change to the
+// compiler's output under any method moves at least one digest.
+TEST(Compiler, PerMethodDigestGolden) {
+  struct Variant {
+    const char* name;
+    core::ReplayMethod method;
+    bool prune;
+  };
+  const Variant variants[] = {
+      {"artc", core::ReplayMethod::kArtc, true},
+      {"artc-unpruned", core::ReplayMethod::kArtc, false},
+      {"single", core::ReplayMethod::kSingleThreaded, true},
+      {"temporal", core::ReplayMethod::kTemporal, true},
+      {"unconstrained", core::ReplayMethod::kUnconstrained, true},
+  };
+  struct Golden {
+    uint64_t digest;
+    size_t threads;
+  };
+  // Rows follow the trace order below; columns follow `variants`.
+  const Golden want[3][5] = {
+      {{0x86d0f167f5673a7cull, 4},
+       {0xc32d8f08bcbf180full, 4},
+       {0xf8407405362982b3ull, 1},
+       {0x288adbae025f6683ull, 4},
+       {0x31521fe8933a41f5ull, 4}},
+      {{0xbbfd1ccaa7f5f822ull, 3},
+       {0xdf0768f946c2b9beull, 3},
+       {0xb7b07f07b6470505ull, 1},
+       {0xdf1ab750f29af679ull, 3},
+       {0xc7af709b8c061b69ull, 3}},
+      {{0xf87610b0c11fd43bull, 17},
+       {0x9db5d883627da1f1ull, 17},
+       {0x2f06cf2348d56aa8ull, 1},
+       {0x42e3c3f45b442c43ull, 17},
+       {0x0b3bf7efac8fcdfeull, 17}},
+  };
+
+  std::vector<std::pair<std::string, trace::TraceBundle>> traces;
+  workloads::SourceConfig src;
+  src.storage = storage::MakeNamedConfig("ssd");
+  src.platform = "osx";
+  for (const char* name : {"keynote_createphoto", "iphoto_import"}) {
+    workloads::TracedRun run =
+        workloads::TraceMagritte(workloads::FindMagritteSpec(name), src);
+    traces.push_back({name, {std::move(run.trace), std::move(run.snapshot)}});
+  }
+  check::GenOptions gen;
+  gen.seed = 7101;
+  gen.threads = 4;
+  gen.ops_per_thread = 40;
+  gen.sync = true;
+  traces.push_back({"sync-fuzz", check::GenerateTrace(gen)});
+
+  for (size_t t = 0; t < traces.size(); ++t) {
+    for (size_t v = 0; v < std::size(variants); ++v) {
+      CompileOptions copts;
+      copts.method = variants[v].method;
+      copts.prune_redundant_deps = variants[v].prune;
+      const CompiledBenchmark bench =
+          core::Compile(traces[t].second.trace, traces[t].second.snapshot, copts);
+      EXPECT_EQ(core::DigestBenchmark(bench), want[t][v].digest)
+          << traces[t].first << "/" << variants[v].name;
+      EXPECT_EQ(bench.thread_actions.size(), want[t][v].threads)
+          << traces[t].first << "/" << variants[v].name;
+    }
+  }
 }
 
 }  // namespace
