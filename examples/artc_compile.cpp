@@ -17,13 +17,16 @@
 // magic; an ARTCT file carries its own snapshot). With --stream the trace
 // is compiled through the windowed streaming pipeline (core::CompileStream)
 // in bounded memory and only the canonical digest plus streaming statistics
-// are printed; --window bounds the events resident per window. --digest
+// are printed (every method but temporal, which needs a second pass);
+// --window bounds the events resident per window. --digest
 // prints the canonical benchmark digest in the batch path too, so the two
 // pipelines can be compared with a diff.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "src/core/artc.h"
@@ -84,7 +87,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--strace") {
       strace_format = true;
     } else if (arg == "--method") {
-      copt.method = artc::core::ReplayMethodFromName(next());
+      const std::string name = next();
+      std::optional<artc::core::ReplayMethod> method =
+          artc::core::FindReplayMethod(name);
+      if (!method) {
+        std::fprintf(stderr, "artc_compile: unknown --method '%s' (expected %s)\n",
+                     name.c_str(),
+                     artc::JoinNames(artc::core::kReplayMethodNames).c_str());
+        return 2;
+      }
+      copt.method = *method;
     } else if (arg == "--no-file-seq") {
       copt.modes.file_seq = false;
     } else if (arg == "--no-path-order") {
@@ -135,14 +147,24 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
+    if (!artc::core::StreamCompilable(copt.method)) {
+      std::string names;
+      for (const char* name : artc::core::kReplayMethodNames) {
+        if (artc::core::StreamCompilable(*artc::core::FindReplayMethod(name))) {
+          names += (names.empty() ? "" : ", ") + std::string(name);
+        }
+      }
+      std::fprintf(stderr,
+                   "artc_compile: --stream cannot compile --method %s, which "
+                   "needs a second pass over the whole trace (expected %s)\n",
+                   artc::core::ReplayMethodName(copt.method), names.c_str());
+      return 2;
+    }
     artc::trace::StreamReaderOptions ropts;
     ropts.window_events = window_events;
-    artc::core::CompileStreamOptions sopts;
-    sopts.compile = copt;
     artc::core::CompileStreamFileResult res;
     artc::trace::ParseDiag diag;
-    if (!artc::core::CompileStreamFile(trace_path, ropts, sopts, &res,
-                                       nullptr, &diag)) {
+    if (!artc::core::CompileStreamFile(trace_path, ropts, copt, &res, &diag)) {
       artc::obs::LogError("artc_compile", "stream compile failed",
                           {{"detail", diag.Format()}});
       return 1;
@@ -197,7 +219,7 @@ int main(int argc, char** argv) {
   if (!load_path.empty()) {
     bench = artc::core::ReadBenchmarkFile(load_path);
   } else {
-    bench = artc::core::Compile(t, snapshot, copt);
+    bench = artc::core::Compile(std::move(t), snapshot, copt);
   }
   if (!save_path.empty()) {
     artc::core::WriteBenchmarkFile(bench, save_path);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/dep_builder.h"
@@ -11,10 +10,6 @@
 
 namespace artc::core {
 namespace {
-
-using internal::DepBuilder;
-using internal::DepPruner;
-using internal::EventMeta;
 
 // Canonical FNV-1a over the compiled stream. Both pipelines fold the exact
 // same byte sequence, so the digest compares them with one integer.
@@ -81,29 +76,28 @@ void DigestAction(Fnv1a& f, const CompiledAction& a, const Dep* deps,
   }
 }
 
-void DigestTrailer(Fnv1a& f, uint64_t n, const std::vector<uint32_t>& thread_ids,
-                   uint32_t fd_slot_count, uint32_t aio_slot_count,
-                   const EdgeStats& stats, uint64_t model_warnings,
-                   const std::vector<std::string>& dep_resource_names) {
+// The benchmark-wide tables; `tables` need only hold those, not the
+// per-event arrays.
+void DigestTrailer(Fnv1a& f, uint64_t n, const CompiledBenchmark& tables) {
   f.U64(n);
-  f.U64(thread_ids.size());
-  for (uint32_t tid : thread_ids) {
+  f.U64(tables.thread_ids.size());
+  for (uint32_t tid : tables.thread_ids) {
     f.U32(tid);
   }
-  f.U32(fd_slot_count);
-  f.U32(aio_slot_count);
-  for (uint64_t c : stats.count_by_rule) {
+  f.U32(tables.fd_slot_count);
+  f.U32(tables.aio_slot_count);
+  for (uint64_t c : tables.edge_stats.count_by_rule) {
     f.U64(c);
   }
-  for (double d : stats.total_length_ns) {
+  for (double d : tables.edge_stats.total_length_ns) {
     f.F64(d);
   }
-  for (uint64_t c : stats.pruned_by_rule) {
+  for (uint64_t c : tables.edge_stats.pruned_by_rule) {
     f.U64(c);
   }
-  f.U64(model_warnings);
-  f.U64(dep_resource_names.size());
-  for (const std::string& s : dep_resource_names) {
+  f.U64(tables.model_warnings);
+  f.U64(tables.dep_resource_names.size());
+  for (const std::string& s : tables.dep_resource_names) {
     f.Str(s);
   }
 }
@@ -117,241 +111,74 @@ uint64_t DigestBenchmark(const CompiledBenchmark& bench) {
     const DepSpan deps = bench.DepsFor(i);
     DigestAction(f, bench.actions[i], deps.first, deps.size());
   }
-  DigestTrailer(f, bench.actions.size(), bench.thread_ids, bench.fd_slot_count,
-                bench.aio_slot_count, bench.edge_stats, bench.model_warnings,
-                bench.dep_resource_names);
+  DigestTrailer(f, bench.actions.size(), bench);
   return f.h;
 }
 
+bool StreamCompilable(ReplayMethod method) {
+  return method != ReplayMethod::kTemporal;
+}
+
 struct CompileStream::Impl {
-  explicit Impl(const trace::FsSnapshot& snapshot,
-                const CompileStreamOptions& options)
-      : opts(options), snapshot_copy(snapshot), annotator(snapshot, [] {
+  Impl(const trace::FsSnapshot& snapshot, const CompileOptions& options)
+      : annotator(snapshot, [] {
           fsmodel::AnnotateOptions a;
           a.materialize_labels = false;
           return a;
-        }()) {
-    ARTC_CHECK_MSG(options.compile.method == ReplayMethod::kArtc,
-                   "CompileStream supports the ARTC method only");
-    builder = std::make_unique<DepBuilder>(annotator.resources(), nullptr,
-                                           meta, &dep_resource_names,
-                                           &edge_stats);
-    if (options.compile.prune_redundant_deps) {
-      pruner = std::make_unique<DepPruner>(meta, &edge_stats);
-    }
-    if (options.materialize) {
-      bench.dep_offsets.push_back(0);
-    }
+        }()),
+        step(options, annotator.resources(), annotator.path_names().get(),
+             &tables) {
+    ARTC_CHECK_MSG(StreamCompilable(options.method),
+                   "CompileStream cannot compile the temporal method");
   }
 
-  CompileStreamOptions opts;
-  trace::FsSnapshot snapshot_copy;
   fsmodel::Annotator annotator;
-
-  EventMeta meta;
-  std::unique_ptr<DepBuilder> builder;
-  std::unique_ptr<DepPruner> pruner;
-  EdgeStats edge_stats;
-  std::vector<std::string> dep_resource_names;
-
-  // Dense replay threads (same flat/overflow scheme as the batch compiler).
-  static constexpr uint32_t kFlatTidLimit = 1 << 16;
-  std::vector<uint32_t> tid_flat;
-  std::unordered_map<uint32_t, uint32_t> tid_overflow;
-  std::vector<uint32_t> thread_ids;
-  std::vector<TimeNs> last_ret_by_thread;
-  TimeNs trace_start = 0;
-
-  // fd/aio remap slots, assigned lazily in resource-id order — identical
-  // numbering to the batch compiler's upfront id-order scan.
-  std::vector<int32_t> fd_slots;
-  std::vector<int32_t> aio_slots;
-  uint32_t fd_slot_count = 0;
-  uint32_t aio_slot_count = 0;
-  size_t slots_assigned = 0;
-
+  CompiledBenchmark tables;  // the step's benchmark-wide tables only
+  internal::CompileStep step;
   std::vector<fsmodel::Touch> touches;  // per-event scratch
   uint64_t n = 0;
   Fnv1a digest;
-  CompiledBenchmark bench;  // materialize mode only
   bool finished = false;
 
   void Push(const trace::TraceEvent& ev) {
     ARTC_CHECK_MSG(!finished, "Push after Finish");
     ARTC_CHECK_MSG(ev.index == n, "events must arrive dense and in order");
-    const uint32_t i = static_cast<uint32_t>(n);
-    if (n == 0) {
-      trace_start = ev.enter;
-    }
     ++n;
-
-    // Dense replay thread.
-    uint32_t ti;
-    uint32_t* slot = nullptr;
-    if (ev.tid < kFlatTidLimit) {
-      if (tid_flat.size() <= ev.tid) {
-        tid_flat.resize(ev.tid + 1, 0);
-      }
-      slot = &tid_flat[ev.tid];
-    } else {
-      slot = &tid_overflow[ev.tid];
-    }
-    if (*slot == 0) {
-      ti = static_cast<uint32_t>(thread_ids.size());
-      *slot = ti + 1;
-      thread_ids.push_back(ev.tid);
-    } else {
-      ti = *slot - 1;
-    }
-    meta.Push(ti, ev);
-
-    CompiledAction a;
-    a.thread_index = ti;
-    if (last_ret_by_thread.size() <= ti) {
-      last_ret_by_thread.resize(ti + 1, trace_start);
-    }
-    a.predelay = std::max<TimeNs>(0, ev.enter - last_ret_by_thread[ti]);
-    last_ret_by_thread[ti] = ev.ret_time;
-
-    // Annotate, then extend the slot tables over any resources this event
-    // created (ids are dense and assigned in order, so lazy assignment in
-    // [slots_assigned, size) reproduces the batch compiler's numbering).
     touches.clear();
     annotator.AnnotateEvent(ev, &touches);
-    const std::vector<fsmodel::ResourceInfo>& resources =
-        annotator.resources();
-    if (resources.size() > slots_assigned) {
-      fd_slots.resize(resources.size(), -1);
-      aio_slots.resize(resources.size(), -1);
-      for (size_t r = slots_assigned; r < resources.size(); ++r) {
-        if (resources[r].kind == fsmodel::ResourceKind::kFd) {
-          fd_slots[r] = static_cast<int32_t>(fd_slot_count++);
-        } else if (resources[r].kind == fsmodel::ResourceKind::kAiocb) {
-          aio_slots[r] = static_cast<int32_t>(aio_slot_count++);
-        }
-      }
-      slots_assigned = resources.size();
-    }
-
-    // Slot wiring fused with dep emission, exactly as in CompileImpl.
-    builder->BeginEvent(i, touches.size() + 2);
-    for (const fsmodel::Touch& touch : touches) {
-      const fsmodel::ResourceInfo& res = resources[touch.resource];
-      if (res.kind == fsmodel::ResourceKind::kFd) {
-        if (touch.access == fsmodel::Access::kCreate) {
-          a.fd_def_slot = fd_slots[touch.resource];
-        } else if (a.fd_use_slot < 0) {
-          a.fd_use_slot = fd_slots[touch.resource];
-        }
-      } else if (res.kind == fsmodel::ResourceKind::kAiocb) {
-        if (touch.access == fsmodel::Access::kCreate) {
-          a.aio_def_slot = aio_slots[touch.resource];
-        } else if (a.aio_use_slot < 0) {
-          a.aio_use_slot = aio_slots[touch.resource];
-        }
-      }
-      builder->ArtcTouch(touch, opts.compile.modes);
-    }
-    std::vector<Dep>& deps = builder->deps();
-
-    // Predelay refinement against the *unpruned* deps (pruning must not
-    // change pacing), using the sidecar's return times.
-    if (!deps.empty()) {
-      TimeNs base = ev.enter - a.predelay;
-      for (const Dep& d : deps) {
-        base = std::max(base, meta.ret_time[d.event]);
-      }
-      a.predelay = std::max<TimeNs>(0, ev.enter - base);
-    }
-
-    // Inline pruning (must run for every event, in order).
-    if (pruner) {
-      const uint32_t kept =
-          pruner->PruneEvent(i, ti, deps.data(),
-                             static_cast<uint32_t>(deps.size()));
-      deps.resize(kept);
-    }
-
+    const CompiledAction a = step.Push(ev, touches);
+    const std::vector<Dep>& deps = step.deps();
     DigestEvent(digest, ev);
     DigestAction(digest, a, deps.data(), deps.size());
-
-    if (opts.materialize) {
-      bench.events.push_back(ev);
-      bench.actions.push_back(a);
-      if (bench.thread_actions.size() <= ti) {
-        bench.thread_actions.resize(ti + 1);
-      }
-      bench.thread_actions[ti].push_back(i);
-      bench.dep_arena.insert(bench.dep_arena.end(), deps.begin(), deps.end());
-      bench.dep_offsets.push_back(
-          static_cast<uint32_t>(bench.dep_arena.size()));
-    }
   }
 
-  uint64_t Finish(CompiledBenchmark* out) {
+  uint64_t Finish() {
     ARTC_CHECK_MSG(!finished, "Finish called twice");
     finished = true;
-    const uint64_t warnings = annotator.warnings();
-    DigestTrailer(digest, n, thread_ids, fd_slot_count, aio_slot_count,
-                  edge_stats, warnings, dep_resource_names);
-    if (opts.materialize && out != nullptr) {
-      bench.method = opts.compile.method;
-      bench.modes = opts.compile.modes;
-      bench.snapshot = snapshot_copy;
-      bench.thread_ids = thread_ids;
-      bench.fd_slot_count = fd_slot_count;
-      bench.aio_slot_count = aio_slot_count;
-      bench.edge_stats = edge_stats;
-      bench.model_warnings = warnings;
-      bench.dep_resource_names = dep_resource_names;
-      bench.dep_arena_peak_bytes = bench.dep_arena.capacity() * sizeof(Dep);
-      if (n == 0) {
-        bench.dep_offsets.assign(1, 0);
-      }
-      *out = std::move(bench);
-    }
+    tables.model_warnings = annotator.warnings();
+    DigestTrailer(digest, n, tables);
     return digest.h;
   }
 
   uint64_t StateBytes() const {
-    uint64_t bytes =
-        meta.thread_index.capacity() * sizeof(uint32_t) +
-        (meta.enter.capacity() + meta.ret_time.capacity()) * sizeof(TimeNs);
-    bytes += builder->state_bytes();
-    if (pruner) {
-      bytes += pruner->state_bytes();
-    }
+    uint64_t bytes = step.state_bytes();
     bytes += annotator.resources().capacity() * sizeof(fsmodel::ResourceInfo);
     if (annotator.path_names()) {
       bytes += annotator.path_names()->payload_bytes();
     }
-    for (const std::string& s : dep_resource_names) {
-      bytes += sizeof(std::string) + s.capacity();
-    }
-    bytes += (tid_flat.capacity() + thread_ids.capacity()) * sizeof(uint32_t) +
-             last_ret_by_thread.capacity() * sizeof(TimeNs) +
-             (fd_slots.capacity() + aio_slots.capacity()) * sizeof(int32_t);
     return bytes;
   }
 };
 
 CompileStream::CompileStream(const trace::FsSnapshot& snapshot,
-                             const CompileStreamOptions& options)
-    : impl_(std::make_unique<Impl>(snapshot, options)) {
-  // The builder needs the annotator's interner to materialize path-edge
-  // attribution names; both live in the Impl, so rewire after construction.
-  impl_->builder = std::make_unique<DepBuilder>(
-      impl_->annotator.resources(), impl_->annotator.path_names().get(),
-      impl_->meta, &impl_->dep_resource_names, &impl_->edge_stats);
-}
+                             const CompileOptions& options)
+    : impl_(std::make_unique<Impl>(snapshot, options)) {}
 
 CompileStream::~CompileStream() = default;
 
 void CompileStream::Push(const trace::TraceEvent& ev) { impl_->Push(ev); }
 
-uint64_t CompileStream::Finish(CompiledBenchmark* bench) {
-  return impl_->Finish(bench);
-}
+uint64_t CompileStream::Finish() { return impl_->Finish(); }
 
 uint64_t CompileStream::events_seen() const { return impl_->n; }
 
@@ -363,15 +190,14 @@ uint64_t CompileStream::interner_bytes() const {
 
 bool CompileStreamFile(const std::string& path,
                        const trace::StreamReaderOptions& reader_options,
-                       const CompileStreamOptions& stream_options,
-                       CompileStreamFileResult* result,
-                       CompiledBenchmark* bench, trace::ParseDiag* diag) {
+                       const CompileOptions& options,
+                       CompileStreamFileResult* result, trace::ParseDiag* diag) {
   ARTC_OBS_SPAN("compiler", "compile_stream_file");
   auto reader = trace::StreamReader::Open(path, reader_options, diag);
   if (reader == nullptr) {
     return false;
   }
-  CompileStream stream(reader->snapshot(), stream_options);
+  CompileStream stream(reader->snapshot(), options);
   CompileStreamFileResult res;
   std::vector<trace::TraceEvent> window;
   // Gauge cells are additive, so point-in-time sizes export as deltas
@@ -400,7 +226,7 @@ bool CompileStreamFile(const std::string& path,
     }
   }
   res.events = stream.events_seen();
-  res.digest = stream.Finish(bench);
+  res.digest = stream.Finish();
   if (result != nullptr) {
     *result = res;
   }

@@ -1,36 +1,24 @@
 // Windowed streaming compilation: annotate + compile a trace one event at
 // a time without ever materializing the whole trace, its annotation, or
-// (optionally) the compiled benchmark.
+// the compiled benchmark.
 //
 // The batch pipeline holds the full trace (~200 B/event), the full touch
-// annotation, and the full dep arena in memory at once. CompileStream
-// reorders the same work into a single forward pass — annotate this event,
-// assign its remap slots, emit its dependency edges, refine its predelay,
-// prune — so peak memory is the live resource tables plus a ~20-byte
-// per-event sidecar (thread index + timestamps, consulted when later edges
-// reference the event) plus whatever window the caller feeds from. Output
-// is bit-identical to the batch compiler: every per-event step consumes
-// only data about earlier events, which is exactly what the sidecar keeps
-// (see dep_builder.h for the shared machinery and the pruning-safety
-// argument).
+// annotation, and the full dep arena in memory at once. CompileStream runs
+// the same per-event compile step as the batch Compile() (dep_builder.h's
+// CompileStep: remap slots, dependency edges, predelay, pruning) right
+// after annotating each event, and keeps nothing per event beyond the
+// step's ~20-byte sidecar (thread index + timestamps, consulted when later
+// edges reference the event). Peak memory is the live resource tables plus
+// that sidecar plus whatever window the caller feeds from.
 //
-// Two consumption modes:
-//  * materialize=true: Finish() fills a CompiledBenchmark equal to
-//    Compile()'s (the differential tests rely on this). Peak memory is then
-//    O(trace) again — the point is validation, not economy.
-//  * materialize=false: nothing per-event is retained beyond the sidecar;
-//    Finish() returns only the digest. This is the multi-GB path.
+// Finish() returns a canonical FNV-1a digest over the compiled stream
+// (events, actions, pruned dep edges, thread/slot tables, edge stats).
+// DigestBenchmark() computes the identical digest from a compiled
+// benchmark, so "stream output == batch output" is one integer comparison.
 //
-// Either way Finish() returns a canonical FNV-1a digest over the compiled
-// stream (events, actions, pruned dep edges, thread/slot tables, edge
-// stats). DigestBenchmark() computes the identical digest from a
-// materialized CompiledBenchmark, so "stream output == batch output" is one
-// integer comparison. The digest deliberately excludes
-// dep_arena_peak_bytes, the one field that legitimately differs between the
-// two pipelines.
-//
-// ARTC method only: temporal-method emission needs the completed slot
-// wiring of the *whole* trace (a second pass), which contradicts streaming.
+// Every method but temporal: temporal-method emission needs the completed
+// slot wiring of the *whole* trace (a second pass), which contradicts
+// streaming.
 #ifndef SRC_CORE_COMPILE_STREAM_H_
 #define SRC_CORE_COMPILE_STREAM_H_
 
@@ -47,18 +35,11 @@
 
 namespace artc::core {
 
-struct CompileStreamOptions {
-  // method must stay kArtc; prune_redundant_deps and modes are honored.
-  CompileOptions compile;
-  // Keep the full CompiledBenchmark (events, actions, dep arena) for
-  // Finish(). Costs O(trace) memory — for tests and small traces.
-  bool materialize = false;
-};
-
 class CompileStream {
  public:
+  // options.method must not be kTemporal (see StreamCompilable).
   explicit CompileStream(const trace::FsSnapshot& snapshot,
-                         const CompileStreamOptions& options = {});
+                         const CompileOptions& options = {});
   ~CompileStream();
   CompileStream(const CompileStream&) = delete;
   CompileStream& operator=(const CompileStream&) = delete;
@@ -67,15 +48,14 @@ class CompileStream {
   // TraceEvent::index must be dense from 0 (StreamReader guarantees both).
   void Push(const trace::TraceEvent& ev);
 
-  // Seals the stream and returns the canonical digest. If materialize was
-  // set and bench != nullptr, *bench receives the full benchmark. Must be
-  // called exactly once; the stream must not be used afterwards.
-  uint64_t Finish(CompiledBenchmark* bench);
+  // Seals the stream and returns the canonical digest. Must be called
+  // exactly once; the stream must not be used afterwards.
+  uint64_t Finish();
 
   uint64_t events_seen() const;
   // The streaming state actually resident right now (sidecar + resource
-  // tables + pruner clocks; excludes a materialized benchmark). The RSS
-  // acceptance test asserts this stays far below the batch footprint.
+  // tables + pruner clocks). The RSS acceptance test asserts this stays far
+  // below the batch footprint.
   uint64_t state_bytes() const;
   // Payload bytes held by the path-name interner — the one component of
   // state_bytes that grows with path diversity rather than event count.
@@ -86,7 +66,10 @@ class CompileStream {
   std::unique_ptr<Impl> impl_;
 };
 
-// The same canonical digest, computed from a materialized benchmark.
+// Whether CompileStream can compile `method` (all but kTemporal).
+bool StreamCompilable(ReplayMethod method);
+
+// The same canonical digest, computed from a compiled benchmark.
 uint64_t DigestBenchmark(const CompiledBenchmark& bench);
 
 struct CompileStreamFileResult {
@@ -98,12 +81,10 @@ struct CompileStreamFileResult {
 
 // Drives a StreamReader (text or ARTCT, sniffed) through a CompileStream in
 // bounded windows. Returns false with *diag set on open/parse failure.
-// bench may be null when stream_options.materialize is false.
 bool CompileStreamFile(const std::string& path,
                        const trace::StreamReaderOptions& reader_options,
-                       const CompileStreamOptions& stream_options,
-                       CompileStreamFileResult* result,
-                       CompiledBenchmark* bench, trace::ParseDiag* diag);
+                       const CompileOptions& options,
+                       CompileStreamFileResult* result, trace::ParseDiag* diag);
 
 }  // namespace artc::core
 

@@ -103,7 +103,6 @@ struct CompiledBenchmark {
   // sequential memory.
   std::vector<Dep> dep_arena;
   std::vector<uint32_t> dep_offsets;  // size() + 1 entries; empty when size()==0
-  uint64_t dep_arena_peak_bytes = 0;  // arena high-water mark during compile
 
   // Human-readable names for Dep::res ids, assigned densely in edge-emission
   // order: literal paths for path-rule edges, "fd:N" / "file#N" / "aio:N" /

@@ -1,37 +1,28 @@
 #include "src/core/compiler.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/core/dep_builder.h"
-#include "src/fsmodel/resource_model.h"
 #include "src/obs/obs.h"
 #include "src/util/check.h"
 
 namespace artc::core {
 namespace {
 
-using fsmodel::AnnotatedTrace;
-using internal::DepBuilder;
-using internal::DepPruner;
-using internal::EventMeta;
-
-// Flushes the builder's scratch (event cur's deps) into the CSR arena.
-void FlushDeps(DepBuilder& builder, uint32_t index, CompiledBenchmark* out) {
-  std::vector<Dep>& arena = out->dep_arena;
-  const std::vector<Dep>& deps = builder.deps();
-  arena.insert(arena.end(), deps.begin(), deps.end());
-  out->dep_offsets[index + 1] = static_cast<uint32_t>(arena.size());
-}
+using internal::CompileStep;
+using internal::RefinePredelay;
 
 // Temporal-method emission. Issue ordering alone does not guarantee that
 // the open defining a cross-thread descriptor has *completed* (and
 // therefore filled the remap slot) before a use on another thread executes.
 // Fold in the minimal infrastructure deps so the temporal baseline is
 // runnable, as in the paper. These are not counted as ordering edges. Each
-// fd/aio slot is one generation, so it has exactly one defining event —
-// precompute them so emission stays a single forward pass.
-void EmitTemporalDeps(DepBuilder& builder, CompiledBenchmark* out) {
+// fd/aio slot is one generation, so it has exactly one defining event.
+// Finding it needs the whole trace's slot wiring, so this is a second pass
+// over the step's output, which has no deps yet; it also refines predelay
+// against the new deps.
+void EmitTemporalDeps(CompileStep& step, CompiledBenchmark* out) {
   std::vector<uint32_t> fd_def(out->fd_slot_count, kNoEvent);
   std::vector<uint32_t> aio_def(out->aio_slot_count, kNoEvent);
   for (uint32_t i = 0; i < out->actions.size(); ++i) {
@@ -43,47 +34,25 @@ void EmitTemporalDeps(DepBuilder& builder, CompiledBenchmark* out) {
       aio_def[static_cast<size_t>(a.aio_def_slot)] = i;
     }
   }
+  internal::DepBuilder& builder = step.builder();
   for (uint32_t i = 0; i < out->events.size(); ++i) {
     builder.BeginEvent(i, 4);
     if (i > 0) {
       builder.AddDep(i - 1, DepKind::kIssue, RuleTag::kTemporal);
     }
-    const CompiledAction& a = out->actions[i];
+    CompiledAction& a = out->actions[i];
     if (a.fd_use_slot >= 0) {
       builder.AddInfraDep(fd_def[static_cast<size_t>(a.fd_use_slot)]);
     }
     if (a.aio_use_slot >= 0) {
       builder.AddInfraDep(aio_def[static_cast<size_t>(a.aio_use_slot)]);
     }
-    FlushDeps(builder, i, out);
+    const std::vector<Dep>& deps = builder.deps();
+    a.predelay =
+        RefinePredelay(out->events[i].enter, a.predelay, deps, step.meta());
+    out->dep_arena.insert(out->dep_arena.end(), deps.begin(), deps.end());
+    out->dep_offsets[i + 1] = static_cast<uint32_t>(out->dep_arena.size());
   }
-}
-
-// Batch redundant-edge pruning: drives the incremental DepPruner over the
-// fully built arena, compacting it in place (see dep_builder.h for the
-// clock construction and the safety argument).
-void PruneRedundantDeps(const EventMeta& meta, CompiledBenchmark* bench) {
-  ARTC_OBS_SPAN("compiler", "prune");
-  const size_t n = bench->actions.size();
-  if (n == 0 || bench->thread_ids.empty() || bench->dep_arena.empty()) {
-    return;
-  }
-  DepPruner pruner(meta, &bench->edge_stats);
-  std::vector<Dep>& arena = bench->dep_arena;
-  std::vector<uint32_t>& offsets = bench->dep_offsets;
-  uint32_t write = 0;  // in-place arena compaction cursor
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t begin = offsets[i];
-    const uint32_t count = offsets[i + 1] - begin;
-    offsets[i] = write;  // write <= begin, so the pruner's reads stay valid
-    const uint32_t kept =
-        pruner.PruneEvent(i, meta.thread_index[i], arena.data() + begin, count);
-    for (uint32_t j = 0; j < kept; ++j) {
-      arena[write++] = arena[begin + j];
-    }
-  }
-  offsets[n] = write;
-  arena.resize(write);
 }
 
 }  // namespace
@@ -114,211 +83,52 @@ double EdgeStats::MeanLengthNs() const {
   return n == 0 ? 0.0 : total / static_cast<double>(n);
 }
 
-// Shared implementation: takes the event vector by value so the public
-// overloads decide whether it is copied (lvalue trace) or stolen (rvalue
-// trace) — the move path makes event transfer O(1).
-static CompiledBenchmark CompileImpl(std::vector<trace::TraceEvent> events,
-                              const trace::FsSnapshot& snapshot,
-                              const fsmodel::AnnotatedTrace& ann,
-                              const CompileOptions& options) {
-  ARTC_OBS_SPAN("compiler", "compile");
-  ARTC_CHECK(ann.touches.size() == events.size());
-  CompiledBenchmark bench;
-  bench.method = options.method;
-  bench.modes = options.modes;
-  bench.snapshot = snapshot;
-  bench.events = std::move(events);
-  bench.model_warnings = ann.warnings;
-
-  // Assign fd/aio remap slots: one per generation resource. Resource ids
-  // are dense, so a flat vector beats a hash map here.
-  std::vector<int32_t> fd_slots(ann.resources.size(), -1);
-  std::vector<int32_t> aio_slots(ann.resources.size(), -1);
-  for (uint32_t r = 0; r < ann.resources.size(); ++r) {
-    if (ann.resources[r].kind == fsmodel::ResourceKind::kFd) {
-      fd_slots[r] = static_cast<int32_t>(bench.fd_slot_count++);
-    } else if (ann.resources[r].kind == fsmodel::ResourceKind::kAiocb) {
-      aio_slots[r] = static_cast<int32_t>(bench.aio_slot_count++);
-    }
-  }
-
-  // Dense replay threads. Trace tids are small integers in practice, so a
-  // flat tid -> index+1 table covers the common case; anything above the
-  // flat range falls back to the hash map.
-  constexpr uint32_t kFlatTidLimit = 1 << 16;
-  std::vector<uint32_t> tid_flat;
-  std::unordered_map<uint32_t, uint32_t> tid_overflow;
-  bool single = options.method == ReplayMethod::kSingleThreaded;
-  if (single) {
-    bench.thread_ids.push_back(0);
-    bench.thread_actions.emplace_back();
-  }
-
-  // Single streaming pass: fill the action (dense thread, predelay), wire
-  // remap slots, and — for ARTC — emit this event's dependency edges, all
-  // while the event's touches are hot in cache.
-  const bool fuse_artc = options.method == ReplayMethod::kArtc;
-  const uint32_t n = static_cast<uint32_t>(bench.events.size());
-  EventMeta meta;
-  meta.thread_index.reserve(n);
-  meta.enter.reserve(n);
-  meta.ret_time.reserve(n);
-  DepBuilder builder(ann.resources, ann.path_names.get(), meta,
-                     &bench.dep_resource_names, &bench.edge_stats);
-  bench.dep_arena.clear();
-  bench.dep_offsets.assign(bench.events.size() + 1, 0);
-  bench.actions.reserve(n);
-  std::vector<TimeNs> last_ret_by_thread;
-  TimeNs trace_start = bench.events.empty() ? 0 : bench.events.front().enter;
-  for (uint32_t i = 0; i < n; ++i) {
-    const trace::TraceEvent& ev = bench.events[i];
-    CompiledAction& a = bench.actions.emplace_back();
-    uint32_t ti;
-    if (single) {
-      ti = 0;
-    } else {
-      uint32_t* slot = nullptr;
-      if (ev.tid < kFlatTidLimit) {
-        if (tid_flat.size() <= ev.tid) {
-          tid_flat.resize(ev.tid + 1, 0);
-        }
-        slot = &tid_flat[ev.tid];
-      } else {
-        slot = &tid_overflow[ev.tid];
-      }
-      if (*slot == 0) {
-        ti = static_cast<uint32_t>(bench.thread_ids.size());
-        *slot = ti + 1;
-        bench.thread_ids.push_back(ev.tid);
-        bench.thread_actions.emplace_back();
-      } else {
-        ti = *slot - 1;
-      }
-    }
-    a.thread_index = ti;
-    meta.Push(ti, ev);
-    bench.thread_actions[ti].push_back(i);
-    if (last_ret_by_thread.size() <= ti) {
-      last_ret_by_thread.resize(ti + 1, trace_start);
-    }
-    a.predelay = std::max<TimeNs>(0, ev.enter - last_ret_by_thread[ti]);
-    last_ret_by_thread[ti] = ev.ret_time;
-
-    // Slot wiring from the annotation, fused with ARTC dep emission.
-    if (fuse_artc) {
-      // Each touch yields at most one dep plus the create edge; a little
-      // headroom avoids regrowth on delete events with many outstanding
-      // uses.
-      builder.BeginEvent(i, ann.touches[i].size() + 2);
-    }
-    for (const fsmodel::Touch& touch : ann.touches[i]) {
-      const fsmodel::ResourceInfo& res = ann.resources[touch.resource];
-      if (res.kind == fsmodel::ResourceKind::kFd) {
-        if (touch.access == fsmodel::Access::kCreate) {
-          a.fd_def_slot = fd_slots[touch.resource];
-        } else if (a.fd_use_slot < 0) {
-          a.fd_use_slot = fd_slots[touch.resource];
-        }
-      } else if (res.kind == fsmodel::ResourceKind::kAiocb) {
-        if (touch.access == fsmodel::Access::kCreate) {
-          a.aio_def_slot = aio_slots[touch.resource];
-        } else if (a.aio_use_slot < 0) {
-          a.aio_use_slot = aio_slots[touch.resource];
-        }
-      }
-      if (fuse_artc) {
-        builder.ArtcTouch(touch, options.modes);
-      }
-    }
-    if (fuse_artc) {
-      FlushDeps(builder, i, &bench);
-    }
-  }
-
-  // Temporal needs the fd/aio def events, i.e. a completed slot wiring
-  // pass, so it cannot fuse; it runs as a second pass over the trace.
-  if (options.method == ReplayMethod::kTemporal) {
-    EmitTemporalDeps(builder, &bench);
-  }
-  bench.dep_arena_peak_bytes = bench.dep_arena.capacity() * sizeof(Dep);
-
-  // Predelay is the interval between an action's issue and the moment its
-  // inferred constraints were satisfied in the original execution (paper
-  // Sec. 4.3.3): the latest of the same-thread predecessor's return and the
-  // dependencies' returns. Computing it against the thread gap alone would
-  // charge idle phases (e.g., a coordinator thread joining its workers) as
-  // compute and replay them as sleeps. This runs against the *unpruned*
-  // edge set: pruning must not change pacing.
-  for (uint32_t i = 0; i < n; ++i) {
-    const DepSpan deps = bench.DepsFor(i);
-    if (deps.empty()) {
-      continue;  // no constraints beyond the thread gap: predelay stands
-    }
-    CompiledAction& a = bench.actions[i];
-    const TimeNs enter = bench.events[i].enter;
-    TimeNs base = enter - a.predelay;  // same-thread predecessor return
-    for (const Dep& d : deps) {
-      base = std::max(base, bench.events[d.event].ret_time);
-    }
-    a.predelay = std::max<TimeNs>(0, enter - base);
-  }
-
-  if (options.method == ReplayMethod::kArtc && options.prune_redundant_deps) {
-    PruneRedundantDeps(meta, &bench);
-  }
-  return bench;
-}
-
-CompiledBenchmark Compile(const trace::Trace& t, const trace::FsSnapshot& snapshot,
+CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
                           const CompileOptions& options) {
   // Labels exist for debugging and fsmodel tests; the compiler never reads
   // them, so skip materializing one string per resource.
   fsmodel::AnnotateOptions ann_opts;
   ann_opts.materialize_labels = false;
-  fsmodel::AnnotatedTrace ann = fsmodel::AnnotateTrace(t, snapshot, ann_opts);
-  return CompileImpl(t.events, snapshot, ann, options);
+  const fsmodel::AnnotatedTrace ann =
+      fsmodel::AnnotateTrace(t, snapshot, ann_opts);
+  return Compile(std::move(t), snapshot, ann, options);
 }
 
-CompiledBenchmark Compile(const trace::Trace& t, const trace::FsSnapshot& snapshot,
-                          const fsmodel::AnnotatedTrace& annotated,
+CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
+                          const fsmodel::AnnotatedTrace& ann,
                           const CompileOptions& options) {
-  return CompileImpl(t.events, snapshot, annotated, options);
-}
+  ARTC_OBS_SPAN("compiler", "compile");
+  ARTC_CHECK(ann.touches.size() == t.events.size());
+  CompiledBenchmark bench;
+  bench.method = options.method;
+  bench.modes = options.modes;
+  bench.snapshot = snapshot;
+  bench.events = std::move(t.events);
+  bench.model_warnings = ann.warnings;
 
-CompiledBenchmark Compile(trace::Trace&& t, const trace::FsSnapshot& snapshot,
-                          const CompileOptions& options) {
-  fsmodel::AnnotateOptions ann_opts;
-  ann_opts.materialize_labels = false;
-  fsmodel::AnnotatedTrace ann = fsmodel::AnnotateTrace(t, snapshot, ann_opts);
-  return CompileImpl(std::move(t.events), snapshot, ann, options);
-}
-
-CompiledBenchmark Compile(trace::Trace&& t, const trace::FsSnapshot& snapshot,
-                          const fsmodel::AnnotatedTrace& annotated,
-                          const CompileOptions& options) {
-  return CompileImpl(std::move(t.events), snapshot, annotated, options);
-}
-
-CompiledBenchmarkPtr CompileShared(const trace::Trace& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const CompileOptions& options) {
-  return std::make_shared<const CompiledBenchmark>(Compile(t, snapshot, options));
-}
-
-CompiledBenchmarkPtr CompileShared(const trace::Trace& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const fsmodel::AnnotatedTrace& annotated,
-                                   const CompileOptions& options) {
-  return std::make_shared<const CompiledBenchmark>(
-      Compile(t, snapshot, annotated, options));
-}
-
-CompiledBenchmarkPtr CompileShared(trace::Trace&& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const fsmodel::AnnotatedTrace& annotated,
-                                   const CompileOptions& options) {
-  return std::make_shared<const CompiledBenchmark>(
-      Compile(std::move(t), snapshot, annotated, options));
+  CompileStep step(options, ann.resources, ann.path_names.get(), &bench);
+  const uint32_t n = static_cast<uint32_t>(bench.events.size());
+  step.Reserve(n);
+  bench.actions.reserve(n);
+  bench.dep_offsets.reserve(n + 1);
+  bench.dep_offsets.push_back(0);
+  // The single-threaded method's one thread exists before any event.
+  bench.thread_actions.resize(bench.thread_ids.size());
+  for (uint32_t i = 0; i < n; ++i) {
+    const CompiledAction& a =
+        bench.actions.emplace_back(step.Push(bench.events[i], ann.touches[i]));
+    if (a.thread_index == bench.thread_actions.size()) {
+      bench.thread_actions.emplace_back();
+    }
+    bench.thread_actions[a.thread_index].push_back(i);
+    const std::vector<Dep>& deps = step.deps();
+    bench.dep_arena.insert(bench.dep_arena.end(), deps.begin(), deps.end());
+    bench.dep_offsets.push_back(static_cast<uint32_t>(bench.dep_arena.size()));
+  }
+  if (options.method == ReplayMethod::kTemporal) {
+    EmitTemporalDeps(step, &bench);
+  }
+  return bench;
 }
 
 }  // namespace artc::core

@@ -28,7 +28,10 @@ struct CompileOptions {
   bool prune_redundant_deps = true;
 };
 
-CompiledBenchmark Compile(const trace::Trace& t, const trace::FsSnapshot& snapshot,
+// Annotates and compiles. Pass the trace as an rvalue when done with it
+// (the normal parse -> compile pipeline): the benchmark then takes over the
+// event vector instead of copying ~200 bytes per event.
+CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
                           const CompileOptions& options = {});
 
 // Compile against a precomputed annotation. `annotated` must have been
@@ -36,45 +39,18 @@ CompiledBenchmark Compile(const trace::Trace& t, const trace::FsSnapshot& snapsh
 // AnnotateTrace — for validation, statistics, or to compile the same trace
 // under several methods — passes it here instead of paying for a second
 // annotation pass (roughly a third of compile time on large traces).
-CompiledBenchmark Compile(const trace::Trace& t, const trace::FsSnapshot& snapshot,
-                          const fsmodel::AnnotatedTrace& annotated,
-                          const CompileOptions& options);
-
-// Consuming overloads: when the caller is done with the trace (the normal
-// parse -> compile pipeline), the compiler steals the event vector instead
-// of copying ~200 bytes per event into the benchmark. The trace is left
-// moved-from.
-CompiledBenchmark Compile(trace::Trace&& t, const trace::FsSnapshot& snapshot,
-                          const CompileOptions& options = {});
-CompiledBenchmark Compile(trace::Trace&& t, const trace::FsSnapshot& snapshot,
+CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
                           const fsmodel::AnnotatedTrace& annotated,
                           const CompileOptions& options);
 
 // A compiled benchmark shared across concurrent consumers. CompiledBenchmark
 // is immutable once compiled and Replay() only ever reads it, so one
 // compiled artifact can back any number of simultaneous replays (sweep
-// cells, artcd sessions) without copies — the shared_ptr's control block is
-// the only synchronization. Everything reachable through the pointer is
-// const; a consumer that needs a variant (different method, ablated rules)
-// compiles its own.
+// cells) without copies — the shared_ptr's control block is the only
+// synchronization. Everything reachable through the pointer is const; a
+// consumer that needs a variant (different method, ablated rules) compiles
+// its own.
 using CompiledBenchmarkPtr = std::shared_ptr<const CompiledBenchmark>;
-
-// Compile once, share everywhere. The overloads mirror Compile(); the
-// annotation-reuse form is how a sweep compiles one trace under several
-// replay methods while paying for a single annotation pass.
-CompiledBenchmarkPtr CompileShared(const trace::Trace& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const CompileOptions& options = {});
-CompiledBenchmarkPtr CompileShared(const trace::Trace& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const fsmodel::AnnotatedTrace& annotated,
-                                   const CompileOptions& options);
-// Consuming form: steals the event vector like Compile(Trace&&). Used for
-// the final compile of a trace that backs several shared artifacts.
-CompiledBenchmarkPtr CompileShared(trace::Trace&& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const fsmodel::AnnotatedTrace& annotated,
-                                   const CompileOptions& options);
 
 }  // namespace artc::core
 

@@ -358,4 +358,134 @@ uint64_t DepBuilder::state_bytes() const {
   return n;
 }
 
+CompileStep::CompileStep(const CompileOptions& options,
+                         const std::vector<fsmodel::ResourceInfo>& resources,
+                         const util::StringInterner* path_names,
+                         CompiledBenchmark* tables)
+    : method_(options.method),
+      modes_(options.modes),
+      resources_(resources),
+      tables_(tables),
+      builder_(resources, path_names, meta_, &tables->dep_resource_names,
+               &tables->edge_stats) {
+  if (method_ == ReplayMethod::kSingleThreaded) {
+    tables_->thread_ids.push_back(0);
+  }
+  if (method_ == ReplayMethod::kArtc && options.prune_redundant_deps) {
+    pruner_.emplace(meta_, &tables->edge_stats);
+  }
+}
+
+void CompileStep::Reserve(size_t events) {
+  meta_.thread_index.reserve(events);
+  meta_.enter.reserve(events);
+  meta_.ret_time.reserve(events);
+}
+
+uint32_t CompileStep::ThreadIndex(uint32_t tid) {
+  if (method_ == ReplayMethod::kSingleThreaded) {
+    return 0;
+  }
+  uint32_t* slot = nullptr;
+  if (tid < kFlatTidLimit) {
+    if (tid_flat_.size() <= tid) {
+      tid_flat_.resize(tid + 1, 0);
+    }
+    slot = &tid_flat_[tid];
+  } else {
+    slot = &tid_overflow_[tid];
+  }
+  if (*slot == 0) {
+    *slot = static_cast<uint32_t>(tables_->thread_ids.size()) + 1;
+    tables_->thread_ids.push_back(tid);
+  }
+  return *slot - 1;
+}
+
+// Numbers the resources that appeared since the last event. Ids are dense
+// and assigned in order, so numbering [slots_assigned_, size) as they
+// appear gives every fd/aio generation the slot an upfront id-order scan
+// would.
+void CompileStep::AssignSlots() {
+  if (resources_.size() == slots_assigned_) {
+    return;
+  }
+  fd_slots_.resize(resources_.size(), -1);
+  aio_slots_.resize(resources_.size(), -1);
+  for (size_t r = slots_assigned_; r < resources_.size(); ++r) {
+    if (resources_[r].kind == ResourceKind::kFd) {
+      fd_slots_[r] = static_cast<int32_t>(tables_->fd_slot_count++);
+    } else if (resources_[r].kind == ResourceKind::kAiocb) {
+      aio_slots_[r] = static_cast<int32_t>(tables_->aio_slot_count++);
+    }
+  }
+  slots_assigned_ = resources_.size();
+}
+
+CompiledAction CompileStep::Push(const trace::TraceEvent& ev,
+                                 const std::vector<fsmodel::Touch>& touches) {
+  const uint32_t i = static_cast<uint32_t>(meta_.size());
+  if (i == 0) {
+    trace_start_ = ev.enter;
+  }
+  CompiledAction a;
+  const uint32_t ti = ThreadIndex(ev.tid);
+  a.thread_index = ti;
+  meta_.Push(ti, ev);
+  if (last_ret_by_thread_.size() <= ti) {
+    last_ret_by_thread_.resize(ti + 1, trace_start_);
+  }
+  a.predelay = std::max<TimeNs>(0, ev.enter - last_ret_by_thread_[ti]);
+  last_ret_by_thread_[ti] = ev.ret_time;
+
+  AssignSlots();
+  // Each touch yields at most one dep plus the create edge; a little
+  // headroom avoids regrowth on delete events with many outstanding uses.
+  builder_.BeginEvent(i, touches.size() + 2);
+  for (const fsmodel::Touch& touch : touches) {
+    const ResourceKind kind = resources_[touch.resource].kind;
+    if (kind == ResourceKind::kFd) {
+      if (touch.access == Access::kCreate) {
+        a.fd_def_slot = fd_slots_[touch.resource];
+      } else if (a.fd_use_slot < 0) {
+        a.fd_use_slot = fd_slots_[touch.resource];
+      }
+    } else if (kind == ResourceKind::kAiocb) {
+      if (touch.access == Access::kCreate) {
+        a.aio_def_slot = aio_slots_[touch.resource];
+      } else if (a.aio_use_slot < 0) {
+        a.aio_use_slot = aio_slots_[touch.resource];
+      }
+    }
+    if (method_ == ReplayMethod::kArtc) {
+      builder_.ArtcTouch(touch, modes_);
+    }
+  }
+  std::vector<Dep>& deps = builder_.deps();
+  a.predelay = RefinePredelay(ev.enter, a.predelay, deps, meta_);
+  if (pruner_) {
+    deps.resize(pruner_->PruneEvent(i, ti, deps.data(),
+                                    static_cast<uint32_t>(deps.size())));
+  }
+  return a;
+}
+
+uint64_t CompileStep::state_bytes() const {
+  uint64_t bytes =
+      meta_.thread_index.capacity() * sizeof(uint32_t) +
+      (meta_.enter.capacity() + meta_.ret_time.capacity()) * sizeof(TimeNs);
+  bytes += builder_.state_bytes();
+  if (pruner_) {
+    bytes += pruner_->state_bytes();
+  }
+  for (const std::string& s : tables_->dep_resource_names) {
+    bytes += sizeof(std::string) + s.capacity();
+  }
+  bytes += (tid_flat_.capacity() + tables_->thread_ids.capacity()) *
+               sizeof(uint32_t) +
+           last_ret_by_thread_.capacity() * sizeof(TimeNs) +
+           (fd_slots_.capacity() + aio_slots_.capacity()) * sizeof(int32_t);
+  return bytes;
+}
+
 }  // namespace artc::core::internal

@@ -1,24 +1,29 @@
-// Internal machinery shared by the batch compiler (compiler.cc) and the
-// streaming compiler (compile_stream.cc): per-resource cursors, the ARTC
-// dependency-edge builder, and the incremental redundant-edge pruner.
+// Internal machinery of the ARTC compiler: per-resource cursors, the
+// dependency-edge builder, the incremental redundant-edge pruner, and the
+// per-event CompileStep that drives them. The batch compiler (compiler.cc)
+// and the streaming compiler (compile_stream.cc) both feed every event
+// through one CompileStep, so they share a single copy of the scan.
 //
-// Everything here is deliberately decoupled from AnnotatedTrace and
-// CompiledBenchmark so a streaming pipeline that never materializes either
-// can drive it event by event. Per-event context the builder needs about
-// *past* events (thread index, enter/return times) lives in the small
-// EventMeta sidecar both compilers append to as they scan — ~20 bytes per
-// event instead of the ~200-byte TraceEvent.
+// Everything here is deliberately decoupled from AnnotatedTrace and the
+// per-event arrays of CompiledBenchmark so a streaming pipeline that never
+// materializes either can drive it event by event. Per-event context the
+// builder needs about *past* events (thread index, enter/return times)
+// lives in the small EventMeta sidecar the step appends to as it scans —
+// ~20 bytes per event instead of the ~200-byte TraceEvent.
 //
 // Not a public API: include only from src/core implementation files.
 #ifndef SRC_CORE_DEP_BUILDER_H_
 #define SRC_CORE_DEP_BUILDER_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/core/compiled.h"
+#include "src/core/compiler.h"
 #include "src/fsmodel/resource_model.h"
 #include "src/util/interner.h"
 
@@ -55,10 +60,10 @@ struct Cursor {
 };
 
 // Emits one event's dependency edges into a small sorted scratch vector.
-// The caller owns what happens next: the batch compiler flushes the scratch
-// into the CSR arena, the streaming compiler refines predelay and prunes
-// in place first. `resources` may keep growing between events (streaming
-// annotation); cursors are sized lazily against it.
+// The caller owns what happens next (CompileStep refines predelay and
+// prunes in place; the temporal pass flushes straight into the CSR arena).
+// `resources` may keep growing between events (streaming annotation);
+// cursors are sized lazily against it.
 class DepBuilder {
  public:
   DepBuilder(const std::vector<fsmodel::ResourceInfo>& resources,
@@ -83,7 +88,7 @@ class DepBuilder {
   void ArtcTouch(const fsmodel::Touch& touch, const ReplayModes& modes);
 
   // The current event's deps, sorted by prerequisite event and deduped.
-  // Mutable so the streaming compiler can prune in place before flushing.
+  // Mutable so CompileStep can prune in place.
   std::vector<Dep>& deps() { return scratch_; }
 
   // Adds one dep, keeping scratch sorted/deduped; same-thread completion
@@ -98,7 +103,7 @@ class DepBuilder {
   void CountEdge(RuleTag rule, uint32_t dep_event);
 
   // Resident bytes of the builder's own state (cursors + compaction maps) —
-  // the streaming compiler reports this as part of its memory bound.
+  // part of the streaming compiler's reported memory bound.
   uint64_t state_bytes() const;
 
  private:
@@ -192,6 +197,91 @@ class DepPruner {
   std::vector<uint32_t> row_width_;  // row id -> entry count
   std::vector<uint32_t> row_of_;     // event -> its clock row id
   std::vector<uint32_t> cur_row_;    // thread -> latest row id
+};
+
+// Predelay is the interval between an action's issue and the moment its
+// inferred constraints were satisfied in the original execution (paper
+// Sec. 4.3.3): the latest of the same-thread predecessor's return and the
+// dependencies' returns. Computing it against the thread gap alone would
+// charge idle phases (e.g., a coordinator thread joining its workers) as
+// compute and replay them as sleeps. `predelay` is the thread gap; `deps`
+// must be the *unpruned* edge set, since pruning must not change pacing.
+inline TimeNs RefinePredelay(TimeNs enter, TimeNs predelay,
+                             const std::vector<Dep>& deps,
+                             const EventMeta& meta) {
+  TimeNs base = enter - predelay;  // same-thread predecessor return
+  for (const Dep& d : deps) {
+    base = std::max(base, meta.ret_time[d.event]);
+  }
+  return std::max<TimeNs>(0, enter - base);
+}
+
+// One event of the compiler's forward scan (Sec. 4.3.3), shared by the
+// batch and streaming compilers. Push() takes the next event in trace order
+// with its annotation touches and
+//   - maps its tid to a dense replay thread (all events share thread 0
+//     under the single-threaded method),
+//   - appends it to the EventMeta sidecar and sets the thread-gap predelay,
+//   - numbers fd/aio remap slots in resource-id order as resources appear,
+//     and wires the event's def/use slots from its touches,
+//   - for ARTC, emits the touches' dependency edges, refines predelay
+//     against them and, if prune_redundant_deps is set, prunes them.
+// The other methods emit no edges here; the temporal method adds its own
+// in a second pass over the finished tables (see compiler.cc).
+//
+// The benchmark-wide tables (thread_ids, fd/aio slot counts, edge_stats,
+// dep_resource_names) are written into *tables as the scan goes; the
+// per-event output (the returned action and deps()) is the caller's to
+// keep or digest.
+class CompileStep {
+ public:
+  // `resources` (and the interner behind `path_names`) may keep growing
+  // between events but must cover every resource a pushed touch names.
+  CompileStep(const CompileOptions& options,
+              const std::vector<fsmodel::ResourceInfo>& resources,
+              const util::StringInterner* path_names,
+              CompiledBenchmark* tables);
+
+  // Sizes the sidecar for a trace of known length.
+  void Reserve(size_t events);
+
+  // Compiles the next event. Returns its action; deps() then holds the
+  // edges it keeps, sorted by prerequisite event.
+  CompiledAction Push(const trace::TraceEvent& ev,
+                      const std::vector<fsmodel::Touch>& touches);
+
+  const std::vector<Dep>& deps() { return builder_.deps(); }
+  const EventMeta& meta() const { return meta_; }
+  DepBuilder& builder() { return builder_; }
+
+  // Resident bytes of the scan state (sidecar, cursors, pruner clocks,
+  // thread and slot tables, attribution names).
+  uint64_t state_bytes() const;
+
+ private:
+  uint32_t ThreadIndex(uint32_t tid);
+  void AssignSlots();
+
+  // Trace tids are small integers in practice, so a flat tid -> index+1
+  // table covers the common case; anything above it uses the hash map.
+  static constexpr uint32_t kFlatTidLimit = 1 << 16;
+
+  const ReplayMethod method_;
+  const ReplayModes modes_;
+  const std::vector<fsmodel::ResourceInfo>& resources_;
+  CompiledBenchmark* tables_;
+  EventMeta meta_;
+  DepBuilder builder_;
+  std::optional<DepPruner> pruner_;
+  std::vector<uint32_t> tid_flat_;
+  std::unordered_map<uint32_t, uint32_t> tid_overflow_;
+  std::vector<TimeNs> last_ret_by_thread_;
+  TimeNs trace_start_ = 0;
+  // resource id -> fd/aio slot (-1 for other kinds), for ids below
+  // slots_assigned_.
+  std::vector<int32_t> fd_slots_;
+  std::vector<int32_t> aio_slots_;
+  size_t slots_assigned_ = 0;
 };
 
 }  // namespace artc::core::internal

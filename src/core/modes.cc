@@ -1,38 +1,29 @@
 #include "src/core/modes.h"
 
+#include <iterator>
+
 #include "src/util/check.h"
 
 namespace artc::core {
 
 const char* ReplayMethodName(ReplayMethod m) {
-  switch (m) {
-    case ReplayMethod::kArtc:
-      return "artc";
-    case ReplayMethod::kSingleThreaded:
-      return "single";
-    case ReplayMethod::kTemporal:
-      return "temporal";
-    case ReplayMethod::kUnconstrained:
-      return "unconstrained";
+  const size_t i = static_cast<size_t>(m);
+  return i < std::size(kReplayMethodNames) ? kReplayMethodNames[i] : "?";
+}
+
+std::optional<ReplayMethod> FindReplayMethod(const std::string& name) {
+  for (size_t i = 0; i < std::size(kReplayMethodNames); ++i) {
+    if (name == kReplayMethodNames[i]) {
+      return static_cast<ReplayMethod>(i);
+    }
   }
-  return "?";
+  return std::nullopt;
 }
 
 ReplayMethod ReplayMethodFromName(const std::string& name) {
-  if (name == "artc") {
-    return ReplayMethod::kArtc;
-  }
-  if (name == "single") {
-    return ReplayMethod::kSingleThreaded;
-  }
-  if (name == "temporal") {
-    return ReplayMethod::kTemporal;
-  }
-  if (name == "unconstrained") {
-    return ReplayMethod::kUnconstrained;
-  }
-  ARTC_CHECK_MSG(false, "unknown replay method '%s'", name.c_str());
-  return ReplayMethod::kArtc;
+  std::optional<ReplayMethod> m = FindReplayMethod(name);
+  ARTC_CHECK_MSG(m.has_value(), "unknown replay method '%s'", name.c_str());
+  return *m;
 }
 
 const char* RuleTagName(RuleTag t) {

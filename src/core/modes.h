@@ -3,6 +3,7 @@
 #define SRC_CORE_MODES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace artc::core {
@@ -15,7 +16,16 @@ enum class ReplayMethod : uint8_t {
   kUnconstrained,   // per-thread replay threads, no cross-thread ordering
 };
 
+// The methods' names, indexed by ReplayMethod value.
+inline constexpr const char* kReplayMethodNames[] = {"artc", "single",
+                                                     "temporal", "unconstrained"};
+
 const char* ReplayMethodName(ReplayMethod m);
+
+// The method named `name`, or nullopt for a name not in kReplayMethodNames.
+std::optional<ReplayMethod> FindReplayMethod(const std::string& name);
+
+// FindReplayMethod for a name the caller knows is valid; aborts otherwise.
 ReplayMethod ReplayMethodFromName(const std::string& name);
 
 // Which ROOT rules ARTC applies to which resources. Defaults follow the

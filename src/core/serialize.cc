@@ -9,7 +9,7 @@
 namespace artc::core {
 namespace {
 
-constexpr char kMagic[8] = {'A', 'R', 'T', 'C', 'B', '0', '0', '5'};
+constexpr char kMagic[8] = {'A', 'R', 'T', 'C', 'B', '0', '0', '6'};
 
 // Minimal length-prefixed binary writer/reader. All integers little-endian
 // native (the file is a local build artifact, not an interchange format).
@@ -143,7 +143,6 @@ void WriteBenchmark(const CompiledBenchmark& bench, std::ostream& out) {
     w.Pod<uint8_t>(static_cast<uint8_t>(d.rule));
     w.Pod<uint32_t>(d.res);
   }
-  w.Pod<uint64_t>(bench.dep_arena_peak_bytes);
   w.Pod<uint32_t>(static_cast<uint32_t>(bench.dep_resource_names.size()));
   for (const std::string& name : bench.dep_resource_names) {
     w.Str(name);
@@ -232,7 +231,6 @@ CompiledBenchmark ReadBenchmark(std::istream& in) {
       ARTC_CHECK(dep.event < i);
     }
   }
-  bench.dep_arena_peak_bytes = r.Pod<uint64_t>();
   uint32_t n_res_names = r.Pod<uint32_t>();
   ARTC_CHECK_MSG(n_res_names < (1u << 28), "implausible resource-name count");
   bench.dep_resource_names.reserve(n_res_names);

@@ -13,9 +13,8 @@
 namespace artc::sweep {
 namespace {
 
-// Vocabularies of the axes whose layers have no lookup of their own. Storage
-// configs and fs profiles are checked against their layers' name tables.
-const char* const kMethods[] = {"artc", "single", "temporal", "unconstrained"};
+// Vocabularies of the axes whose layers have no lookup of their own. Methods,
+// storage configs and fs profiles are checked against their layers' tables.
 const char* const kIoScheds[] = {"base", "noop", "cfq-1ms", "cfq-100ms"};
 const char* const kPacings[] = {"afap", "natural"};
 
@@ -146,9 +145,9 @@ bool SweepGrid::Validate(std::string* error) const {
     return false;
   };
   for (const std::string& v : method) {
-    if (!IsOneOf(v, kMethods)) {
+    if (!core::FindReplayMethod(v)) {
       return fail(StrFormat("unknown method '%s' (expected %s)", v.c_str(),
-                            JoinNames(kMethods).c_str()));
+                            JoinNames(core::kReplayMethodNames).c_str()));
     }
   }
   for (const std::string& v : fs) {

@@ -13,8 +13,9 @@
 // position in the grid, so drill-down ids stay valid when the grid around
 // them grows or is reordered.
 //
-// Values are validated while the grid is parsed, storage configs and fs
-// profiles through their layers' FindNamedConfig and FindFsProfile, so bad
+// Values are validated while the grid is parsed, methods, storage configs
+// and fs profiles through FindReplayMethod, FindNamedConfig and
+// FindFsProfile, so bad
 // axis values come back as error strings, not aborts.
 #ifndef SRC_SWEEP_GRID_H_
 #define SRC_SWEEP_GRID_H_

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <set>
 
@@ -198,10 +199,9 @@ bool BuildSweepPlan(trace::Trace&& t, const trace::FsSnapshot& snapshot,
   for (const std::string& method : methods) {
     core::CompileOptions copt;
     copt.method = core::ReplayMethodFromName(method);
-    out->compiled[method] =
-        --remaining == 0
-            ? core::CompileShared(std::move(t), snapshot, annotated, copt)
-            : core::CompileShared(t, snapshot, annotated, copt);
+    out->compiled[method] = std::make_shared<const core::CompiledBenchmark>(
+        --remaining == 0 ? core::Compile(std::move(t), snapshot, annotated, copt)
+                         : core::Compile(t, snapshot, annotated, copt));
   }
   obs::LogInfo("sweep", "plan built",
                {{"trace", trace_name.c_str()},

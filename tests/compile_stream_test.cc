@@ -1,8 +1,9 @@
 // Differential tests for the streaming compiler: core::CompileStream must
-// produce output bit-identical to the batch core::Compile — same actions,
-// same pruned dep arena and offsets, same thread/slot tables, same edge
-// stats, same canonical digest — on real Magritte traces, fuzz traces, and
-// through the windowed file driver at several window sizes.
+// land on the canonical digest of the batch core::Compile — actions, pruned
+// deps, thread/slot tables, edge stats — on real Magritte traces, fuzz
+// traces, and through the windowed file driver at several window sizes.
+// Both compilers drive the same per-event step, so the digest checks the
+// parts that differ: streaming annotation and the file driver.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -27,78 +28,34 @@ namespace {
 
 using core::CompiledBenchmark;
 using core::CompileOptions;
-using core::CompileStreamOptions;
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// Field-by-field equality of everything the replayer consumes. The one
-// intentional exception is dep_arena_peak_bytes (an allocator observation,
-// not an output), which the digest also excludes.
-void ExpectBenchEqual(const CompiledBenchmark& a, const CompiledBenchmark& b) {
-  ASSERT_EQ(a.actions.size(), b.actions.size());
-  for (size_t i = 0; i < a.actions.size(); ++i) {
-    EXPECT_EQ(a.actions[i].thread_index, b.actions[i].thread_index) << i;
-    EXPECT_EQ(a.actions[i].fd_use_slot, b.actions[i].fd_use_slot) << i;
-    EXPECT_EQ(a.actions[i].fd_def_slot, b.actions[i].fd_def_slot) << i;
-    EXPECT_EQ(a.actions[i].aio_use_slot, b.actions[i].aio_use_slot) << i;
-    EXPECT_EQ(a.actions[i].aio_def_slot, b.actions[i].aio_def_slot) << i;
-    EXPECT_EQ(a.actions[i].predelay, b.actions[i].predelay) << i;
-  }
-  ASSERT_EQ(a.dep_offsets, b.dep_offsets);
-  ASSERT_EQ(a.dep_arena.size(), b.dep_arena.size());
-  for (size_t i = 0; i < a.dep_arena.size(); ++i) {
-    EXPECT_EQ(a.dep_arena[i].event, b.dep_arena[i].event) << i;
-    EXPECT_EQ(a.dep_arena[i].kind, b.dep_arena[i].kind) << i;
-    EXPECT_EQ(a.dep_arena[i].rule, b.dep_arena[i].rule) << i;
-    EXPECT_EQ(a.dep_arena[i].res, b.dep_arena[i].res) << i;
-  }
-  EXPECT_EQ(a.thread_ids, b.thread_ids);
-  EXPECT_EQ(a.thread_actions, b.thread_actions);
-  EXPECT_EQ(a.fd_slot_count, b.fd_slot_count);
-  EXPECT_EQ(a.aio_slot_count, b.aio_slot_count);
-  EXPECT_EQ(a.edge_stats.count_by_rule, b.edge_stats.count_by_rule);
-  EXPECT_EQ(a.edge_stats.total_length_ns, b.edge_stats.total_length_ns);
-  EXPECT_EQ(a.edge_stats.pruned_by_rule, b.edge_stats.pruned_by_rule);
-  EXPECT_EQ(a.model_warnings, b.model_warnings);
-  EXPECT_EQ(a.dep_resource_names, b.dep_resource_names);
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].index, b.events[i].index) << i;
-    EXPECT_EQ(a.events[i].call, b.events[i].call) << i;
-    EXPECT_EQ(a.events[i].path, b.events[i].path) << i;
-  }
-}
-
-void ExpectStreamMatchesBatch(const trace::Trace& t,
-                              const trace::FsSnapshot& snapshot, bool prune) {
-  CompileOptions copts;
-  copts.prune_redundant_deps = prune;
-  CompiledBenchmark batch = core::Compile(t, snapshot, copts);
-  const uint64_t batch_digest = core::DigestBenchmark(batch);
-
-  // Materialized stream: full structural equality plus digest equality.
-  CompileStreamOptions sopts;
-  sopts.compile = copts;
-  sopts.materialize = true;
-  core::CompileStream stream(snapshot, sopts);
+uint64_t StreamDigest(const trace::Trace& t, const trace::FsSnapshot& snapshot,
+                      const CompileOptions& copts) {
+  core::CompileStream stream(snapshot, copts);
   for (const trace::TraceEvent& ev : t.events) {
     stream.Push(ev);
   }
-  CompiledBenchmark streamed;
-  const uint64_t stream_digest = stream.Finish(&streamed);
-  ExpectBenchEqual(batch, streamed);
-  EXPECT_EQ(stream_digest, batch_digest);
-  EXPECT_EQ(core::DigestBenchmark(streamed), batch_digest);
+  return stream.Finish();
+}
 
-  // Digest-only stream: same digest without materializing anything.
-  sopts.materialize = false;
-  core::CompileStream lean(snapshot, sopts);
-  for (const trace::TraceEvent& ev : t.events) {
-    lean.Push(ev);
+// ARTC with the given prune setting, plus the other methods the stream
+// compiles (single and unconstrained emit no edges in the step).
+void ExpectStreamMatchesBatch(const trace::Trace& t,
+                              const trace::FsSnapshot& snapshot, bool prune) {
+  for (core::ReplayMethod method :
+       {core::ReplayMethod::kArtc, core::ReplayMethod::kSingleThreaded,
+        core::ReplayMethod::kUnconstrained}) {
+    CompileOptions copts;
+    copts.method = method;
+    copts.prune_redundant_deps = prune;
+    EXPECT_EQ(StreamDigest(t, snapshot, copts),
+              core::DigestBenchmark(core::Compile(t, snapshot, copts)))
+        << core::ReplayMethodName(method) << " prune=" << prune;
   }
-  EXPECT_EQ(lean.Finish(nullptr), batch_digest);
 }
 
 TEST(CompileStream, MatchesBatchOnMagritteSuite) {
@@ -171,8 +128,7 @@ TEST(CompileStream, FileDriverDigestStableAcrossWindowSizes) {
       ropts.window_events = window;
       core::CompileStreamFileResult res;
       trace::ParseDiag diag;
-      ASSERT_TRUE(core::CompileStreamFile(path, ropts, {}, &res, nullptr,
-                                          &diag))
+      ASSERT_TRUE(core::CompileStreamFile(path, ropts, {}, &res, &diag))
           << diag.Format();
       EXPECT_EQ(res.digest, want) << path << " window=" << window;
       EXPECT_EQ(res.events, b.trace.events.size());
@@ -209,8 +165,7 @@ TEST(CompileStream, FileDriverSyncTraceDigestStable) {
       ropts.window_events = window;
       core::CompileStreamFileResult res;
       trace::ParseDiag diag;
-      ASSERT_TRUE(core::CompileStreamFile(path, ropts, {}, &res, nullptr,
-                                          &diag))
+      ASSERT_TRUE(core::CompileStreamFile(path, ropts, {}, &res, &diag))
           << diag.Format();
       EXPECT_EQ(res.digest, want) << path << " window=" << window;
       EXPECT_EQ(res.events, b.trace.events.size());
@@ -253,7 +208,7 @@ TEST(CompileStream, RandomReaders16Golden) {
   ropts.window_events = 65536;
   core::CompileStreamFileResult res;
   trace::ParseDiag diag;
-  ASSERT_TRUE(core::CompileStreamFile(bin, ropts, {}, &res, nullptr, &diag))
+  ASSERT_TRUE(core::CompileStreamFile(bin, ropts, {}, &res, &diag))
       << diag.Format();
   EXPECT_EQ(res.digest, core::DigestBenchmark(kept));
   std::remove(bin.c_str());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "src/core/artc.h"
 #include "src/core/compiler.h"
@@ -27,6 +28,17 @@ TracedRun SmallRandomReaderTrace(uint32_t threads = 2, uint32_t reads = 60) {
   SourceConfig src;
   src.storage = storage::MakeNamedConfig("ssd");
   return TraceWorkload(w, src);
+}
+
+TEST(ReplayMethods, FindByNameRoundTrips) {
+  for (const char* name : kReplayMethodNames) {
+    std::optional<ReplayMethod> m = FindReplayMethod(name);
+    ASSERT_TRUE(m.has_value()) << name;
+    EXPECT_STREQ(ReplayMethodName(*m), name);
+  }
+  EXPECT_EQ(FindReplayMethod("temporal"), ReplayMethod::kTemporal);
+  EXPECT_FALSE(FindReplayMethod("bogus").has_value());
+  EXPECT_FALSE(FindReplayMethod("").has_value());
 }
 
 TEST(Compiler, ProducesActionsAndThreads) {
