@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
       std::optional<artc::core::ReplayMethod> method =
           artc::core::FindReplayMethod(name);
       if (!method) {
-        std::fprintf(stderr, "artc_compile: unknown --method '%s' (expected %s)\n",
+        std::fprintf(stderr,
+                     "artc_compile: unknown --method '%s' (expected %s)\n",
                      name.c_str(),
                      artc::JoinNames(artc::core::kReplayMethodNames).c_str());
         return 2;

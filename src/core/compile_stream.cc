@@ -136,14 +136,13 @@ struct CompileStream::Impl {
   CompiledBenchmark tables;  // the step's benchmark-wide tables only
   internal::CompileStep step;
   std::vector<fsmodel::Touch> touches;  // per-event scratch
-  uint64_t n = 0;
   Fnv1a digest;
   bool finished = false;
 
   void Push(const trace::TraceEvent& ev) {
     ARTC_CHECK_MSG(!finished, "Push after Finish");
-    ARTC_CHECK_MSG(ev.index == n, "events must arrive dense and in order");
-    ++n;
+    ARTC_CHECK_MSG(ev.index == Events(),
+                   "events must arrive dense and in order");
     touches.clear();
     annotator.AnnotateEvent(ev, &touches);
     const CompiledAction a = step.Push(ev, touches);
@@ -156,9 +155,11 @@ struct CompileStream::Impl {
     ARTC_CHECK_MSG(!finished, "Finish called twice");
     finished = true;
     tables.model_warnings = annotator.warnings();
-    DigestTrailer(digest, n, tables);
+    DigestTrailer(digest, Events(), tables);
     return digest.h;
   }
+
+  uint64_t Events() const { return step.meta().size(); }
 
   uint64_t StateBytes() const {
     uint64_t bytes = step.state_bytes();
@@ -180,7 +181,7 @@ void CompileStream::Push(const trace::TraceEvent& ev) { impl_->Push(ev); }
 
 uint64_t CompileStream::Finish() { return impl_->Finish(); }
 
-uint64_t CompileStream::events_seen() const { return impl_->n; }
+uint64_t CompileStream::events_seen() const { return impl_->Events(); }
 
 uint64_t CompileStream::state_bytes() const { return impl_->StateBytes(); }
 
@@ -191,7 +192,8 @@ uint64_t CompileStream::interner_bytes() const {
 bool CompileStreamFile(const std::string& path,
                        const trace::StreamReaderOptions& reader_options,
                        const CompileOptions& options,
-                       CompileStreamFileResult* result, trace::ParseDiag* diag) {
+                       CompileStreamFileResult* result,
+                       trace::ParseDiag* diag) {
   ARTC_OBS_SPAN("compiler", "compile_stream_file");
   auto reader = trace::StreamReader::Open(path, reader_options, diag);
   if (reader == nullptr) {

@@ -84,7 +84,8 @@ struct CompileStreamFileResult {
 bool CompileStreamFile(const std::string& path,
                        const trace::StreamReaderOptions& reader_options,
                        const CompileOptions& options,
-                       CompileStreamFileResult* result, trace::ParseDiag* diag);
+                       CompileStreamFileResult* result,
+                       trace::ParseDiag* diag);
 
 }  // namespace artc::core
 

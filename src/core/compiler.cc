@@ -13,6 +13,12 @@ namespace {
 using internal::CompileStep;
 using internal::RefinePredelay;
 
+// Appends the next action's deps to the CSR arena.
+void AppendDeps(const std::vector<Dep>& deps, CompiledBenchmark* out) {
+  out->dep_arena.insert(out->dep_arena.end(), deps.begin(), deps.end());
+  out->dep_offsets.push_back(static_cast<uint32_t>(out->dep_arena.size()));
+}
+
 // Temporal-method emission. Issue ordering alone does not guarantee that
 // the open defining a cross-thread descriptor has *completed* (and
 // therefore filled the remap slot) before a use on another thread executes.
@@ -35,6 +41,7 @@ void EmitTemporalDeps(CompileStep& step, CompiledBenchmark* out) {
     }
   }
   internal::DepBuilder& builder = step.builder();
+  out->dep_offsets.resize(1);  // the step emitted no deps: rebuild the CSR
   for (uint32_t i = 0; i < out->events.size(); ++i) {
     builder.BeginEvent(i, 4);
     if (i > 0) {
@@ -50,8 +57,7 @@ void EmitTemporalDeps(CompileStep& step, CompiledBenchmark* out) {
     const std::vector<Dep>& deps = builder.deps();
     a.predelay =
         RefinePredelay(out->events[i].enter, a.predelay, deps, step.meta());
-    out->dep_arena.insert(out->dep_arena.end(), deps.begin(), deps.end());
-    out->dep_offsets[i + 1] = static_cast<uint32_t>(out->dep_arena.size());
+    AppendDeps(deps, out);
   }
 }
 
@@ -121,9 +127,7 @@ CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
       bench.thread_actions.emplace_back();
     }
     bench.thread_actions[a.thread_index].push_back(i);
-    const std::vector<Dep>& deps = step.deps();
-    bench.dep_arena.insert(bench.dep_arena.end(), deps.begin(), deps.end());
-    bench.dep_offsets.push_back(static_cast<uint32_t>(bench.dep_arena.size()));
+    AppendDeps(step.deps(), &bench);
   }
   if (options.method == ReplayMethod::kTemporal) {
     EmitTemporalDeps(step, &bench);

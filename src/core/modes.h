@@ -17,8 +17,8 @@ enum class ReplayMethod : uint8_t {
 };
 
 // The methods' names, indexed by ReplayMethod value.
-inline constexpr const char* kReplayMethodNames[] = {"artc", "single",
-                                                     "temporal", "unconstrained"};
+inline constexpr const char* kReplayMethodNames[] = {
+    "artc", "single", "temporal", "unconstrained"};
 
 const char* ReplayMethodName(ReplayMethod m);
 

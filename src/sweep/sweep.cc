@@ -200,8 +200,9 @@ bool BuildSweepPlan(trace::Trace&& t, const trace::FsSnapshot& snapshot,
     core::CompileOptions copt;
     copt.method = core::ReplayMethodFromName(method);
     out->compiled[method] = std::make_shared<const core::CompiledBenchmark>(
-        --remaining == 0 ? core::Compile(std::move(t), snapshot, annotated, copt)
-                         : core::Compile(t, snapshot, annotated, copt));
+        --remaining == 0
+            ? core::Compile(std::move(t), snapshot, annotated, copt)
+            : core::Compile(t, snapshot, annotated, copt));
   }
   obs::LogInfo("sweep", "plan built",
                {{"trace", trace_name.c_str()},
