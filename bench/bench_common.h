@@ -2,53 +2,134 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <fstream>
+#include <optional>
 #include <string>
 
 #include "src/core/artc.h"
 #include "src/obs/obs.h"
+#include "src/storage/storage_stack.h"
+#include "src/util/flags.h"
 #include "src/util/time.h"
+#include "src/workloads/magritte.h"
+#include "src/workloads/micro.h"
 #include "src/workloads/workload.h"
 
 namespace artc::bench {
 
-// RAII observability session for a harness main(): consumes the
-// --metrics-port flag (both "--metrics-port=N" and "--metrics-port N"
-// spellings) from argv so downstream flag parsing never sees it, then opens
-// the usual env-wired obs session (ARTC_TRACE_OUT / ARTC_METRICS_OUT /
-// ARTC_TIMESERIES_OUT / ARTC_METRICS_PORT / ARTC_METRICS_ADDR). Every
-// bench/example main holds one of these instead of hand-rolling the
-// SessionOptions + ScopedObsSession + flag-scan boilerplate.
+// RAII observability session for a harness main(): adds --metrics-port to
+// the main's flags (none for a main without flags of its own), parses argv
+// against them, exiting 2 on any error, then opens the usual env-wired obs
+// session (ARTC_TRACE_OUT / ARTC_METRICS_OUT / ARTC_TIMESERIES_OUT /
+// ARTC_METRICS_PORT / ARTC_METRICS_ADDR). `flags` then holds a pointer into
+// this object, so it must not be parsed again once the session is gone.
 class HarnessObsSession {
  public:
-  HarnessObsSession(int& argc, char** argv)
-      : session_(ConsumeMetricsPort(argc, argv)) {}
+  HarnessObsSession(int argc, char** argv, util::FlagSet* flags = nullptr)
+      : session_(ParseFlags(argc, argv, flags)) {}
 
  private:
-  static obs::SessionOptions ConsumeMetricsPort(int& argc, char** argv) {
-    obs::SessionOptions opts;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--metrics-port=", 15) == 0) {
-        opts.metrics_port = std::atoi(arg + 15);
-        continue;
-      }
-      if (std::strcmp(arg, "--metrics-port") == 0 && i + 1 < argc) {
-        opts.metrics_port = std::atoi(argv[++i]);
-        continue;
-      }
-      argv[w++] = argv[i];
+  obs::SessionOptions ParseFlags(int argc, char** argv, util::FlagSet* flags) {
+    util::FlagSet none;
+    if (flags == nullptr) {
+      flags = &none;
     }
-    argc = w;
-    argv[argc] = nullptr;
+    flags->Unsigned("metrics-port", &metrics_port_);
+    std::string error;
+    if (!flags->Parse(argc, argv, &error)) {
+      flags->Fail(error);
+    }
+    obs::SessionOptions opts;
+    if (metrics_port_) {
+      opts.metrics_port = *metrics_port_;
+    }
     return opts;
   }
 
+  std::optional<uint16_t> metrics_port_;
   obs::ScopedObsSession session_;
 };
+
+// Traces a Magritte workload on the suite's canonical source environment.
+inline workloads::TracedRun TraceMagritteOnSuiteSource(
+    const workloads::MagritteSpec& spec, uint64_t seed = 1) {
+  workloads::SourceConfig source;
+  source.storage = storage::MakeNamedConfig("ssd");
+  source.platform = "osx";
+  source.seed = seed;
+  return workloads::TraceMagritte(spec, source);
+}
+
+// The Magritte workload `name`; fails through `flags`, listing the suite,
+// when there is none.
+inline const workloads::MagritteSpec& MagritteSpecOrFail(
+    const util::FlagSet& flags, const std::string& name) {
+  if (const workloads::MagritteSpec* spec = workloads::LookupMagritteSpec(name)) {
+    return *spec;
+  }
+  std::string names;
+  for (const workloads::MagritteSpec& spec : workloads::MagritteSuite()) {
+    names += (names.empty() ? "" : ", ") + spec.FullName();
+  }
+  flags.Fail("unknown Magritte workload '" + name + "' (expected " + names + ")");
+}
+
+// What a CLI's --workload / --micro / --source / --seed flags select.
+struct WorkloadSource {
+  std::string workload = "iphoto_import";  // a Magritte workload
+  std::string micro;           // if set, this micro workload instead ...
+  std::string source = "ssd";  // ... traced on this storage config
+  uint64_t seed = 1;
+
+  static constexpr const char* kMicroNames[] = {"seq_readers", "random_readers"};
+
+  void AddFlags(util::FlagSet* flags) {
+    flags->String("workload", &workload);
+    flags->Choice("micro", &micro, kMicroNames);
+    flags->Choice("source", &source, storage::kNamedConfigNames);
+    flags->Unsigned("seed", &seed);
+  }
+};
+
+// Traces the selected workload, with `workload_name` set to the name the
+// flags gave it: Magritte workloads on their canonical ssd/osx source, the
+// micro workloads the figure benches replay on --source storage. An unknown
+// Magritte name fails through `flags`.
+inline workloads::TracedRun TraceWorkloadSource(const WorkloadSource& ws,
+                                                const util::FlagSet& flags) {
+  if (ws.micro.empty()) {
+    return TraceMagritteOnSuiteSource(MagritteSpecOrFail(flags, ws.workload),
+                                      ws.seed);
+  }
+  workloads::SourceConfig source;
+  source.storage = storage::MakeNamedConfig(ws.source);
+  source.seed = ws.seed;
+  workloads::TracedRun run;
+  if (ws.micro == "seq_readers") {
+    workloads::CompetingSequentialReaders w({});
+    run = workloads::TraceWorkload(w, source);
+  } else {
+    workloads::RandomReaders w({});
+    run = workloads::TraceWorkload(w, source);
+  }
+  run.workload_name = ws.micro;
+  return run;
+}
+
+// Writes a JSON report to `path` and says so on stdout; false, with a
+// diagnostic, when the file cannot be written.
+inline bool WriteReport(const std::string& path, const std::string& json) {
+  std::ofstream out(path);
+  if (!out.good()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << json;
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
 
 // Percentage error of a replay time against the original program's time,
 // signed: positive = replay was slower (overestimated elapsed time).

@@ -9,8 +9,8 @@
 //                [--method artc|single|temporal|unconstrained]
 //                [--no-file-seq] [--no-path-order] [--no-fd-stage] [--fd-seq]
 //                [--replay-on hdd|raid0|ssd|smallcache|cfq-1ms|cfq-100ms]
-//                [--fs ext4|ext3|jfs|xfs] [--natural]
-//                [--save out.artcb]
+//                [--fs ext4|ext3|jfs|xfs] [--natural] [--digest]
+//                [--save out.artcb] [--stream [--window N]]
 //   artc_compile --load bench.artcb [--replay-on ...]
 //
 // --trace accepts text traces/bundles AND ARTCT binary files (sniffed by
@@ -22,8 +22,6 @@
 // prints the canonical benchmark digest in the batch path too, so the two
 // pipelines can be compared with a diff.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -39,114 +37,58 @@
 #include "src/trace/strace_parser.h"
 #include "src/trace/stream_reader.h"
 #include "src/trace/trace_io.h"
-#include "src/util/strings.h"
+#include "src/util/flags.h"
 #include "src/vfs/vfs.h"
 
-namespace {
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: artc_compile --trace FILE [--strace] [--snapshot FILE]\n"
-               "                    [--method artc|single|temporal|unconstrained]\n"
-               "                    [--no-file-seq] [--no-path-order] [--no-fd-stage]\n"
-               "                    [--fd-seq] [--replay-on CONFIG] [--fs PROFILE]\n"
-               "                    [--natural] [--stream] [--window N] [--digest]\n"
-               "                    [--metrics-port P]\n");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  artc::bench::HarnessObsSession obs_session(argc, argv);
   std::string trace_path;
   std::string snapshot_path;
+  std::string method_name = "artc";
   std::string replay_on;
   std::string save_path;
   std::string load_path;
   std::string fs_profile = "ext4";
   bool strace_format = false;
+  bool no_file_seq = false;
+  bool no_path_order = false;
+  bool no_fd_stage = false;
   bool natural = false;
   bool stream = false;
   bool print_digest = false;
   uint64_t window_events = 1 << 20;
   artc::core::CompileOptions copt;
+  artc::util::FlagSet flags;
+  flags.String("trace", &trace_path);
+  flags.Switch("strace", &strace_format);
+  flags.String("snapshot", &snapshot_path);
+  flags.Choice("method", &method_name, artc::core::kReplayMethodNames);
+  flags.Switch("no-file-seq", &no_file_seq);
+  flags.Switch("no-path-order", &no_path_order);
+  flags.Switch("no-fd-stage", &no_fd_stage);
+  flags.Switch("fd-seq", &copt.modes.fd_seq);
+  flags.Choice("replay-on", &replay_on, artc::storage::kNamedConfigNames);
+  flags.Choice("fs", &fs_profile, artc::vfs::kFsProfileNames);
+  flags.Switch("natural", &natural);
+  flags.String("save", &save_path);
+  flags.String("load", &load_path);
+  flags.Switch("stream", &stream);
+  flags.Unsigned("window", &window_events);
+  flags.Switch("digest", &print_digest);
+  artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        Usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--snapshot") {
-      snapshot_path = next();
-    } else if (arg == "--strace") {
-      strace_format = true;
-    } else if (arg == "--method") {
-      const std::string name = next();
-      std::optional<artc::core::ReplayMethod> method =
-          artc::core::FindReplayMethod(name);
-      if (!method) {
-        std::fprintf(stderr,
-                     "artc_compile: unknown --method '%s' (expected %s)\n",
-                     name.c_str(),
-                     artc::JoinNames(artc::core::kReplayMethodNames).c_str());
-        return 2;
-      }
-      copt.method = *method;
-    } else if (arg == "--no-file-seq") {
-      copt.modes.file_seq = false;
-    } else if (arg == "--no-path-order") {
-      copt.modes.path_stage_name = false;
-    } else if (arg == "--no-fd-stage") {
-      copt.modes.fd_stage = false;
-    } else if (arg == "--fd-seq") {
-      copt.modes.fd_seq = true;
-    } else if (arg == "--replay-on") {
-      replay_on = next();
-    } else if (arg == "--fs") {
-      fs_profile = next();
-    } else if (arg == "--natural") {
-      natural = true;
-    } else if (arg == "--save") {
-      save_path = next();
-    } else if (arg == "--load") {
-      load_path = next();
-    } else if (arg == "--stream") {
-      stream = true;
-    } else if (arg == "--window") {
-      window_events = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--digest") {
-      print_digest = true;
-    } else {
-      Usage();
-      return 2;
-    }
-  }
   if (trace_path.empty() && load_path.empty()) {
-    Usage();
-    return 2;
+    flags.Fail("needs --trace or --load");
   }
-  if (!replay_on.empty() && !artc::storage::FindNamedConfig(replay_on)) {
-    std::fprintf(stderr, "artc_compile: unknown --replay-on '%s' (expected %s)\n",
-                 replay_on.c_str(),
-                 artc::JoinNames(artc::storage::kNamedConfigNames).c_str());
-    return 2;
+  copt.method = *artc::core::FindReplayMethod(method_name);
+  copt.modes.file_seq = !no_file_seq;
+  copt.modes.path_stage_name = !no_path_order;
+  copt.modes.fd_stage = !no_fd_stage;
+  if (window_events == 0) {
+    flags.Fail("--window must be at least 1");
   }
-  if (!replay_on.empty() && !artc::vfs::FindFsProfile(fs_profile)) {
-    std::fprintf(stderr, "artc_compile: unknown --fs '%s' (expected %s)\n",
-                 fs_profile.c_str(), artc::JoinNames(artc::vfs::kFsProfileNames).c_str());
-    return 2;
-  }
-
   if (stream) {
     if (trace_path.empty() || strace_format) {
-      Usage();
-      return 2;
+      flags.Fail("--stream needs --trace and reads no --strace input");
     }
     if (!artc::core::StreamCompilable(copt.method)) {
       std::string names;
@@ -155,11 +97,10 @@ int main(int argc, char** argv) {
           names += (names.empty() ? "" : ", ") + std::string(name);
         }
       }
-      std::fprintf(stderr,
-                   "artc_compile: --stream cannot compile --method %s, which "
-                   "needs a second pass over the whole trace (expected %s)\n",
-                   artc::core::ReplayMethodName(copt.method), names.c_str());
-      return 2;
+      flags.Fail(std::string("--stream cannot compile --method ") +
+                 artc::core::ReplayMethodName(copt.method) +
+                 ", which needs a second pass over the whole trace (expected " +
+                 names + ")");
     }
     artc::trace::StreamReaderOptions ropts;
     ropts.window_events = window_events;

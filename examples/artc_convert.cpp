@@ -10,7 +10,6 @@
 //   artc_convert --in trace.artct --out trace.txt
 //   artc_convert --in app.strace --strace --snapshot s.snap --out t.artct
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -21,21 +20,9 @@
 #include "src/trace/strace_parser.h"
 #include "src/trace/stream_reader.h"
 #include "src/trace/trace_io.h"
-
-namespace {
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: artc_convert --in FILE --out FILE [--to artct|text]\n"
-               "                    [--strace] [--snapshot FILE] [--jobs N]\n"
-               "                    [--chunk-events N] [--skip-bad-lines]\n"
-               "                    [--metrics-port P]\n");
-}
-
-}  // namespace
+#include "src/util/flags.h"
 
 int main(int argc, char** argv) {
-  artc::bench::HarnessObsSession obs_session(argc, argv);
   std::string in_path;
   std::string out_path;
   std::string to;
@@ -44,41 +31,19 @@ int main(int argc, char** argv) {
   bool skip_bad_lines = false;
   size_t jobs = 0;
   uint32_t chunk_events = artc::trace::kArtctDefaultChunkEvents;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        Usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--in") {
-      in_path = next();
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--to") {
-      to = next();
-    } else if (arg == "--strace") {
-      strace_format = true;
-    } else if (arg == "--snapshot") {
-      snapshot_path = next();
-    } else if (arg == "--jobs") {
-      jobs = static_cast<size_t>(std::strtoull(next().c_str(), nullptr, 10));
-    } else if (arg == "--chunk-events") {
-      chunk_events =
-          static_cast<uint32_t>(std::strtoull(next().c_str(), nullptr, 10));
-    } else if (arg == "--skip-bad-lines") {
-      skip_bad_lines = true;
-    } else {
-      Usage();
-      return 2;
-    }
-  }
+  artc::util::FlagSet flags;
+  flags.String("in", &in_path);
+  flags.String("out", &out_path);
+  const char* const kFormats[] = {"artct", "text"};
+  flags.Choice("to", &to, kFormats);
+  flags.Switch("strace", &strace_format);
+  flags.String("snapshot", &snapshot_path);
+  flags.Unsigned("jobs", &jobs);
+  flags.Unsigned("chunk-events", &chunk_events);
+  flags.Switch("skip-bad-lines", &skip_bad_lines);
+  artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
   if (in_path.empty() || out_path.empty()) {
-    Usage();
-    return 2;
+    flags.Fail("needs --in and --out");
   }
 
   artc::trace::TraceBundle bundle;
@@ -122,10 +87,6 @@ int main(int argc, char** argv) {
   }
 
   const bool to_binary = to.empty() ? !input_binary : to == "artct";
-  if (!to.empty() && to != "artct" && to != "text") {
-    Usage();
-    return 2;
-  }
   if (to_binary) {
     std::string error;
     if (!artc::trace::WriteArtctFile(out_path, bundle.trace, bundle.snapshot,

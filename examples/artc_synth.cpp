@@ -11,70 +11,36 @@
 //              [--scenario webserver|build|mailspool|lockserver]
 //              [--threads N] [--events N] [--seed N] [--files N] [--text]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/bench_common.h"
 #include "src/obs/log.h"
 #include "src/obs/obs.h"
 #include "src/trace/trace_io.h"
+#include "src/util/flags.h"
 #include "src/workloads/synthetic_gen.h"
 
-namespace {
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: artc_synth --out FILE "
-               "[--scenario webserver|build|mailspool|lockserver]\n"
-               "                  [--threads N] [--events N] [--seed N]\n"
-               "                  [--files N] [--text] [--metrics-port P]\n");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  artc::bench::HarnessObsSession obs_session(argc, argv);
   std::string out_path;
+  std::string scenario = "webserver";
   bool text = false;
   artc::workloads::SynthOptions opt;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        Usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--scenario") {
-      if (!artc::workloads::SynthScenarioFromName(next(), &opt.scenario)) {
-        Usage();
-        return 2;
-      }
-    } else if (arg == "--threads") {
-      opt.threads =
-          static_cast<uint32_t>(std::strtoull(next().c_str(), nullptr, 10));
-    } else if (arg == "--events") {
-      opt.events = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next().c_str(), nullptr, 10);
-    } else if (arg == "--files") {
-      opt.files =
-          static_cast<uint32_t>(std::strtoull(next().c_str(), nullptr, 10));
-    } else if (arg == "--text") {
-      text = true;
-    } else {
-      Usage();
-      return 2;
-    }
-  }
+  artc::util::FlagSet flags;
+  flags.String("out", &out_path);
+  flags.Choice("scenario", &scenario, artc::workloads::kSynthScenarioNames);
+  flags.Unsigned("threads", &opt.threads);
+  flags.Unsigned("events", &opt.events);
+  flags.Unsigned("seed", &opt.seed);
+  flags.Unsigned("files", &opt.files);
+  flags.Switch("text", &text);
+  artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
   if (out_path.empty()) {
-    Usage();
-    return 2;
+    flags.Fail("needs --out");
   }
+  if (opt.threads == 0) {
+    flags.Fail("--threads must be at least 1");
+  }
+  artc::workloads::SynthScenarioFromName(scenario, &opt.scenario);
 
   uint64_t n;
   if (text) {

@@ -8,7 +8,6 @@
 //
 // Usage: ./build/examples/cross_platform_replay [sandbox-dir]
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -18,6 +17,7 @@
 #include "src/core/artc.h"
 #include "src/core/posix_env.h"
 #include "src/trace/trace_io.h"
+#include "src/util/flags.h"
 
 namespace {
 
@@ -39,7 +39,10 @@ const char* kOsxTrace = R"(
 }  // namespace
 
 int main(int argc, char** argv) {
-  artc::bench::HarnessObsSession obs_session(argc, argv);
+  std::string root = "/tmp/artc_sandbox";
+  artc::util::FlagSet flags;
+  flags.Positional("sandbox-dir", &root);
+  artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
   std::istringstream in(kOsxTrace);
   artc::trace::Trace t = artc::trace::ReadTrace(in);
   std::printf("loaded %zu-event OS X trace\n", t.events.size());
@@ -62,7 +65,6 @@ int main(int argc, char** argv) {
   std::printf("simulated backend: %s\n", sim_res.report.Summary().c_str());
 
   // --- Backend 2: real syscalls in a sandbox. ---
-  std::string root = argc > 1 ? argv[1] : "/tmp/artc_sandbox";
   ::mkdir(root.c_str(), 0755);
   artc::core::EmulationPolicy policy;
   policy.target_os = "linux";

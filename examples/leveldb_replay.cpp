@@ -5,10 +5,10 @@
 //
 // Usage: ./build/examples/leveldb_replay [gets_per_thread]
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/bench_common.h"
 #include "src/core/artc.h"
+#include "src/util/flags.h"
 #include "src/workloads/minikv.h"
 
 using artc::core::CompileOptions;
@@ -20,10 +20,12 @@ using artc::workloads::SourceConfig;
 using artc::workloads::TracedRun;
 
 int main(int argc, char** argv) {
-  artc::bench::HarnessObsSession obs_session(argc, argv);
   KvReadRandom::Options opt;
   opt.threads = 8;
-  opt.gets_per_thread = argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 500;
+  opt.gets_per_thread = 500;
+  artc::util::FlagSet flags;
+  flags.Positional("gets_per_thread", &opt.gets_per_thread);
+  artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
 
   std::printf("tracing kv-readrandom (8 threads x %u gets) on hdd/ext4...\n",
               opt.gets_per_thread);

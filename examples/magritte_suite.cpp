@@ -10,8 +10,6 @@
 #include <sys/stat.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -19,22 +17,19 @@
 #include "src/obs/obs.h"
 #include "src/trace/snapshot.h"
 #include "src/trace/trace_io.h"
+#include "src/util/flags.h"
 #include "src/workloads/magritte.h"
 
 using artc::core::SimReplayResult;
 using artc::core::SimTarget;
 using artc::workloads::MagritteSpec;
 using artc::workloads::MagritteSuite;
-using artc::workloads::SourceConfig;
 using artc::workloads::TracedRun;
 
 namespace {
 
 void RunOne(const MagritteSpec& spec) {
-  SourceConfig source;
-  source.storage = artc::storage::MakeNamedConfig("ssd");
-  source.platform = "osx";
-  TracedRun run = artc::workloads::TraceMagritte(spec, source);
+  TracedRun run = artc::bench::TraceMagritteOnSuiteSource(spec);
 
   SimTarget target;
   target.storage = artc::storage::MakeNamedConfig("hdd");
@@ -64,22 +59,26 @@ void RunOne(const MagritteSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string which = "iphoto_import";
+  std::string export_dir;
+  bool list = false;
+  bool all = false;
+  artc::util::FlagSet flags;
+  flags.Positional("workload", &which);
+  flags.Switch("list", &list);
+  flags.Switch("all", &all);
+  flags.String("export", &export_dir);
   // ARTC_TRACE_OUT=trace.json (optionally ARTC_METRICS_OUT=metrics.json)
   // records the replay for Perfetto / chrome://tracing; see README.
   // --metrics-port P (or ARTC_METRICS_PORT=P) serves live /metrics.
-  artc::bench::HarnessObsSession obs_session(argc, argv);
-  const char* which = argc > 1 ? argv[1] : "iphoto_import";
-  if (std::strcmp(which, "--export") == 0 && argc > 2) {
+  artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
+  if (!export_dir.empty()) {
     // Release the suite: one .trace + .snap pair per workload, replayable
     // with artc_compile on any machine.
-    std::string dir = argv[2];
-    ::mkdir(dir.c_str(), 0755);
+    ::mkdir(export_dir.c_str(), 0755);
     for (const MagritteSpec& spec : MagritteSuite()) {
-      SourceConfig source;
-      source.storage = artc::storage::MakeNamedConfig("ssd");
-      source.platform = "osx";
-      TracedRun run = artc::workloads::TraceMagritte(spec, source);
-      std::string base = dir + "/" + spec.FullName();
+      TracedRun run = artc::bench::TraceMagritteOnSuiteSource(spec);
+      std::string base = export_dir + "/" + spec.FullName();
       artc::trace::WriteTraceFile(run.trace, base + ".trace");
       artc::trace::WriteSnapshotFile(run.snapshot, base + ".snap");
       std::printf("wrote %s.{trace,snap}  (%zu events)\n", base.c_str(),
@@ -87,18 +86,18 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (std::strcmp(which, "--list") == 0) {
+  if (list) {
     for (const MagritteSpec& spec : MagritteSuite()) {
       std::printf("%s\n", spec.FullName().c_str());
     }
     return 0;
   }
-  if (std::strcmp(which, "--all") == 0) {
+  if (all) {
     for (const MagritteSpec& spec : MagritteSuite()) {
       RunOne(spec);
     }
     return 0;
   }
-  RunOne(artc::workloads::FindMagritteSpec(which));
+  RunOne(artc::bench::MagritteSpecOrFail(flags, which));
   return 0;
 }

@@ -12,43 +12,20 @@
 // Exits nonzero iff any invariant was violated.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/check/explorer.h"
 #include "src/check/generator.h"
-#include "src/obs/log.h"
-#include "src/obs/obs.h"
 #include "src/trace/trace_io.h"
+#include "src/util/flags.h"
 #include "src/util/strings.h"
 
 namespace artc::check {
 namespace {
-
-uint64_t FlagValue(int argc, char** argv, const char* name, uint64_t def) {
-  std::string prefix = StrFormat("--%s=", name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
-    }
-  }
-  return def;
-}
-
-std::string StringFlag(int argc, char** argv, const char* name, const char* def) {
-  std::string prefix = StrFormat("--%s=", name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return def;
-}
 
 struct Totals {
   uint64_t traces = 0;
@@ -77,61 +54,57 @@ void ReportExploration(const std::string& name, const ExploreResult& r, Totals* 
 }
 
 int Main(int argc, char** argv) {
-  obs::SessionOptions obs_opts;
-  obs_opts.metrics_port =
-      static_cast<int>(FlagValue(argc, argv, "metrics-port",
-                                 static_cast<uint64_t>(-1)));
-  obs::ScopedObsSession obs_session(obs_opts);
-  const uint64_t iters = FlagValue(argc, argv, "iters", 20);
-  const uint64_t seed = FlagValue(argc, argv, "seed", 1);
-  const uint64_t threads = FlagValue(argc, argv, "threads", 4);
-  const uint64_t ops = FlagValue(argc, argv, "ops", 24);
-  const bool sync = FlagValue(argc, argv, "sync", 0) != 0;
-  const uint64_t sync_mutexes = FlagValue(argc, argv, "sync-mutexes", 2);
-  const uint64_t barrier_phases = FlagValue(argc, argv, "barrier-phases", 2);
-  const uint64_t cond_items = FlagValue(argc, argv, "cond-items", 4);
-  const std::string corpus = StringFlag(argc, argv, "corpus", "");
-  const std::string out_dir = StringFlag(argc, argv, "out", "check_repros");
-  const std::string schedule = StringFlag(argc, argv, "schedule", "");
-  const std::string emit = StringFlag(argc, argv, "emit", "");
-
+  uint64_t iters = 20;
+  uint64_t seed = 1;
+  uint64_t sync = 0;
+  uint64_t differential = 1;
+  uint64_t obs_repro = 0;
+  std::string corpus;
+  std::string out_dir = "check_repros";
+  std::string schedule;
+  std::string emit;
+  std::string storage_name = "ssd";
+  std::string backend = "fibers";
+  GenOptions gen;
   ExploreOptions opt;
-  opt.random_schedules = static_cast<uint32_t>(FlagValue(argc, argv, "schedules", 8));
-  opt.pct_schedules = static_cast<uint32_t>(FlagValue(argc, argv, "pct", 4));
-  opt.exhaustive_preemption_bound =
-      static_cast<uint32_t>(FlagValue(argc, argv, "preemptions", 0));
-  opt.exhaustive_budget = static_cast<uint32_t>(FlagValue(argc, argv, "budget", 64));
-  opt.differential_backend = FlagValue(argc, argv, "differential", 1) != 0;
-  opt.repro_dir = out_dir;
-  opt.repro_obs_trace = FlagValue(argc, argv, "obs-repro", 0) != 0;
-  const std::string storage_name = StringFlag(argc, argv, "storage", "ssd");
-  const std::optional<storage::StorageConfig> storage_config =
-      storage::FindNamedConfig(storage_name);
-  if (!storage_config) {
-    obs::LogError("check_artc", "unknown --storage value",
-                  {{"storage", storage_name},
-                   {"expected", JoinNames(storage::kNamedConfigNames)}});
-    return 2;
-  }
-  opt.target.storage = *storage_config;
-  const std::string backend = StringFlag(argc, argv, "backend", "");
-  if (!backend.empty() &&
-      !sim::ParseSimBackendName(backend, &opt.target.sim_backend)) {
-    obs::LogError("check_artc", "unknown --backend value",
-                  {{"backend", backend},
-                   {"expected", "fibers or parallel"}});
-    return 2;
-  }
+  util::FlagSet flags;
+  flags.Unsigned("iters", &iters);
+  flags.Unsigned("seed", &seed);
+  flags.Unsigned("threads", &gen.threads);
+  flags.Unsigned("ops", &gen.ops_per_thread);
+  flags.Unsigned("sync", &sync);
+  flags.Unsigned("sync-mutexes", &gen.sync_mutexes);
+  flags.Unsigned("barrier-phases", &gen.barrier_phases);
+  flags.Unsigned("cond-items", &gen.cond_items);
+  flags.String("corpus", &corpus);
+  flags.String("out", &out_dir);
+  flags.String("schedule", &schedule);
+  flags.String("emit", &emit);
+  flags.Unsigned("schedules", &opt.random_schedules);
+  flags.Unsigned("pct", &opt.pct_schedules);
+  flags.Unsigned("preemptions", &opt.exhaustive_preemption_bound);
+  flags.Unsigned("budget", &opt.exhaustive_budget);
+  flags.Unsigned("differential", &differential);
+  flags.Unsigned("obs-repro", &obs_repro);
+  flags.Choice("storage", &storage_name, storage::kNamedConfigNames);
+  flags.Choice("backend", &backend, sim::kSimBackendNames);
   // 0 = ARTC_JOBS / host core count; forwarded to the parallel backend.
-  opt.target.jobs = FlagValue(argc, argv, "jobs", 0);
+  flags.Unsigned("jobs", &opt.target.jobs);
+  bench::HarnessObsSession obs_session(argc, argv, &flags);
+  if (gen.threads == 0) {
+    flags.Fail("--threads must be at least 1");
+  }
 
+  gen.sync = sync != 0;
+  opt.differential_backend = differential != 0;
+  opt.repro_dir = out_dir;
+  opt.repro_obs_trace = obs_repro != 0;
+  opt.target.storage = storage::MakeNamedConfig(storage_name);
+  sim::ParseSimBackendName(backend, &opt.target.sim_backend);
   sim::ScheduleSpec repro_spec;
   if (!schedule.empty() && !sim::ParseScheduleSpec(schedule, &repro_spec)) {
-    obs::LogError("check_artc", "unparsable --schedule value",
-                  {{"schedule", schedule}});
-    return 2;
+    flags.Fail("unparsable --schedule '" + schedule + "'");
   }
-
   // Repro mode: run the default baseline plus exactly the named schedule.
   auto run_single = [&](const trace::TraceBundle& bundle, const std::string& name,
                         Totals* t) {
@@ -186,14 +159,7 @@ int Main(int argc, char** argv) {
     }
   } else {
     for (uint64_t i = 0; i < iters; ++i) {
-      GenOptions gen;
       gen.seed = seed + i;
-      gen.threads = static_cast<uint32_t>(threads);
-      gen.ops_per_thread = static_cast<uint32_t>(ops);
-      gen.sync = sync;
-      gen.sync_mutexes = static_cast<uint32_t>(sync_mutexes);
-      gen.barrier_phases = static_cast<uint32_t>(barrier_phases);
-      gen.cond_items = static_cast<uint32_t>(cond_items);
       trace::TraceBundle bundle = GenerateTrace(gen);
       if (!emit.empty()) {
         // Corpus refresh: save the generated bundle before exploring it.
@@ -224,6 +190,4 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace artc::check
 
-int main(int argc, char** argv) {
-  return artc::check::Main(argc, argv);
-}
+int main(int argc, char** argv) { return artc::check::Main(argc, argv); }

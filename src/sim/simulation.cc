@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -323,24 +324,17 @@ void Simulation::FiberMain(ThreadState* t) {
 }
 
 bool ParseSimBackendName(const std::string& name, SimBackend* out) {
-  if (name == "fibers") {
-    *out = SimBackend::kFibers;
-  } else if (name == "parallel") {
-    *out = SimBackend::kParallel;
-  } else {
-    return false;
+  for (size_t i = 0; i < std::size(kSimBackendNames); ++i) {
+    if (name == kSimBackendNames[i]) {
+      *out = static_cast<SimBackend>(i);
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 const char* SimBackendName(SimBackend backend) {
-  switch (backend) {
-    case SimBackend::kFibers:
-      return "fibers";
-    case SimBackend::kParallel:
-      return "parallel";
-  }
-  return "?";
+  return kSimBackendNames[static_cast<size_t>(backend)];
 }
 
 uint64_t Simulation::ShardSeed(uint64_t seed, size_t shard) {

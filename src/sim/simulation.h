@@ -81,8 +81,11 @@ enum class SimBackend : uint8_t {
   kParallel,  // sharded windowed execution across host worker threads
 };
 
-// Parses "fibers" / "parallel" (the CLI --backend= vocabulary);
-// returns false on anything else, leaving *out untouched.
+// Backend names in enum order (the CLI --backend= vocabulary).
+inline constexpr const char* kSimBackendNames[] = {"fibers", "parallel"};
+
+// Parses a name in kSimBackendNames; returns false on anything else,
+// leaving *out untouched.
 bool ParseSimBackendName(const std::string& name, SimBackend* out);
 const char* SimBackendName(SimBackend backend);
 

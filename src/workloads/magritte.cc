@@ -669,15 +669,19 @@ const std::vector<MagritteSpec>& MagritteSuite() {
   return *kSuite;
 }
 
-const MagritteSpec& FindMagritteSpec(const std::string& full_name) {
+const MagritteSpec* LookupMagritteSpec(const std::string& full_name) {
   for (const MagritteSpec& spec : MagritteSuite()) {
     if (spec.FullName() == full_name) {
-      return spec;
+      return &spec;
     }
   }
-  ARTC_CHECK_MSG(false, "unknown magritte workload '%s'", full_name.c_str());
-  static MagritteSpec dummy;
-  return dummy;
+  return nullptr;
+}
+
+const MagritteSpec& FindMagritteSpec(const std::string& full_name) {
+  const MagritteSpec* spec = LookupMagritteSpec(full_name);
+  ARTC_CHECK_MSG(spec != nullptr, "unknown magritte workload '%s'", full_name.c_str());
+  return *spec;
 }
 
 std::unique_ptr<Workload> MakeMagritteWorkload(const MagritteSpec& spec) {

@@ -40,7 +40,10 @@ struct MagritteSpec {
 // The 34-workload suite in Table 3 order.
 const std::vector<MagritteSpec>& MagritteSuite();
 
-// Looks up a spec by "app_scenario" name; aborts if unknown.
+// Looks up a spec by "app_scenario" name; nullptr if unknown.
+const MagritteSpec* LookupMagritteSpec(const std::string& full_name);
+
+// LookupMagritteSpec for a name the caller knows is valid; aborts otherwise.
 const MagritteSpec& FindMagritteSpec(const std::string& full_name);
 
 // Builds the application model for a spec.

@@ -1,6 +1,7 @@
 #include "src/workloads/synthetic_gen.h"
 
 #include <algorithm>
+#include <iterator>
 #include <queue>
 #include <vector>
 
@@ -412,26 +413,13 @@ uint64_t GenerateLockServer(
 }  // namespace
 
 const char* SynthScenarioName(SynthScenario s) {
-  switch (s) {
-    case SynthScenario::kWebServer:
-      return "webserver";
-    case SynthScenario::kParallelBuild:
-      return "build";
-    case SynthScenario::kMailSpool:
-      return "mailspool";
-    case SynthScenario::kLockServer:
-      return "lockserver";
-  }
-  return "?";
+  return kSynthScenarioNames[static_cast<size_t>(s)];
 }
 
 bool SynthScenarioFromName(const std::string& name, SynthScenario* out) {
-  for (SynthScenario s : {SynthScenario::kWebServer,
-                          SynthScenario::kParallelBuild,
-                          SynthScenario::kMailSpool,
-                          SynthScenario::kLockServer}) {
-    if (name == SynthScenarioName(s)) {
-      *out = s;
+  for (size_t i = 0; i < std::size(kSynthScenarioNames); ++i) {
+    if (name == kSynthScenarioNames[i]) {
+      *out = static_cast<SynthScenario>(i);
       return true;
     }
   }

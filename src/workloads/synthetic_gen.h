@@ -35,6 +35,10 @@ enum class SynthScenario {
                    // rendezvous at a barrier between phases (sync events)
 };
 
+// Scenario names in enum order (the CLI --scenario vocabulary).
+inline constexpr const char* kSynthScenarioNames[] = {"webserver", "build",
+                                                      "mailspool", "lockserver"};
+
 const char* SynthScenarioName(SynthScenario s);
 bool SynthScenarioFromName(const std::string& name, SynthScenario* out);
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "src/util/flags.h"
 #include "src/util/ring_queue.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -179,6 +183,144 @@ TEST(Time, Conversions) {
   EXPECT_EQ(Ms(1), 1000000);
   EXPECT_EQ(Sec(1), 1000000000);
   EXPECT_DOUBLE_EQ(ToSeconds(Sec(2)), 2.0);
+}
+
+// The variables one FlagSet under test binds, with their defaults.
+struct FlagVars {
+  std::string name = "def";
+  uint64_t count = 5;
+  uint32_t width = 6;
+  bool on = false;
+  std::optional<uint16_t> port;
+  std::string mode = "a";
+  std::string dir;
+
+  // Parses `args` (argv without the program name); "" on success, else the
+  // diagnostic.
+  std::string Parse(std::vector<const char*> args) {
+    util::FlagSet flags;
+    flags.String("name", &name);
+    flags.Unsigned("count", &count);
+    flags.Unsigned("width", &width);
+    flags.Switch("on", &on);
+    flags.Unsigned("port", &port);
+    static constexpr const char* kModes[] = {"a", "b"};
+    flags.Choice("mode", &mode, kModes);
+    flags.Positional("dir", &dir);
+    args.insert(args.begin(), "prog");
+    std::string error;
+    return flags.Parse(static_cast<int>(args.size()), args.data(), &error)
+               ? ""
+               : error;
+  }
+};
+
+TEST(Flags, AcceptsBothSpellingsSwitchesAndOnePositional) {
+  FlagVars v;
+  EXPECT_EQ(v.Parse({}), "");
+  EXPECT_EQ(v.name, "def");
+  EXPECT_EQ(v.count, 5u);
+  EXPECT_FALSE(v.on);
+  EXPECT_FALSE(v.port.has_value());
+
+  const std::vector<std::vector<const char*>> spellings = {
+      {"--name=x", "--count=7", "--width=4294967295", "--on", "--port=0",
+       "--mode=b", "d"},
+      {"--name", "x", "--count", "7", "--width", "4294967295", "--on", "--port",
+       "0", "--mode", "b", "d"},
+      {"d", "--mode=b", "--port", "0", "--on", "--width=4294967295", "--count",
+       "7", "--name=x"},
+  };
+  for (const std::vector<const char*>& args : spellings) {
+    FlagVars w;
+    EXPECT_EQ(w.Parse(args), "");
+    EXPECT_EQ(w.name, "x");
+    EXPECT_EQ(w.count, 7u);
+    EXPECT_EQ(w.width, 4294967295u);
+    EXPECT_TRUE(w.on);
+    EXPECT_EQ(w.port, std::optional<uint16_t>(0));
+    EXPECT_EQ(w.mode, "b");
+    EXPECT_EQ(w.dir, "d");
+  }
+
+  FlagVars edge;
+  EXPECT_EQ(edge.Parse({"--count=18446744073709551615", "--name=", "--port=065535"}), "");
+  EXPECT_EQ(edge.count, UINT64_MAX);
+  EXPECT_EQ(edge.name, "");
+  EXPECT_EQ(edge.port, std::optional<uint16_t>(65535));
+}
+
+TEST(Flags, RejectsMalformedArguments) {
+  struct Case {
+    std::vector<const char*> args;
+    const char* error;
+  };
+  const Case cases[] = {
+      {{"--nmae=x"}, "unknown flag --nmae"},
+      {{"--help"}, "unknown flag --help"},
+      {{"-n"}, "unknown flag -n"},
+      {{"--on=1"}, "--on takes no value"},
+      {{"--count"}, "--count needs a value"},
+      {{"--on", "--name"}, "--name needs a value"},
+      {{"--count=abc"}, "--count: 'abc' is not a decimal number in [0, 18446744073709551615]"},
+      {{"--count", "12x"}, "--count: '12x' is not a decimal number"},
+      {{"--count=-1"}, "--count: '-1' is not a decimal number"},
+      {{"--count", "-1"}, "--count: '-1' is not a decimal number"},
+      {{"--count=+1"}, "--count: '+1' is not a decimal number"},
+      {{"--count= 1"}, "--count: ' 1' is not a decimal number"},
+      {{"--count="}, "--count: '' is not a decimal number"},
+      {{"--count=18446744073709551616"}, "is not a decimal number"},
+      {{"--width=4294967296"}, "--width: '4294967296' is not a decimal number in [0, 4294967295]"},
+      {{"--port=65536"}, "--port: '65536' is not a decimal number in [0, 65535]"},
+      {{"--mode=c"}, "unknown --mode 'c' (expected a, b)"},
+      {{"--mode="}, "unknown --mode '' (expected a, b)"},
+      {{"d", "e"}, "unexpected argument 'e'"},
+  };
+  for (const Case& c : cases) {
+    FlagVars v;
+    const std::string error = v.Parse(c.args);
+    EXPECT_NE(error.find(c.error), std::string::npos)
+        << c.args[0] << ": got '" << error << "'";
+  }
+}
+
+TEST(Flags, NumericPositionalAndNoPositionals) {
+  uint32_t n = 9;
+  util::FlagSet numeric;
+  numeric.Positional("n", &n);
+  std::string error;
+  const char* good[] = {"prog", "12"};
+  EXPECT_TRUE(numeric.Parse(2, good, &error));
+  EXPECT_EQ(n, 12u);
+  const char* bad[] = {"prog", "12x"};
+  EXPECT_FALSE(numeric.Parse(2, bad, &error));
+  EXPECT_EQ(error, "n: '12x' is not a decimal number in [0, 4294967295]");
+
+  util::FlagSet none;
+  const char* stray[] = {"/path/to/prog", "extra"};
+  EXPECT_FALSE(none.Parse(2, stray, &error));
+  EXPECT_EQ(error, "unexpected argument 'extra'");
+  EXPECT_EQ(none.Usage(), "usage: prog");
+}
+
+TEST(Flags, UsageListsFlagsThenPositionals) {
+  std::string s;
+  uint64_t u = 0;
+  bool b = false;
+  std::string p;
+  std::string c;
+  const char* const kFormats[] = {"artct", "text"};
+  util::FlagSet flags;
+  flags.Positional("dir", &p);
+  flags.String("out", &s);
+  flags.Choice("to", &c, kFormats);
+  flags.Unsigned("jobs", &u);
+  flags.Switch("text", &b);
+  const char* argv[] = {"./build/tool"};
+  std::string error;
+  ASSERT_TRUE(flags.Parse(1, argv, &error));
+  EXPECT_EQ(flags.Usage(),
+            "usage: tool [--out=STR] [--to=artct|text] [--jobs=N] [--text] [dir]");
 }
 
 }  // namespace
