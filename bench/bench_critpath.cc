@@ -1,11 +1,12 @@
-// artc_critpath: run a compiled benchmark (a Magritte workload by name, or
-// any .artcb file) on a simulated target and print the critical-path
-// attribution one-pager — which ordering rules, resources, threads, and
-// storage layers the replay's end-to-end time is serialized behind — plus
-// an optional JSON report for scripting.
+// artc_critpath: compile a benchmark with the default ARTC method (a
+// Magritte workload by name, or any ARTCT or text trace file), run it on a
+// simulated target and print the critical-path attribution one-pager —
+// which ordering rules, resources, threads, and storage layers the
+// replay's end-to-end time is serialized behind — plus an optional JSON
+// report for scripting. An unreadable trace file exits 1 with a diagnostic.
 //
 //   artc_critpath --workload=iphoto_import [--storage=hdd] [--fs=ext4]
-//   artc_critpath --bench=path/to/file.artcb --json=report.json
+//   artc_critpath --trace=path/to/file.artct --json=report.json
 //   artc_critpath --all               # the whole Magritte suite, one pager each
 //   artc_critpath --micro=seq_readers --source=cfq-100ms --storage=cfq-1ms
 //                                     # the Fig. 5(d) scenario (EXPERIMENTS.md)
@@ -15,9 +16,10 @@
 
 #include "bench/bench_common.h"
 #include "src/core/artc.h"
-#include "src/core/serialize.h"
 #include "src/core/suite.h"
 #include "src/obs/critpath.h"
+#include "src/obs/log.h"
+#include "src/trace/stream_reader.h"
 #include "src/util/flags.h"
 #include "src/util/thread_pool.h"
 #include "src/vfs/vfs.h"
@@ -98,7 +100,7 @@ int Main(int argc, char** argv) {
   bench::WorkloadSource ws;
   std::string storage_name = "hdd";
   std::string backend = "fibers";
-  std::string bench_path;
+  std::string trace_path;
   bool pacing = false;
   bool all = false;
   util::FlagSet flags;
@@ -111,7 +113,7 @@ int Main(int argc, char** argv) {
   // (0 = ARTC_JOBS / core count).
   flags.Unsigned("jobs", &opt.target.jobs);
   flags.String("json", &opt.json_path);
-  flags.String("bench", &bench_path);
+  flags.String("trace", &trace_path);
   flags.Switch("all", &all);
   bench::HarnessObsSession obs_session(argc, argv, &flags);
 
@@ -122,9 +124,18 @@ int Main(int argc, char** argv) {
   }
   sim::ParseSimBackendName(backend, &opt.target.sim_backend);
 
-  if (ws.micro.empty() && !bench_path.empty()) {
-    CompiledBenchmark bench = core::ReadBenchmarkFile(bench_path);
-    return AnalyzeOne(bench_path, bench, opt);
+  if (ws.micro.empty() && !trace_path.empty()) {
+    trace::ParallelReadResult read;
+    trace::ParseDiag diag;
+    if (!trace::ParallelReadTraceFile(trace_path, {}, &read, &diag)) {
+      obs::LogError("artc_critpath", "cannot read trace",
+                    {{"detail", diag.Format()}});
+      return 1;
+    }
+    return AnalyzeOne(trace_path,
+                      core::Compile(std::move(read.bundle.trace),
+                                    read.bundle.snapshot, core::CompileOptions{}),
+                      opt);
   }
   if (ws.micro.empty() && all) {
     Options per = opt;

@@ -1,42 +1,39 @@
-// artc_compile: command-line trace compiler. Reads a trace (native or
-// strace format) and a snapshot file, compiles it with the chosen replay
-// method/modes, and prints the benchmark statistics — dependency edges per
-// rule, fd/aio slot counts, model warnings. Optionally replays it on a
-// named simulated target.
+// artc_compile: command-line trace compiler. Reads a trace (native text,
+// ARTCT or strace format) and a snapshot file, compiles it with the chosen
+// replay method/modes, and prints the benchmark statistics — dependency
+// edges per rule, fd/aio slot counts, model warnings. Optionally replays it
+// on a named simulated target.
 //
 // Usage:
-//   artc_compile --trace t.artc [--strace] [--snapshot s.snap]
+//   artc_compile --trace t.artct [--strace] [--snapshot s.snap]
 //                [--method artc|single|temporal|unconstrained]
 //                [--no-file-seq] [--no-path-order] [--no-fd-stage] [--fd-seq]
 //                [--replay-on hdd|raid0|ssd|smallcache|cfq-1ms|cfq-100ms]
 //                [--fs ext4|ext3|jfs|xfs] [--natural] [--digest]
-//                [--save out.artcb] [--stream [--window N]]
-//   artc_compile --load bench.artcb [--replay-on ...]
+//                [--stream [--window N]]
 //
 // --trace accepts text traces/bundles AND ARTCT binary files (sniffed by
-// magic; an ARTCT file carries its own snapshot). With --stream the trace
-// is compiled through the windowed streaming pipeline (core::CompileStream)
-// in bounded memory and only the canonical digest plus streaming statistics
-// are printed (every method but temporal, which needs a second pass);
-// --window bounds the events resident per window. --digest
-// prints the canonical benchmark digest in the batch path too, so the two
-// pipelines can be compared with a diff.
+// magic; an ARTCT file carries its own snapshot); --snapshot replaces the
+// trace's snapshot. An unreadable or malformed input exits 1 with a
+// diagnostic. With --stream the trace is compiled through the windowed
+// streaming pipeline (core::CompileStream) in bounded memory and only the
+// canonical digest plus streaming statistics are printed (every method but
+// temporal, which needs a second pass); --window bounds the events resident
+// per window. --digest prints the canonical benchmark digest in the batch
+// path too, so the two pipelines can be compared with a diff.
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "bench/bench_common.h"
 #include "src/core/artc.h"
 #include "src/core/compile_stream.h"
-#include "src/core/serialize.h"
 #include "src/obs/log.h"
 #include "src/obs/obs.h"
 #include "src/storage/storage_stack.h"
-#include "src/trace/binary_trace.h"
+#include "src/trace/snapshot.h"
 #include "src/trace/strace_parser.h"
 #include "src/trace/stream_reader.h"
-#include "src/trace/trace_io.h"
 #include "src/util/flags.h"
 #include "src/vfs/vfs.h"
 
@@ -45,8 +42,6 @@ int main(int argc, char** argv) {
   std::string snapshot_path;
   std::string method_name = "artc";
   std::string replay_on;
-  std::string save_path;
-  std::string load_path;
   std::string fs_profile = "ext4";
   bool strace_format = false;
   bool no_file_seq = false;
@@ -69,15 +64,13 @@ int main(int argc, char** argv) {
   flags.Choice("replay-on", &replay_on, artc::storage::kNamedConfigNames);
   flags.Choice("fs", &fs_profile, artc::vfs::kFsProfileNames);
   flags.Switch("natural", &natural);
-  flags.String("save", &save_path);
-  flags.String("load", &load_path);
   flags.Switch("stream", &stream);
   flags.Unsigned("window", &window_events);
   flags.Switch("digest", &print_digest);
   artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
 
-  if (trace_path.empty() && load_path.empty()) {
-    flags.Fail("needs --trace or --load");
+  if (trace_path.empty()) {
+    flags.Fail("needs --trace");
   }
   copt.method = *artc::core::FindReplayMethod(method_name);
   copt.modes.file_seq = !no_file_seq;
@@ -87,8 +80,8 @@ int main(int argc, char** argv) {
     flags.Fail("--window must be at least 1");
   }
   if (stream) {
-    if (trace_path.empty() || strace_format) {
-      flags.Fail("--stream needs --trace and reads no --strace input");
+    if (strace_format) {
+      flags.Fail("--stream reads no --strace input");
     }
     if (!artc::core::StreamCompilable(copt.method)) {
       std::string names;
@@ -122,51 +115,40 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  artc::trace::Trace t;
-  artc::trace::FsSnapshot snapshot;
-  if (!load_path.empty()) {
-    // Benchmark comes from the .artcb file; no trace to parse.
-  } else if (artc::trace::SniffArtctFile(trace_path)) {
-    artc::trace::TraceBundle bundle;
-    std::string error;
-    if (!artc::trace::ReadArtctFile(trace_path, &bundle, &error)) {
-      artc::obs::LogError("artc_compile", "cannot read ARTCT trace",
-                          {{"file", trace_path}, {"detail", error}});
+  artc::trace::TraceBundle bundle;
+  artc::trace::ParseDiag diag;
+  if (strace_format) {
+    artc::trace::StraceParseResult parsed;
+    if (!artc::trace::ParseStraceFile(trace_path, &parsed, &diag)) {
+      artc::obs::LogError("artc_compile", "cannot read strace trace",
+                          {{"detail", diag.Format()}});
       return 1;
     }
-    t = std::move(bundle.trace);
-    snapshot = std::move(bundle.snapshot);
-  } else if (strace_format) {
-    artc::trace::StraceParseResult parsed = artc::trace::ParseStraceFile(trace_path);
     if (parsed.skipped_lines > 0) {
       artc::obs::LogWarn("artc_compile", "skipped unparsable strace lines",
                          {{"skipped", parsed.skipped_lines},
                           {"first_error", parsed.first_error}});
     }
-    t = std::move(parsed.trace);
-    t.SortByEnterTime();
+    bundle.trace = std::move(parsed.trace);
+    bundle.trace.SortByEnterTime();
   } else {
-    // Bundle-aware: text traces written by this toolchain carry their
-    // snapshot inline ("#snapshot ..." lines); a bare trace file simply
-    // yields an empty snapshot, exactly like ReadTraceFile did.
-    artc::trace::TraceBundle bundle = artc::trace::ReadTraceBundleFile(trace_path);
-    t = std::move(bundle.trace);
-    snapshot = std::move(bundle.snapshot);
+    artc::trace::ParallelReadResult read;
+    if (!artc::trace::ParallelReadTraceFile(trace_path, {}, &read, &diag)) {
+      artc::obs::LogError("artc_compile", "cannot read trace",
+                          {{"detail", diag.Format()}});
+      return 1;
+    }
+    bundle = std::move(read.bundle);
   }
-  if (!snapshot_path.empty()) {
-    snapshot = artc::trace::ReadSnapshotFile(snapshot_path);
+  if (!snapshot_path.empty() &&
+      !artc::trace::ReadSnapshotFile(snapshot_path, &bundle.snapshot, &diag)) {
+    artc::obs::LogError("artc_compile", "cannot read snapshot",
+                        {{"detail", diag.Format()}});
+    return 1;
   }
 
-  artc::core::CompiledBenchmark bench;
-  if (!load_path.empty()) {
-    bench = artc::core::ReadBenchmarkFile(load_path);
-  } else {
-    bench = artc::core::Compile(std::move(t), snapshot, copt);
-  }
-  if (!save_path.empty()) {
-    artc::core::WriteBenchmarkFile(bench, save_path);
-    std::printf("wrote %s\n", save_path.c_str());
-  }
+  artc::core::CompiledBenchmark bench =
+      artc::core::Compile(std::move(bundle.trace), bundle.snapshot, copt);
   std::printf("trace: %zu events, %zu threads\n", bench.actions.size(),
               bench.thread_actions.size());
   if (print_digest) {

@@ -82,8 +82,13 @@ int main(int argc, char** argv) {
     bundle = std::move(res.bundle);
     input_binary = res.from_binary;
   }
-  if (!snapshot_path.empty()) {
-    bundle.snapshot = artc::trace::ReadSnapshotFile(snapshot_path);
+  artc::trace::ParseDiag snap_diag;
+  if (!snapshot_path.empty() &&
+      !artc::trace::ReadSnapshotFile(snapshot_path, &bundle.snapshot,
+                                     &snap_diag)) {
+    artc::obs::LogError("artc_convert", "cannot read snapshot",
+                        {{"detail", snap_diag.Format()}});
+    return 1;
   }
 
   const bool to_binary = to.empty() ? !input_binary : to == "artct";

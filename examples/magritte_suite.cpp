@@ -9,11 +9,14 @@
 //                                                  # (trace + snapshot files)
 #include <sys/stat.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "bench/bench_common.h"
 #include "src/core/artc.h"
+#include "src/obs/log.h"
 #include "src/obs/obs.h"
 #include "src/trace/snapshot.h"
 #include "src/trace/trace_io.h"
@@ -74,8 +77,21 @@ int main(int argc, char** argv) {
   artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
   if (!export_dir.empty()) {
     // Release the suite: one .trace + .snap pair per workload, replayable
-    // with artc_compile on any machine.
-    ::mkdir(export_dir.c_str(), 0755);
+    // with artc_compile on any machine. An existing directory is reused.
+    if (::mkdir(export_dir.c_str(), 0755) != 0) {
+      int err = errno;
+      struct stat st;
+      if (err == EEXIST &&
+          (::stat(export_dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))) {
+        err = ENOTDIR;
+      }
+      if (err != EEXIST) {
+        artc::obs::LogError("magritte_suite", "cannot create export directory",
+                            {{"dir", export_dir},
+                             {"detail", std::strerror(err)}});
+        return 1;
+      }
+    }
     for (const MagritteSpec& spec : MagritteSuite()) {
       TracedRun run = artc::bench::TraceMagritteOnSuiteSource(spec);
       std::string base = export_dir + "/" + spec.FullName();

@@ -4,12 +4,13 @@
 //  * Fuzz (default): generate --iters random traces (src/check/generator),
 //    compile each, and explore it under many legal schedules
 //    (src/check/explorer), asserting the invariant oracle on every run.
-//  * Corpus (--corpus=FILE|DIR): explore pre-recorded trace bundles instead
-//    of generating fresh ones; used by the regression suite.
+//  * Corpus (--corpus=FILE|DIR): explore pre-recorded trace bundles (or
+//    ARTCT files) instead of generating fresh ones; used by the regression
+//    suite. A directory contributes its *.trace files.
 //
 // On a violation the explorer dumps a minimized repro under --out; re-run it
 // with: check_artc --corpus=<repro.trace> --schedule=<spec from repro.txt>.
-// Exits nonzero iff any invariant was violated.
+// Exits 1 if any invariant was violated or a corpus file cannot be read.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -20,6 +21,8 @@
 #include "bench/bench_common.h"
 #include "src/check/explorer.h"
 #include "src/check/generator.h"
+#include "src/obs/log.h"
+#include "src/trace/stream_reader.h"
 #include "src/trace/trace_io.h"
 #include "src/util/flags.h"
 #include "src/util/strings.h"
@@ -148,7 +151,14 @@ int Main(int argc, char** argv) {
       paths.push_back(corpus);
     }
     for (const std::string& path : paths) {
-      trace::TraceBundle bundle = trace::ReadTraceBundleFile(path);
+      trace::ParallelReadResult read;
+      trace::ParseDiag diag;
+      if (!trace::ParallelReadTraceFile(path, {}, &read, &diag)) {
+        obs::LogError("check_artc", "cannot read corpus trace",
+                      {{"detail", diag.Format()}});
+        return 1;
+      }
+      const trace::TraceBundle& bundle = read.bundle;
       if (!schedule.empty()) {
         run_single(bundle, path, &totals);
         continue;

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <type_traits>
 
 #include "src/obs/obs.h"
 #include "src/util/crc32.h"
@@ -211,15 +210,15 @@ std::unique_ptr<ArtctReader> ArtctReader::Open(const std::string& path,
   if (std::memcmp(h.magic, kArtctMagic, sizeof(h.magic)) != 0) {
     return fail("not an ARTCT file (bad magic)");
   }
-  if (h.version != kArtctVersion && h.version != kArtctVersionV1) {
-    return fail(StrFormat("unsupported ARTCT version %u (reader speaks %u-%u)",
-                          h.version, kArtctVersionV1, kArtctVersion));
+  if (h.version != kArtctVersion) {
+    return fail(StrFormat("unsupported ARTCT version %u (reader speaks %u)",
+                          h.version, kArtctVersion));
   }
   if (h.header_crc != HeaderCrc(h)) {
     return fail("header CRC mismatch (truncated or corrupt file)");
   }
   const uint64_t events_end =
-      sizeof(ArtctHeader) + h.event_count * r->record_bytes();
+      sizeof(ArtctHeader) + h.event_count * sizeof(BinaryEvent);
   const uint64_t index_end =
       h.chunk_index_off + static_cast<uint64_t>(h.chunk_count) * sizeof(ArtctChunk);
   if (events_end > h.chunk_index_off || index_end > h.strtab_off ||
@@ -251,7 +250,7 @@ std::unique_ptr<ArtctReader> ArtctReader::Open(const std::string& path,
   for (uint32_t i = 0; i < h.chunk_count; ++i) {
     const ArtctChunk& c = r->index_[i];
     const uint64_t chunk_end =
-        c.file_off + static_cast<uint64_t>(c.count) * r->record_bytes();
+        c.file_off + static_cast<uint64_t>(c.count) * sizeof(BinaryEvent);
     if (c.file_off < sizeof(ArtctHeader) || chunk_end > h.chunk_index_off ||
         c.first_event != next_event) {
       return fail(StrFormat("chunk %u index entry out of bounds", i));
@@ -261,10 +260,13 @@ std::unique_ptr<ArtctReader> ArtctReader::Open(const std::string& path,
   if (next_event != h.event_count) {
     return fail("chunk index does not cover the event records");
   }
-  // Snapshot (text codec). Small: parse it eagerly.
+  // Snapshot (text codec, outside the CRCs). Small: parse it eagerly.
   std::istringstream snap_in(std::string(
       reinterpret_cast<const char*>(r->map_ + h.snapshot_off), h.snapshot_bytes));
-  r->snapshot_ = ReadSnapshot(snap_in);
+  ParseDiag snap_diag;
+  if (!ReadSnapshot(snap_in, &r->snapshot_, &snap_diag)) {
+    return fail("snapshot section " + snap_diag.Format());
+  }
   return r;
 }
 
@@ -293,7 +295,7 @@ bool ArtctReader::DecodeChunkInto(uint32_t i, TraceEvent* dst,
   }
   const ArtctChunk& c = index_[i];
   const unsigned char* base = map_ + c.file_off;
-  const size_t bytes = static_cast<size_t>(c.count) * record_bytes();
+  const size_t bytes = static_cast<size_t>(c.count) * sizeof(BinaryEvent);
   if (util::Crc32(base, bytes) != c.crc) {
     if (error != nullptr) {
       *error = StrFormat(
@@ -302,9 +304,9 @@ bool ArtctReader::DecodeChunkInto(uint32_t i, TraceEvent* dst,
     }
     return false;
   }
-  // Both record layouts convert through the same field copy; only the
-  // current layout carries sync_id (v1 records decode with sync_id = 0).
-  auto convert = [&](const auto& b, uint32_t j) -> bool {
+  const BinaryEvent* recs = reinterpret_cast<const BinaryEvent*>(base);
+  for (uint32_t j = 0; j < c.count; ++j) {
+    const BinaryEvent& b = recs[j];
     if (b.call >= static_cast<uint16_t>(Sys::kCount) ||
         b.path_id >= str_count_ || b.path2_id >= str_count_ ||
         b.name_id >= str_count_) {
@@ -333,45 +335,7 @@ bool ArtctReader::DecodeChunkInto(uint32_t i, TraceEvent* dst,
     ev.whence = b.whence;
     ev.name.assign(StringAt(b.name_id));
     ev.aio_id = b.aio_id;
-    if constexpr (std::is_same_v<std::decay_t<decltype(b)>, BinaryEvent>) {
-      ev.sync_id = b.sync_id;
-    } else {
-      ev.sync_id = 0;
-    }
-    return true;
-  };
-  if (header_.version == kArtctVersionV1) {
-    const BinaryEventV1* recs = reinterpret_cast<const BinaryEventV1*>(base);
-    for (uint32_t j = 0; j < c.count; ++j) {
-      if (!convert(recs[j], j)) {
-        return false;
-      }
-    }
-  } else {
-    const BinaryEvent* recs = reinterpret_cast<const BinaryEvent*>(base);
-    for (uint32_t j = 0; j < c.count; ++j) {
-      if (!convert(recs[j], j)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool ArtctReader::DecodeChunk(uint32_t i, std::vector<TraceEvent>* out,
-                              std::string* error) const {
-  if (i >= header_.chunk_count) {
-    if (error != nullptr) {
-      *error = StrFormat("chunk %u out of range (%u chunks)", i,
-                         header_.chunk_count);
-    }
-    return false;
-  }
-  const size_t base = out->size();
-  out->resize(base + index_[i].count);
-  if (!DecodeChunkInto(i, out->data() + base, error)) {
-    out->resize(base);
-    return false;
+    ev.sync_id = b.sync_id;
   }
   return true;
 }
@@ -386,7 +350,7 @@ void ArtctReader::ReleaseChunkPages(uint32_t first, uint32_t count) const {
   const ArtctChunk& tail = index_[first + count - 1];
   const uint64_t begin = head.file_off;
   const uint64_t end =
-      tail.file_off + static_cast<uint64_t>(tail.count) * record_bytes();
+      tail.file_off + static_cast<uint64_t>(tail.count) * sizeof(BinaryEvent);
   // Advise whole pages strictly inside [begin, end): neighbours may share
   // the boundary pages with the header/index sections or an unread chunk.
   const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
@@ -422,23 +386,6 @@ bool WriteArtctFile(const std::string& path, const Trace& trace,
     writer.Add(ev);
   }
   return writer.Finish(error);
-}
-
-bool ReadArtctFile(const std::string& path, TraceBundle* out,
-                   std::string* error) {
-  std::unique_ptr<ArtctReader> reader = ArtctReader::Open(path, error);
-  if (reader == nullptr) {
-    return false;
-  }
-  out->snapshot = reader->snapshot();
-  out->trace.events.clear();
-  out->trace.events.reserve(reader->event_count());
-  for (uint32_t i = 0; i < reader->chunk_count(); ++i) {
-    if (!reader->DecodeChunk(i, &out->trace.events, error)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace artc::trace

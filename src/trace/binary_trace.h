@@ -21,10 +21,10 @@
 // The snapshot rides along in its existing text form — it is tiny next to
 // the events, and reusing the text codec keeps one source of truth.
 //
-// Versioning: writers emit kArtctVersion; readers accept the current
-// version plus v1 (pre-sync records without the sync_id field, decoded with
-// sync_id = 0) and reject anything else loudly. The magic distinguishes
-// ARTCT from text traces so tools can sniff (`SniffArtctFile`) and route.
+// Versioning: writers emit kArtctVersion and readers accept only that
+// version, rejecting anything else with a diagnostic. The magic
+// distinguishes ARTCT from text traces so tools can sniff
+// (`SniffArtctFile`) and route.
 #ifndef SRC_TRACE_BINARY_TRACE_H_
 #define SRC_TRACE_BINARY_TRACE_H_
 
@@ -43,7 +43,6 @@ namespace artc::trace {
 
 inline constexpr char kArtctMagic[6] = {'A', 'R', 'T', 'C', 'T', '\0'};
 inline constexpr uint16_t kArtctVersion = 2;
-inline constexpr uint16_t kArtctVersionV1 = 1;  // oldest readable version
 
 // Events per chunk. 64Ki records is ~5.5 MB of event payload: large enough
 // that per-chunk overhead (CRC, index entry, task dispatch) vanishes, small
@@ -75,7 +74,7 @@ struct BinaryEvent {
   int64_t offset;
   uint64_t size;
   uint64_t aio_id;
-  uint64_t sync_id;  // v2: sync-object identity (0 for non-sync calls)
+  uint64_t sync_id;  // sync-object identity (0 for non-sync calls)
   uint32_t tid;
   uint32_t path_id;
   uint32_t path2_id;
@@ -89,28 +88,6 @@ struct BinaryEvent {
   uint16_t pad;
 };
 static_assert(sizeof(BinaryEvent) == 96, "record must stay fixed-width");
-
-// The v1 record layout (no sync_id), kept so v1 files stay readable.
-struct BinaryEventV1 {
-  int64_t enter;
-  int64_t ret_time;
-  int64_t ret;
-  int64_t offset;
-  uint64_t size;
-  uint64_t aio_id;
-  uint32_t tid;
-  uint32_t path_id;
-  uint32_t path2_id;
-  uint32_t name_id;
-  int32_t fd;
-  int32_t fd2;
-  uint32_t flags;
-  uint32_t mode;
-  int32_t whence;
-  uint16_t call;
-  uint16_t pad;
-};
-static_assert(sizeof(BinaryEventV1) == 88, "v1 record layout is frozen");
 
 struct ArtctChunk {
   uint64_t file_off;     // absolute offset of the chunk's first record
@@ -160,9 +137,10 @@ class ArtctWriter {
 
 // Read-only view over an mmap'ed ARTCT file. Open() validates the header
 // CRC/version and parses the (small) snapshot and string-table index;
-// DecodeChunk() verifies the chunk CRC and materializes TraceEvents.
-// DecodeChunk and StringAt are const and touch only immutable mapped bytes,
-// so chunks can be decoded concurrently from ThreadPool workers.
+// DecodeChunkInto() verifies the chunk CRC and materializes TraceEvents.
+// DecodeChunkInto and StringAt are const and touch only immutable mapped
+// bytes, so chunks can be decoded concurrently from ThreadPool workers.
+// Whole files are loaded through ParallelReadTraceFile (stream_reader.h).
 class ArtctReader {
  public:
   static std::unique_ptr<ArtctReader> Open(const std::string& path,
@@ -174,24 +152,14 @@ class ArtctReader {
   uint64_t event_count() const { return header_.event_count; }
   uint32_t chunk_count() const { return header_.chunk_count; }
   uint32_t chunk_events() const { return header_.chunk_events; }
-  uint16_t version() const { return header_.version; }
-  // On-disk record width for this file's version (v1 predates sync_id).
-  size_t record_bytes() const {
-    return header_.version == kArtctVersionV1 ? sizeof(BinaryEventV1)
-                                              : sizeof(BinaryEvent);
-  }
   const ArtctChunk& chunk(uint32_t i) const { return index_[i]; }
   const FsSnapshot& snapshot() const { return snapshot_; }
 
-  // Decodes chunk `i`'s records into *out (appending), assigning dense
-  // TraceEvent::index values from the chunk's first_event. Returns false
-  // with *error set on CRC mismatch or an out-of-range string id.
-  bool DecodeChunk(uint32_t i, std::vector<TraceEvent>* out,
-                   std::string* error) const;
-
-  // Same, but into a caller-sized slice of chunk(i).count events — the
-  // parallel reader points workers at disjoint slices of one output vector
-  // so chunks stitch in place with zero copies.
+  // Decodes chunk `i`'s records into a caller-sized slice of
+  // chunk(i).count events, assigning dense TraceEvent::index values from
+  // the chunk's first_event. The readers point workers at disjoint slices
+  // of one output vector so chunks stitch in place with zero copies.
+  // Returns false with *error set on CRC mismatch or a corrupt record.
   bool DecodeChunkInto(uint32_t i, TraceEvent* dst, std::string* error) const;
 
   // Best-effort: drops the record pages of chunks [first, first+count) from
@@ -220,14 +188,12 @@ class ArtctReader {
 // True if the file starts with the ARTCT magic (any version).
 bool SniffArtctFile(const std::string& path);
 
-// Whole-bundle conveniences for tools and tests. Both return false with
-// *error set instead of aborting — a conversion pipeline wants to report
-// the bad input and move on.
+// Whole-bundle convenience for tools and tests. Returns false with *error
+// set instead of aborting — a conversion pipeline wants to report the bad
+// output path and move on.
 bool WriteArtctFile(const std::string& path, const Trace& trace,
                     const FsSnapshot& snapshot, std::string* error,
                     uint32_t chunk_events = kArtctDefaultChunkEvents);
-bool ReadArtctFile(const std::string& path, TraceBundle* out,
-                   std::string* error);
 
 }  // namespace artc::trace
 

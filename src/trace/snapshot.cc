@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "src/trace/trace_io.h"
 #include "src/util/check.h"
 #include "src/util/strings.h"
 
@@ -113,62 +114,106 @@ FsSnapshot FsSnapshot::Overlay(const FsSnapshot& other) const {
   return merged;
 }
 
-FsSnapshot ReadSnapshot(std::istream& in) {
+bool ParseSnapshotLine(std::string_view line, FsSnapshot* snap,
+                       std::string* error) {
+  if (line.empty() || line[0] == '#') {
+    return true;
+  }
+  // Format: <type> <path> [extra]
+  //   D /a/b
+  //   F /a/b/c 4096 [xattr1,xattr2]
+  //   L /a/b/link -> /target
+  //   S /dev/random random
+  std::istringstream ls{std::string(line)};
+  std::string type;
+  std::string path;
+  ls >> type >> path;
+  if (path.empty()) {
+    *error = "snapshot entry has no path";
+    return false;
+  }
+  if (type == "D") {
+    snap->AddDir(path);
+  } else if (type == "F") {
+    uint64_t size = 0;
+    ls >> size;
+    snap->AddFile(path, size);
+    std::string xattrs;
+    ls >> xattrs;
+    if (!xattrs.empty()) {
+      for (std::string_view x : SplitString(xattrs, ',')) {
+        if (!x.empty()) {
+          snap->entries.back().xattr_names.emplace_back(x);
+        }
+      }
+    }
+  } else if (type == "L") {
+    std::string arrow;
+    std::string target;
+    ls >> arrow >> target;
+    if (arrow != "->") {
+      *error = "snapshot symlink entry has no '->'";
+      return false;
+    }
+    snap->AddSymlink(path, target);
+  } else if (type == "S") {
+    std::string kind;
+    ls >> kind;
+    snap->AddSpecial(path, kind);
+  } else {
+    *error = StrFormat("unknown snapshot entry type '%s'", type.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool ReadSnapshot(std::istream& in, FsSnapshot* out, ParseDiag* diag) {
   FsSnapshot snap;
   std::string line;
   size_t lineno = 0;
+  uint64_t offset = 0;
   while (std::getline(in, line)) {
     lineno++;
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    // Format: <type> <path> [extra]
-    //   D /a/b
-    //   F /a/b/c 4096 [xattr1,xattr2]
-    //   L /a/b/link -> /target
-    //   S /dev/random random
-    std::istringstream ls(line);
-    std::string type;
-    std::string path;
-    ls >> type >> path;
-    ARTC_CHECK_MSG(!path.empty(), "snapshot line %zu: missing path", lineno);
-    if (type == "D") {
-      snap.AddDir(path);
-    } else if (type == "F") {
-      uint64_t size = 0;
-      ls >> size;
-      snap.AddFile(path, size);
-      std::string xattrs;
-      ls >> xattrs;
-      if (!xattrs.empty()) {
-        for (std::string_view x : SplitString(xattrs, ',')) {
-          if (!x.empty()) {
-            snap.entries.back().xattr_names.emplace_back(x);
-          }
-        }
-      }
-    } else if (type == "L") {
-      std::string arrow;
-      std::string target;
-      ls >> arrow >> target;
-      ARTC_CHECK_MSG(arrow == "->", "snapshot line %zu: expected '->'", lineno);
-      snap.AddSymlink(path, target);
-    } else if (type == "S") {
-      std::string kind;
-      ls >> kind;
-      snap.AddSpecial(path, kind);
-    } else {
-      ARTC_CHECK_MSG(false, "snapshot line %zu: unknown type '%s'", lineno, type.c_str());
+    const uint64_t line_offset = offset;
+    offset += line.size() + 1;
+    std::string error;
+    if (!ParseSnapshotLine(line, &snap, &error)) {
+      diag->line = lineno;
+      diag->byte_offset = line_offset;
+      diag->message = std::move(error);
+      return false;
     }
   }
   snap.Canonicalize();
+  *out = std::move(snap);
+  return true;
+}
+
+bool ReadSnapshotFile(const std::string& path, FsSnapshot* out,
+                      ParseDiag* diag) {
+  std::ifstream in(path);
+  diag->file = path;
+  if (!in.good()) {
+    diag->message = "cannot open snapshot file";
+    return false;
+  }
+  return ReadSnapshot(in, out, diag);
+}
+
+FsSnapshot ReadSnapshot(std::istream& in) {
+  FsSnapshot snap;
+  ParseDiag diag;
+  ARTC_CHECK_MSG(ReadSnapshot(in, &snap, &diag), "snapshot parse error: %s",
+                 diag.Format().c_str());
   return snap;
 }
 
 FsSnapshot ReadSnapshotFile(const std::string& path) {
-  std::ifstream in(path);
-  ARTC_CHECK_MSG(in.good(), "cannot open snapshot file %s", path.c_str());
-  return ReadSnapshot(in);
+  FsSnapshot snap;
+  ParseDiag diag;
+  ARTC_CHECK_MSG(ReadSnapshotFile(path, &snap, &diag), "%s",
+                 diag.Format().c_str());
+  return snap;
 }
 
 void WriteSnapshot(const FsSnapshot& snapshot, std::ostream& out) {

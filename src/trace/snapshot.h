@@ -8,9 +8,12 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace artc::trace {
+
+struct ParseDiag;  // trace_io.h
 
 enum class SnapshotEntryType : uint8_t { kDir, kFile, kSymlink, kSpecial };
 
@@ -43,6 +46,22 @@ struct FsSnapshot {
   FsSnapshot Overlay(const FsSnapshot& other) const;
 };
 
+// Parses one snapshot-format line, appending its entry to *snap (blank and
+// '#' lines add nothing). Returns false with *error set on a malformed
+// line. Bundle readers call it on each "#snapshot " line so a diagnostic
+// names the line of the file it came from; callers Canonicalize() once the
+// last line is in.
+bool ParseSnapshotLine(std::string_view line, FsSnapshot* snap,
+                       std::string* error);
+
+// Diagnostic-returning readers: on success *out is replaced by the
+// canonicalized snapshot; on an open failure or a malformed line, *diag is
+// filled, *out is left as it was, and they return false.
+bool ReadSnapshot(std::istream& in, FsSnapshot* out, ParseDiag* diag);
+bool ReadSnapshotFile(const std::string& path, FsSnapshot* out,
+                      ParseDiag* diag);
+
+// Aborting wrappers over the above, for build inputs and fixtures.
 FsSnapshot ReadSnapshot(std::istream& in);
 FsSnapshot ReadSnapshotFile(const std::string& path);
 void WriteSnapshot(const FsSnapshot& snapshot, std::ostream& out);

@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
+#include <iterator>
 
 #include "src/obs/obs.h"
 #include "src/util/strings.h"
@@ -82,7 +82,7 @@ struct TextChunk {
   // Filled by the counting phase:
   size_t lines = 0;
   size_t candidates = 0;  // event lines (parse may still reject some)
-  std::string snapshot_text;
+  FsSnapshot snapshot;    // this chunk's "#snapshot" entries, in file order
   // Filled by the scan between phases:
   size_t line_base = 0;
   size_t event_base = 0;
@@ -90,7 +90,8 @@ struct TextChunk {
   size_t parsed = 0;
   uint64_t skipped = 0;
   bool failed = false;
-  ParseDiag diag;  // first skip (skip mode) or the failure
+  ParseDiag diag;  // first skip (skip mode) or the failure; a bad snapshot
+                   // line fails the counting phase with a chunk-local line
 };
 
 // Calls fn(line, offset_in_chunk, line_index_in_chunk) for every line.
@@ -109,17 +110,26 @@ void ForEachLine(const TextChunk& c, Fn&& fn) {
   }
 }
 
-void CountChunk(TextChunk* c) {
-  ForEachLine(*c, [c](std::string_view line, uint64_t, size_t) {
+void CountChunk(TextChunk* c, const std::string& path) {
+  ForEachLine(*c, [&](std::string_view line, uint64_t off, size_t k) {
     c->lines++;
     switch (Classify(line)) {
       case LineClass::kEvent:
         c->candidates++;
         break;
-      case LineClass::kSnapshot:
-        c->snapshot_text.append(line.substr(kSnapshotLinePrefix.size()));
-        c->snapshot_text.push_back('\n');
+      case LineClass::kSnapshot: {
+        std::string error;
+        if (!c->failed &&
+            !ParseSnapshotLine(line.substr(kSnapshotLinePrefix.size()),
+                               &c->snapshot, &error)) {
+          c->failed = true;
+          c->diag.file = path;
+          c->diag.line = k + 1;
+          c->diag.byte_offset = c->byte_off + off;
+          c->diag.message = std::move(error);
+        }
         break;
+      }
       case LineClass::kComment:
         break;
     }
@@ -256,12 +266,17 @@ bool ParallelReadTraceFile(const std::string& path,
 
   // Phase 1: count lines and event candidates per chunk, in parallel.
   util::ParallelFor(*pool, chunks.size(),
-                    [&](size_t i) { CountChunk(&chunks[i]); });
+                    [&](size_t i) { CountChunk(&chunks[i], path); });
 
   // Exclusive scan: line numbers for diagnostics, slice bases for output.
   size_t total_lines = 0;
   size_t total_events = 0;
   for (TextChunk& c : chunks) {
+    if (c.failed) {  // a bad snapshot line: never skipped
+      *diag = std::move(c.diag);
+      diag->line += total_lines;
+      return false;
+    }
     c.line_base = total_lines;
     c.event_base = total_events;
     total_lines += c.lines;
@@ -276,14 +291,15 @@ bool ParallelReadTraceFile(const std::string& path,
     ParseChunk(&chunks[i], path, options.skip_bad_lines, &events);
   });
 
-  std::string snapshot_text;
+  FsSnapshot& snapshot = out->bundle.snapshot;
   bool have_first_skip = false;
-  for (const TextChunk& c : chunks) {
+  for (TextChunk& c : chunks) {
     if (c.failed) {
       *diag = c.diag;
       return false;
     }
-    snapshot_text += c.snapshot_text;
+    std::move(c.snapshot.entries.begin(), c.snapshot.entries.end(),
+              std::back_inserter(snapshot.entries));
     out->skipped_lines += c.skipped;
     if (c.skipped > 0 && !have_first_skip) {
       out->first_skip = c.diag;
@@ -310,8 +326,7 @@ bool ParallelReadTraceFile(const std::string& path,
     ARTC_OBS_COUNT("parse.skipped_lines", out->skipped_lines);
   }
 
-  std::istringstream snap_in(snapshot_text);
-  out->bundle.snapshot = ReadSnapshot(snap_in);
+  snapshot.Canonicalize();
   return true;
 }
 
@@ -342,18 +357,25 @@ std::unique_ptr<StreamReader> StreamReader::Open(
   }
   // The preamble: snapshot and comment lines up to the first event line,
   // which is buffered for the first Next() window.
-  std::string snapshot_text;
   std::string line;
   while (std::getline(r->text_in_, line)) {
     r->lineno_++;
     const uint64_t off = r->byte_off_;
     r->byte_off_ += line.size() + 1;
     switch (Classify(line)) {
-      case LineClass::kSnapshot:
-        snapshot_text.append(line, kSnapshotLinePrefix.size(),
-                             line.size() - kSnapshotLinePrefix.size());
-        snapshot_text.push_back('\n');
+      case LineClass::kSnapshot: {
+        std::string error;
+        if (!ParseSnapshotLine(
+                std::string_view(line).substr(kSnapshotLinePrefix.size()),
+                &r->snapshot_, &error)) {
+          diag->file = path;
+          diag->line = r->lineno_;
+          diag->byte_offset = off;
+          diag->message = std::move(error);
+          return nullptr;
+        }
         break;
+      }
       case LineClass::kComment:
         break;
       case LineClass::kEvent:
@@ -367,8 +389,7 @@ std::unique_ptr<StreamReader> StreamReader::Open(
       break;
     }
   }
-  std::istringstream snap_in(snapshot_text);
-  r->snapshot_ = ReadSnapshot(snap_in);
+  r->snapshot_.Canonicalize();
   return r;
 }
 

@@ -218,20 +218,6 @@ bool ReadTrace(std::istream& in, Trace* out, ParseDiag* diag) {
   return true;
 }
 
-bool ReadTraceFile(const std::string& path, Trace* out, ParseDiag* diag) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    diag->file = path;
-    diag->message = "cannot open trace file";
-    return false;
-  }
-  if (!ReadTrace(in, out, diag)) {
-    diag->file = path;
-    return false;
-  }
-  return true;
-}
-
 Trace ReadTrace(std::istream& in) {
   Trace trace;
   ParseDiag diag;
@@ -239,12 +225,6 @@ Trace ReadTrace(std::istream& in) {
                  "trace parse error at line %zu: %s", diag.line,
                  diag.message.c_str());
   return trace;
-}
-
-Trace ReadTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  ARTC_CHECK_MSG(in.good(), "cannot open trace file %s", path.c_str());
-  return ReadTrace(in);
 }
 
 void WriteTrace(const Trace& trace, std::ostream& out) {
@@ -265,7 +245,6 @@ constexpr std::string_view kSnapshotLinePrefix = "#snapshot ";
 }  // namespace
 
 bool ReadTraceBundle(std::istream& in, TraceBundle* out, ParseDiag* diag) {
-  std::string snapshot_text;
   std::string line;
   size_t lineno = 0;
   uint64_t offset = 0;
@@ -273,42 +252,29 @@ bool ReadTraceBundle(std::istream& in, TraceBundle* out, ParseDiag* diag) {
     lineno++;
     const uint64_t line_offset = offset;
     offset += line.size() + 1;
-    if (std::string_view(line).substr(0, kSnapshotLinePrefix.size()) ==
-        kSnapshotLinePrefix) {
-      snapshot_text.append(line, kSnapshotLinePrefix.size(),
-                           line.size() - kSnapshotLinePrefix.size());
-      snapshot_text.push_back('\n');
-      continue;
-    }
-    TraceEvent ev;
+    std::string_view view = line;
     std::string error;
-    if (ParseEventLine(line, &ev, &error)) {
-      ev.index = out->trace.events.size();
-      out->trace.events.push_back(std::move(ev));
-    } else if (!error.empty()) {
+    if (view.substr(0, kSnapshotLinePrefix.size()) == kSnapshotLinePrefix) {
+      if (ParseSnapshotLine(view.substr(kSnapshotLinePrefix.size()),
+                            &out->snapshot, &error)) {
+        continue;
+      }
+    } else {
+      TraceEvent ev;
+      if (ParseEventLine(line, &ev, &error)) {
+        ev.index = out->trace.events.size();
+        out->trace.events.push_back(std::move(ev));
+        continue;
+      }
+    }
+    if (!error.empty()) {
       diag->line = lineno;
       diag->byte_offset = line_offset;
       diag->message = std::move(error);
       return false;
     }
   }
-  std::istringstream snap_in(snapshot_text);
-  out->snapshot = ReadSnapshot(snap_in);
-  return true;
-}
-
-bool ReadTraceBundleFile(const std::string& path, TraceBundle* out,
-                         ParseDiag* diag) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    diag->file = path;
-    diag->message = "cannot open bundle file";
-    return false;
-  }
-  if (!ReadTraceBundle(in, out, diag)) {
-    diag->file = path;
-    return false;
-  }
+  out->snapshot.Canonicalize();
   return true;
 }
 
@@ -319,12 +285,6 @@ TraceBundle ReadTraceBundle(std::istream& in) {
                  "bundle parse error at line %zu: %s", diag.line,
                  diag.message.c_str());
   return bundle;
-}
-
-TraceBundle ReadTraceBundleFile(const std::string& path) {
-  std::ifstream in(path);
-  ARTC_CHECK_MSG(in.good(), "cannot open bundle file %s", path.c_str());
-  return ReadTraceBundle(in);
 }
 
 void WriteTraceBundle(const TraceBundle& bundle, std::ostream& out) {

@@ -30,16 +30,17 @@ struct ParseDiag {
   std::string Format() const;
 };
 
-// Aborting readers: parse errors die with a message pointing at the
-// offending line. The right behaviour for build inputs and small fixtures;
-// streaming pipelines use the diagnostic-returning variants below.
+// Sequential stream readers, the reference the parallel and windowed
+// readers (stream_reader.h) are tested against. Files are loaded through
+// ParallelReadTraceFile there, which also reads ARTCT.
+//
+// Aborting reader: parse errors die with a message pointing at the
+// offending line. The right behaviour for build inputs and small fixtures.
 Trace ReadTrace(std::istream& in);
-Trace ReadTraceFile(const std::string& path);
 
-// Diagnostic-returning variants: on any parse (or open) failure, fill
-// *diag and return false; *out holds the events parsed before the failure.
+// Diagnostic-returning variant: on any parse failure, fill *diag and
+// return false; *out holds the events parsed before the failure.
 bool ReadTrace(std::istream& in, Trace* out, ParseDiag* diag);
-bool ReadTraceFile(const std::string& path, Trace* out, ParseDiag* diag);
 
 void WriteTrace(const Trace& trace, std::ostream& out);
 void WriteTraceFile(const Trace& trace, const std::string& path);
@@ -61,11 +62,9 @@ struct TraceBundle {
   FsSnapshot snapshot;
 };
 
+// A bad "#snapshot" line fails the read like a bad event line does.
 TraceBundle ReadTraceBundle(std::istream& in);
-TraceBundle ReadTraceBundleFile(const std::string& path);
 bool ReadTraceBundle(std::istream& in, TraceBundle* out, ParseDiag* diag);
-bool ReadTraceBundleFile(const std::string& path, TraceBundle* out,
-                         ParseDiag* diag);
 void WriteTraceBundle(const TraceBundle& bundle, std::ostream& out);
 void WriteTraceBundleFile(const TraceBundle& bundle, const std::string& path);
 

@@ -2,6 +2,7 @@
 // readers: text<->binary round trips over the golden corpus and fuzz
 // traces, parallel-parse equivalence against the sequential readers,
 // windowed StreamReader stitching, and corruption/diagnostic paths.
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include "src/trace/snapshot.h"
 #include "src/trace/stream_reader.h"
 #include "src/trace/trace_io.h"
+#include "src/util/crc32.h"
 #include "src/util/thread_pool.h"
 
 namespace artc {
@@ -64,6 +66,22 @@ void ExpectBundlesEqual(const trace::TraceBundle& a,
   EXPECT_EQ(sa.str(), sb.str());
 }
 
+// The sequential reference reader, over a file.
+trace::TraceBundle ReadBundleSequential(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  return trace::ReadTraceBundle(in);
+}
+
+// Loads any trace file through the whole-file loader the CLIs use.
+trace::TraceBundle LoadFile(const std::string& path) {
+  trace::ParallelReadResult res;
+  trace::ParseDiag diag;
+  EXPECT_TRUE(trace::ParallelReadTraceFile(path, {}, &res, &diag))
+      << diag.Format();
+  return std::move(res.bundle);
+}
+
 std::vector<std::string> CorpusFiles() {
   std::vector<std::string> out;
   for (const auto& entry : fs::directory_iterator(ARTC_CORPUS_DIR)) {
@@ -78,16 +96,14 @@ TEST(BinaryTrace, RoundTripCorpus) {
   ASSERT_FALSE(files.empty());
   const std::string bin = TempPath("artct_roundtrip.artct");
   for (size_t i = 0; i < files.size() && i < 4; ++i) {
-    trace::TraceBundle orig = trace::ReadTraceBundleFile(files[i]);
+    trace::TraceBundle orig = ReadBundleSequential(files[i]);
     std::string error;
     // Tiny chunks force multi-chunk files even on small fixtures.
     ASSERT_TRUE(trace::WriteArtctFile(bin, orig.trace, orig.snapshot, &error,
                                       /*chunk_events=*/64))
         << error;
     ASSERT_TRUE(trace::SniffArtctFile(bin));
-    trace::TraceBundle back;
-    ASSERT_TRUE(trace::ReadArtctFile(bin, &back, &error)) << error;
-    ExpectBundlesEqual(orig, back);
+    ExpectBundlesEqual(orig, LoadFile(bin));
   }
   std::remove(bin.c_str());
 }
@@ -104,9 +120,7 @@ TEST(BinaryTrace, RoundTripFuzzTraces) {
     ASSERT_TRUE(trace::WriteArtctFile(bin, orig.trace, orig.snapshot, &error,
                                       /*chunk_events=*/32))
         << error;
-    trace::TraceBundle back;
-    ASSERT_TRUE(trace::ReadArtctFile(bin, &back, &error)) << error;
-    ExpectBundlesEqual(orig, back);
+    ExpectBundlesEqual(orig, LoadFile(bin));
   }
   std::remove(bin.c_str());
 }
@@ -117,9 +131,7 @@ TEST(BinaryTrace, EmptyTrace) {
   trace::FsSnapshot snap;
   std::string error;
   ASSERT_TRUE(trace::WriteArtctFile(bin, empty, snap, &error));
-  trace::TraceBundle back;
-  ASSERT_TRUE(trace::ReadArtctFile(bin, &back, &error)) << error;
-  EXPECT_TRUE(back.trace.events.empty());
+  EXPECT_TRUE(LoadFile(bin).trace.events.empty());
   std::remove(bin.c_str());
 }
 
@@ -142,9 +154,11 @@ TEST(BinaryTrace, CorruptChunkDetected) {
     f.seekp(64 + 16);
     f.put(static_cast<char>(c ^ 0x5a));
   }
-  trace::TraceBundle back;
-  EXPECT_FALSE(trace::ReadArtctFile(bin, &back, &error));
-  EXPECT_NE(error.find("CRC"), std::string::npos) << error;
+  trace::ParallelReadResult res;
+  trace::ParseDiag diag;
+  EXPECT_FALSE(trace::ParallelReadTraceFile(bin, {}, &res, &diag));
+  EXPECT_EQ(diag.file, bin);
+  EXPECT_NE(diag.message.find("CRC"), std::string::npos) << diag.Format();
   std::remove(bin.c_str());
 }
 
@@ -166,7 +180,7 @@ TEST(ParallelRead, TextMatchesSequential) {
   ASSERT_FALSE(files.empty());
   util::ThreadPool pool(4);
   for (size_t i = 0; i < files.size() && i < 3; ++i) {
-    trace::TraceBundle seq = trace::ReadTraceBundleFile(files[i]);
+    trace::TraceBundle seq = ReadBundleSequential(files[i]);
     trace::ParallelReadOptions opt;
     opt.pool = &pool;
     opt.chunk_bytes = 512;  // force many chunks on small fixtures
@@ -328,7 +342,7 @@ void CheckStreamWindows(const std::string& path,
 TEST(StreamReader, TextWindows) {
   auto files = CorpusFiles();
   ASSERT_FALSE(files.empty());
-  trace::TraceBundle want = trace::ReadTraceBundleFile(files[0]);
+  trace::TraceBundle want = ReadBundleSequential(files[0]);
   for (uint64_t w : {1ull, 7ull, 1000000ull}) {
     CheckStreamWindows(files[0], want, w, nullptr);
   }
@@ -366,9 +380,9 @@ TEST(TraceIo, DiagnosticCarriesLocation) {
     f << "0 1 1000 2000 open ret=3 path=\"/a\" flags=0x0 mode=0644\n";
     f << "garbage here\n";
   }
-  trace::Trace t;
+  trace::ParallelReadResult res;
   trace::ParseDiag diag;
-  EXPECT_FALSE(trace::ReadTraceFile(txt, &t, &diag));
+  EXPECT_FALSE(trace::ParallelReadTraceFile(txt, {}, &res, &diag));
   EXPECT_EQ(diag.line, 3u);
   EXPECT_EQ(diag.file, txt);
   EXPECT_GT(diag.byte_offset, 0u);
@@ -376,8 +390,137 @@ TEST(TraceIo, DiagnosticCarriesLocation) {
   std::remove(txt.c_str());
 
   trace::ParseDiag missing;
-  EXPECT_FALSE(trace::ReadTraceFile(TempPath("no_such.trace"), &t, &missing));
+  EXPECT_FALSE(
+      trace::ParallelReadTraceFile(TempPath("no_such.trace"), {}, &res, &missing));
   EXPECT_FALSE(missing.message.empty());
+}
+
+
+// A header that names ARTCT version 1 (whose records lack sync_id) and
+// carries a valid CRC is refused by version, not misread.
+TEST(BinaryTrace, RejectsVersion1) {
+  check::GenOptions gen;
+  gen.seed = 5;
+  trace::TraceBundle orig = check::GenerateTrace(gen);
+  const std::string bin = TempPath("artct_v1.artct");
+  std::string error;
+  ASSERT_TRUE(trace::WriteArtctFile(bin, orig.trace, orig.snapshot, &error));
+  {
+    std::fstream f(bin, std::ios::in | std::ios::out | std::ios::binary);
+    trace::ArtctHeader h;
+    f.read(reinterpret_cast<char*>(&h), sizeof(h));
+    h.version = 1;
+    h.header_crc = util::Crc32(&h, offsetof(trace::ArtctHeader, header_crc));
+    f.seekp(0);
+    f.write(reinterpret_cast<const char*>(&h), sizeof(h));
+  }
+  trace::ParallelReadResult res;
+  trace::ParseDiag diag;
+  EXPECT_FALSE(trace::ParallelReadTraceFile(bin, {}, &res, &diag));
+  EXPECT_NE(diag.message.find("unsupported ARTCT version 1"), std::string::npos)
+      << diag.Format();
+  std::remove(bin.c_str());
+}
+
+// The ARTCT snapshot section has no CRC; an entry edited to an unknown type
+// must surface as a diagnostic from every reader that opens the file.
+TEST(BinaryTrace, CorruptSnapshotSectionDiagnosed) {
+  check::GenOptions gen;
+  gen.seed = 6;
+  trace::TraceBundle orig = check::GenerateTrace(gen);
+  ASSERT_FALSE(orig.snapshot.entries.empty());
+  const std::string bin = TempPath("artct_badsnap.artct");
+  std::string error;
+  ASSERT_TRUE(trace::WriteArtctFile(bin, orig.trace, orig.snapshot, &error));
+  {
+    std::fstream f(bin, std::ios::in | std::ios::out | std::ios::binary);
+    trace::ArtctHeader h;
+    f.read(reinterpret_cast<char*>(&h), sizeof(h));
+    std::string snap(h.snapshot_bytes, '\0');
+    f.seekg(static_cast<std::streamoff>(h.snapshot_off));
+    f.read(snap.data(), static_cast<std::streamsize>(snap.size()));
+    const size_t entry = snap.find("\nD ");  // first entry, after the comment
+    ASSERT_NE(entry, std::string::npos);
+    f.seekp(static_cast<std::streamoff>(h.snapshot_off + entry + 1));
+    f.put('Q');
+  }
+  EXPECT_EQ(trace::ArtctReader::Open(bin, &error), nullptr);
+  EXPECT_NE(error.find("unknown snapshot entry type 'Q'"), std::string::npos)
+      << error;
+
+  trace::ParallelReadResult res;
+  trace::ParseDiag diag;
+  EXPECT_FALSE(trace::ParallelReadTraceFile(bin, {}, &res, &diag));
+  EXPECT_NE(diag.message.find("'Q'"), std::string::npos) << diag.Format();
+
+  trace::ParseDiag stream_diag;
+  EXPECT_EQ(trace::StreamReader::Open(bin, {}, &stream_diag), nullptr);
+  EXPECT_NE(stream_diag.message.find("'Q'"), std::string::npos)
+      << stream_diag.Format();
+  std::remove(bin.c_str());
+}
+
+// A text bundle whose line 3 is a "#snapshot" entry of unknown type.
+const char kBadSnapshotBundle[] =
+    "# bundle\n"
+    "#snapshot D /a\n"
+    "#snapshot Q /bad\n"
+    "0 1 1000 2000 open ret=3 path=\"/a\" flags=0x0 mode=0644\n";
+
+TEST(TraceIo, BundleDiagnosesBadSnapshotLine) {
+  std::istringstream in(kBadSnapshotBundle);
+  trace::TraceBundle bundle;
+  trace::ParseDiag diag;
+  EXPECT_FALSE(trace::ReadTraceBundle(in, &bundle, &diag));
+  EXPECT_EQ(diag.line, 3u);
+  EXPECT_EQ(diag.byte_offset, std::string("# bundle\n#snapshot D /a\n").size());
+  EXPECT_NE(diag.message.find("'Q'"), std::string::npos) << diag.Format();
+}
+
+TEST(StreamReader, DiagnosesBadSnapshotLine) {
+  const std::string txt = TempPath("artct_badsnap_stream.trace");
+  {
+    std::ofstream f(txt);
+    f << kBadSnapshotBundle;
+  }
+  trace::ParseDiag diag;
+  EXPECT_EQ(trace::StreamReader::Open(txt, {}, &diag), nullptr);
+  EXPECT_EQ(diag.file, txt);
+  EXPECT_EQ(diag.line, 3u);
+  EXPECT_NE(diag.message.find("'Q'"), std::string::npos) << diag.Format();
+  std::remove(txt.c_str());
+}
+
+// The parallel text reader parses snapshot lines in its counting phase, on
+// chunk-local line numbers; the diagnostic must still carry the file line,
+// and skip_bad_lines must not skip a snapshot line.
+TEST(ParallelRead, DiagnosesBadSnapshotLine) {
+  const std::string txt = TempPath("artct_badsnap_par.trace");
+  size_t bad_line = 0;
+  {
+    std::ofstream f(txt);
+    for (int i = 0; i < 40; ++i) {
+      f << i << " 1 " << 1000 * (i + 1) << " " << 1000 * (i + 1) + 500
+        << " close ret=0 fd=3\n";
+    }
+    f << "#snapshot Q /bad\n";
+    bad_line = 41;
+    f << "40 1 50000 50500 close ret=0 fd=3\n";
+  }
+  util::ThreadPool pool(4);
+  trace::ParallelReadOptions opt;
+  opt.pool = &pool;
+  opt.chunk_bytes = 128;  // the bad line lands well past the first chunk
+  for (bool skip : {false, true}) {
+    opt.skip_bad_lines = skip;
+    trace::ParallelReadResult res;
+    trace::ParseDiag diag;
+    EXPECT_FALSE(trace::ParallelReadTraceFile(txt, opt, &res, &diag));
+    EXPECT_EQ(diag.file, txt);
+    EXPECT_EQ(diag.line, bad_line);
+    EXPECT_NE(diag.message.find("'Q'"), std::string::npos) << diag.Format();
+  }
+  std::remove(txt.c_str());
 }
 
 }  // namespace

@@ -1,99 +1,15 @@
-// Tests for the extended core features: benchmark (de)serialization,
-// concurrent multi-trace replay, and asynchronous-I/O replay.
+// Tests for the extended core features: concurrent multi-trace replay and
+// asynchronous-I/O replay.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
-
 #include "src/core/artc.h"
-#include "src/core/serialize.h"
 #include "src/workloads/magritte.h"
-#include "src/workloads/micro.h"
 
 namespace artc::core {
 namespace {
 
 using workloads::SourceConfig;
 using workloads::TracedRun;
-
-TracedRun SmallTrace() {
-  workloads::RandomReaders::Options opt;
-  opt.threads = 2;
-  opt.reads_per_thread = 25;
-  opt.file_bytes = 8ULL << 20;
-  workloads::RandomReaders w(opt);
-  SourceConfig src;
-  src.storage = storage::MakeNamedConfig("ssd");
-  return TraceWorkload(w, src);
-}
-
-TEST(Serialize, RoundTripPreservesEverything) {
-  TracedRun run = SmallTrace();
-  CompiledBenchmark bench = Compile(run.trace, run.snapshot, {});
-  std::stringstream ss;
-  WriteBenchmark(bench, ss);
-  CompiledBenchmark back = ReadBenchmark(ss);
-
-  ASSERT_EQ(back.actions.size(), bench.actions.size());
-  EXPECT_EQ(back.method, bench.method);
-  EXPECT_EQ(back.fd_slot_count, bench.fd_slot_count);
-  EXPECT_EQ(back.thread_ids, bench.thread_ids);
-  EXPECT_EQ(back.thread_actions, bench.thread_actions);
-  EXPECT_EQ(back.snapshot.entries.size(), bench.snapshot.entries.size());
-  EXPECT_EQ(back.edge_stats.TotalEdges(), bench.edge_stats.TotalEdges());
-  for (size_t i = 0; i < bench.actions.size(); ++i) {
-    const CompiledAction& a = bench.actions[i];
-    const CompiledAction& b = back.actions[i];
-    EXPECT_EQ(bench.events[i].call, back.events[i].call) << i;
-    EXPECT_EQ(bench.events[i].path, back.events[i].path) << i;
-    EXPECT_EQ(bench.events[i].ret, back.events[i].ret) << i;
-    EXPECT_EQ(a.fd_use_slot, b.fd_use_slot) << i;
-    EXPECT_EQ(a.fd_def_slot, b.fd_def_slot) << i;
-    EXPECT_EQ(a.predelay, b.predelay) << i;
-    DepSpan ad = bench.DepsFor(static_cast<uint32_t>(i));
-    DepSpan bd = back.DepsFor(static_cast<uint32_t>(i));
-    ASSERT_EQ(ad.size(), bd.size()) << i;
-    for (size_t d = 0; d < ad.size(); ++d) {
-      EXPECT_EQ(ad[d].event, bd[d].event);
-      EXPECT_EQ(ad[d].kind, bd[d].kind);
-      EXPECT_EQ(ad[d].rule, bd[d].rule);
-      EXPECT_EQ(ad[d].res, bd[d].res);
-    }
-  }
-  EXPECT_EQ(back.dep_resource_names, bench.dep_resource_names);
-  EXPECT_EQ(back.dep_arena.size(), bench.dep_arena.size());
-  EXPECT_EQ(back.edge_stats.TotalPruned(), bench.edge_stats.TotalPruned());
-}
-
-TEST(Serialize, DeserializedBenchmarkReplaysIdentically) {
-  TracedRun run = SmallTrace();
-  CompiledBenchmark bench = Compile(run.trace, run.snapshot, {});
-  std::stringstream ss;
-  WriteBenchmark(bench, ss);
-  CompiledBenchmark back = ReadBenchmark(ss);
-
-  SimTarget target;
-  target.storage = storage::MakeNamedConfig("hdd");
-  SimReplayResult a = ReplayCompiledOnSimTarget(bench, target);
-  SimReplayResult b = ReplayCompiledOnSimTarget(back, target);
-  EXPECT_EQ(a.report.wall_time, b.report.wall_time);
-  EXPECT_EQ(a.report.failed_events, b.report.failed_events);
-}
-
-TEST(Serialize, RejectsGarbage) {
-  std::stringstream ss("this is not a benchmark");
-  EXPECT_DEATH(ReadBenchmark(ss), "bad magic");
-}
-
-TEST(Serialize, FileRoundTrip) {
-  TracedRun run = SmallTrace();
-  CompiledBenchmark bench = Compile(run.trace, run.snapshot, {});
-  std::string path = ::testing::TempDir() + "/bench.artcb";
-  WriteBenchmarkFile(bench, path);
-  CompiledBenchmark back = ReadBenchmarkFile(path);
-  EXPECT_EQ(back.actions.size(), bench.actions.size());
-  std::remove(path.c_str());
-}
 
 TEST(MultiReplay, TwoMagritteTracesConcurrently) {
   // The paper's overlay use case: iPhoto browsing while iTunes plays.

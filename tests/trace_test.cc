@@ -224,6 +224,39 @@ TEST(Snapshot, RoundTrip) {
   ASSERT_NE(back.Find("/dev"), nullptr);  // parent auto-created
 }
 
+TEST(Snapshot, DiagnosesMalformedLines) {
+  const struct {
+    const char* text;
+    size_t line;
+    const char* message;
+  } kCases[] = {
+      {"# header\nD /a\nQ /bad\n", 3, "unknown snapshot entry type 'Q'"},
+      {"D /a\nF\n", 2, "has no path"},
+      {"L /a/link /target\n", 1, "has no '->'"},
+  };
+  for (const auto& c : kCases) {
+    std::istringstream in(c.text);
+    FsSnapshot snap;
+    snap.AddDir("/kept");
+    ParseDiag diag;
+    EXPECT_FALSE(ReadSnapshot(in, &snap, &diag)) << c.text;
+    EXPECT_EQ(diag.line, c.line) << c.text;
+    EXPECT_NE(diag.message.find(c.message), std::string::npos) << diag.Format();
+    // A failed read leaves the caller's snapshot as it was.
+    ASSERT_EQ(snap.entries.size(), 1u);
+    EXPECT_EQ(snap.entries[0].path, "/kept");
+  }
+}
+
+TEST(Snapshot, FileReaderDiagnosesMissingFile) {
+  const std::string path = ::testing::TempDir() + "/no_such_snapshot.snap";
+  FsSnapshot snap;
+  ParseDiag diag;
+  EXPECT_FALSE(ReadSnapshotFile(path, &snap, &diag));
+  EXPECT_EQ(diag.file, path);
+  EXPECT_NE(diag.Format().find(path), std::string::npos) << diag.Format();
+}
+
 TEST(Snapshot, CanonicalizeInsertsParentsFirst) {
   FsSnapshot snap;
   snap.AddFile("/deep/nested/dir/file", 1);
