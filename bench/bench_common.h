@@ -76,48 +76,6 @@ inline const workloads::MagritteSpec& MagritteSpecOrFail(
   flags.Fail("unknown Magritte workload '" + name + "' (expected " + names + ")");
 }
 
-// What a CLI's --workload / --micro / --source / --seed flags select.
-struct WorkloadSource {
-  std::string workload = "iphoto_import";  // a Magritte workload
-  std::string micro;           // if set, this micro workload instead ...
-  std::string source = "ssd";  // ... traced on this storage config
-  uint64_t seed = 1;
-
-  static constexpr const char* kMicroNames[] = {"seq_readers", "random_readers"};
-
-  void AddFlags(util::FlagSet* flags) {
-    flags->String("workload", &workload);
-    flags->Choice("micro", &micro, kMicroNames);
-    flags->Choice("source", &source, storage::kNamedConfigNames);
-    flags->Unsigned("seed", &seed);
-  }
-};
-
-// Traces the selected workload, with `workload_name` set to the name the
-// flags gave it: Magritte workloads on their canonical ssd/osx source, the
-// micro workloads the figure benches replay on --source storage. An unknown
-// Magritte name fails through `flags`.
-inline workloads::TracedRun TraceWorkloadSource(const WorkloadSource& ws,
-                                                const util::FlagSet& flags) {
-  if (ws.micro.empty()) {
-    return TraceMagritteOnSuiteSource(MagritteSpecOrFail(flags, ws.workload),
-                                      ws.seed);
-  }
-  workloads::SourceConfig source;
-  source.storage = storage::MakeNamedConfig(ws.source);
-  source.seed = ws.seed;
-  workloads::TracedRun run;
-  if (ws.micro == "seq_readers") {
-    workloads::CompetingSequentialReaders w({});
-    run = workloads::TraceWorkload(w, source);
-  } else {
-    workloads::RandomReaders w({});
-    run = workloads::TraceWorkload(w, source);
-  }
-  run.workload_name = ws.micro;
-  return run;
-}
-
 // Writes a JSON report to `path` and says so on stdout; false, with a
 // diagnostic, when the file cannot be written.
 inline bool WriteReport(const std::string& path, const std::string& json) {

@@ -11,6 +11,7 @@
 //   artc_critpath --micro=seq_readers --source=cfq-100ms --storage=cfq-1ms
 //                                     # the Fig. 5(d) scenario (EXPERIMENTS.md)
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/core/suite.h"
 #include "src/obs/critpath.h"
 #include "src/obs/log.h"
+#include "src/sweep/workload_table.h"
 #include "src/trace/stream_reader.h"
 #include "src/util/flags.h"
 #include "src/util/thread_pool.h"
@@ -37,6 +39,37 @@ using workloads::TracedRun;
 struct Options {
   SimTarget target;
   std::string json_path;
+};
+
+// What the --workload / --micro / --source / --seed flags select: a named
+// workload (sweep::NamedWorkload) traced on a storage config.
+struct WorkloadSource {
+  std::string workload = "iphoto_import";
+  std::string micro;           // if set, this workload instead
+  std::string source = "ssd";  // traced on this storage config
+  uint64_t seed = 1;
+
+  void AddFlags(util::FlagSet* flags) {
+    flags->String("workload", &workload);
+    flags->Choice("micro", &micro, sweep::kMicroWorkloadNames);
+    flags->Choice("source", &source, storage::kNamedConfigNames);
+    flags->Unsigned("seed", &seed);
+  }
+
+  // Traces the selected workload; an unknown name fails through `flags`,
+  // listing the known ones.
+  TracedRun Trace(const util::FlagSet& flags) const {
+    const std::string& name = micro.empty() ? workload : micro;
+    const std::optional<sweep::NamedWorkload> w = sweep::NamedWorkload::Find(name);
+    if (!w) {
+      flags.Fail("unknown workload '" + name + "' (expected " +
+                 sweep::NamedWorkload::Names() + ")");
+    }
+    workloads::SourceConfig config;
+    config.storage = storage::MakeNamedConfig(source);
+    config.seed = seed;
+    return w->Trace(/*threads=*/0, config);
+  }
 };
 
 int PrintPager(const std::string& title, const CompiledBenchmark& bench,
@@ -97,7 +130,7 @@ int AnalyzeSuiteParallel(const Options& opt, uint64_t seed) {
 
 int Main(int argc, char** argv) {
   Options opt;
-  bench::WorkloadSource ws;
+  WorkloadSource ws;
   std::string storage_name = "hdd";
   std::string backend = "fibers";
   std::string trace_path;
@@ -151,7 +184,7 @@ int Main(int argc, char** argv) {
     }
     return rc;
   }
-  TracedRun run = bench::TraceWorkloadSource(ws, flags);
+  TracedRun run = ws.Trace(flags);
   std::string title = run.workload_name;
   if (!ws.micro.empty()) {
     title += " (traced on " + ws.source + ")";

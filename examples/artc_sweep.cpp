@@ -1,24 +1,31 @@
-// artc_sweep: fleet-scale what-if exploration over one traced workload.
-// Expands a declarative scenario grid (replay method x fs profile x storage
-// hardware x I/O scheduler x cache size x schedule policy x seed x backend
-// x pacing), compiles the trace once per replay method, replays every cell
-// on the host thread pool, and streams one JSONL row per cell with the
-// virtual end time, critical-path stall attribution, and fs-state digest.
-// Progress is live on the obs metrics plane (--metrics-port / ARTC_*), and
-// any row can be re-run alone, fully instrumented, with --drill.
+// artc_sweep: what-if exploration over a declarative scenario grid. Each
+// cell names a workload (and its thread count), the source stack it is
+// traced on, and the replay method, fs profile, storage hardware, I/O
+// scheduler, cache size, schedule policy, seed and pacing it is replayed
+// with. The sweep traces each workload once per source, compiles it once
+// per replay method, measures the original program once per target,
+// replays every cell on the host thread pool, and streams one JSONL row per
+// cell with the virtual end time, the error against the original, the
+// critical-path stall attribution, the storage block counts and the
+// fs-state digest. Progress is live on the obs metrics plane
+// (--metrics-port / ARTC_*), and any row can be re-run alone, fully
+// instrumented, with --drill.
 //
-//   artc_sweep --micro=random_readers --grid=grid.txt --out=rows.jsonl
-//   artc_sweep --workload=iphoto_import --jobs=8 --report=report.json
-//   artc_sweep --micro=random_readers --list           # cell ids, no replays
-//   artc_sweep --micro=random_readers --drill=3f2a...  # one cell, one-pager
+//   artc_sweep --grid=bench/grids/fig5a.grid      # one paper figure
+//   artc_sweep --grid=grid.txt --jobs=8 --out=rows.jsonl --report=report.json
+//   artc_sweep --grid=grid.txt --list             # cell ids, no replays
+//   artc_sweep --grid=grid.txt --drill=3f2a...    # one cell, one-pager
 //
-// Grid file format, one axis per line (unset axes keep their defaults):
-//   method  = artc, temporal
-//   storage = hdd, ssd, raid0
-//   cache_mb = 64, 384
-//   seed    = 1, 2
+// Grid file format, one axis per line (unset axes keep their defaults; a
+// `---` line starts another cross product as a copy of the one before):
+//   workload = random_readers
+//   threads  = 1, 2, 8
+//   source   = hdd, raid0:cache_mb=96
+//   method   = single, temporal, artc
+//   storage  = hdd, ssd, raid0
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/sweep/sweep.h"
@@ -28,7 +35,6 @@ namespace artc {
 namespace {
 
 int Main(int argc, char** argv) {
-  bench::WorkloadSource ws;
   std::string grid_path;
   std::string report_path;
   std::string drill;
@@ -36,7 +42,6 @@ int Main(int argc, char** argv) {
   bool no_host_ms = false;
   sweep::SweepOptions options;
   util::FlagSet flags;
-  ws.AddFlags(&flags);
   flags.String("grid", &grid_path);
   flags.Switch("list", &list);
   flags.String("drill", &drill);
@@ -47,32 +52,35 @@ int Main(int argc, char** argv) {
   bench::HarnessObsSession obs_session(argc, argv, &flags);
 
   std::string error;
-  sweep::SweepGrid grid;
+  std::vector<sweep::SweepGrid> grids(1);
   if (!grid_path.empty()) {
-    if (!sweep::ParseGridFile(grid_path, &grid, &error)) {
+    if (!sweep::ParseGridFile(grid_path, &grids, &error)) {
       std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
       return 2;
     }
   } else {
     // Demo grid: enough spread to make the sensitivity table interesting.
-    grid.method = {"artc", "temporal"};
-    grid.storage = {"hdd", "ssd", "raid0"};
-    grid.seed = {1, 2};
-  }
-
-  workloads::TracedRun run = bench::TraceWorkloadSource(ws, flags);
-  sweep::SweepPlan plan;
-  if (!sweep::BuildSweepPlan(std::move(run.trace), run.snapshot, grid,
-                             run.workload_name, &plan, &error)) {
-    std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
-    return 2;
+    grids[0].method = {"artc", "temporal"};
+    grids[0].storage = {"hdd", "ssd", "raid0"};
+    grids[0].seed = {1, 2};
   }
 
   if (list) {
-    for (const sweep::CellConfig& cell : plan.cells) {
+    std::vector<sweep::CellConfig> cells;
+    if (!sweep::ExpandGrids(grids, &cells, &error)) {
+      std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
+      return 2;
+    }
+    for (const sweep::CellConfig& cell : cells) {
       std::printf("%s  %s\n", cell.Id().c_str(), cell.Echo().c_str());
     }
     return 0;
+  }
+
+  sweep::SweepPlan plan;
+  if (!sweep::BuildSweepPlan(std::move(grids), &plan, &error)) {
+    std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
+    return 2;
   }
 
   if (!drill.empty()) {

@@ -1,11 +1,11 @@
 #include "src/sweep/grid.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
+#include <set>
 #include <sstream>
 
-#include "src/storage/storage_stack.h"
+#include "src/sweep/workload_table.h"
 #include "src/util/check.h"
 #include "src/util/strings.h"
 #include "src/vfs/vfs.h"
@@ -13,10 +13,8 @@
 namespace artc::sweep {
 namespace {
 
-// Vocabularies of the axes whose layers have no lookup of their own. Methods,
-// storage configs and fs profiles are checked against their layers' tables.
-const char* const kIoScheds[] = {"base", "noop", "cfq-1ms", "cfq-100ms"};
 const char* const kPacings[] = {"afap", "natural"};
+constexpr uint64_t kMaxCfqSliceMs = 1000;
 
 uint64_t Fnv1a64(const std::string& s) {
   uint64_t h = 1469598103934665603ull;
@@ -36,50 +34,151 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-std::vector<std::string> SplitCsv(const std::string& s) {
+std::vector<std::string> Split(const std::string& s, char sep) {
   std::vector<std::string> out;
   size_t pos = 0;
   while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = s.size();
+    size_t end = s.find(sep, pos);
+    if (end == std::string::npos) {
+      end = s.size();
     }
-    std::string item = Trim(s.substr(pos, comma - pos));
+    std::string item = Trim(s.substr(pos, end - pos));
     if (!item.empty()) {
       out.push_back(item);
     }
-    pos = comma + 1;
+    pos = end + 1;
   }
   return out;
 }
 
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = std::strtoll(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+// A plain decimal that fills `s` and fits T.
+template <typename T>
+bool ParseNumber(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return !s.empty() && ec == std::errc() && ptr == end;
 }
 
-bool ParseUint64(const std::string& s, uint64_t* out) {
-  if (s.empty() || s[0] == '-') {
-    return false;
+bool Fail(std::string* error, std::string msg) {
+  if (error != nullptr) {
+    *error = std::move(msg);
   }
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+  return false;
+}
+
+// N for "cfq-<N>ms" with 1 <= N <= kMaxCfqSliceMs and no leading zero;
+// 0 for anything else.
+uint64_t CfqSliceMs(const std::string& v) {
+  const std::string prefix = "cfq-";
+  const std::string suffix = "ms";
+  if (v.size() <= prefix.size() + suffix.size() || v.compare(0, 4, prefix) != 0 ||
+      v.compare(v.size() - 2, 2, suffix) != 0 || v[prefix.size()] == '0') {
+    return 0;
+  }
+  uint64_t ms = 0;
+  if (!ParseNumber(v.substr(prefix.size(), v.size() - prefix.size() - suffix.size()),
+                   &ms) ||
+      ms > kMaxCfqSliceMs) {
+    return 0;
+  }
+  return ms;
+}
+
+bool CheckStorage(const std::string& v, std::string* error) {
+  return storage::FindNamedConfig(v) ||
+         Fail(error, StrFormat("unknown storage '%s' (expected %s)", v.c_str(),
+                               JoinNames(storage::kNamedConfigNames).c_str()));
+}
+
+bool CheckFs(const std::string& v, std::string* error) {
+  return vfs::FindFsProfile(v) ||
+         Fail(error, StrFormat("unknown fs '%s' (expected %s)", v.c_str(),
+                               JoinNames(vfs::kFsProfileNames).c_str()));
+}
+
+bool CheckIosched(const std::string& v, std::string* error) {
+  return v == "base" || v == "noop" || CfqSliceMs(v) > 0 ||
+         Fail(error, StrFormat("unknown iosched '%s' (expected base, noop or "
+                               "cfq-<N>ms with N from 1 to %llu)",
+                               v.c_str(),
+                               static_cast<unsigned long long>(kMaxCfqSliceMs)));
+}
+
+bool CheckCacheMb(int64_t v, std::string* error) {
+  return v == -1 || v > 0 ||
+         Fail(error, StrFormat("bad cache_mb %lld (expected -1 for the config "
+                               "default, or > 0)",
+                               static_cast<long long>(v)));
 }
 
 }  // namespace
 
+storage::StorageConfig StackSpec::MakeStorage() const {
+  storage::StorageConfig cfg = storage::MakeNamedConfig(storage);
+  if (iosched == "noop") {
+    cfg.scheduler = storage::SchedulerKind::kNoop;
+  } else if (const uint64_t ms = CfqSliceMs(iosched)) {
+    cfg.scheduler = storage::SchedulerKind::kCfq;
+    cfg.cfq.slice_sync = Ms(static_cast<int64_t>(ms));
+  }
+  if (cache_mb >= 0) {
+    // 4096-byte blocks: 1 MB = 256 blocks.
+    cfg.cache.capacity_blocks = static_cast<uint64_t>(cache_mb) * 256;
+  }
+  return cfg;
+}
+
+std::string StackSpec::ToString() const {
+  const StackSpec d;
+  std::string out = storage;
+  if (fs != d.fs) {
+    out += ":fs=" + fs;
+  }
+  if (iosched != d.iosched) {
+    out += ":iosched=" + iosched;
+  }
+  if (cache_mb != d.cache_mb) {
+    out += StrFormat(":cache_mb=%lld", static_cast<long long>(cache_mb));
+  }
+  return out;
+}
+
+bool ParseStackSpec(const std::string& text, StackSpec* out, std::string* error) {
+  const std::vector<std::string> parts = Split(text, ':');
+  StackSpec spec;
+  std::string why;
+  bool ok = !parts.empty() && CheckStorage(spec.storage = parts[0], &why);
+  for (size_t i = 1; ok && i < parts.size(); ++i) {
+    const size_t eq = parts[i].find('=');
+    const std::string key = parts[i].substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : parts[i].substr(eq + 1);
+    if (key == "fs") {
+      ok = CheckFs(spec.fs = value, &why);
+    } else if (key == "iosched") {
+      ok = CheckIosched(spec.iosched = value, &why);
+    } else if (key == "cache_mb") {
+      ok = ParseNumber(value, &spec.cache_mb) ? CheckCacheMb(spec.cache_mb, &why)
+                                              : Fail(&why, "bad cache_mb '" + value + "'");
+    } else {
+      ok = Fail(&why, "unknown override '" + parts[i] + "'");
+    }
+  }
+  if (!ok) {
+    return Fail(error, StrFormat("bad source '%s': %s (expected "
+                                 "storage[:fs=F][:iosched=S][:cache_mb=N])",
+                                 text.c_str(), why.empty() ? "empty" : why.c_str()));
+  }
+  *out = spec;
+  return true;
+}
+
 std::string CellConfig::Echo() const {
   return StrFormat(
-      "trace=%s,method=%s,fs=%s,storage=%s,iosched=%s,cache_mb=%lld,"
-      "schedule=%s,seed=%llu,backend=%s,pacing=%s",
-      trace_name.c_str(), method.c_str(), fs.c_str(), storage.c_str(),
-      iosched.c_str(), static_cast<long long>(cache_mb), schedule.c_str(),
-      static_cast<unsigned long long>(seed), backend.c_str(), pacing.c_str());
+      "workload=%s,threads=%u,source=%s,method=%s,fs=%s,storage=%s,iosched=%s,"
+      "cache_mb=%lld,schedule=%s,seed=%llu,pacing=%s",
+      workload.c_str(), threads, source.c_str(), method.c_str(), fs.c_str(),
+      storage.c_str(), iosched.c_str(), static_cast<long long>(cache_mb),
+      schedule.c_str(), static_cast<unsigned long long>(seed), pacing.c_str());
 }
 
 std::string CellConfig::Id() const {
@@ -87,32 +186,29 @@ std::string CellConfig::Id() const {
                    static_cast<unsigned long long>(Fnv1a64(Echo())));
 }
 
+StackSpec CellConfig::Target() const {
+  return StackSpec{storage, fs, iosched, cache_mb};
+}
+
+std::string CellConfig::TraceKey() const {
+  return StrFormat("%s/%u/%s/%llu", workload.c_str(), threads, source.c_str(),
+                   static_cast<unsigned long long>(seed));
+}
+
+std::string CellConfig::OriginalKey() const {
+  return StrFormat("%s/%u/%s/%llu", workload.c_str(), threads,
+                   Target().ToString().c_str(), static_cast<unsigned long long>(seed));
+}
+
 core::SimTarget CellConfig::MakeTarget() const {
   core::SimTarget t;
-  t.storage = storage::MakeNamedConfig(storage);
-  if (iosched == "noop") {
-    t.storage.scheduler = storage::SchedulerKind::kNoop;
-  } else if (iosched == "cfq-1ms") {
-    t.storage.scheduler = storage::SchedulerKind::kCfq;
-    t.storage.cfq.slice_sync = Ms(1);
-  } else if (iosched == "cfq-100ms") {
-    t.storage.scheduler = storage::SchedulerKind::kCfq;
-    t.storage.cfq.slice_sync = Ms(100);
-  }
-  if (cache_mb >= 0) {
-    // 4096-byte blocks: 1 MB = 256 blocks.
-    t.storage.cache.capacity_blocks = static_cast<uint64_t>(cache_mb) * 256;
-  }
+  t.storage = Target().MakeStorage();
   t.fs_profile = fs;
   t.seed = seed;
   sim::ScheduleSpec spec;
   ARTC_CHECK_MSG(sim::ParseScheduleSpec(schedule, &spec),
                  "unvalidated schedule '%s'", schedule.c_str());
   t.schedule = spec;
-  sim::SimBackend be;
-  ARTC_CHECK_MSG(sim::ParseSimBackendName(backend, &be),
-                 "unvalidated backend '%s'", backend.c_str());
-  t.sim_backend = be;
   t.replay.pacing =
       pacing == "natural" ? core::PacingMode::kNatural : core::PacingMode::kAfap;
   return t;
@@ -126,6 +222,9 @@ core::CompileOptions CellConfig::MakeCompileOptions() const {
 
 void SweepGrid::Normalize() {
   const CellConfig d;
+  if (workload.empty()) workload = {d.workload};
+  if (threads.empty()) threads = {d.threads};
+  if (source.empty()) source = {d.source};
   if (method.empty()) method = {d.method};
   if (fs.empty()) fs = {d.fs};
   if (storage.empty()) storage = {d.storage};
@@ -133,204 +232,229 @@ void SweepGrid::Normalize() {
   if (cache_mb.empty()) cache_mb = {d.cache_mb};
   if (schedule.empty()) schedule = {d.schedule};
   if (seed.empty()) seed = {d.seed};
-  if (backend.empty()) backend = {d.backend};
   if (pacing.empty()) pacing = {d.pacing};
 }
 
 bool SweepGrid::Validate(std::string* error) const {
-  auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
+  for (const std::string& v : workload) {
+    const std::optional<NamedWorkload> w = NamedWorkload::Find(v);
+    if (!w) {
+      return Fail(error, StrFormat("unknown workload '%s' (expected %s)", v.c_str(),
+                                   NamedWorkload::Names().c_str()));
     }
-    return false;
-  };
+    for (uint32_t t : threads) {
+      if (t > kMaxWorkloadThreads) {
+        return Fail(error, StrFormat("bad threads %u (expected 0 for the "
+                                     "workload's own count, or 1 to %u)",
+                                     t, kMaxWorkloadThreads));
+      }
+      if (t != 0 && !w->TakesThreads()) {
+        return Fail(error, StrFormat("workload '%s' has no thread count, so "
+                                     "threads must be 0 (random_readers, "
+                                     "seq_readers, kv_fillsync and "
+                                     "kv_readrandom take one)",
+                                     v.c_str()));
+      }
+    }
+  }
+  StackSpec spec;
+  for (const std::string& v : source) {
+    if (!ParseStackSpec(v, &spec, error)) {
+      return false;
+    }
+  }
   for (const std::string& v : method) {
     if (!core::FindReplayMethod(v)) {
-      return fail(StrFormat("unknown method '%s' (expected %s)", v.c_str(),
-                            JoinNames(core::kReplayMethodNames).c_str()));
+      return Fail(error, StrFormat("unknown method '%s' (expected %s)", v.c_str(),
+                                   JoinNames(core::kReplayMethodNames).c_str()));
     }
   }
   for (const std::string& v : fs) {
-    if (!vfs::FindFsProfile(v)) {
-      return fail(StrFormat("unknown fs '%s' (expected %s)", v.c_str(),
-                            JoinNames(vfs::kFsProfileNames).c_str()));
+    if (!CheckFs(v, error)) {
+      return false;
     }
   }
   for (const std::string& v : storage) {
-    if (!storage::FindNamedConfig(v)) {
-      return fail(StrFormat("unknown storage '%s' (expected %s)", v.c_str(),
-                            JoinNames(storage::kNamedConfigNames).c_str()));
+    if (!CheckStorage(v, error)) {
+      return false;
     }
   }
   for (const std::string& v : iosched) {
-    if (!IsOneOf(v, kIoScheds)) {
-      return fail(StrFormat("unknown iosched '%s' (expected %s)", v.c_str(),
-                            JoinNames(kIoScheds).c_str()));
+    if (!CheckIosched(v, error)) {
+      return false;
     }
   }
   for (int64_t v : cache_mb) {
-    if (v < -1 || v == 0) {
-      return fail(StrFormat(
-          "bad cache_mb %lld (expected -1 for the config default, or > 0)",
-          static_cast<long long>(v)));
+    if (!CheckCacheMb(v, error)) {
+      return false;
     }
   }
   for (const std::string& v : schedule) {
-    sim::ScheduleSpec spec;
-    if (!sim::ParseScheduleSpec(v, &spec)) {
-      return fail(StrFormat(
-          "bad schedule '%s' (expected default, random:<seed>, or "
-          "pct:<seed>[/<points>])",
-          v.c_str()));
-    }
-  }
-  for (const std::string& v : backend) {
-    sim::SimBackend be;
-    if (!sim::ParseSimBackendName(v, &be)) {
-      return fail(StrFormat(
-          "unknown backend '%s' (expected fibers or parallel)",
-          v.c_str()));
+    sim::ScheduleSpec s;
+    if (!sim::ParseScheduleSpec(v, &s)) {
+      return Fail(error, StrFormat("bad schedule '%s' (expected default, "
+                                   "random:<seed>, or pct:<seed>[/<points>])",
+                                   v.c_str()));
     }
   }
   for (const std::string& v : pacing) {
     if (!IsOneOf(v, kPacings)) {
-      return fail(StrFormat("unknown pacing '%s' (expected %s)", v.c_str(),
-                            JoinNames(kPacings).c_str()));
+      return Fail(error, StrFormat("unknown pacing '%s' (expected %s)", v.c_str(),
+                                   JoinNames(kPacings).c_str()));
     }
   }
   return true;
 }
 
 size_t SweepGrid::CellCount() const {
-  return method.size() * fs.size() * storage.size() * iosched.size() *
-         cache_mb.size() * schedule.size() * seed.size() * backend.size() *
-         pacing.size();
+  return workload.size() * threads.size() * source.size() * method.size() *
+         fs.size() * storage.size() * iosched.size() * cache_mb.size() *
+         schedule.size() * seed.size() * pacing.size();
 }
 
-bool SweepGrid::Expand(const std::string& trace_name,
-                       std::vector<CellConfig>* out, std::string* error) {
+bool SweepGrid::Expand(std::vector<CellConfig>* out, std::string* error) {
   out->clear();
   Normalize();
   if (!Validate(error)) {
     return false;
   }
-  out->reserve(CellCount());
-  for (const std::string& m : method) {
-    for (const std::string& f : fs) {
-      for (const std::string& st : storage) {
-        for (const std::string& io : iosched) {
-          for (int64_t cm : cache_mb) {
-            for (const std::string& sch : schedule) {
-              for (uint64_t sd : seed) {
-                for (const std::string& be : backend) {
-                  for (const std::string& pc : pacing) {
-                    CellConfig c;
-                    c.trace_name = trace_name;
-                    c.method = m;
-                    c.fs = f;
-                    c.storage = st;
-                    c.iosched = io;
-                    c.cache_mb = cm;
-                    c.schedule = sch;
-                    c.seed = sd;
-                    c.backend = be;
-                    c.pacing = pc;
-                    out->push_back(std::move(c));
-                  }
-                }
-              }
-            }
-          }
-        }
+  // Each source in its canonical spelling, so one stack has one cell id.
+  std::vector<std::string> sources;
+  for (const std::string& v : source) {
+    StackSpec spec;
+    ParseStackSpec(v, &spec, nullptr);
+    sources.push_back(spec.ToString());
+  }
+  const size_t count = CellCount();
+  out->reserve(count);
+  for (size_t n = 0; n < count; ++n) {
+    // Odometer over the axes, the last one turning fastest.
+    size_t rest = n;
+    auto pick = [&rest](const auto& axis) {
+      const auto& value = axis[rest % axis.size()];
+      rest /= axis.size();
+      return value;
+    };
+    CellConfig c;
+    c.pacing = pick(pacing);
+    c.seed = pick(seed);
+    c.schedule = pick(schedule);
+    c.cache_mb = pick(cache_mb);
+    c.iosched = pick(iosched);
+    c.storage = pick(storage);
+    c.fs = pick(fs);
+    c.method = pick(method);
+    c.source = pick(sources);
+    c.threads = pick(threads);
+    c.workload = pick(workload);
+    out->push_back(std::move(c));
+  }
+  return true;
+}
+
+bool ExpandGrids(std::vector<SweepGrid> grids, std::vector<CellConfig>* out,
+                 std::string* error) {
+  out->clear();
+  std::set<std::string> seen;
+  for (size_t g = 0; g < grids.size(); ++g) {
+    std::vector<CellConfig> cells;
+    std::string why;
+    if (!grids[g].Expand(&cells, &why)) {
+      out->clear();
+      return Fail(error, grids.size() == 1
+                             ? why
+                             : StrFormat("cross product %zu: %s", g + 1, why.c_str()));
+    }
+    for (CellConfig& cell : cells) {
+      if (!seen.insert(cell.Echo()).second) {
+        out->clear();
+        return Fail(error, StrFormat("cross product %zu repeats the cell %s",
+                                     g + 1, cell.Echo().c_str()));
       }
+      out->push_back(std::move(cell));
     }
   }
   return true;
 }
 
-bool ParseGridText(const std::string& text, SweepGrid* out,
+bool ParseGridText(const std::string& text, std::vector<SweepGrid>* out,
                    std::string* error) {
-  auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
+  std::vector<SweepGrid> grids(1);
   std::istringstream in(text);
   std::string raw;
   int lineno = 0;
   while (std::getline(in, raw)) {
     ++lineno;
-    std::string line = raw;
-    size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line = line.substr(0, hash);
-    }
+    std::string line = raw.substr(0, raw.find('#'));
     line = Trim(line);
     if (line.empty()) {
       continue;
     }
+    if (line == "---") {
+      grids.push_back(grids.back());
+      continue;
+    }
     size_t eq = line.find('=');
     if (eq == std::string::npos) {
-      return fail(StrFormat("grid line %d: expected 'axis = v1, v2, ...'",
-                            lineno));
+      return Fail(error, StrFormat("grid line %d: expected 'axis = v1, v2, ...' "
+                                   "or '---'",
+                                   lineno));
     }
     const std::string key = Trim(line.substr(0, eq));
-    std::vector<std::string> values = SplitCsv(line.substr(eq + 1));
+    std::vector<std::string> values = Split(line.substr(eq + 1), ',');
     if (values.empty()) {
-      return fail(StrFormat("grid line %d: axis '%s' has no values", lineno,
-                            key.c_str()));
+      return Fail(error, StrFormat("grid line %d: axis '%s' has no values", lineno,
+                                   key.c_str()));
     }
-    if (key == "method") {
-      out->method = values;
+    SweepGrid& grid = grids.back();
+    auto numbers = [&](auto* axis) {
+      axis->clear();
+      for (const std::string& v : values) {
+        typename std::remove_reference_t<decltype(*axis)>::value_type n{};
+        if (!ParseNumber(v, &n)) {
+          return Fail(error, StrFormat("grid line %d: bad %s value '%s'", lineno,
+                                       key.c_str(), v.c_str()));
+        }
+        axis->push_back(n);
+      }
+      return true;
+    };
+    if (key == "workload") {
+      grid.workload = values;
+    } else if (key == "threads") {
+      if (!numbers(&grid.threads)) return false;
+    } else if (key == "source") {
+      grid.source = values;
+    } else if (key == "method") {
+      grid.method = values;
     } else if (key == "fs") {
-      out->fs = values;
+      grid.fs = values;
     } else if (key == "storage") {
-      out->storage = values;
+      grid.storage = values;
     } else if (key == "iosched") {
-      out->iosched = values;
+      grid.iosched = values;
     } else if (key == "cache_mb") {
-      out->cache_mb.clear();
-      for (const std::string& v : values) {
-        int64_t n = 0;
-        if (!ParseInt64(v, &n)) {
-          return fail(StrFormat("grid line %d: bad cache_mb value '%s'",
-                                lineno, v.c_str()));
-        }
-        out->cache_mb.push_back(n);
-      }
+      if (!numbers(&grid.cache_mb)) return false;
     } else if (key == "schedule") {
-      out->schedule = values;
+      grid.schedule = values;
     } else if (key == "seed") {
-      out->seed.clear();
-      for (const std::string& v : values) {
-        uint64_t n = 0;
-        if (!ParseUint64(v, &n)) {
-          return fail(StrFormat("grid line %d: bad seed value '%s'", lineno,
-                                v.c_str()));
-        }
-        out->seed.push_back(n);
-      }
-    } else if (key == "backend") {
-      out->backend = values;
+      if (!numbers(&grid.seed)) return false;
     } else if (key == "pacing") {
-      out->pacing = values;
+      grid.pacing = values;
     } else {
-      return fail(StrFormat("grid line %d: unknown axis '%s'", lineno,
-                            key.c_str()));
+      return Fail(error, StrFormat("grid line %d: unknown axis '%s'", lineno,
+                                   key.c_str()));
     }
   }
+  *out = std::move(grids);
   return true;
 }
 
-bool ParseGridFile(const std::string& path, SweepGrid* out,
+bool ParseGridFile(const std::string& path, std::vector<SweepGrid>* out,
                    std::string* error) {
   std::ifstream in(path);
   if (!in.good()) {
-    if (error != nullptr) {
-      *error = StrFormat("cannot read grid file '%s'", path.c_str());
-    }
-    return false;
+    return Fail(error, StrFormat("cannot read grid file '%s'", path.c_str()));
   }
   std::ostringstream buf;
   buf << in.rdbuf();
@@ -339,12 +463,15 @@ bool ParseGridFile(const std::string& path, SweepGrid* out,
 
 const std::vector<std::string>& GridAxisNames() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
-      "method",   "fs",   "storage", "iosched", "cache_mb",
-      "schedule", "seed", "backend", "pacing"};
+      "workload", "threads", "source",   "method", "fs",    "storage",
+      "iosched",  "cache_mb", "schedule", "seed",   "pacing"};
   return *names;
 }
 
 std::string CellAxisValue(const CellConfig& cell, const std::string& axis) {
+  if (axis == "workload") return cell.workload;
+  if (axis == "threads") return StrFormat("%u", cell.threads);
+  if (axis == "source") return cell.source;
   if (axis == "method") return cell.method;
   if (axis == "fs") return cell.fs;
   if (axis == "storage") return cell.storage;
@@ -356,7 +483,6 @@ std::string CellAxisValue(const CellConfig& cell, const std::string& axis) {
   if (axis == "seed") {
     return StrFormat("%llu", static_cast<unsigned long long>(cell.seed));
   }
-  if (axis == "backend") return cell.backend;
   if (axis == "pacing") return cell.pacing;
   ARTC_CHECK_MSG(false, "unknown grid axis '%s'", axis.c_str());
   return "";

@@ -1,22 +1,24 @@
 // Declarative scenario grids for the sweep engine (DESIGN.md §5j).
 //
-// A SweepGrid is a small set of axes — replay method, file-system profile,
-// storage hardware, I/O scheduler, cache size, schedule policy, seed,
-// simulation backend, pacing — each holding one or more values. Expand()
-// takes the cross product and yields one CellConfig per combination, in a
-// deterministic order (axes vary last-axis-fastest in the declaration order
-// below), so cell index assignment is reproducible run to run.
+// A SweepGrid is a small set of axes — workload, its thread count, the
+// source stack it is traced on, replay method, file-system profile, storage
+// hardware, I/O scheduler, cache size, schedule policy, seed, pacing — each
+// holding one or more values. Expand() takes the cross product and yields
+// one CellConfig per combination, in a deterministic order (axes vary
+// last-axis-fastest in the declaration order below), so cell index
+// assignment is reproducible run to run. A grid file may hold several cross
+// products; ExpandGrids() concatenates them.
 //
 // Every cell gets a content-addressed id: FNV-1a 64 over its canonical
 // Echo() string, rendered as 16 hex digits. The id depends only on the
-// cell's own configuration (plus the input trace's name), never on its
-// position in the grid, so drill-down ids stay valid when the grid around
-// them grows or is reordered.
+// cell's own configuration, never on its position in the grid, so
+// drill-down ids stay valid when the grid around them grows or is
+// reordered.
 //
-// Values are validated while the grid is parsed, methods, storage configs
-// and fs profiles through FindReplayMethod, FindNamedConfig and
-// FindFsProfile, so bad
-// axis values come back as error strings, not aborts.
+// Values are validated while the grid is expanded — workloads through
+// NamedWorkload::Find, methods, storage configs and fs profiles through
+// FindReplayMethod, FindNamedConfig and FindFsProfile — so bad axis values
+// come back as error strings, not aborts.
 #ifndef SRC_SWEEP_GRID_H_
 #define SRC_SWEEP_GRID_H_
 
@@ -27,33 +29,53 @@
 #include "src/core/artc.h"
 #include "src/core/modes.h"
 #include "src/sim/schedule.h"
-#include "src/sim/simulation.h"
+#include "src/storage/storage_stack.h"
 
 namespace artc::sweep {
 
-// One fully-specified scenario: everything ReplayCompiledOnSimTarget needs
-// except the compiled benchmark itself.
-struct CellConfig {
-  // Name of the input trace (workload name); part of the cell identity so
-  // the same grid swept over two traces yields disjoint ids.
-  std::string trace_name;
-
-  std::string method = "artc";    // artc | single | temporal | unconstrained
-  std::string fs = "ext4";        // vfs::MakeFsProfile name
-  std::string storage = "hdd";    // storage::MakeNamedConfig name
+// A storage stack and file system: what a workload is traced on (one
+// `source` value) and what a cell replays it and measures the original
+// program on (the fs, storage, iosched and cache_mb axes).
+struct StackSpec {
+  std::string storage = "hdd";  // storage::FindNamedConfig name
+  std::string fs = "ext4";      // vfs::FindFsProfile name
   // I/O-scheduler override layered on the named storage config:
-  //   base      keep the named config's scheduler
-  //   noop      force SchedulerKind::kNoop
-  //   cfq-1ms   force CFQ, 1 ms sync slice
-  //   cfq-100ms force CFQ, 100 ms sync slice
+  //   base       keep the named config's scheduler
+  //   noop       force SchedulerKind::kNoop
+  //   cfq-<N>ms  force CFQ with an N ms sync slice, 1 <= N <= 1000
   std::string iosched = "base";
   // Page-cache capacity in MB (4096-byte blocks, so 1 MB = 256 blocks);
   // -1 keeps the named storage config's capacity.
   int64_t cache_mb = -1;
+
+  // The storage config with the overrides applied. The spec must be valid.
+  storage::StorageConfig MakeStorage() const;
+
+  // "storage[:fs=F][:iosched=S][:cache_mb=N]", naming only the fields that
+  // differ from their defaults; ParseStackSpec reads it back.
+  std::string ToString() const;
+};
+
+// Parses and validates a `source` value (StackSpec::ToString form).
+bool ParseStackSpec(const std::string& text, StackSpec* out, std::string* error);
+
+// One fully-specified scenario.
+struct CellConfig {
+  // A NamedWorkload name, or the name of a pre-traced input.
+  std::string workload = "iphoto_import";
+  uint32_t threads = 0;        // the program's thread count; 0 keeps its own
+  std::string source = "ssd";  // StackSpec the workload is traced on
+
+  std::string method = "artc";  // core::kReplayMethodNames
+  std::string fs = "ext4";
+  std::string storage = "hdd";
+  std::string iosched = "base";
+  int64_t cache_mb = -1;
   std::string schedule = "default";  // sim::ScheduleSpec::ToString() form
+  // Seed of every simulated world in the cell: the traced source run, the
+  // original run on the target and the replay.
   uint64_t seed = 1;
-  std::string backend = "fibers";    // fibers | parallel
-  std::string pacing = "afap";       // afap | natural
+  std::string pacing = "afap";  // afap | natural
 
   // Canonical one-line rendering, "k=v,k=v,..." in a fixed key order. This
   // is the cell's identity: Id() hashes exactly this string.
@@ -62,15 +84,27 @@ struct CellConfig {
   // FNV-1a 64 of Echo() as 16 lowercase hex digits.
   std::string Id() const;
 
+  // The replay target's stack: the fs, storage, iosched and cache_mb axes.
+  StackSpec Target() const;
+
+  // What the cell's trace depends on (workload, threads, source, seed) and
+  // what its original run depends on (workload, threads, target, seed):
+  // cells with equal keys share one trace or one original run.
+  std::string TraceKey() const;
+  std::string OriginalKey() const;
+
   // Materializes the simulation target. The grid validated every field, so
   // this cannot hit the storage/vfs abort paths.
   core::SimTarget MakeTarget() const;
   core::CompileOptions MakeCompileOptions() const;
 };
 
-// The declarative grid: one vector of accepted values per axis. Empty
-// vectors mean "the single default value" (filled in by Normalize).
+// One cross product: a vector of accepted values per axis. Empty vectors
+// mean "the single default value" (filled in by Normalize).
 struct SweepGrid {
+  std::vector<std::string> workload;
+  std::vector<uint32_t> threads;
+  std::vector<std::string> source;
   std::vector<std::string> method;
   std::vector<std::string> fs;
   std::vector<std::string> storage;
@@ -78,7 +112,6 @@ struct SweepGrid {
   std::vector<int64_t> cache_mb;
   std::vector<std::string> schedule;
   std::vector<uint64_t> seed;
-  std::vector<std::string> backend;
   std::vector<std::string> pacing;
 
   // Fills empty axes with their defaults (see CellConfig initializers).
@@ -93,23 +126,33 @@ struct SweepGrid {
 
   // Cross product, deterministic order. Calls Normalize() + Validate()
   // first; returns false (empty *out) on validation failure.
-  bool Expand(const std::string& trace_name, std::vector<CellConfig>* out,
-              std::string* error);
+  bool Expand(std::vector<CellConfig>* out, std::string* error);
 };
+
+// Expands each cross product in turn and concatenates the cells. A cell
+// that two cross products both produce is an error.
+bool ExpandGrids(std::vector<SweepGrid> grids, std::vector<CellConfig>* out,
+                 std::string* error);
 
 // Parses the sweep grid text format:
 //
 //   # comment
-//   method  = artc, temporal
-//   storage = hdd, ssd, raid0
-//   cache_mb = 64, 384
-//   seed    = 1, 2, 3
+//   workload = random_readers
+//   source   = hdd, raid0:cache_mb=96
+//   method   = artc, temporal
+//   storage  = hdd, ssd, raid0
+//   ---
+//   storage  = smallcache
+//   fs       = ext3, xfs
 //
 // One `axis = v1, v2, ...` line per axis (later lines for the same axis
 // replace earlier ones); unknown axis names are errors. Axes not mentioned
-// keep their defaults.
-bool ParseGridText(const std::string& text, SweepGrid* out, std::string* error);
-bool ParseGridFile(const std::string& path, SweepGrid* out, std::string* error);
+// keep their defaults. A `---` line ends one cross product and starts the
+// next as a copy of it, so the next lists only the axes that change.
+bool ParseGridText(const std::string& text, std::vector<SweepGrid>* out,
+                   std::string* error);
+bool ParseGridFile(const std::string& path, std::vector<SweepGrid>* out,
+                   std::string* error);
 
 // Axis names in declaration (= expansion) order; shared by the parser, the
 // JSONL rows, and the aggregate report's sensitivity table.

@@ -1,6 +1,7 @@
 #include "src/sweep/sweep.h"
 
 #include <algorithm>
+#include <cmath>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "src/obs/obs.h"
 #include "src/util/check.h"
 #include "src/util/strings.h"
+#include "src/sweep/workload_table.h"
 #include "src/util/thread_pool.h"
 
 namespace artc::sweep {
@@ -173,52 +175,126 @@ uint64_t MixCellDigest(uint64_t digest) {
 
 const core::CompiledBenchmark& SweepPlan::BenchFor(
     const CellConfig& cell) const {
-  auto it = compiled.find(cell.method);
-  ARTC_CHECK_MSG(it != compiled.end(), "no compiled artifact for method '%s'",
-                 cell.method.c_str());
+  auto it = compiled.find(cell.TraceKey() + "|" + cell.method);
+  ARTC_CHECK_MSG(it != compiled.end(), "no compiled artifact for cell '%s'",
+                 cell.Echo().c_str());
   return *it->second;
+}
+
+TimeNs SweepPlan::OriginalFor(const CellConfig& cell) const {
+  auto it = originals.find(cell.OriginalKey());
+  return it == originals.end() ? 0 : it->second;
+}
+
+namespace {
+
+// Annotates `t` once (annotation is method-independent) and compiles it for
+// each method. The last method's compile steals the event vector; earlier
+// ones copy it.
+std::map<std::string, core::CompiledBenchmarkPtr> CompileMethods(
+    trace::Trace&& t, const trace::FsSnapshot& snapshot,
+    const std::set<std::string>& methods) {
+  const fsmodel::AnnotatedTrace annotated = fsmodel::AnnotateTrace(t, snapshot);
+  std::map<std::string, core::CompiledBenchmarkPtr> out;
+  size_t remaining = methods.size();
+  for (const std::string& method : methods) {
+    core::CompileOptions copt;
+    copt.method = core::ReplayMethodFromName(method);
+    out[method] = std::make_shared<const core::CompiledBenchmark>(
+        --remaining == 0
+            ? core::Compile(std::move(t), snapshot, annotated, copt)
+            : core::Compile(t, snapshot, annotated, copt));
+  }
+  return out;
+}
+
+void LogPlan(const SweepPlan& plan) {
+  obs::LogInfo("sweep", "plan built",
+               {{"cells", static_cast<int64_t>(plan.cells.size())},
+                {"compiled", static_cast<int64_t>(plan.compiled.size())},
+                {"originals", static_cast<int64_t>(plan.originals.size())}});
+}
+
+}  // namespace
+
+bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
+                    std::string* error) {
+  *out = SweepPlan{};
+  if (!ExpandGrids(std::move(grids), &out->cells, error)) {
+    return false;
+  }
+  // Trace keys in first-appearance order, each with the methods its cells
+  // replay.
+  std::vector<const CellConfig*> first_of_trace;
+  std::map<std::string, std::set<std::string>> methods;
+  for (const CellConfig& cell : out->cells) {
+    std::set<std::string>& m = methods[cell.TraceKey()];
+    if (m.empty()) {
+      first_of_trace.push_back(&cell);
+    }
+    m.insert(cell.method);
+  }
+  for (const CellConfig* cell : first_of_trace) {
+    StackSpec source;
+    ARTC_CHECK(ParseStackSpec(cell->source, &source, nullptr));
+    workloads::SourceConfig config;
+    config.storage = source.MakeStorage();
+    config.fs_profile = source.fs;
+    config.seed = cell->seed;
+    workloads::TracedRun run =
+        NamedWorkload::Find(cell->workload)->Trace(cell->threads, config);
+    const std::string key = cell->TraceKey();
+    for (auto& [method, bench] :
+         CompileMethods(std::move(run.trace), run.snapshot, methods[key])) {
+      out->compiled[key + "|" + method] = std::move(bench);
+    }
+  }
+  for (const CellConfig& cell : out->cells) {
+    const std::string key = cell.OriginalKey();
+    if (out->originals.count(key) == 0) {
+      workloads::SourceConfig target;
+      target.storage = cell.Target().MakeStorage();
+      target.fs_profile = cell.fs;
+      target.seed = cell.seed;
+      out->originals[key] =
+          NamedWorkload::Find(cell.workload)->Measure(cell.threads, target);
+    }
+  }
+  LogPlan(*out);
+  return true;
 }
 
 bool BuildSweepPlan(trace::Trace&& t, const trace::FsSnapshot& snapshot,
                     SweepGrid grid, const std::string& trace_name,
                     SweepPlan* out, std::string* error) {
-  out->trace_name = trace_name;
-  if (!grid.Expand(trace_name, &out->cells, error)) {
+  *out = SweepPlan{};
+  if (!grid.Expand(&out->cells, error)) {
     return false;
   }
-  // Annotation is method-independent: one logical pass over the trace feeds
-  // every per-method compile.
-  const fsmodel::AnnotatedTrace annotated = fsmodel::AnnotateTrace(t, snapshot);
   std::set<std::string> methods;
-  for (const CellConfig& cell : out->cells) {
+  for (CellConfig& cell : out->cells) {
+    cell.workload = trace_name;
     methods.insert(cell.method);
   }
-  // The last method's compile steals the event vector; earlier ones (only
-  // present in multi-method grids) copy it.
-  size_t remaining = methods.size();
-  for (const std::string& method : methods) {
-    core::CompileOptions copt;
-    copt.method = core::ReplayMethodFromName(method);
-    out->compiled[method] = std::make_shared<const core::CompiledBenchmark>(
-        --remaining == 0
-            ? core::Compile(std::move(t), snapshot, annotated, copt)
-            : core::Compile(t, snapshot, annotated, copt));
+  const std::map<std::string, core::CompiledBenchmarkPtr> by_method =
+      CompileMethods(std::move(t), snapshot, methods);
+  for (const CellConfig& cell : out->cells) {
+    out->compiled[cell.TraceKey() + "|" + cell.method] = by_method.at(cell.method);
   }
-  obs::LogInfo("sweep", "plan built",
-               {{"trace", trace_name.c_str()},
-                {"cells", static_cast<int64_t>(out->cells.size())},
-                {"methods", static_cast<int64_t>(methods.size())}});
+  LogPlan(*out);
   return true;
 }
 
-CellStats RunOneCell(const core::CompiledBenchmark& bench,
-                     const CellConfig& cell, size_t index, bool emit_trace,
+CellStats RunOneCell(const SweepPlan& plan, size_t index, bool emit_trace,
                      std::string* critpath_json, std::string* one_pager) {
   const int64_t t0 = HostNowUs();
+  const CellConfig& cell = plan.cells[index];
+  const core::CompiledBenchmark& bench = plan.BenchFor(cell);
   CellStats s;
   s.index = index;
   s.id = cell.Id();
   s.config = cell;
+  s.orig_ns = plan.OriginalFor(cell);
 
   const core::SimTarget target = cell.MakeTarget();
   trace::FsSnapshot final_state;
@@ -249,6 +325,7 @@ CellStats RunOneCell(const core::CompiledBenchmark& bench,
   const size_t top = std::min<size_t>(cp.stall_by_resource.size(), 8);
   s.top_stall.assign(cp.stall_by_resource.begin(),
                      cp.stall_by_resource.begin() + top);
+  s.storage = result.storage;
 
   if (critpath_json != nullptr) {
     *critpath_json = cp.ToJson();
@@ -260,12 +337,19 @@ CellStats RunOneCell(const core::CompiledBenchmark& bench,
   return s;
 }
 
+double CellStats::ErrorPct() const {
+  return 100.0 * (static_cast<double>(end_ns) - static_cast<double>(orig_ns)) /
+         static_cast<double>(orig_ns);
+}
+
 std::string CellStats::ToJsonl(bool include_host_time) const {
   std::string out = "{";
   bool first = true;
   AppendStrField(&out, "cell", id, &first);
   AppendIntField(&out, "idx", static_cast<long long>(index), &first);
-  AppendStrField(&out, "trace", config.trace_name, &first);
+  AppendStrField(&out, "workload", config.workload, &first);
+  AppendIntField(&out, "threads", config.threads, &first);
+  AppendStrField(&out, "source", config.source, &first);
   AppendStrField(&out, "method", config.method, &first);
   AppendStrField(&out, "fs", config.fs, &first);
   AppendStrField(&out, "storage", config.storage, &first);
@@ -273,9 +357,12 @@ std::string CellStats::ToJsonl(bool include_host_time) const {
   AppendIntField(&out, "cache_mb", config.cache_mb, &first);
   AppendStrField(&out, "schedule", config.schedule, &first);
   AppendIntField(&out, "seed", static_cast<long long>(config.seed), &first);
-  AppendStrField(&out, "backend", config.backend, &first);
   AppendStrField(&out, "pacing", config.pacing, &first);
   AppendIntField(&out, "end_ns", end_ns, &first);
+  if (orig_ns > 0) {
+    AppendIntField(&out, "orig_ns", orig_ns, &first);
+    out += StrFormat(",\"error_pct\":%.4f", ErrorPct());
+  }
   AppendIntField(&out, "sim_end_ns", sim_end_ns, &first);
   AppendIntField(&out, "switches", static_cast<long long>(sim_switches), &first);
   AppendIntField(&out, "events", static_cast<long long>(total_events), &first);
@@ -294,6 +381,26 @@ std::string CellStats::ToJsonl(bool include_host_time) const {
   AppendIntField(&out, "storage_media_write_ns", storage_media_write_ns,
                  &first);
   AppendIntField(&out, "storage_writeback_ns", storage_writeback_ns, &first);
+  AppendIntField(&out, "media_read_blocks",
+                 static_cast<long long>(storage.media_read_blocks), &first);
+  AppendIntField(&out, "media_write_blocks",
+                 static_cast<long long>(storage.media_write_blocks), &first);
+  AppendIntField(&out, "cache_hit_blocks",
+                 static_cast<long long>(storage.cache_hit_blocks), &first);
+  AppendIntField(&out, "cache_miss_blocks",
+                 static_cast<long long>(storage.cache_miss_blocks), &first);
+  AppendIntField(&out, "cache_evicted_blocks",
+                 static_cast<long long>(storage.cache_evicted_blocks), &first);
+  AppendIntField(&out, "cache_writeback_blocks",
+                 static_cast<long long>(storage.cache_writeback_blocks), &first);
+  // Read plus write blocks per RAID-0 member; empty without RAID.
+  out += ",\"raid_member_blocks\":[";
+  for (size_t m = 0; m < storage.raid_member_read_blocks.size(); ++m) {
+    out += StrFormat("%s%llu", m > 0 ? "," : "",
+                     static_cast<unsigned long long>(storage.raid_member_read_blocks[m] +
+                                                     storage.raid_member_write_blocks[m]));
+  }
+  out += ']';
   // Rule map in enum order, nonzero buckets only — order is deterministic
   // and rows stay small on stall-free cells.
   out += ",\"stall_by_rule\":{";
@@ -328,8 +435,14 @@ std::string CellStats::ToJsonl(bool include_host_time) const {
   return out;
 }
 
-double AxisAgg::EndSensitivity(double grand_mean_end) const {
-  if (values.size() < 2 || grand_mean_end <= 0.0) {
+double AxisAgg::EndSensitivity() const {
+  TimeNs end_sum = 0;
+  size_t cells = 0;
+  for (const AxisValueAgg& v : values) {
+    end_sum += v.end_ns_sum;
+    cells += v.cells;
+  }
+  if (values.size() < 2 || end_sum <= 0) {
     return 0.0;
   }
   double lo = values[0].MeanEndNs();
@@ -338,7 +451,7 @@ double AxisAgg::EndSensitivity(double grand_mean_end) const {
     lo = std::min(lo, v.MeanEndNs());
     hi = std::max(hi, v.MeanEndNs());
   }
-  return (hi - lo) / grand_mean_end;
+  return (hi - lo) / (static_cast<double>(end_sum) / static_cast<double>(cells));
 }
 
 bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
@@ -358,14 +471,21 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
   }
 
   *out = SweepReport{};
-  out->trace_name = plan.trace_name;
+  std::vector<std::string> workloads;  // distinct, in cell order
+  for (const CellConfig& cell : plan.cells) {
+    if (std::find(workloads.begin(), workloads.end(), cell.workload) ==
+        workloads.end()) {
+      workloads.push_back(cell.workload);
+      out->workloads += (workloads.size() > 1 ? ", " : "") + cell.workload;
+    }
+  }
   out->cells = plan.cells.size();
   out->stats.resize(plan.cells.size());
 
   ProgressMetrics& metrics = SweepProgressMetrics();
   metrics.StartSweep(plan.cells.size());
   obs::LogInfo("sweep", "sweep started",
-               {{"trace", plan.trace_name.c_str()},
+               {{"workloads", out->workloads.c_str()},
                 {"cells", static_cast<int64_t>(plan.cells.size())}});
 
   util::ThreadPool pool(options.jobs);
@@ -408,10 +528,8 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
       ++inflight;
     }
     metrics.CellStarted();
-    const CellConfig& cell = plan.cells[i];
-    const core::CompiledBenchmark& bench = plan.BenchFor(cell);
     pool.Submit([&, i] {
-      CellStats stats = RunOneCell(bench, plan.cells[i], i);
+      CellStats stats = RunOneCell(plan, i);
       const std::string row = stats.ToJsonl(options.include_host_time);
       {
         std::lock_guard<std::mutex> lk(mu);
@@ -449,27 +567,37 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
   }
   out->host_ms = (HostNowUs() - sweep_t0) / 1000;
 
-  // Axis aggregates: only axes that actually vary, values in
+  // Axis aggregates per workload: only axes that actually vary, values in
   // first-appearance (= grid declaration) order.
-  for (const std::string& axis : GridAxisNames()) {
-    AxisAgg agg;
-    agg.axis = axis;
-    std::map<std::string, size_t> slot;
-    for (const CellStats& s : out->stats) {
-      const std::string value = CellAxisValue(s.config, axis);
-      auto [it, inserted] = slot.emplace(value, agg.values.size());
-      if (inserted) {
-        AxisValueAgg v;
-        v.value = value;
-        agg.values.push_back(std::move(v));
+  for (const std::string& workload : workloads) {
+    for (const std::string& axis : GridAxisNames()) {
+      if (axis == "workload") {
+        continue;
       }
-      AxisValueAgg& v = agg.values[it->second];
-      ++v.cells;
-      v.end_ns_sum += s.end_ns;
-      v.stall_ns_sum += s.stall_ns;
-    }
-    if (agg.values.size() > 1) {
-      out->axes.push_back(std::move(agg));
+      AxisAgg agg;
+      agg.workload = workload;
+      agg.axis = axis;
+      std::map<std::string, size_t> slot;
+      for (const CellStats& s : out->stats) {
+        if (s.config.workload != workload) {
+          continue;
+        }
+        const std::string value = CellAxisValue(s.config, axis);
+        auto [it, inserted] = slot.emplace(value, agg.values.size());
+        if (inserted) {
+          agg.values.emplace_back().value = value;
+        }
+        AxisValueAgg& v = agg.values[it->second];
+        ++v.cells;
+        v.end_ns_sum += s.end_ns;
+        v.stall_ns_sum += s.stall_ns;
+        if (s.orig_ns > 0) {
+          v.abs_error_pct.Add(std::abs(s.ErrorPct()));
+        }
+      }
+      if (agg.values.size() > 1) {
+        out->axes.push_back(std::move(agg));
+      }
     }
   }
 
@@ -489,10 +617,73 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
   return true;
 }
 
+namespace {
+
+// "%.1f%%" for mean / p50 / p90 / worst-decile mean of |error_pct|.
+struct ErrorSummary {
+  double mean, p50, p90, worst_decile_mean;
+  explicit ErrorSummary(const SampleStats& s)
+      : mean(s.Mean()),
+        p50(s.Percentile(0.5)),
+        p90(s.Percentile(0.9)),
+        worst_decile_mean(s.TailMean(0.9)) {}
+};
+
+// "workload" or "workload(threads)".
+std::string WorkloadLabel(const CellConfig& c) {
+  return c.threads == 0 ? c.workload : StrFormat("%s(%u)", c.workload.c_str(), c.threads);
+}
+
+// One source -> target / method / original / error line, plus the replay's
+// storage block counts.
+std::string CellLine(const CellStats& s) {
+  const CellConfig& c = s.config;
+  std::string out = StrFormat("  %s  %s -> %s  %-13s end %8.3f s", WorkloadLabel(c).c_str(),
+                              c.source.c_str(), c.Target().ToString().c_str(),
+                              c.method.c_str(), ToSeconds(s.end_ns));
+  if (s.orig_ns > 0) {
+    out += StrFormat("  orig %8.3f s  error %+7.1f%%", ToSeconds(s.orig_ns), s.ErrorPct());
+  }
+  const storage::StorageCounters& sc = s.storage;
+  const uint64_t looked_up = sc.cache_hit_blocks + sc.cache_miss_blocks;
+  out += StrFormat(
+      "  | media r/w %llu/%llu  cache hit/miss %llu/%llu (%.3f)  evicted %llu  "
+      "writeback %llu",
+      static_cast<unsigned long long>(sc.media_read_blocks),
+      static_cast<unsigned long long>(sc.media_write_blocks),
+      static_cast<unsigned long long>(sc.cache_hit_blocks),
+      static_cast<unsigned long long>(sc.cache_miss_blocks),
+      looked_up > 0 ? static_cast<double>(sc.cache_hit_blocks) /
+                          static_cast<double>(looked_up)
+                    : 0.0,
+      static_cast<unsigned long long>(sc.cache_evicted_blocks),
+      static_cast<unsigned long long>(sc.cache_writeback_blocks));
+  // Stripe balance: the busiest RAID member's share of member blocks (0.5 is
+  // a perfectly balanced 2-disk array; 0 without RAID).
+  uint64_t raid_total = 0;
+  uint64_t raid_max = 0;
+  for (size_t m = 0; m < sc.raid_member_read_blocks.size(); ++m) {
+    const uint64_t blocks = sc.raid_member_read_blocks[m] + sc.raid_member_write_blocks[m];
+    raid_total += blocks;
+    raid_max = std::max(raid_max, blocks);
+  }
+  out += StrFormat("  stripe %.3f of %zu",
+                   raid_total > 0 ? static_cast<double>(raid_max) / raid_total : 0.0,
+                   sc.raid_member_read_blocks.size());
+  return out + '\n';
+}
+
+// "axis" or "[workload] axis" when the report spans several workloads.
+std::string AxisLabel(const AxisAgg& agg, bool several_workloads) {
+  return several_workloads ? "[" + agg.workload + "] " + agg.axis : agg.axis;
+}
+
+}  // namespace
+
 std::string SweepReport::ToJson() const {
   std::string out = "{";
   bool first = true;
-  AppendStrField(&out, "trace", trace_name, &first);
+  AppendStrField(&out, "workloads", workloads, &first);
   AppendIntField(&out, "cells", static_cast<long long>(cells), &first);
   AppendIntField(&out, "failed_cells", static_cast<long long>(failed_cells),
                  &first);
@@ -520,16 +711,16 @@ std::string SweepReport::ToJson() const {
                      static_cast<long long>(stall_by_rule_sum[r]));
   }
   out += '}';
-  const double grand_mean =
-      cells == 0 ? 0.0 : static_cast<double>(end_ns_sum) / cells;
   out += ",\"axes\":[";
   for (size_t a = 0; a < axes.size(); ++a) {
     const AxisAgg& agg = axes[a];
     if (a > 0) {
       out += ',';
     }
-    out += StrFormat("{\"axis\":\"%s\",\"end_sensitivity\":%.6f,\"values\":[",
-                     agg.axis.c_str(), agg.EndSensitivity(grand_mean));
+    out += "{\"workload\":\"";
+    AppendJsonEscaped(&out, agg.workload);
+    out += StrFormat("\",\"axis\":\"%s\",\"end_sensitivity\":%.6f,\"values\":[",
+                     agg.axis.c_str(), agg.EndSensitivity());
     for (size_t v = 0; v < agg.values.size(); ++v) {
       const AxisValueAgg& val = agg.values[v];
       if (v > 0) {
@@ -538,8 +729,15 @@ std::string SweepReport::ToJson() const {
       out += "{\"value\":\"";
       AppendJsonEscaped(&out, val.value);
       out += StrFormat("\",\"cells\":%zu,\"mean_end_ns\":%.0f,"
-                       "\"mean_stall_ns\":%.0f}",
+                       "\"mean_stall_ns\":%.0f",
                        val.cells, val.MeanEndNs(), val.MeanStallNs());
+      if (val.abs_error_pct.Count() > 0) {
+        const ErrorSummary e(val.abs_error_pct);
+        out += StrFormat(",\"abs_error_pct\":{\"mean\":%.4f,\"p50\":%.4f,"
+                         "\"p90\":%.4f,\"worst_decile_mean\":%.4f}",
+                         e.mean, e.p50, e.p90, e.worst_decile_mean);
+      }
+      out += '}';
     }
     out += "]}";
   }
@@ -559,7 +757,7 @@ std::string SweepReport::ToJson() const {
 std::string SweepReport::OnePager() const {
   std::string out;
   out += StrFormat("==== sweep: %s (%zu cells, %zu jobs, %lld ms host) ====\n",
-                   trace_name.c_str(), cells, jobs,
+                   workloads.c_str(), cells, jobs,
                    static_cast<long long>(host_ms));
   if (stats.empty()) {
     out += "(no cells)\n";
@@ -584,11 +782,18 @@ std::string SweepReport::OnePager() const {
                    static_cast<double>(worst.end_ns) / kNsPerMs,
                    worst.config.Echo().c_str());
 
+  out += "cells (workload  source -> target  method, replay end, original on "
+         "the target, replay error | replay storage blocks):\n";
+  for (const CellStats& s : stats) {
+    out += CellLine(s);
+  }
+
+  const bool several = workloads.find(", ") != std::string::npos;
   if (!axes.empty()) {
-    out += "sensitivity (mean-end spread / grand mean), per varying axis:\n";
+    out += "sensitivity (mean-end spread / mean end), per varying axis:\n";
     for (const AxisAgg& agg : axes) {
-      out += StrFormat("  %-9s %5.1f%%  ", agg.axis.c_str(),
-                       100.0 * agg.EndSensitivity(grand_mean));
+      out += StrFormat("  %-9s %5.1f%%  ", AxisLabel(agg, several).c_str(),
+                       100.0 * agg.EndSensitivity());
       for (size_t v = 0; v < agg.values.size(); ++v) {
         if (v > 0) {
           out += " | ";
@@ -598,6 +803,23 @@ std::string SweepReport::OnePager() const {
       }
       out += '\n';
     }
+    bool header = false;
+    for (const AxisAgg& agg : axes) {
+      for (const AxisValueAgg& v : agg.values) {
+        if (v.abs_error_pct.Count() == 0) {
+          continue;
+        }
+        if (!header) {
+          out += "|replay error| per axis value:\n";
+          header = true;
+        }
+        const ErrorSummary e(v.abs_error_pct);
+        out += StrFormat("  %-9s %-12s mean %6.1f%%  p50 %6.1f%%  p90 %6.1f%%  "
+                         "worst-10%% mean %6.1f%%  (%zu cells)\n",
+                         AxisLabel(agg, several).c_str(), v.value.c_str(), e.mean,
+                         e.p50, e.p90, e.worst_decile_mean, v.abs_error_pct.Count());
+      }
+    }
     out += "top stall movers per axis (max vs min mean path stall):\n";
     for (const AxisAgg& agg : axes) {
       const AxisValueAgg* lo = &agg.values[0];
@@ -606,8 +828,8 @@ std::string SweepReport::OnePager() const {
         if (v.MeanStallNs() < lo->MeanStallNs()) lo = &v;
         if (v.MeanStallNs() > hi->MeanStallNs()) hi = &v;
       }
-      out += StrFormat("  %-9s %s +%.2fms stall vs %s\n", agg.axis.c_str(),
-                       hi->value.c_str(),
+      out += StrFormat("  %-9s %s +%.2fms stall vs %s\n",
+                       AxisLabel(agg, several).c_str(), hi->value.c_str(),
                        (hi->MeanStallNs() - lo->MeanStallNs()) / kNsPerMs,
                        lo->value.c_str());
     }
@@ -661,8 +883,8 @@ bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
                {{"cell", match->Id().c_str()},
                 {"config", match->Echo().c_str()}});
   std::string pager;
-  out->stats = RunOneCell(plan.BenchFor(*match), *match, match_index,
-                          /*emit_trace=*/true, &out->critpath_json, &pager);
+  out->stats = RunOneCell(plan, match_index, /*emit_trace=*/true,
+                          &out->critpath_json, &pager);
   out->one_pager =
       StrFormat("==== cell %s ====\n%s\n", out->stats.id.c_str(),
                 match->Echo().c_str()) +

@@ -1,7 +1,9 @@
-// Scenario sweep engine (DESIGN.md §5j): compile an input trace once, fan a
-// grid of simulation targets across a host thread pool, and stream one JSONL
-// row per cell — virtual end time, critical-path stall attribution, fs-state
-// digest — while publishing live progress to the obs metrics plane.
+// Scenario sweep engine (DESIGN.md §5j): trace each grid workload on its
+// source stack and compile it once, measure the original program once per
+// target, fan the grid's replays across a host thread pool, and stream one
+// JSONL row per cell — virtual end time, error against the original,
+// critical-path stall attribution, storage block counts, fs-state digest —
+// while publishing live progress to the obs metrics plane.
 //
 // Determinism contract: every cell is an independent simulated world built
 // from a shared *const* CompiledBenchmark, so a cell's row content is
@@ -22,28 +24,43 @@
 #include <vector>
 
 #include "src/core/artc.h"
+#include "src/storage/storage_stack.h"
 #include "src/sweep/grid.h"
+#include "src/util/stats.h"
 #include "src/util/time.h"
 
 namespace artc::sweep {
 
-// A sweep-ready input: the grid's cells plus one shared compiled artifact
-// per distinct replay method in the grid. The trace is annotated once
-// (annotation is method-independent) and compiled once per method; the
-// resulting CompiledBenchmarks are immutable and shared by every cell.
+// A sweep-ready input: the grid's cells, one shared compiled artifact per
+// distinct (trace, replay method) pair, and one original run per distinct
+// (workload, target). Each trace is annotated once (annotation is
+// method-independent) and compiled once per method; the resulting
+// CompiledBenchmarks are immutable and shared by every cell.
 struct SweepPlan {
-  std::string trace_name;
   std::vector<CellConfig> cells;
-  // method name -> shared compiled benchmark.
+  // CellConfig::TraceKey() + "|" + method -> shared compiled benchmark.
   std::map<std::string, core::CompiledBenchmarkPtr> compiled;
+  // CellConfig::OriginalKey() -> the original program's elapsed virtual
+  // time on that target. Empty for a pre-traced input.
+  std::map<std::string, TimeNs> originals;
 
   const core::CompiledBenchmark& BenchFor(const CellConfig& cell) const;
+  // The cell's original run, or 0 when the plan has none.
+  TimeNs OriginalFor(const CellConfig& cell) const;
 };
 
-// Annotates + compiles `t` for every method the grid mentions and expands
-// the grid. Returns false with *error set on grid validation failure. The
-// trace is consumed: the final method's compile steals its event vector,
-// leaving `t` moved-from (earlier methods, if any, compile from copies).
+// Expands the grids, traces each named workload once per (threads, source,
+// seed) and compiles it for every method its cells use, and measures the
+// original program once per (workload, threads, target, seed). Returns
+// false with *error set on grid validation failure.
+bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
+                    std::string* error);
+
+// The same over a pre-traced input: every cell replays `t`, and the cells'
+// workload is `trace_name` (the grid's workload axis is not used). There is
+// no original run, so rows carry no orig_ns or error_pct. The trace is
+// consumed: the final method's compile steals its event vector, leaving `t`
+// moved-from (earlier methods, if any, compile from copies).
 bool BuildSweepPlan(trace::Trace&& t, const trace::FsSnapshot& snapshot,
                     SweepGrid grid, const std::string& trace_name,
                     SweepPlan* out, std::string* error);
@@ -58,6 +75,9 @@ struct CellStats {
   CellConfig config;
 
   TimeNs end_ns = 0;          // replay wall span (report.wall_time)
+  // The original program's elapsed time on the cell's target; 0 for a
+  // pre-traced input, whose rows then carry neither orig_ns nor error_pct.
+  TimeNs orig_ns = 0;
   TimeNs sim_end_ns = 0;      // final virtual clock (init + replay)
   uint64_t sim_switches = 0;
   uint64_t total_events = 0;
@@ -84,10 +104,17 @@ struct CellStats {
   // Top path-stall resources, descending (name, ns); capped at 8.
   std::vector<std::pair<std::string, TimeNs>> top_stall;
 
+  // The replay's storage counters; rows carry the block counts.
+  storage::StorageCounters storage;
+
   // Host-clock cost of replaying + analyzing this cell, microseconds.
   // Inherently nondeterministic; the JSONL row includes it only when
   // SweepOptions::include_host_time is set.
   int64_t host_us = 0;
+
+  // Signed replay error against the original, in percent: positive means
+  // the replay ran longer. Only meaningful when orig_ns > 0.
+  double ErrorPct() const;
 
   // One JSONL object (no trailing newline). Field order is fixed and every
   // map is emitted in a deterministic order, so equal stats produce equal
@@ -95,13 +122,15 @@ struct CellStats {
   std::string ToJsonl(bool include_host_time) const;
 };
 
-// Per-axis aggregate: mean end/stall per axis value, used for the
-// sensitivity table and "top stall movers" in the one-pager.
+// Per-axis aggregate: mean end/stall and the |error_pct| distribution per
+// axis value, used for the sensitivity table, the error table (Fig. 7(b))
+// and "top stall movers" in the one-pager.
 struct AxisValueAgg {
   std::string value;
   size_t cells = 0;
   TimeNs end_ns_sum = 0;
   TimeNs stall_ns_sum = 0;
+  SampleStats abs_error_pct;  // cells with an original run only
   double MeanEndNs() const {
     return cells == 0 ? 0.0 : static_cast<double>(end_ns_sum) / cells;
   }
@@ -110,11 +139,15 @@ struct AxisValueAgg {
   }
 };
 
+// One axis over one workload's cells: end times of different programs are
+// never averaged together.
 struct AxisAgg {
+  std::string workload;
   std::string axis;
   std::vector<AxisValueAgg> values;  // grid declaration order
-  // (max mean end - min mean end) / grand mean end; 0 for single-value axes.
-  double EndSensitivity(double grand_mean_end) const;
+  // (max mean end - min mean end) / the workload's mean end; 0 for
+  // single-value axes.
+  double EndSensitivity() const;
 };
 
 // The SplitMix64 finaliser, applied to each cell digest before it is added
@@ -122,7 +155,7 @@ struct AxisAgg {
 uint64_t MixCellDigest(uint64_t digest);
 
 struct SweepReport {
-  std::string trace_name;
+  std::string workloads;     // distinct cell workloads, in cell order
   size_t cells = 0;
   size_t failed_cells = 0;   // cells whose replay failed events
   size_t jobs = 0;           // host workers used
@@ -138,7 +171,9 @@ struct SweepReport {
   std::array<TimeNs, static_cast<size_t>(core::RuleTag::kCount)>
       stall_by_rule_sum{};
 
-  std::vector<AxisAgg> axes;       // only axes with > 1 distinct value
+  // Per workload, only axes with > 1 distinct value; never the workload
+  // axis itself.
+  std::vector<AxisAgg> axes;
   std::vector<CellStats> stats;    // cell-index order
 
   // Extremes by end_ns (ties broken by cell index, so deterministic).
@@ -187,12 +222,11 @@ struct DrillResult {
 bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
                DrillResult* out, std::string* error);
 
-// Runs one cell synchronously (shared by RunSweep workers and DrillCell;
-// exposed for the parity tests). `emit_trace` overlays the critical path on
-// the default tracer; when non-null, *critpath_json / *one_pager receive the
-// full CritPathReport renderings.
-CellStats RunOneCell(const core::CompiledBenchmark& bench,
-                     const CellConfig& cell, size_t index,
+// Runs plan.cells[index] synchronously (shared by RunSweep workers and
+// DrillCell). `emit_trace` overlays the critical path on the default tracer;
+// when non-null, *critpath_json / *one_pager receive the full
+// CritPathReport renderings.
+CellStats RunOneCell(const SweepPlan& plan, size_t index,
                      bool emit_trace = false,
                      std::string* critpath_json = nullptr,
                      std::string* one_pager = nullptr);

@@ -7,14 +7,19 @@ Checks, per row:
 
   * every required key is present with the right type (config echo axes,
     virtual end times, event counts, critical-path surface split, storage
-    layer split, stall_by_rule map, top_stall list);
+    layer split, storage block counts, raid_member_blocks list,
+    stall_by_rule map, top_stall list);
+  * orig_ns and error_pct come together (a pre-traced input has neither):
+    orig_ns is positive and error_pct == 100 * (end_ns - orig_ns) / orig_ns
+    to the row's four decimals;
   * "cell" and "digest" are 16 lowercase hex chars;
   * the critical-path tiling invariant holds exactly:
         exec_ns + stall_ns + pacing_ns + idle_ns == end_ns;
   * stall_by_rule values are positive ints over the known rule vocabulary
     and sum to at most stall_ns;
   * top_stall is a [name, ns] list sorted by descending ns;
-  * cache_mb is -1 (config default) or > 0.
+  * cache_mb is -1 (config default) or > 0, threads is 0 (the workload's
+    own count) or positive.
 
 Across rows: "idx" is dense 0..N-1 in emission order (the engine's
 determinism contract is in-order emission regardless of --jobs) and cell
@@ -35,13 +40,16 @@ HEX16_RE = re.compile(r"^[0-9a-f]{16}$")
 
 # (key, required type). bool is an int subclass in python, so int checks
 # explicitly reject bool below.
-STR_KEYS = ("cell", "trace", "method", "fs", "storage", "iosched",
-            "schedule", "backend", "pacing", "digest")
-INT_KEYS = ("idx", "cache_mb", "seed", "end_ns", "sim_end_ns", "switches",
-            "events", "failed_events", "exec_ns", "stall_ns", "pacing_ns",
-            "idle_ns", "storage_ns", "storage_cache_ns",
+STR_KEYS = ("cell", "workload", "source", "method", "fs", "storage",
+            "iosched", "schedule", "pacing", "digest")
+BLOCK_KEYS = ("media_read_blocks", "media_write_blocks", "cache_hit_blocks",
+              "cache_miss_blocks", "cache_evicted_blocks",
+              "cache_writeback_blocks")
+INT_KEYS = ("idx", "threads", "cache_mb", "seed", "end_ns", "sim_end_ns",
+            "switches", "events", "failed_events", "exec_ns", "stall_ns",
+            "pacing_ns", "idle_ns", "storage_ns", "storage_cache_ns",
             "storage_media_read_ns", "storage_media_write_ns",
-            "storage_writeback_ns")
+            "storage_writeback_ns") + BLOCK_KEYS
 # Host wall time is the one legitimately nondeterministic field; present
 # unless the sweep ran with --no-host-ms.
 OPTIONAL_INT_KEYS = ("host_us",)
@@ -70,7 +78,8 @@ def check_row(row, lineno, errors):
         if key in row and not is_int(row[key]):
             err("non-integer %r" % key)
     known = set(STR_KEYS) | set(INT_KEYS) | set(OPTIONAL_INT_KEYS) | {
-        "stall_by_rule", "top_stall"}
+        "orig_ns", "error_pct", "raid_member_blocks", "stall_by_rule",
+        "top_stall"}
     for key in row:
         if key not in known:
             err("unknown key %r" % key)
@@ -82,6 +91,30 @@ def check_row(row, lineno, errors):
     if is_int(row.get("cache_mb")) and not (row["cache_mb"] == -1
                                             or row["cache_mb"] > 0):
         err("cache_mb must be -1 or positive, got %d" % row["cache_mb"])
+
+    if is_int(row.get("threads")) and row["threads"] < 0:
+        err("threads must be 0 or positive, got %d" % row["threads"])
+    for key in BLOCK_KEYS:
+        if is_int(row.get(key)) and row[key] < 0:
+            err("%s is negative" % key)
+    members = row.get("raid_member_blocks")
+    if not isinstance(members, list) or not all(
+            is_int(m) and m >= 0 for m in members):
+        err("missing or malformed 'raid_member_blocks': %r" % (members,))
+
+    if ("orig_ns" in row) != ("error_pct" in row):
+        err("orig_ns and error_pct must come together")
+    elif "orig_ns" in row:
+        orig, pct = row["orig_ns"], row["error_pct"]
+        if not is_int(orig) or orig <= 0:
+            err("orig_ns must be a positive int, got %r" % (orig,))
+        elif not isinstance(pct, (int, float)) or isinstance(pct, bool):
+            err("error_pct must be a number, got %r" % (pct,))
+        elif is_int(row.get("end_ns")):
+            want = 100.0 * (row["end_ns"] - orig) / orig
+            if abs(pct - want) > 0.00006:
+                err("error_pct %r != 100 * (end_ns - orig_ns) / orig_ns = %.4f"
+                    % (pct, want))
 
     surfaces = ("exec_ns", "stall_ns", "pacing_ns", "idle_ns")
     if all(is_int(row.get(k)) for k in surfaces + ("end_ns",)):
@@ -160,14 +193,18 @@ def check_rows(text, expected_cells=None):
 
 
 GOOD_ROW = {
-    "cell": "7f3a1b2c4d5e6f01", "idx": 0, "trace": "random_readers",
-    "method": "artc", "fs": "ext4", "storage": "hdd", "iosched": "base",
-    "cache_mb": -1, "schedule": "default", "seed": 1, "backend": "fibers",
-    "pacing": "afap", "end_ns": 100, "sim_end_ns": 100, "switches": 7,
+    "cell": "7f3a1b2c4d5e6f01", "idx": 0, "workload": "random_readers",
+    "threads": 8, "source": "raid0:cache_mb=96", "method": "artc",
+    "fs": "ext4", "storage": "hdd", "iosched": "cfq-5ms", "cache_mb": -1,
+    "schedule": "default", "seed": 1, "pacing": "afap", "end_ns": 100,
+    "orig_ns": 80, "error_pct": 25.0, "sim_end_ns": 100, "switches": 7,
     "events": 12, "failed_events": 0, "digest": "00ff00ff00ff00ff",
     "exec_ns": 60, "stall_ns": 30, "pacing_ns": 0, "idle_ns": 10,
     "storage_ns": 50, "storage_cache_ns": 5, "storage_media_read_ns": 40,
     "storage_media_write_ns": 0, "storage_writeback_ns": 5,
+    "media_read_blocks": 9, "media_write_blocks": 0, "cache_hit_blocks": 3,
+    "cache_miss_blocks": 9, "cache_evicted_blocks": 0,
+    "cache_writeback_blocks": 0, "raid_member_blocks": [5, 4],
     "stall_by_rule": {"file_seq": 20, "mutex": 10},
     "top_stall": [["disk", 25], ["mutex#3", 5]], "host_us": 1234,
 }
@@ -181,6 +218,11 @@ def self_test():
 
     ok = check_rows(variant())
     assert not ok, ok
+    # A pre-traced input's row has no original run.
+    pretraced = {k: v for k, v in GOOD_ROW.items()
+                 if k not in ("orig_ns", "error_pct")}
+    ok = check_rows(json.dumps(pretraced))
+    assert not ok, ok
 
     cases = [
         (variant(end_ns=101), "tiling"),
@@ -190,6 +232,15 @@ def self_test():
         (variant(stall_by_rule={"mutex": 31}), "stall_by_rule sums"),
         (variant(top_stall=[["a", 1], ["b", 2]]), "descending"),
         (variant(idx=5), "out of order"),
+        (variant(error_pct=24.9), "error_pct"),
+        (variant(orig_ns=0), "orig_ns must be"),
+        (json.dumps({k: v for k, v in GOOD_ROW.items() if k != "error_pct"}),
+         "come together"),
+        (variant(raid_member_blocks=[1, -2]), "raid_member_blocks"),
+        (variant(threads=-1), "threads"),
+        (variant(backend="fibers"), "unknown key 'backend'"),
+        (json.dumps({k: v for k, v in GOOD_ROW.items()
+                     if k != "cache_hit_blocks"}), "'cache_hit_blocks'"),
         (json.dumps({k: v for k, v in GOOD_ROW.items() if k != "events"}),
          "'events'"),
         ("not json", "not JSON"),

@@ -1,182 +1,89 @@
-// Goldens for the paper's Figs 5(a)-7: every figure traces a program on a
-// source system, replays it with single-threaded, temporal and ARTC
-// ordering on a target system, and compares each replay with the original
-// program run on that target. Each test pins the sum of the replays' end
-// times and the sum of the matching originals' times over the figure's
-// cells, so a change that moves any one replay or original by 1 ns fails.
+// Goldens for the paper's Figs 5(a)-7, one per committed grid in
+// bench/grids: every figure traces a program on a source system, replays it
+// with single-threaded, temporal and ARTC ordering on a target system, and
+// compares each replay with the original program run on that target. Each
+// test runs its grid through the sweep engine and pins the sum of the
+// cells' end times and the sum of their originals' times, so a change that
+// moves any one replay or original by 1 ns fails. The constants were
+// recorded from the per-figure bench mains the grids replace.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "bench/bench_common.h"
-#include "src/workloads/micro.h"
-#include "src/workloads/minikv.h"
+#include "src/sweep/sweep.h"
 
-namespace artc {
+namespace artc::sweep {
 namespace {
-
-using core::ReplayMethod;
-using core::SimTarget;
-using workloads::SourceConfig;
-using workloads::TracedRun;
 
 struct Sums {
   size_t cells = 0;
   TimeNs end_ns = 0;
   TimeNs orig_ns = 0;
-
-  // The three methods' replays of `run` on `target`, each against `orig`.
-  void AddMethods(const TracedRun& run, const SimTarget& target, TimeNs orig) {
-    for (ReplayMethod m : {ReplayMethod::kSingleThreaded, ReplayMethod::kTemporal,
-                           ReplayMethod::kArtc}) {
-      end_ns += bench::ReplayWithMethod(run, m, target).report.wall_time;
-      orig_ns += orig;
-      ++cells;
-    }
-  }
 };
 
-SourceConfig On(const storage::StorageConfig& storage, const std::string& fs = "ext4") {
-  SourceConfig cfg;
-  cfg.storage = storage;
-  cfg.fs_profile = fs;
-  return cfg;
-}
-
-SimTarget To(const storage::StorageConfig& storage, const std::string& fs = "ext4") {
-  SimTarget target;
-  target.storage = storage;
-  target.fs_profile = fs;
-  return target;
+Sums RunGrid(const std::string& name) {
+  std::vector<SweepGrid> grids;
+  std::string error;
+  EXPECT_TRUE(ParseGridFile(std::string(ARTC_GRIDS_DIR) + "/" + name, &grids, &error))
+      << error;
+  SweepPlan plan;
+  EXPECT_TRUE(BuildSweepPlan(std::move(grids), &plan, &error)) << error;
+  SweepOptions options;
+  options.include_host_time = false;
+  SweepReport report;
+  EXPECT_TRUE(RunSweep(plan, options, &report, &error)) << error;
+  Sums sums;
+  for (const CellStats& s : report.stats) {
+    ++sums.cells;
+    sums.end_ns += s.end_ns;
+    sums.orig_ns += s.orig_ns;
+  }
+  EXPECT_EQ(report.failed_cells, 0u);
+  return sums;
 }
 
 TEST(FigureGrids, Fig5aGolden) {
-  Sums sums;
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    workloads::RandomReaders::Options opt;
-    opt.threads = threads;
-    workloads::RandomReaders w(opt);
-    const storage::StorageConfig hdd = storage::MakeNamedConfig("hdd");
-    TracedRun run = workloads::TraceWorkload(w, On(hdd));
-    sums.AddMethods(run, To(hdd), run.elapsed);
-  }
+  const Sums sums = RunGrid("fig5a.grid");
   EXPECT_EQ(sums.cells, 9u);
   EXPECT_EQ(sums.end_ns, 123437158763);
   EXPECT_EQ(sums.orig_ns, 99320672061);
 }
 
 TEST(FigureGrids, Fig5bGolden) {
-  Sums sums;
-  for (auto [src, tgt] : {std::pair{"hdd", "raid0"}, std::pair{"raid0", "hdd"}}) {
-    workloads::RandomReaders w({});
-    TracedRun run = workloads::TraceWorkload(w, On(storage::MakeNamedConfig(src)));
-    workloads::RandomReaders worig({});
-    const storage::StorageConfig target = storage::MakeNamedConfig(tgt);
-    sums.AddMethods(run, To(target), workloads::MeasureWorkload(worig, On(target)));
-  }
+  const Sums sums = RunGrid("fig5b.grid");
   EXPECT_EQ(sums.cells, 6u);
   EXPECT_EQ(sums.end_ns, 53823650836);
   EXPECT_EQ(sums.orig_ns, 50398769973);
 }
 
 TEST(FigureGrids, Fig5cGolden) {
-  auto cache = [](uint64_t mb) {
-    storage::StorageConfig cfg = storage::MakeNamedConfig("raid0");
-    cfg.cache.capacity_blocks = mb * 256;
-    return cfg;
-  };
-  Sums sums;
-  for (auto [src, tgt] : {std::pair{1280, 96}, std::pair{96, 1280}}) {
-    workloads::CacheWarmReaders w({});
-    TracedRun run = workloads::TraceWorkload(w, On(cache(src)));
-    workloads::CacheWarmReaders worig({});
-    sums.AddMethods(run, To(cache(tgt)), workloads::MeasureWorkload(worig, On(cache(tgt))));
-  }
+  const Sums sums = RunGrid("fig5c.grid");
   EXPECT_EQ(sums.cells, 6u);
   EXPECT_EQ(sums.end_ns, 169419583839);
   EXPECT_EQ(sums.orig_ns, 158594704272);
 }
 
 TEST(FigureGrids, Fig5dGolden) {
-  Sums sums;
-  for (auto [src, tgt] :
-       {std::pair{"cfq-100ms", "cfq-1ms"}, std::pair{"cfq-1ms", "cfq-100ms"}}) {
-    workloads::CompetingSequentialReaders w({});
-    TracedRun run = workloads::TraceWorkload(w, On(storage::MakeNamedConfig(src)));
-    workloads::CompetingSequentialReaders worig({});
-    const storage::StorageConfig target = storage::MakeNamedConfig(tgt);
-    sums.AddMethods(run, To(target), workloads::MeasureWorkload(worig, On(target)));
-  }
+  const Sums sums = RunGrid("fig5d.grid");
   EXPECT_EQ(sums.cells, 6u);
   EXPECT_EQ(sums.end_ns, 3263730071);
   EXPECT_EQ(sums.orig_ns, 3371731743);
 }
 
 TEST(FigureGrids, Fig6Golden) {
-  auto slice = [](int64_t ms) {
-    storage::StorageConfig cfg = storage::MakeNamedConfig("cfq-100ms");
-    cfg.cfq.slice_sync = Ms(ms);
-    return cfg;
-  };
-  std::vector<TracedRun> traces;
-  for (int64_t src : {1, 100}) {
-    workloads::CompetingSequentialReaders w({});
-    traces.push_back(workloads::TraceWorkload(w, On(slice(src))));
-  }
-  Sums sums;
-  for (int64_t ms : {1, 2, 5, 10, 20, 50, 100}) {
-    workloads::CompetingSequentialReaders worig({});
-    const TimeNs orig = workloads::MeasureWorkload(worig, On(slice(ms)));
-    for (const TracedRun& run : traces) {
-      sums.AddMethods(run, To(slice(ms)), orig);
-    }
-  }
+  const Sums sums = RunGrid("fig6.grid");
   EXPECT_EQ(sums.cells, 42u);
   EXPECT_EQ(sums.end_ns, 21528301786);
   EXPECT_EQ(sums.orig_ns, 20955060966);
 }
 
 TEST(FigureGrids, Fig7Golden) {
-  // The seven (storage, fs) configurations, sources and targets alike.
-  const std::vector<std::pair<const char*, const char*>> configs = {
-      {"hdd", "ext4"},   {"hdd", "ext3"},        {"hdd", "jfs"}, {"hdd", "xfs"},
-      {"raid0", "ext4"}, {"smallcache", "ext4"}, {"ssd", "ext4"}};
-  Sums sums;
-  workloads::KvFillSync::Options fopt;
-  fopt.threads = 8;
-  fopt.puts_per_thread = 120;
-  workloads::KvFillSync wf(fopt);
-  TracedRun fill = workloads::TraceWorkload(wf, On(storage::MakeNamedConfig("hdd")));
-  for (auto [st, fs] : configs) {
-    workloads::KvFillSync worig(fopt);
-    const storage::StorageConfig target = storage::MakeNamedConfig(st);
-    sums.AddMethods(fill, To(target, fs),
-                    workloads::MeasureWorkload(worig, On(target, fs)));
-  }
-  workloads::KvReadRandom::Options ropt;
-  ropt.threads = 8;
-  ropt.gets_per_thread = 400;
-  ropt.tables = 256;
-  ropt.keys_per_table = 3000;
-  std::vector<TimeNs> orig;
-  for (auto [st, fs] : configs) {
-    workloads::KvReadRandom worig(ropt);
-    orig.push_back(workloads::MeasureWorkload(worig, On(storage::MakeNamedConfig(st), fs)));
-  }
-  for (auto [src_st, src_fs] : configs) {
-    workloads::KvReadRandom w(ropt);
-    TracedRun run =
-        workloads::TraceWorkload(w, On(storage::MakeNamedConfig(src_st), src_fs));
-    for (size_t t = 0; t < configs.size(); ++t) {
-      sums.AddMethods(run, To(storage::MakeNamedConfig(configs[t].first), configs[t].second),
-                      orig[t]);
-    }
-  }
+  const Sums sums = RunGrid("fig7.grid");
   EXPECT_EQ(sums.cells, 168u);
   EXPECT_EQ(sums.end_ns, 1437309187674);
   EXPECT_EQ(sums.orig_ns, 754883169324);
 }
 
 }  // namespace
-}  // namespace artc
+}  // namespace artc::sweep

@@ -1,9 +1,12 @@
 // Sweep engine tests: grid parsing and validation, content-addressed cell
 // ids, byte-identical JSONL emission across worker counts, per-cell parity
 // with a standalone replay of the same configuration (on the fibers AND
-// parallel simulation backends), aggregate consistency, and drill-down
-// parity with the sweep row it drills into.
+// parallel simulation backends), aggregate consistency, original runs and
+// replay errors for named workloads, and drill-down parity with the sweep
+// row it drills into.
+#include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -15,6 +18,8 @@
 #include "src/obs/obs.h"
 #include "src/sweep/grid.h"
 #include "src/sweep/sweep.h"
+#include "src/sweep/workload_table.h"
+#include "src/util/strings.h"
 #include "src/workloads/micro.h"
 
 namespace artc::sweep {
@@ -66,59 +71,138 @@ std::string SweepToString(const SweepPlan& plan, size_t jobs,
 }
 
 TEST(SweepGridTest, ParsesTextAndKeepsDefaults) {
-  SweepGrid grid;
+  std::vector<SweepGrid> grids;
   std::string error;
   ASSERT_TRUE(ParseGridText("# comment\n"
                             "method = artc, temporal\n"
                             "storage = hdd, ssd   # trailing comment\n"
                             "cache_mb = 64, 384\n"
                             "seed = 1, 2\n",
-                            &grid, &error))
+                            &grids, &error))
       << error;
+  ASSERT_EQ(grids.size(), 1u);
+  SweepGrid& grid = grids[0];
   EXPECT_EQ(grid.method, (std::vector<std::string>{"artc", "temporal"}));
   EXPECT_EQ(grid.storage, (std::vector<std::string>{"hdd", "ssd"}));
   EXPECT_EQ(grid.cache_mb, (std::vector<int64_t>{64, 384}));
   EXPECT_TRUE(grid.fs.empty());  // unset until Normalize
   grid.Normalize();
   EXPECT_EQ(grid.fs, (std::vector<std::string>{"ext4"}));
+  EXPECT_EQ(grid.workload, (std::vector<std::string>{"iphoto_import"}));
   EXPECT_EQ(grid.CellCount(), 2u * 2 * 2 * 2);
 }
 
-TEST(SweepGridTest, RejectsUnknownAxesAndValues) {
-  SweepGrid grid;
+TEST(SweepGridTest, EachCrossProductStartsFromTheOneBefore) {
+  std::vector<SweepGrid> grids;
   std::string error;
-  EXPECT_FALSE(ParseGridText("warp_factor = 9\n", &grid, &error));
+  ASSERT_TRUE(ParseGridText("workload = random_readers\n"
+                            "method = single, artc\n"
+                            "source = hdd\n"
+                            "storage = raid0\n"
+                            "---\n"
+                            "source = raid0\n"
+                            "storage = hdd\n",
+                            &grids, &error))
+      << error;
+  ASSERT_EQ(grids.size(), 2u);
+  EXPECT_EQ(grids[1].workload, (std::vector<std::string>{"random_readers"}));
+  EXPECT_EQ(grids[1].method, (std::vector<std::string>{"single", "artc"}));
+  EXPECT_EQ(grids[1].source, (std::vector<std::string>{"raid0"}));
+  std::vector<CellConfig> cells;
+  ASSERT_TRUE(ExpandGrids(grids, &cells, &error)) << error;
+  ASSERT_EQ(cells.size(), 4u);
+  EXPECT_EQ(cells[0].source + ">" + cells[0].storage + "/" + cells[0].method,
+            "hdd>raid0/single");
+  EXPECT_EQ(cells[3].source + ">" + cells[3].storage + "/" + cells[3].method,
+            "raid0>hdd/artc");
+
+  // A cell two cross products both produce is an error, not a repeated row.
+  ASSERT_TRUE(ParseGridText("storage = hdd, ssd\n---\nstorage = ssd\n", &grids, &error));
+  EXPECT_FALSE(ExpandGrids(grids, &cells, &error));
+  EXPECT_NE(error.find("cross product 2 repeats"), std::string::npos) << error;
+  EXPECT_TRUE(cells.empty());
+}
+
+TEST(SweepGridTest, SourcesParseAndPrintInOneSpelling) {
+  StackSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseStackSpec("raid0:cache_mb=96:fs=xfs", &spec, &error)) << error;
+  EXPECT_EQ(spec.storage, "raid0");
+  EXPECT_EQ(spec.fs, "xfs");
+  EXPECT_EQ(spec.cache_mb, 96);
+  EXPECT_EQ(spec.ToString(), "raid0:fs=xfs:cache_mb=96");
+  EXPECT_EQ(spec.MakeStorage().cache.capacity_blocks, 96u * 256);
+  ASSERT_TRUE(ParseStackSpec("hdd:iosched=cfq-7ms", &spec, &error)) << error;
+  EXPECT_EQ(spec.MakeStorage().scheduler, storage::SchedulerKind::kCfq);
+  EXPECT_EQ(spec.MakeStorage().cfq.slice_sync, Ms(7));
+
+  for (const char* bad : {"", "nvme", "hdd:fs=ntfs", "hdd:iosched=cfq-0ms",
+                          "hdd:cache_mb=0", "hdd:cache_mb=x", "hdd:colour=red"}) {
+    EXPECT_FALSE(ParseStackSpec(bad, &spec, &error)) << bad;
+    EXPECT_NE(error.find("bad source"), std::string::npos) << error;
+  }
+
+  // A source written with its defaults spelled out is the same cell.
+  SweepGrid a;
+  a.source = {"hdd:fs=ext4:iosched=base"};
+  SweepGrid b;
+  b.source = {"hdd"};
+  std::vector<CellConfig> ca, cb;
+  ASSERT_TRUE(a.Expand(&ca, &error)) << error;
+  ASSERT_TRUE(b.Expand(&cb, &error)) << error;
+  EXPECT_EQ(ca[0].source, "hdd");
+  EXPECT_EQ(ca[0].Id(), cb[0].Id());
+}
+
+TEST(SweepGridTest, RejectsUnknownAxesAndValues) {
+  std::vector<SweepGrid> grids;
+  std::string error;
+  EXPECT_FALSE(ParseGridText("warp_factor = 9\n", &grids, &error));
   EXPECT_NE(error.find("warp_factor"), std::string::npos);
 
-  EXPECT_FALSE(ParseGridText("seed = banana\n", &grid, &error));
+  EXPECT_FALSE(ParseGridText("seed = banana\n", &grids, &error));
+  EXPECT_FALSE(ParseGridText("seed = +1\n", &grids, &error));
+  EXPECT_FALSE(ParseGridText("threads = -1\n", &grids, &error));
+
+  // The sweep has no backend axis: every cell runs the same single-shard
+  // path.
+  EXPECT_FALSE(ParseGridText("backend = fibers\n", &grids, &error));
+  EXPECT_NE(error.find("unknown axis 'backend'"), std::string::npos) << error;
 
   // Vocabulary violations surface as errors from Expand, not aborts.
-  SweepGrid bad;
-  ASSERT_TRUE(ParseGridText("storage = floppy\n", &bad, &error));
+  auto rejects = [&](const std::string& text, const std::string& needle) {
+    std::vector<CellConfig> cells;
+    ASSERT_TRUE(ParseGridText(text, &grids, &error)) << text << error;
+    EXPECT_FALSE(ExpandGrids(grids, &cells, &error)) << text;
+    EXPECT_NE(error.find(needle), std::string::npos) << text << ": " << error;
+  };
+  rejects("storage = floppy\n", "floppy");
+  rejects("schedule = sometimes\n", "sometimes");
+  rejects("cache_mb = 0\n", "cache_mb");
+  rejects("workload = bogus\n", "random_readers");
+  rejects("source = nvme\n", "smallcache");
+  for (const char* iosched : {"cfq-0ms", "cfq-1001ms", "cfq-05ms", "cfq-ms", "cfq-2s",
+                              "cfq-1.5ms"}) {
+    rejects(std::string("iosched = ") + iosched + "\n", "cfq-<N>ms");
+  }
+  rejects("workload = random_readers\nthreads = 65\n", "bad threads 65");
+  rejects("workload = iphoto_import\nthreads = 4\n", "no thread count");
+  // The second cross product names its position.
+  rejects("storage = hdd\n---\nfs = ntfs\n", "cross product 2: unknown fs");
+
   std::vector<CellConfig> cells;
-  EXPECT_FALSE(bad.Expand("t", &cells, &error));
-  EXPECT_NE(error.find("floppy"), std::string::npos);
-
-  SweepGrid bad_sched;
-  ASSERT_TRUE(ParseGridText("schedule = sometimes\n", &bad_sched, &error));
-  EXPECT_FALSE(bad_sched.Expand("t", &cells, &error));
-
-  SweepGrid bad_cache;
-  ASSERT_TRUE(ParseGridText("cache_mb = 0\n", &bad_cache, &error));
-  EXPECT_FALSE(bad_cache.Expand("t", &cells, &error));
-
-  // The backend vocabulary is fibers|parallel; "threads" is not a backend.
-  SweepGrid bad_backend;
-  ASSERT_TRUE(ParseGridText("backend = fibers, threads\n", &bad_backend, &error));
-  EXPECT_FALSE(bad_backend.Expand("t", &cells, &error));
-  EXPECT_NE(error.find("unknown backend 'threads'"), std::string::npos) << error;
+  ASSERT_TRUE(ParseGridText("workload = seq_readers\nthreads = 0, 4\n"
+                            "iosched = base, noop, cfq-1ms, cfq-1000ms\n",
+                            &grids, &error));
+  EXPECT_TRUE(ExpandGrids(grids, &cells, &error)) << error;
+  EXPECT_EQ(cells.size(), 8u);
 }
 
 TEST(SweepGridTest, CellIdsAreContentAddressedAndUnique) {
   SweepGrid grid = SmallGrid();
   std::vector<CellConfig> cells;
   std::string error;
-  ASSERT_TRUE(grid.Expand("trace_a", &cells, &error)) << error;
+  ASSERT_TRUE(grid.Expand(&cells, &error)) << error;
   ASSERT_EQ(cells.size(), 8u);
 
   std::set<std::string> ids;
@@ -135,16 +219,16 @@ TEST(SweepGridTest, CellIdsAreContentAddressedAndUnique) {
   permuted.storage = {"ssd", "hdd"};
   permuted.seed = {2, 1};
   std::vector<CellConfig> cells2;
-  ASSERT_TRUE(permuted.Expand("trace_a", &cells2, &error));
+  ASSERT_TRUE(permuted.Expand(&cells2, &error));
   std::set<std::string> ids2;
   for (const CellConfig& cell : cells2) {
     ids2.insert(cell.Id());
   }
   EXPECT_EQ(ids, ids2);
 
-  // ...but a different trace name is a different identity.
+  // ...but a different workload is a different identity.
   CellConfig other = cells[0];
-  other.trace_name = "trace_b";
+  other.workload = "trace_b";
   EXPECT_NE(other.Id(), cells[0].Id());
 }
 
@@ -203,12 +287,10 @@ TEST(SweepTest, TwelveCellGridGolden) {
 }
 
 TEST(SweepTest, EqualCellDigestsDoNotCancelInTheAggregate) {
-  // The backend axis leaves virtual results alone, so both cells end in the
-  // same file-system state.
+  // The readers only read, so both cells end in the same file-system state.
   SweepGrid grid;
   grid.method = {"artc"};
-  grid.storage = {"ssd"};
-  grid.backend = {"fibers", "parallel"};
+  grid.storage = {"hdd", "ssd"};
   SweepPlan plan = BuildSmallPlan(std::move(grid));
   SweepReport report;
   SweepToString(plan, 2, 0, &report);
@@ -219,12 +301,11 @@ TEST(SweepTest, EqualCellDigestsDoNotCancelInTheAggregate) {
 }
 
 TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
-  // Same grid twice over the backend axis: every cell's virtual results
-  // must be bit-identical to a standalone replay of that configuration.
+  // Every cell's virtual results must be bit-identical to a standalone
+  // replay of that configuration, on either simulation backend.
   SweepGrid grid;
-  grid.method = {"artc"};
+  grid.method = {"artc", "temporal"};
   grid.storage = {"hdd", "ssd"};
-  grid.backend = {"fibers", "parallel"};
   SweepPlan plan = BuildSmallPlan(std::move(grid));
 
   SweepReport report;
@@ -233,29 +314,79 @@ TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
 
   for (const CellStats& stats : report.stats) {
     const CellConfig& cell = plan.cells[stats.index];
-    trace::FsSnapshot final_state;
-    const core::SimReplayResult standalone = core::ReplayCompiledOnSimTarget(
-        plan.BenchFor(cell), cell.MakeTarget(), &final_state);
-    EXPECT_EQ(stats.end_ns, standalone.report.wall_time) << cell.Echo();
-    EXPECT_EQ(stats.sim_end_ns, standalone.sim_end_time) << cell.Echo();
-    EXPECT_EQ(stats.sim_switches, standalone.sim_switches) << cell.Echo();
-    EXPECT_EQ(stats.digest, check::SnapshotDigest(final_state)) << cell.Echo();
-  }
-
-  // The backend axis itself must be invisible in the virtual results:
-  // fibers and parallel cells that agree on everything else agree on
-  // end time and digest.
-  std::map<std::string, std::pair<TimeNs, uint64_t>> by_config;
-  for (const CellStats& stats : report.stats) {
-    CellConfig scrubbed = stats.config;
-    scrubbed.backend = '*';
-    auto [it, inserted] = by_config.emplace(
-        scrubbed.Echo(), std::make_pair(stats.end_ns, stats.digest));
-    if (!inserted) {
-      EXPECT_EQ(it->second.first, stats.end_ns) << scrubbed.Echo();
-      EXPECT_EQ(it->second.second, stats.digest) << scrubbed.Echo();
+    for (sim::SimBackend backend : {sim::SimBackend::kFibers, sim::SimBackend::kParallel}) {
+      core::SimTarget target = cell.MakeTarget();
+      target.sim_backend = backend;
+      trace::FsSnapshot final_state;
+      const core::SimReplayResult standalone =
+          core::ReplayCompiledOnSimTarget(plan.BenchFor(cell), target, &final_state);
+      const std::string where = cell.Echo() + " on " + sim::SimBackendName(backend);
+      EXPECT_EQ(stats.end_ns, standalone.report.wall_time) << where;
+      EXPECT_EQ(stats.sim_end_ns, standalone.sim_end_time) << where;
+      EXPECT_EQ(stats.sim_switches, standalone.sim_switches) << where;
+      EXPECT_EQ(stats.digest, check::SnapshotDigest(final_state)) << where;
+      EXPECT_EQ(stats.storage.media_read_blocks, standalone.storage.media_read_blocks)
+          << where;
     }
   }
+}
+
+TEST(SweepTest, NamedWorkloadCellsCarryTheOriginalRunAndReplayError) {
+  // Fig. 5(d)'s program traced once on a 100 ms CFQ slice, replayed and
+  // measured on two targets.
+  std::vector<SweepGrid> grids;
+  std::string error;
+  ASSERT_TRUE(ParseGridText("workload = seq_readers\n"
+                            "source = cfq-100ms\n"
+                            "method = single, artc\n"
+                            "storage = hdd\n"
+                            "iosched = cfq-1ms, cfq-100ms\n",
+                            &grids, &error));
+  SweepPlan plan;
+  ASSERT_TRUE(BuildSweepPlan(grids, &plan, &error)) << error;
+  ASSERT_EQ(plan.cells.size(), 4u);
+  EXPECT_EQ(plan.compiled.size(), 2u);   // one trace, two methods
+  EXPECT_EQ(plan.originals.size(), 2u);  // one original per target
+
+  SweepReport r1, r3;
+  const std::string rows = SweepToString(plan, 1, 0, &r1);
+  EXPECT_EQ(rows, SweepToString(plan, 3, 0, &r3));
+
+  const std::optional<NamedWorkload> program = NamedWorkload::Find("seq_readers");
+  ASSERT_TRUE(program.has_value());
+  for (const CellStats& s : r1.stats) {
+    workloads::SourceConfig target;
+    target.storage = s.config.Target().MakeStorage();
+    EXPECT_EQ(s.orig_ns, program->Measure(0, target)) << s.config.Echo();
+    EXPECT_DOUBLE_EQ(s.ErrorPct(), 100.0 * static_cast<double>(s.end_ns - s.orig_ns) /
+                                       static_cast<double>(s.orig_ns));
+    EXPECT_NE(s.ToJsonl(false).find(StrFormat("\"orig_ns\":%lld,\"error_pct\":",
+                                              static_cast<long long>(s.orig_ns))),
+              std::string::npos);
+  }
+  // Both targets' cells share their original; single replays mimic the
+  // source's scheduling, so they miss the 1 ms target by far more than ARTC.
+  EXPECT_EQ(r1.stats[0].orig_ns, r1.stats[2].orig_ns);
+  EXPECT_GT(std::abs(r1.stats[0].ErrorPct()), 10 * std::abs(r1.stats[2].ErrorPct()));
+
+  // The method axis aggregates |error_pct| over its two cells.
+  bool saw_method = false;
+  for (const AxisAgg& agg : r1.axes) {
+    if (agg.axis == "method") {
+      saw_method = true;
+      EXPECT_EQ(agg.workload, "seq_readers");
+      for (const AxisValueAgg& v : agg.values) {
+        EXPECT_EQ(v.abs_error_pct.Count(), 2u);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_method);
+  EXPECT_NE(r1.OnePager().find("cfq-100ms -> hdd:iosched=cfq-1ms"), std::string::npos);
+
+  // Drilling reproduces the whole row, original and error included.
+  DrillResult drill;
+  ASSERT_TRUE(DrillCell(plan, r1.stats[1].id, &drill, &error)) << error;
+  EXPECT_EQ(drill.stats.ToJsonl(false), r1.stats[1].ToJsonl(false));
 }
 
 TEST(SweepTest, AggregatesAndExtremesAreConsistentWithRows) {
