@@ -1,6 +1,7 @@
 #include "src/trace/snapshot.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <set>
@@ -135,8 +136,19 @@ bool ParseSnapshotLine(std::string_view line, FsSnapshot* snap,
   if (type == "D") {
     snap->AddDir(path);
   } else if (type == "F") {
+    std::string size_text;
+    ls >> size_text;
     uint64_t size = 0;
-    ls >> size;
+    const char* end = size_text.data() + size_text.size();
+    const auto [ptr, ec] = std::from_chars(size_text.data(), end, size);
+    if (size_text.empty() || ec != std::errc() || ptr != end) {
+      *error = size_text.empty()
+                   ? "snapshot file entry has no size"
+                   : StrFormat("snapshot file entry has a bad size '%s' "
+                               "(expected a decimal uint64)",
+                               size_text.c_str());
+      return false;
+    }
     snap->AddFile(path, size);
     std::string xattrs;
     ls >> xattrs;

@@ -248,6 +248,31 @@ TEST(Snapshot, DiagnosesMalformedLines) {
   }
 }
 
+TEST(Snapshot, RejectsMalformedFileSizes) {
+  // A size that is not text, is missing, or is negative must not become a
+  // 0-byte or wrapped file.
+  for (const char* line : {"#snapshot F /a/f abc", "#snapshot F /a/g", "#snapshot F /a/h -5"}) {
+    std::istringstream in(std::string("#snapshot D /a\n") + line +
+                          "\n0 1 1000 2000 close ret=0 fd=3\n");
+    TraceBundle bundle;
+    ParseDiag diag;
+    EXPECT_FALSE(ReadTraceBundle(in, &bundle, &diag)) << line;
+    EXPECT_EQ(diag.line, 2u) << line;
+    EXPECT_NE(diag.message.find("size"), std::string::npos) << diag.Format();
+  }
+  FsSnapshot snap;
+  std::string error;
+  EXPECT_FALSE(ParseSnapshotLine("F /a/h -5", &snap, &error));
+  EXPECT_NE(error.find("bad size '-5'"), std::string::npos) << error;
+  EXPECT_FALSE(ParseSnapshotLine("F /a/h 18446744073709551616", &snap, &error));
+  EXPECT_TRUE(snap.entries.empty());
+  ASSERT_TRUE(ParseSnapshotLine("F /a/ok 18446744073709551615 x1,x2", &snap, &error))
+      << error;
+  ASSERT_EQ(snap.entries.size(), 1u);
+  EXPECT_EQ(snap.entries[0].size, 18446744073709551615u);
+  EXPECT_EQ(snap.entries[0].xattr_names.size(), 2u);
+}
+
 TEST(Snapshot, FileReaderDiagnosesMissingFile) {
   const std::string path = ::testing::TempDir() + "/no_such_snapshot.snap";
   FsSnapshot snap;
