@@ -14,7 +14,6 @@
 #include "src/util/flags.h"
 #include "src/util/time.h"
 #include "src/workloads/magritte.h"
-#include "src/workloads/micro.h"
 #include "src/workloads/workload.h"
 
 namespace artc::bench {

@@ -635,8 +635,9 @@ TEST(StackGoldens, LongRangeFourThreadsOnSsd) {
 
 // Fig. 5(c): the warm reader's 256 MB sequential read and then random reads
 // of the same file, traced on one cache size and replayed by every method on
-// the other (RAID-0, as in bench/bench_fig5c_cache.cc). One golden per
-// method, in the order single-threaded, temporal, ARTC.
+// the other (RAID-0 with 1280 MB and 96 MB caches, as in
+// bench/grids/fig5c.grid). One golden per method, in the order
+// single-threaded, temporal, ARTC.
 void RunCacheWarmReadersAndExpect(bool source_big, const StackGolden (&goldens)[3]) {
   auto config = [](bool big) {
     StorageConfig cfg = MakeNamedConfig("raid0");
