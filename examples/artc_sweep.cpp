@@ -60,9 +60,9 @@ int Main(int argc, char** argv) {
     }
   } else {
     // Demo grid: enough spread to make the sensitivity table interesting.
-    grids[0].method = {"artc", "temporal"};
-    grids[0].storage = {"hdd", "ssd", "raid0"};
-    grids[0].seed = {1, 2};
+    grids[0].axes["method"] = {"artc", "temporal"};
+    grids[0].axes["storage"] = {"hdd", "ssd", "raid0"};
+    grids[0].axes["seed"] = {"1", "2"};
   }
 
   if (list) {

@@ -1,7 +1,9 @@
 #include "src/sweep/grid.h"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -34,19 +36,13 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+// The trimmed, non-empty fields of `s`.
 std::vector<std::string> Split(const std::string& s, char sep) {
   std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t end = s.find(sep, pos);
-    if (end == std::string::npos) {
-      end = s.size();
+  for (std::string_view field : SplitString(s, sep)) {
+    if (std::string item = Trim(std::string(field)); !item.empty()) {
+      out.push_back(std::move(item));
     }
-    std::string item = Trim(s.substr(pos, end - pos));
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-    pos = end + 1;
   }
   return out;
 }
@@ -69,125 +65,85 @@ bool Fail(std::string* error, std::string msg) {
 // N for "cfq-<N>ms" with 1 <= N <= kMaxCfqSliceMs and no leading zero;
 // 0 for anything else.
 uint64_t CfqSliceMs(const std::string& v) {
-  const std::string prefix = "cfq-";
-  const std::string suffix = "ms";
-  if (v.size() <= prefix.size() + suffix.size() || v.compare(0, 4, prefix) != 0 ||
-      v.compare(v.size() - 2, 2, suffix) != 0 || v[prefix.size()] == '0') {
-    return 0;
-  }
   uint64_t ms = 0;
-  if (!ParseNumber(v.substr(prefix.size(), v.size() - prefix.size() - suffix.size()),
-                   &ms) ||
-      ms > kMaxCfqSliceMs) {
-    return 0;
-  }
-  return ms;
-}
-
-bool CheckStorage(const std::string& v, std::string* error) {
-  return storage::FindNamedConfig(v) ||
-         Fail(error, StrFormat("unknown storage '%s' (expected %s)", v.c_str(),
-                               JoinNames(storage::kNamedConfigNames).c_str()));
-}
-
-bool CheckFs(const std::string& v, std::string* error) {
-  return vfs::FindFsProfile(v) ||
-         Fail(error, StrFormat("unknown fs '%s' (expected %s)", v.c_str(),
-                               JoinNames(vfs::kFsProfileNames).c_str()));
-}
-
-bool CheckIosched(const std::string& v, std::string* error) {
-  return v == "base" || v == "noop" || CfqSliceMs(v) > 0 ||
-         Fail(error, StrFormat("unknown iosched '%s' (expected base, noop or "
-                               "cfq-<N>ms with N from 1 to %llu)",
-                               v.c_str(),
-                               static_cast<unsigned long long>(kMaxCfqSliceMs)));
-}
-
-bool CheckCacheMb(int64_t v, std::string* error) {
-  return v == -1 || v > 0 ||
-         Fail(error, StrFormat("bad cache_mb %lld (expected -1 for the config "
-                               "default, or > 0)",
-                               static_cast<long long>(v)));
+  const bool ok = v.size() > 6 && StartsWith(v, "cfq-") && EndsWith(v, "ms") &&
+                  v[4] != '0' && ParseNumber(v.substr(4, v.size() - 6), &ms);
+  return ok && ms <= kMaxCfqSliceMs ? ms : 0;
 }
 
 }  // namespace
 
-storage::StorageConfig StackSpec::MakeStorage() const {
-  storage::StorageConfig cfg = storage::MakeNamedConfig(storage);
-  if (iosched == "noop") {
-    cfg.scheduler = storage::SchedulerKind::kNoop;
-  } else if (const uint64_t ms = CfqSliceMs(iosched)) {
-    cfg.scheduler = storage::SchedulerKind::kCfq;
-    cfg.cfq.slice_sync = Ms(static_cast<int64_t>(ms));
+namespace {
+
+// Reads a `source` value into the stack fields of *stack.
+bool ParseSource(const std::string& text, CellConfig* stack, std::string* error) {
+  const std::vector<std::string> parts = Split(text, ':');
+  std::string why = "empty";
+  bool ok = !parts.empty() && SetCellAxis(stack, "storage", parts[0], &why);
+  for (size_t i = 1; ok && i < parts.size(); ++i) {
+    const size_t eq = parts[i].find('=');
+    const std::string key = parts[i].substr(0, eq);
+    ok = (key == "fs" || key == "iosched" || key == "cache_mb")
+             ? SetCellAxis(stack, key, eq == std::string::npos ? "" : parts[i].substr(eq + 1),
+                           &why)
+             : Fail(&why, "unknown override '" + parts[i] + "'");
   }
-  if (cache_mb >= 0) {
-    // 4096-byte blocks: 1 MB = 256 blocks.
-    cfg.cache.capacity_blocks = static_cast<uint64_t>(cache_mb) * 256;
-  }
-  return cfg;
+  return ok || Fail(error, StrFormat("bad source '%s': %s (expected "
+                                     "storage[:fs=F][:iosched=S][:cache_mb=N])",
+                                     text.c_str(), why.c_str()));
 }
 
-std::string StackSpec::ToString() const {
-  const StackSpec d;
+}  // namespace
+
+std::string CellConfig::StackName() const {
+  const CellConfig d;
   std::string out = storage;
-  if (fs != d.fs) {
-    out += ":fs=" + fs;
-  }
-  if (iosched != d.iosched) {
-    out += ":iosched=" + iosched;
-  }
-  if (cache_mb != d.cache_mb) {
-    out += StrFormat(":cache_mb=%lld", static_cast<long long>(cache_mb));
+  for (const char* axis : {"fs", "iosched", "cache_mb"}) {
+    const std::string value = CellAxisValue(*this, axis);
+    if (value != CellAxisValue(d, axis)) {
+      out += StrFormat(":%s=%s", axis, value.c_str());
+    }
   }
   return out;
 }
 
-bool ParseStackSpec(const std::string& text, StackSpec* out, std::string* error) {
-  const std::vector<std::string> parts = Split(text, ':');
-  StackSpec spec;
-  std::string why;
-  bool ok = !parts.empty() && CheckStorage(spec.storage = parts[0], &why);
-  for (size_t i = 1; ok && i < parts.size(); ++i) {
-    const size_t eq = parts[i].find('=');
-    const std::string key = parts[i].substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : parts[i].substr(eq + 1);
-    if (key == "fs") {
-      ok = CheckFs(spec.fs = value, &why);
-    } else if (key == "iosched") {
-      ok = CheckIosched(spec.iosched = value, &why);
-    } else if (key == "cache_mb") {
-      ok = ParseNumber(value, &spec.cache_mb) ? CheckCacheMb(spec.cache_mb, &why)
-                                              : Fail(&why, "bad cache_mb '" + value + "'");
-    } else {
-      ok = Fail(&why, "unknown override '" + parts[i] + "'");
-    }
+CellConfig CellConfig::SourceStack() const {
+  CellConfig stack;
+  ARTC_CHECK_MSG(ParseSource(source, &stack, nullptr), "unvalidated source '%s'",
+                 source.c_str());
+  stack.seed = seed;
+  return stack;
+}
+
+workloads::SourceConfig CellConfig::MakeSourceConfig() const {
+  workloads::SourceConfig config;
+  config.storage = storage::MakeNamedConfig(storage);
+  if (iosched == "noop") {
+    config.storage.scheduler = storage::SchedulerKind::kNoop;
+  } else if (const uint64_t ms = CfqSliceMs(iosched)) {
+    config.storage.scheduler = storage::SchedulerKind::kCfq;
+    config.storage.cfq.slice_sync = Ms(static_cast<int64_t>(ms));
   }
-  if (!ok) {
-    return Fail(error, StrFormat("bad source '%s': %s (expected "
-                                 "storage[:fs=F][:iosched=S][:cache_mb=N])",
-                                 text.c_str(), why.empty() ? "empty" : why.c_str()));
+  if (cache_mb >= 0) {
+    // 4096-byte blocks: 1 MB = 256 blocks.
+    config.storage.cache.capacity_blocks = static_cast<uint64_t>(cache_mb) * 256;
   }
-  *out = spec;
-  return true;
+  config.fs_profile = fs;
+  config.seed = seed;
+  return config;
 }
 
 std::string CellConfig::Echo() const {
-  return StrFormat(
-      "workload=%s,threads=%u,source=%s,method=%s,fs=%s,storage=%s,iosched=%s,"
-      "cache_mb=%lld,schedule=%s,seed=%llu,pacing=%s",
-      workload.c_str(), threads, source.c_str(), method.c_str(), fs.c_str(),
-      storage.c_str(), iosched.c_str(), static_cast<long long>(cache_mb),
-      schedule.c_str(), static_cast<unsigned long long>(seed), pacing.c_str());
+  std::string out;
+  for (const std::string& axis : GridAxisNames()) {
+    out += (out.empty() ? "" : ",") + axis + "=" + CellAxisValue(*this, axis);
+  }
+  return out;
 }
 
 std::string CellConfig::Id() const {
   return StrFormat("%016llx",
                    static_cast<unsigned long long>(Fnv1a64(Echo())));
-}
-
-StackSpec CellConfig::Target() const {
-  return StackSpec{storage, fs, iosched, cache_mb};
 }
 
 std::string CellConfig::TraceKey() const {
@@ -196,13 +152,14 @@ std::string CellConfig::TraceKey() const {
 }
 
 std::string CellConfig::OriginalKey() const {
-  return StrFormat("%s/%u/%s/%llu", workload.c_str(), threads,
-                   Target().ToString().c_str(), static_cast<unsigned long long>(seed));
+  return StrFormat("%s/%u/%s/%llu", workload.c_str(), threads, StackName().c_str(),
+                   static_cast<unsigned long long>(seed));
 }
 
 core::SimTarget CellConfig::MakeTarget() const {
   core::SimTarget t;
-  t.storage = Target().MakeStorage();
+  const workloads::SourceConfig stack = MakeSourceConfig();
+  t.storage = stack.storage;
   t.fs_profile = fs;
   t.seed = seed;
   sim::ScheduleSpec spec;
@@ -214,139 +171,61 @@ core::SimTarget CellConfig::MakeTarget() const {
   return t;
 }
 
-core::CompileOptions CellConfig::MakeCompileOptions() const {
-  core::CompileOptions copt;
-  copt.method = core::ReplayMethodFromName(method);
-  return copt;
+namespace {
+
+// The values a grid gives an axis: its own, or the single default.
+std::vector<std::string> AxisValues(const SweepGrid& grid, const std::string& axis) {
+  auto it = grid.axes.find(axis);
+  if (it == grid.axes.end() || it->second.empty()) {
+    return {CellAxisValue(CellConfig{}, axis)};
+  }
+  return it->second;
 }
 
-void SweepGrid::Normalize() {
-  const CellConfig d;
-  if (workload.empty()) workload = {d.workload};
-  if (threads.empty()) threads = {d.threads};
-  if (source.empty()) source = {d.source};
-  if (method.empty()) method = {d.method};
-  if (fs.empty()) fs = {d.fs};
-  if (storage.empty()) storage = {d.storage};
-  if (iosched.empty()) iosched = {d.iosched};
-  if (cache_mb.empty()) cache_mb = {d.cache_mb};
-  if (schedule.empty()) schedule = {d.schedule};
-  if (seed.empty()) seed = {d.seed};
-  if (pacing.empty()) pacing = {d.pacing};
-}
-
-bool SweepGrid::Validate(std::string* error) const {
-  for (const std::string& v : workload) {
-    const std::optional<NamedWorkload> w = NamedWorkload::Find(v);
-    if (!w) {
-      return Fail(error, StrFormat("unknown workload '%s' (expected %s)", v.c_str(),
-                                   NamedWorkload::Names().c_str()));
-    }
-    for (uint32_t t : threads) {
-      if (t > kMaxWorkloadThreads) {
-        return Fail(error, StrFormat("bad threads %u (expected 0 for the "
-                                     "workload's own count, or 1 to %u)",
-                                     t, kMaxWorkloadThreads));
-      }
-      if (t != 0 && !w->TakesThreads()) {
-        return Fail(error, StrFormat("workload '%s' has no thread count, so "
-                                     "threads must be 0 (random_readers, "
-                                     "seq_readers, kv_fillsync and "
-                                     "kv_readrandom take one)",
-                                     v.c_str()));
-      }
-    }
-  }
-  StackSpec spec;
-  for (const std::string& v : source) {
-    if (!ParseStackSpec(v, &spec, error)) {
-      return false;
-    }
-  }
-  for (const std::string& v : method) {
-    if (!core::FindReplayMethod(v)) {
-      return Fail(error, StrFormat("unknown method '%s' (expected %s)", v.c_str(),
-                                   JoinNames(core::kReplayMethodNames).c_str()));
-    }
-  }
-  for (const std::string& v : fs) {
-    if (!CheckFs(v, error)) {
-      return false;
-    }
-  }
-  for (const std::string& v : storage) {
-    if (!CheckStorage(v, error)) {
-      return false;
-    }
-  }
-  for (const std::string& v : iosched) {
-    if (!CheckIosched(v, error)) {
-      return false;
-    }
-  }
-  for (int64_t v : cache_mb) {
-    if (!CheckCacheMb(v, error)) {
-      return false;
-    }
-  }
-  for (const std::string& v : schedule) {
-    sim::ScheduleSpec s;
-    if (!sim::ParseScheduleSpec(v, &s)) {
-      return Fail(error, StrFormat("bad schedule '%s' (expected default, "
-                                   "random:<seed>, or pct:<seed>[/<points>])",
-                                   v.c_str()));
-    }
-  }
-  for (const std::string& v : pacing) {
-    if (!IsOneOf(v, kPacings)) {
-      return Fail(error, StrFormat("unknown pacing '%s' (expected %s)", v.c_str(),
-                                   JoinNames(kPacings).c_str()));
-    }
-  }
-  return true;
-}
+}  // namespace
 
 size_t SweepGrid::CellCount() const {
-  return workload.size() * threads.size() * source.size() * method.size() *
-         fs.size() * storage.size() * iosched.size() * cache_mb.size() *
-         schedule.size() * seed.size() * pacing.size();
+  size_t count = 1;
+  for (const std::string& axis : GridAxisNames()) {
+    count *= AxisValues(*this, axis).size();
+  }
+  return count;
 }
 
-bool SweepGrid::Expand(std::vector<CellConfig>* out, std::string* error) {
+bool SweepGrid::Expand(std::vector<CellConfig>* out, std::string* error) const {
   out->clear();
-  Normalize();
-  if (!Validate(error)) {
-    return false;
+  for (const auto& [axis, values] : axes) {
+    if (std::find(GridAxisNames().begin(), GridAxisNames().end(), axis) ==
+        GridAxisNames().end()) {
+      return Fail(error, StrFormat("unknown axis '%s'", axis.c_str()));
+    }
   }
-  // Each source in its canonical spelling, so one stack has one cell id.
-  std::vector<std::string> sources;
-  for (const std::string& v : source) {
-    StackSpec spec;
-    ParseStackSpec(v, &spec, nullptr);
-    sources.push_back(spec.ToString());
+  const std::vector<std::string>& names = GridAxisNames();
+  std::vector<std::vector<std::string>> values;
+  for (const std::string& axis : names) {
+    values.push_back(AxisValues(*this, axis));
   }
   const size_t count = CellCount();
   out->reserve(count);
   for (size_t n = 0; n < count; ++n) {
     // Odometer over the axes, the last one turning fastest.
-    size_t rest = n;
-    auto pick = [&rest](const auto& axis) {
-      const auto& value = axis[rest % axis.size()];
-      rest /= axis.size();
-      return value;
-    };
     CellConfig c;
-    c.pacing = pick(pacing);
-    c.seed = pick(seed);
-    c.schedule = pick(schedule);
-    c.cache_mb = pick(cache_mb);
-    c.iosched = pick(iosched);
-    c.storage = pick(storage);
-    c.fs = pick(fs);
-    c.method = pick(method);
-    c.source = pick(sources);
-    c.threads = pick(threads);
-    c.workload = pick(workload);
+    size_t rest = n;
+    for (size_t a = names.size(); a-- > 0;) {
+      if (!SetCellAxis(&c, names[a], values[a][rest % values[a].size()], error)) {
+        out->clear();
+        return false;
+      }
+      rest /= values[a].size();
+    }
+    const std::optional<NamedWorkload> w = NamedWorkload::Find(c.workload);
+    if (c.threads != 0 && !w->TakesThreads()) {
+      out->clear();
+      return Fail(error, StrFormat("workload '%s' has no thread count, so threads "
+                                   "must be 0 (random_readers, seq_readers, "
+                                   "kv_fillsync and kv_readrandom take one)",
+                                   c.workload.c_str()));
+    }
     out->push_back(std::move(c));
   }
   return true;
@@ -385,8 +264,7 @@ bool ParseGridText(const std::string& text, std::vector<SweepGrid>* out,
   int lineno = 0;
   while (std::getline(in, raw)) {
     ++lineno;
-    std::string line = raw.substr(0, raw.find('#'));
-    line = Trim(line);
+    const std::string line = Trim(raw.substr(0, raw.find('#')));
     if (line.empty()) {
       continue;
     }
@@ -394,57 +272,26 @@ bool ParseGridText(const std::string& text, std::vector<SweepGrid>* out,
       grids.push_back(grids.back());
       continue;
     }
-    size_t eq = line.find('=');
+    const size_t eq = line.find('=');
     if (eq == std::string::npos) {
       return Fail(error, StrFormat("grid line %d: expected 'axis = v1, v2, ...' "
                                    "or '---'",
                                    lineno));
     }
     const std::string key = Trim(line.substr(0, eq));
-    std::vector<std::string> values = Split(line.substr(eq + 1), ',');
+    const std::vector<std::string> values = Split(line.substr(eq + 1), ',');
     if (values.empty()) {
       return Fail(error, StrFormat("grid line %d: axis '%s' has no values", lineno,
                                    key.c_str()));
     }
-    SweepGrid& grid = grids.back();
-    auto numbers = [&](auto* axis) {
-      axis->clear();
-      for (const std::string& v : values) {
-        typename std::remove_reference_t<decltype(*axis)>::value_type n{};
-        if (!ParseNumber(v, &n)) {
-          return Fail(error, StrFormat("grid line %d: bad %s value '%s'", lineno,
-                                       key.c_str(), v.c_str()));
-        }
-        axis->push_back(n);
+    CellConfig scratch;
+    std::string why;
+    for (const std::string& v : values) {
+      if (!SetCellAxis(&scratch, key, v, &why)) {
+        return Fail(error, StrFormat("grid line %d: %s", lineno, why.c_str()));
       }
-      return true;
-    };
-    if (key == "workload") {
-      grid.workload = values;
-    } else if (key == "threads") {
-      if (!numbers(&grid.threads)) return false;
-    } else if (key == "source") {
-      grid.source = values;
-    } else if (key == "method") {
-      grid.method = values;
-    } else if (key == "fs") {
-      grid.fs = values;
-    } else if (key == "storage") {
-      grid.storage = values;
-    } else if (key == "iosched") {
-      grid.iosched = values;
-    } else if (key == "cache_mb") {
-      if (!numbers(&grid.cache_mb)) return false;
-    } else if (key == "schedule") {
-      grid.schedule = values;
-    } else if (key == "seed") {
-      if (!numbers(&grid.seed)) return false;
-    } else if (key == "pacing") {
-      grid.pacing = values;
-    } else {
-      return Fail(error, StrFormat("grid line %d: unknown axis '%s'", lineno,
-                                   key.c_str()));
     }
+    grids.back().axes[key] = values;
   }
   *out = std::move(grids);
   return true;
@@ -486,6 +333,89 @@ std::string CellAxisValue(const CellConfig& cell, const std::string& axis) {
   if (axis == "pacing") return cell.pacing;
   ARTC_CHECK_MSG(false, "unknown grid axis '%s'", axis.c_str());
   return "";
+}
+
+bool SetCellAxis(CellConfig* cell, const std::string& axis,
+                 const std::string& value, std::string* error) {
+  auto bad_number = [&] {
+    return Fail(error, StrFormat("bad %s value '%s'", axis.c_str(), value.c_str()));
+  };
+  if (axis == "workload") {
+    cell->workload = value;
+    return NamedWorkload::Find(value) ||
+           Fail(error, StrFormat("unknown workload '%s' (expected %s)", value.c_str(),
+                                 NamedWorkload::Names().c_str()));
+  }
+  if (axis == "threads") {
+    if (!ParseNumber(value, &cell->threads)) {
+      return bad_number();
+    }
+    return cell->threads <= kMaxWorkloadThreads ||
+           Fail(error, StrFormat("bad threads %u (expected 0 for the workload's "
+                                 "own count, or 1 to %u)",
+                                 cell->threads, kMaxWorkloadThreads));
+  }
+  if (axis == "source") {
+    CellConfig stack;
+    if (!ParseSource(value, &stack, error)) {
+      return false;
+    }
+    cell->source = stack.StackName();
+    return true;
+  }
+  if (axis == "method") {
+    cell->method = value;
+    return core::FindReplayMethod(value) ||
+           Fail(error, StrFormat("unknown method '%s' (expected %s)", value.c_str(),
+                                 JoinNames(core::kReplayMethodNames).c_str()));
+  }
+  if (axis == "fs") {
+    cell->fs = value;
+    return vfs::FindFsProfile(value) ||
+           Fail(error, StrFormat("unknown fs '%s' (expected %s)", value.c_str(),
+                                 JoinNames(vfs::kFsProfileNames).c_str()));
+  }
+  if (axis == "storage") {
+    cell->storage = value;
+    return storage::FindNamedConfig(value) ||
+           Fail(error, StrFormat("unknown storage '%s' (expected %s)", value.c_str(),
+                                 JoinNames(storage::kNamedConfigNames).c_str()));
+  }
+  if (axis == "iosched") {
+    cell->iosched = value;
+    return value == "base" || value == "noop" || CfqSliceMs(value) > 0 ||
+           Fail(error, StrFormat("unknown iosched '%s' (expected base, noop or "
+                                 "cfq-<N>ms with N from 1 to %llu)",
+                                 value.c_str(),
+                                 static_cast<unsigned long long>(kMaxCfqSliceMs)));
+  }
+  if (axis == "cache_mb") {
+    if (!ParseNumber(value, &cell->cache_mb)) {
+      return bad_number();
+    }
+    return cell->cache_mb == -1 || cell->cache_mb > 0 ||
+           Fail(error, StrFormat("bad cache_mb %lld (expected -1 for the config "
+                                 "default, or > 0)",
+                                 static_cast<long long>(cell->cache_mb)));
+  }
+  if (axis == "schedule") {
+    sim::ScheduleSpec spec;
+    cell->schedule = value;
+    return sim::ParseScheduleSpec(value, &spec) ||
+           Fail(error, StrFormat("bad schedule '%s' (expected default, "
+                                 "random:<seed>, or pct:<seed>[/<points>])",
+                                 value.c_str()));
+  }
+  if (axis == "seed") {
+    return ParseNumber(value, &cell->seed) || bad_number();
+  }
+  if (axis == "pacing") {
+    cell->pacing = value;
+    return IsOneOf(value, kPacings) ||
+           Fail(error, StrFormat("unknown pacing '%s' (expected %s)", value.c_str(),
+                                 JoinNames(kPacings).c_str()));
+  }
+  return Fail(error, StrFormat("unknown axis '%s'", axis.c_str()));
 }
 
 }  // namespace artc::sweep

@@ -15,14 +15,14 @@
 // drill-down ids stay valid when the grid around them grows or is
 // reordered.
 //
-// Values are validated while the grid is expanded — workloads through
-// NamedWorkload::Find, methods, storage configs and fs profiles through
-// FindReplayMethod, FindNamedConfig and FindFsProfile — so bad axis values
-// come back as error strings, not aborts.
+// Values are validated (SetCellAxis) while the grid is parsed and again
+// while it is expanded, so bad axis values come back as error strings, not
+// aborts.
 #ifndef SRC_SWEEP_GRID_H_
 #define SRC_SWEEP_GRID_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,46 +30,29 @@
 #include "src/core/modes.h"
 #include "src/sim/schedule.h"
 #include "src/storage/storage_stack.h"
+#include "src/workloads/workload.h"
 
 namespace artc::sweep {
-
-// A storage stack and file system: what a workload is traced on (one
-// `source` value) and what a cell replays it and measures the original
-// program on (the fs, storage, iosched and cache_mb axes).
-struct StackSpec {
-  std::string storage = "hdd";  // storage::FindNamedConfig name
-  std::string fs = "ext4";      // vfs::FindFsProfile name
-  // I/O-scheduler override layered on the named storage config:
-  //   base       keep the named config's scheduler
-  //   noop       force SchedulerKind::kNoop
-  //   cfq-<N>ms  force CFQ with an N ms sync slice, 1 <= N <= 1000
-  std::string iosched = "base";
-  // Page-cache capacity in MB (4096-byte blocks, so 1 MB = 256 blocks);
-  // -1 keeps the named storage config's capacity.
-  int64_t cache_mb = -1;
-
-  // The storage config with the overrides applied. The spec must be valid.
-  storage::StorageConfig MakeStorage() const;
-
-  // "storage[:fs=F][:iosched=S][:cache_mb=N]", naming only the fields that
-  // differ from their defaults; ParseStackSpec reads it back.
-  std::string ToString() const;
-};
-
-// Parses and validates a `source` value (StackSpec::ToString form).
-bool ParseStackSpec(const std::string& text, StackSpec* out, std::string* error);
 
 // One fully-specified scenario.
 struct CellConfig {
   // A NamedWorkload name, or the name of a pre-traced input.
   std::string workload = "iphoto_import";
-  uint32_t threads = 0;        // the program's thread count; 0 keeps its own
-  std::string source = "ssd";  // StackSpec the workload is traced on
+  uint32_t threads = 0;  // the program's thread count; 0 keeps its own
+  // The stack the workload is traced on, spelled as StackName() spells the
+  // target's: "storage[:fs=F][:iosched=S][:cache_mb=N]".
+  std::string source = "ssd";
 
   std::string method = "artc";  // core::kReplayMethodNames
+  // The target stack the cell replays on and measures the original on.
   std::string fs = "ext4";
   std::string storage = "hdd";
+  // I/O-scheduler override layered on the named storage config: base keeps
+  // its scheduler, noop forces kNoop, cfq-<N>ms forces CFQ with an N ms
+  // sync slice (1 <= N <= 1000).
   std::string iosched = "base";
+  // Page-cache capacity in MB (4096-byte blocks, so 1 MB = 256 blocks);
+  // -1 keeps the named storage config's capacity.
   int64_t cache_mb = -1;
   std::string schedule = "default";  // sim::ScheduleSpec::ToString() form
   // Seed of every simulated world in the cell: the traced source run, the
@@ -84,8 +67,15 @@ struct CellConfig {
   // FNV-1a 64 of Echo() as 16 lowercase hex digits.
   std::string Id() const;
 
-  // The replay target's stack: the fs, storage, iosched and cache_mb axes.
-  StackSpec Target() const;
+  // The target stack as "storage[:fs=F][:iosched=S][:cache_mb=N]", naming
+  // only the fields that differ from their defaults.
+  std::string StackName() const;
+
+  // A cell whose stack (and seed) is this cell's source.
+  CellConfig SourceStack() const;
+
+  // Runs a workload on this cell's stack at its seed.
+  workloads::SourceConfig MakeSourceConfig() const;
 
   // What the cell's trace depends on (workload, threads, source, seed) and
   // what its original run depends on (workload, threads, target, seed):
@@ -96,37 +86,22 @@ struct CellConfig {
   // Materializes the simulation target. The grid validated every field, so
   // this cannot hit the storage/vfs abort paths.
   core::SimTarget MakeTarget() const;
-  core::CompileOptions MakeCompileOptions() const;
 };
 
-// One cross product: a vector of accepted values per axis. Empty vectors
-// mean "the single default value" (filled in by Normalize).
+// One cross product: axis name -> accepted values, spelled as in a grid
+// file ("seed" -> {"1", "2"}). An axis that is absent or empty holds its
+// single default value, the CellConfig initializer.
 struct SweepGrid {
-  std::vector<std::string> workload;
-  std::vector<uint32_t> threads;
-  std::vector<std::string> source;
-  std::vector<std::string> method;
-  std::vector<std::string> fs;
-  std::vector<std::string> storage;
-  std::vector<std::string> iosched;
-  std::vector<int64_t> cache_mb;
-  std::vector<std::string> schedule;
-  std::vector<uint64_t> seed;
-  std::vector<std::string> pacing;
+  std::map<std::string, std::vector<std::string>> axes;
 
-  // Fills empty axes with their defaults (see CellConfig initializers).
-  void Normalize();
-
-  // Validates every axis value against the vocabularies the lower layers
-  // accept. Returns false and describes the first offender in *error.
-  bool Validate(std::string* error) const;
-
-  // Number of cells Expand() will produce (after Normalize).
+  // Number of cells Expand() will produce.
   size_t CellCount() const;
 
-  // Cross product, deterministic order. Calls Normalize() + Validate()
-  // first; returns false (empty *out) on validation failure.
-  bool Expand(std::vector<CellConfig>* out, std::string* error);
+  // Cross product, deterministic order (the last axis of GridAxisNames()
+  // turns fastest). Returns false (empty *out) when a value is not in its
+  // axis's vocabulary, an axis name is unknown, or a thread count does not
+  // fit its workload.
+  bool Expand(std::vector<CellConfig>* out, std::string* error) const;
 };
 
 // Expands each cross product in turn and concatenates the cells. A cell
@@ -155,13 +130,21 @@ bool ParseGridFile(const std::string& path, std::vector<SweepGrid>* out,
                    std::string* error);
 
 // Axis names in declaration (= expansion) order; shared by the parser, the
-// JSONL rows, and the aggregate report's sensitivity table.
+// cell echo, the JSONL rows, and the aggregate report's sensitivity table.
 const std::vector<std::string>& GridAxisNames();
 
 // The value a cell holds for a named axis, rendered as a string
 // ("method" -> "artc", "cache_mb" -> "-1"). Aborts on unknown axis names —
 // callers iterate GridAxisNames().
 std::string CellAxisValue(const CellConfig& cell, const std::string& axis);
+
+// The inverse: checks `value` against the axis's vocabulary (workloads
+// through NamedWorkload::Find, methods, storage configs and fs profiles
+// through FindReplayMethod, FindNamedConfig and FindFsProfile) and stores
+// it in *cell, a source in its canonical spelling. False with *error for an
+// unknown axis or a bad value.
+bool SetCellAxis(CellConfig* cell, const std::string& axis,
+                 const std::string& value, std::string* error);
 
 }  // namespace artc::sweep
 

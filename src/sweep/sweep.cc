@@ -75,6 +75,29 @@ void AppendIntField(std::string* out, const char* key, long long v,
   *out += StrFormat("\"%s\":%lld", key, v);
 }
 
+// ,"stall_by_rule":{...} in enum order, nonzero buckets only — order is
+// deterministic and rows stay small on stall-free cells.
+void AppendRuleMap(std::string* out, const std::array<TimeNs, static_cast<size_t>(
+                                                                  core::RuleTag::kCount)>& ns) {
+  *out += ",\"stall_by_rule\":{";
+  const char* sep = "";
+  for (size_t r = 0; r < ns.size(); ++r) {
+    if (ns[r] != 0) {
+      *out += StrFormat("%s\"%s\":%lld", sep, core::RuleTagName(static_cast<core::RuleTag>(r)),
+                        static_cast<long long>(ns[r]));
+      sep = ",";
+    }
+  }
+  *out += '}';
+}
+
+bool Fail(std::string* error, std::string msg) {
+  if (error != nullptr) {
+    *error = std::move(msg);
+  }
+  return false;
+}
+
 // The live progress plane. All names are stable (scraped by CI); per-axis
 // roll-up counters are interned on demand. The "set"-style gauges
 // (progress, ETA) are emulated on top of the registry's add-only cells by
@@ -235,14 +258,8 @@ bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
     m.insert(cell.method);
   }
   for (const CellConfig* cell : first_of_trace) {
-    StackSpec source;
-    ARTC_CHECK(ParseStackSpec(cell->source, &source, nullptr));
-    workloads::SourceConfig config;
-    config.storage = source.MakeStorage();
-    config.fs_profile = source.fs;
-    config.seed = cell->seed;
-    workloads::TracedRun run =
-        NamedWorkload::Find(cell->workload)->Trace(cell->threads, config);
+    workloads::TracedRun run = NamedWorkload::Find(cell->workload)
+                                   ->Trace(cell->threads, cell->SourceStack().MakeSourceConfig());
     const std::string key = cell->TraceKey();
     for (auto& [method, bench] :
          CompileMethods(std::move(run.trace), run.snapshot, methods[key])) {
@@ -252,12 +269,8 @@ bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
   for (const CellConfig& cell : out->cells) {
     const std::string key = cell.OriginalKey();
     if (out->originals.count(key) == 0) {
-      workloads::SourceConfig target;
-      target.storage = cell.Target().MakeStorage();
-      target.fs_profile = cell.fs;
-      target.seed = cell.seed;
       out->originals[key] =
-          NamedWorkload::Find(cell.workload)->Measure(cell.threads, target);
+          NamedWorkload::Find(cell.workload)->Measure(cell.threads, cell.MakeSourceConfig());
     }
   }
   LogPlan(*out);
@@ -347,17 +360,14 @@ std::string CellStats::ToJsonl(bool include_host_time) const {
   bool first = true;
   AppendStrField(&out, "cell", id, &first);
   AppendIntField(&out, "idx", static_cast<long long>(index), &first);
-  AppendStrField(&out, "workload", config.workload, &first);
-  AppendIntField(&out, "threads", config.threads, &first);
-  AppendStrField(&out, "source", config.source, &first);
-  AppendStrField(&out, "method", config.method, &first);
-  AppendStrField(&out, "fs", config.fs, &first);
-  AppendStrField(&out, "storage", config.storage, &first);
-  AppendStrField(&out, "iosched", config.iosched, &first);
-  AppendIntField(&out, "cache_mb", config.cache_mb, &first);
-  AppendStrField(&out, "schedule", config.schedule, &first);
-  AppendIntField(&out, "seed", static_cast<long long>(config.seed), &first);
-  AppendStrField(&out, "pacing", config.pacing, &first);
+  for (const std::string& axis : GridAxisNames()) {
+    const std::string value = CellAxisValue(config, axis);
+    if (axis == "threads" || axis == "cache_mb" || axis == "seed") {
+      out += ",\"" + axis + "\":" + value;
+    } else {
+      AppendStrField(&out, axis.c_str(), value, &first);
+    }
+  }
   AppendIntField(&out, "end_ns", end_ns, &first);
   if (orig_ns > 0) {
     AppendIntField(&out, "orig_ns", orig_ns, &first);
@@ -381,18 +391,14 @@ std::string CellStats::ToJsonl(bool include_host_time) const {
   AppendIntField(&out, "storage_media_write_ns", storage_media_write_ns,
                  &first);
   AppendIntField(&out, "storage_writeback_ns", storage_writeback_ns, &first);
-  AppendIntField(&out, "media_read_blocks",
-                 static_cast<long long>(storage.media_read_blocks), &first);
-  AppendIntField(&out, "media_write_blocks",
-                 static_cast<long long>(storage.media_write_blocks), &first);
-  AppendIntField(&out, "cache_hit_blocks",
-                 static_cast<long long>(storage.cache_hit_blocks), &first);
-  AppendIntField(&out, "cache_miss_blocks",
-                 static_cast<long long>(storage.cache_miss_blocks), &first);
-  AppendIntField(&out, "cache_evicted_blocks",
-                 static_cast<long long>(storage.cache_evicted_blocks), &first);
-  AppendIntField(&out, "cache_writeback_blocks",
-                 static_cast<long long>(storage.cache_writeback_blocks), &first);
+  for (auto [key, blocks] : {std::pair{"media_read_blocks", storage.media_read_blocks},
+                             {"media_write_blocks", storage.media_write_blocks},
+                             {"cache_hit_blocks", storage.cache_hit_blocks},
+                             {"cache_miss_blocks", storage.cache_miss_blocks},
+                             {"cache_evicted_blocks", storage.cache_evicted_blocks},
+                             {"cache_writeback_blocks", storage.cache_writeback_blocks}}) {
+    AppendIntField(&out, key, static_cast<long long>(blocks), &first);
+  }
   // Read plus write blocks per RAID-0 member; empty without RAID.
   out += ",\"raid_member_blocks\":[";
   for (size_t m = 0; m < storage.raid_member_read_blocks.size(); ++m) {
@@ -401,23 +407,7 @@ std::string CellStats::ToJsonl(bool include_host_time) const {
                                                      storage.raid_member_write_blocks[m]));
   }
   out += ']';
-  // Rule map in enum order, nonzero buckets only — order is deterministic
-  // and rows stay small on stall-free cells.
-  out += ",\"stall_by_rule\":{";
-  bool rule_first = true;
-  for (size_t r = 0; r < stall_by_rule.size(); ++r) {
-    if (stall_by_rule[r] == 0) {
-      continue;
-    }
-    if (!rule_first) {
-      out += ',';
-    }
-    rule_first = false;
-    out += StrFormat("\"%s\":%lld",
-                     core::RuleTagName(static_cast<core::RuleTag>(r)),
-                     static_cast<long long>(stall_by_rule[r]));
-  }
-  out += '}';
+  AppendRuleMap(&out, stall_by_rule);
   out += ",\"top_stall\":[";
   for (size_t i = 0; i < top_stall.size(); ++i) {
     if (i > 0) {
@@ -463,10 +453,7 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
   if (!options.jsonl_path.empty()) {
     file.open(options.jsonl_path);
     if (!file.good()) {
-      if (error != nullptr) {
-        *error = StrFormat("cannot write '%s'", options.jsonl_path.c_str());
-      }
-      return false;
+      return Fail(error, StrFormat("cannot write '%s'", options.jsonl_path.c_str()));
     }
   }
 
@@ -619,28 +606,21 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
 
 namespace {
 
-// "%.1f%%" for mean / p50 / p90 / worst-decile mean of |error_pct|.
-struct ErrorSummary {
-  double mean, p50, p90, worst_decile_mean;
-  explicit ErrorSummary(const SampleStats& s)
-      : mean(s.Mean()),
-        p50(s.Percentile(0.5)),
-        p90(s.Percentile(0.9)),
-        worst_decile_mean(s.TailMean(0.9)) {}
-};
-
-// "workload" or "workload(threads)".
-std::string WorkloadLabel(const CellConfig& c) {
-  return c.threads == 0 ? c.workload : StrFormat("%s(%u)", c.workload.c_str(), c.threads);
+// Mean, p50, p90 and worst-decile mean of |error_pct| (Fig. 7(b)).
+std::array<double, 4> ErrorSummary(const SampleStats& s) {
+  return {s.Mean(), s.Percentile(0.5), s.Percentile(0.9), s.TailMean(0.9)};
 }
 
 // One source -> target / method / original / error line, plus the replay's
 // storage block counts.
 std::string CellLine(const CellStats& s) {
   const CellConfig& c = s.config;
-  std::string out = StrFormat("  %s  %s -> %s  %-13s end %8.3f s", WorkloadLabel(c).c_str(),
-                              c.source.c_str(), c.Target().ToString().c_str(),
-                              c.method.c_str(), ToSeconds(s.end_ns));
+  std::string out = StrFormat("  %s", c.workload.c_str());
+  if (c.threads != 0) {
+    out += StrFormat("(%u)", c.threads);
+  }
+  out += StrFormat("  %s -> %s  %-13s end %8.3f s", c.source.c_str(), c.StackName().c_str(),
+                   c.method.c_str(), ToSeconds(s.end_ns));
   if (s.orig_ns > 0) {
     out += StrFormat("  orig %8.3f s  error %+7.1f%%", ToSeconds(s.orig_ns), s.ErrorPct());
   }
@@ -696,21 +676,7 @@ std::string SweepReport::ToJson() const {
       &out, "digest_sum",
       StrFormat("%016llx", static_cast<unsigned long long>(digest_sum)),
       &first);
-  out += ",\"stall_by_rule\":{";
-  bool rule_first = true;
-  for (size_t r = 0; r < stall_by_rule_sum.size(); ++r) {
-    if (stall_by_rule_sum[r] == 0) {
-      continue;
-    }
-    if (!rule_first) {
-      out += ',';
-    }
-    rule_first = false;
-    out += StrFormat("\"%s\":%lld",
-                     core::RuleTagName(static_cast<core::RuleTag>(r)),
-                     static_cast<long long>(stall_by_rule_sum[r]));
-  }
-  out += '}';
+  AppendRuleMap(&out, stall_by_rule_sum);
   out += ",\"axes\":[";
   for (size_t a = 0; a < axes.size(); ++a) {
     const AxisAgg& agg = axes[a];
@@ -732,10 +698,10 @@ std::string SweepReport::ToJson() const {
                        "\"mean_stall_ns\":%.0f",
                        val.cells, val.MeanEndNs(), val.MeanStallNs());
       if (val.abs_error_pct.Count() > 0) {
-        const ErrorSummary e(val.abs_error_pct);
+        const std::array<double, 4> e = ErrorSummary(val.abs_error_pct);
         out += StrFormat(",\"abs_error_pct\":{\"mean\":%.4f,\"p50\":%.4f,"
                          "\"p90\":%.4f,\"worst_decile_mean\":%.4f}",
-                         e.mean, e.p50, e.p90, e.worst_decile_mean);
+                         e[0], e[1], e[2], e[3]);
       }
       out += '}';
     }
@@ -813,11 +779,11 @@ std::string SweepReport::OnePager() const {
           out += "|replay error| per axis value:\n";
           header = true;
         }
-        const ErrorSummary e(v.abs_error_pct);
+        const std::array<double, 4> e = ErrorSummary(v.abs_error_pct);
         out += StrFormat("  %-9s %-12s mean %6.1f%%  p50 %6.1f%%  p90 %6.1f%%  "
                          "worst-10%% mean %6.1f%%  (%zu cells)\n",
-                         AxisLabel(agg, several).c_str(), v.value.c_str(), e.mean,
-                         e.p50, e.p90, e.worst_decile_mean, v.abs_error_pct.Count());
+                         AxisLabel(agg, several).c_str(), v.value.c_str(), e[0], e[1],
+                         e[2], e[3], v.abs_error_pct.Count());
       }
     }
     out += "top stall movers per axis (max vs min mean path stall):\n";
@@ -849,10 +815,7 @@ std::string SweepReport::OnePager() const {
 bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
                DrillResult* out, std::string* error) {
   if (id_prefix.empty()) {
-    if (error != nullptr) {
-      *error = "empty cell id";
-    }
-    return false;
+    return Fail(error, "empty cell id");
   }
   const CellConfig* match = nullptr;
   size_t match_index = 0;
@@ -865,19 +828,12 @@ bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
       match_index = i;
     }
   }
-  if (matches == 0) {
-    if (error != nullptr) {
-      *error = StrFormat("no cell with id prefix '%s' in this grid",
-                         id_prefix.c_str());
-    }
-    return false;
-  }
-  if (matches > 1) {
-    if (error != nullptr) {
-      *error = StrFormat("cell id prefix '%s' is ambiguous (%zu matches)",
-                         id_prefix.c_str(), matches);
-    }
-    return false;
+  if (matches != 1) {
+    return Fail(error, matches == 0
+                           ? StrFormat("no cell with id prefix '%s' in this grid",
+                                       id_prefix.c_str())
+                           : StrFormat("cell id prefix '%s' is ambiguous (%zu matches)",
+                                       id_prefix.c_str(), matches));
   }
   obs::LogInfo("sweep", "drilling cell",
                {{"cell", match->Id().c_str()},

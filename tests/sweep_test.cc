@@ -41,9 +41,9 @@ workloads::TracedRun TraceSmallInput() {
 
 SweepGrid SmallGrid() {
   SweepGrid grid;
-  grid.method = {"artc", "temporal"};
-  grid.storage = {"hdd", "ssd"};
-  grid.seed = {1, 2};
+  grid.axes["method"] = {"artc", "temporal"};
+  grid.axes["storage"] = {"hdd", "ssd"};
+  grid.axes["seed"] = {"1", "2"};
   return grid;
 }
 
@@ -81,15 +81,18 @@ TEST(SweepGridTest, ParsesTextAndKeepsDefaults) {
                             &grids, &error))
       << error;
   ASSERT_EQ(grids.size(), 1u);
-  SweepGrid& grid = grids[0];
-  EXPECT_EQ(grid.method, (std::vector<std::string>{"artc", "temporal"}));
-  EXPECT_EQ(grid.storage, (std::vector<std::string>{"hdd", "ssd"}));
-  EXPECT_EQ(grid.cache_mb, (std::vector<int64_t>{64, 384}));
-  EXPECT_TRUE(grid.fs.empty());  // unset until Normalize
-  grid.Normalize();
-  EXPECT_EQ(grid.fs, (std::vector<std::string>{"ext4"}));
-  EXPECT_EQ(grid.workload, (std::vector<std::string>{"iphoto_import"}));
+  const SweepGrid& grid = grids[0];
+  EXPECT_EQ(grid.axes.at("method"), (std::vector<std::string>{"artc", "temporal"}));
+  EXPECT_EQ(grid.axes.at("storage"), (std::vector<std::string>{"hdd", "ssd"}));
+  EXPECT_EQ(grid.axes.at("cache_mb"), (std::vector<std::string>{"64", "384"}));
+  EXPECT_EQ(grid.axes.count("fs"), 0u);  // unset: the default
   EXPECT_EQ(grid.CellCount(), 2u * 2 * 2 * 2);
+  std::vector<CellConfig> cells;
+  ASSERT_TRUE(grid.Expand(&cells, &error)) << error;
+  EXPECT_EQ(cells[0].fs, "ext4");
+  EXPECT_EQ(cells[0].workload, "iphoto_import");
+  EXPECT_EQ(cells[0].cache_mb, 64);
+  EXPECT_EQ(cells[15].seed, 2u);
 }
 
 TEST(SweepGridTest, EachCrossProductStartsFromTheOneBefore) {
@@ -105,9 +108,9 @@ TEST(SweepGridTest, EachCrossProductStartsFromTheOneBefore) {
                             &grids, &error))
       << error;
   ASSERT_EQ(grids.size(), 2u);
-  EXPECT_EQ(grids[1].workload, (std::vector<std::string>{"random_readers"}));
-  EXPECT_EQ(grids[1].method, (std::vector<std::string>{"single", "artc"}));
-  EXPECT_EQ(grids[1].source, (std::vector<std::string>{"raid0"}));
+  EXPECT_EQ(grids[1].axes.at("workload"), (std::vector<std::string>{"random_readers"}));
+  EXPECT_EQ(grids[1].axes.at("method"), (std::vector<std::string>{"single", "artc"}));
+  EXPECT_EQ(grids[1].axes.at("source"), (std::vector<std::string>{"raid0"}));
   std::vector<CellConfig> cells;
   ASSERT_TRUE(ExpandGrids(grids, &cells, &error)) << error;
   ASSERT_EQ(cells.size(), 4u);
@@ -124,29 +127,32 @@ TEST(SweepGridTest, EachCrossProductStartsFromTheOneBefore) {
 }
 
 TEST(SweepGridTest, SourcesParseAndPrintInOneSpelling) {
-  StackSpec spec;
+  CellConfig cell;
   std::string error;
-  ASSERT_TRUE(ParseStackSpec("raid0:cache_mb=96:fs=xfs", &spec, &error)) << error;
-  EXPECT_EQ(spec.storage, "raid0");
-  EXPECT_EQ(spec.fs, "xfs");
-  EXPECT_EQ(spec.cache_mb, 96);
-  EXPECT_EQ(spec.ToString(), "raid0:fs=xfs:cache_mb=96");
-  EXPECT_EQ(spec.MakeStorage().cache.capacity_blocks, 96u * 256);
-  ASSERT_TRUE(ParseStackSpec("hdd:iosched=cfq-7ms", &spec, &error)) << error;
-  EXPECT_EQ(spec.MakeStorage().scheduler, storage::SchedulerKind::kCfq);
-  EXPECT_EQ(spec.MakeStorage().cfq.slice_sync, Ms(7));
+  ASSERT_TRUE(SetCellAxis(&cell, "source", "raid0:cache_mb=96:fs=xfs", &error)) << error;
+  EXPECT_EQ(cell.source, "raid0:fs=xfs:cache_mb=96");
+  const CellConfig stack = cell.SourceStack();
+  EXPECT_EQ(stack.storage, "raid0");
+  EXPECT_EQ(stack.fs, "xfs");
+  EXPECT_EQ(stack.StackName(), cell.source);
+  EXPECT_EQ(stack.MakeSourceConfig().storage.cache.capacity_blocks, 96u * 256);
+  EXPECT_EQ(stack.MakeSourceConfig().fs_profile, "xfs");
+  ASSERT_TRUE(SetCellAxis(&cell, "source", "hdd:iosched=cfq-7ms", &error)) << error;
+  EXPECT_EQ(cell.SourceStack().MakeSourceConfig().storage.scheduler,
+            storage::SchedulerKind::kCfq);
+  EXPECT_EQ(cell.SourceStack().MakeSourceConfig().storage.cfq.slice_sync, Ms(7));
 
   for (const char* bad : {"", "nvme", "hdd:fs=ntfs", "hdd:iosched=cfq-0ms",
                           "hdd:cache_mb=0", "hdd:cache_mb=x", "hdd:colour=red"}) {
-    EXPECT_FALSE(ParseStackSpec(bad, &spec, &error)) << bad;
+    EXPECT_FALSE(SetCellAxis(&cell, "source", bad, &error)) << bad;
     EXPECT_NE(error.find("bad source"), std::string::npos) << error;
   }
 
   // A source written with its defaults spelled out is the same cell.
   SweepGrid a;
-  a.source = {"hdd:fs=ext4:iosched=base"};
+  a.axes["source"] = {"hdd:fs=ext4:iosched=base"};
   SweepGrid b;
-  b.source = {"hdd"};
+  b.axes["source"] = {"hdd"};
   std::vector<CellConfig> ca, cb;
   ASSERT_TRUE(a.Expand(&ca, &error)) << error;
   ASSERT_TRUE(b.Expand(&cb, &error)) << error;
@@ -155,27 +161,22 @@ TEST(SweepGridTest, SourcesParseAndPrintInOneSpelling) {
 }
 
 TEST(SweepGridTest, RejectsUnknownAxesAndValues) {
-  std::vector<SweepGrid> grids;
-  std::string error;
-  EXPECT_FALSE(ParseGridText("warp_factor = 9\n", &grids, &error));
-  EXPECT_NE(error.find("warp_factor"), std::string::npos);
-
-  EXPECT_FALSE(ParseGridText("seed = banana\n", &grids, &error));
-  EXPECT_FALSE(ParseGridText("seed = +1\n", &grids, &error));
-  EXPECT_FALSE(ParseGridText("threads = -1\n", &grids, &error));
-
-  // The sweep has no backend axis: every cell runs the same single-shard
-  // path.
-  EXPECT_FALSE(ParseGridText("backend = fibers\n", &grids, &error));
-  EXPECT_NE(error.find("unknown axis 'backend'"), std::string::npos) << error;
-
-  // Vocabulary violations surface as errors from Expand, not aborts.
-  auto rejects = [&](const std::string& text, const std::string& needle) {
+  // Bad values surface as errors with their grid line, not aborts.
+  auto rejects = [](const std::string& text, const std::string& needle) {
+    std::vector<SweepGrid> grids;
     std::vector<CellConfig> cells;
-    ASSERT_TRUE(ParseGridText(text, &grids, &error)) << text << error;
-    EXPECT_FALSE(ExpandGrids(grids, &cells, &error)) << text;
+    std::string error;
+    EXPECT_FALSE(ParseGridText(text, &grids, &error) && ExpandGrids(grids, &cells, &error))
+        << text;
     EXPECT_NE(error.find(needle), std::string::npos) << text << ": " << error;
   };
+  rejects("warp_factor = 9\n", "grid line 1: unknown axis 'warp_factor'");
+  // The sweep has no backend axis: every cell runs the same single-shard
+  // path.
+  rejects("backend = fibers\n", "unknown axis 'backend'");
+  rejects("seed = banana\n", "bad seed value 'banana'");
+  rejects("seed = +1\n", "bad seed value");
+  rejects("threads = -1\n", "bad threads value");
   rejects("storage = floppy\n", "floppy");
   rejects("schedule = sometimes\n", "sometimes");
   rejects("cache_mb = 0\n", "cache_mb");
@@ -186,11 +187,21 @@ TEST(SweepGridTest, RejectsUnknownAxesAndValues) {
     rejects(std::string("iosched = ") + iosched + "\n", "cfq-<N>ms");
   }
   rejects("workload = random_readers\nthreads = 65\n", "bad threads 65");
-  rejects("workload = iphoto_import\nthreads = 4\n", "no thread count");
-  // The second cross product names its position.
-  rejects("storage = hdd\n---\nfs = ntfs\n", "cross product 2: unknown fs");
+  rejects("storage = hdd\n---\nfs = ntfs\n", "grid line 3: unknown fs 'ntfs'");
+  // A thread count only fits the programs that have one; the error names
+  // the cross product.
+  rejects("storage = hdd\n---\nworkload = iphoto_import\nthreads = 4\n",
+          "cross product 2: workload 'iphoto_import' has no thread count");
 
+  // Grids built in code are checked when expanded.
+  SweepGrid grid;
+  grid.axes["colour"] = {"red"};
   std::vector<CellConfig> cells;
+  std::string error;
+  EXPECT_FALSE(grid.Expand(&cells, &error));
+  EXPECT_NE(error.find("unknown axis 'colour'"), std::string::npos) << error;
+
+  std::vector<SweepGrid> grids;
   ASSERT_TRUE(ParseGridText("workload = seq_readers\nthreads = 0, 4\n"
                             "iosched = base, noop, cfq-1ms, cfq-1000ms\n",
                             &grids, &error));
@@ -215,9 +226,9 @@ TEST(SweepGridTest, CellIdsAreContentAddressedAndUnique) {
   // Identity follows content, not grid position: a permuted grid yields the
   // same id set, and growing the grid keeps existing ids valid.
   SweepGrid permuted;
-  permuted.method = {"temporal", "artc"};
-  permuted.storage = {"ssd", "hdd"};
-  permuted.seed = {2, 1};
+  permuted.axes["method"] = {"temporal", "artc"};
+  permuted.axes["storage"] = {"ssd", "hdd"};
+  permuted.axes["seed"] = {"2", "1"};
   std::vector<CellConfig> cells2;
   ASSERT_TRUE(permuted.Expand(&cells2, &error));
   std::set<std::string> ids2;
@@ -266,9 +277,9 @@ TEST(SweepTest, TwelveCellGridGolden) {
   source.seed = 1;
   workloads::TracedRun run = workloads::TraceWorkload(w, source);
   SweepGrid grid;
-  grid.method = {"artc", "temporal"};
-  grid.storage = {"hdd", "ssd", "raid0"};
-  grid.seed = {1, 2};
+  grid.axes["method"] = {"artc", "temporal"};
+  grid.axes["storage"] = {"hdd", "ssd", "raid0"};
+  grid.axes["seed"] = {"1", "2"};
   SweepPlan plan;
   std::string error;
   ASSERT_TRUE(BuildSweepPlan(std::move(run.trace), run.snapshot,
@@ -289,8 +300,8 @@ TEST(SweepTest, TwelveCellGridGolden) {
 TEST(SweepTest, EqualCellDigestsDoNotCancelInTheAggregate) {
   // The readers only read, so both cells end in the same file-system state.
   SweepGrid grid;
-  grid.method = {"artc"};
-  grid.storage = {"hdd", "ssd"};
+  grid.axes["method"] = {"artc"};
+  grid.axes["storage"] = {"hdd", "ssd"};
   SweepPlan plan = BuildSmallPlan(std::move(grid));
   SweepReport report;
   SweepToString(plan, 2, 0, &report);
@@ -304,8 +315,8 @@ TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
   // Every cell's virtual results must be bit-identical to a standalone
   // replay of that configuration, on either simulation backend.
   SweepGrid grid;
-  grid.method = {"artc", "temporal"};
-  grid.storage = {"hdd", "ssd"};
+  grid.axes["method"] = {"artc", "temporal"};
+  grid.axes["storage"] = {"hdd", "ssd"};
   SweepPlan plan = BuildSmallPlan(std::move(grid));
 
   SweepReport report;
@@ -355,9 +366,7 @@ TEST(SweepTest, NamedWorkloadCellsCarryTheOriginalRunAndReplayError) {
   const std::optional<NamedWorkload> program = NamedWorkload::Find("seq_readers");
   ASSERT_TRUE(program.has_value());
   for (const CellStats& s : r1.stats) {
-    workloads::SourceConfig target;
-    target.storage = s.config.Target().MakeStorage();
-    EXPECT_EQ(s.orig_ns, program->Measure(0, target)) << s.config.Echo();
+    EXPECT_EQ(s.orig_ns, program->Measure(0, s.config.MakeSourceConfig())) << s.config.Echo();
     EXPECT_DOUBLE_EQ(s.ErrorPct(), 100.0 * static_cast<double>(s.end_ns - s.orig_ns) /
                                        static_cast<double>(s.orig_ns));
     EXPECT_NE(s.ToJsonl(false).find(StrFormat("\"orig_ns\":%lld,\"error_pct\":",
@@ -439,7 +448,7 @@ TEST(SweepTest, ProgressGaugesResetAcrossSweepsInOneProcess) {
   // summing both grids, progress_permille ending at 2000).
   SweepPlan eight = BuildSmallPlan(SmallGrid());
   SweepGrid two_grid;
-  two_grid.storage = {"hdd", "ssd"};
+  two_grid.axes["storage"] = {"hdd", "ssd"};
   SweepPlan two = BuildSmallPlan(std::move(two_grid));
 
   SweepReport report;
