@@ -1,5 +1,6 @@
-// artc_critpath: compile a benchmark with the default ARTC method (a
-// Magritte workload by name, or any ARTCT or text trace file), run it on a
+// artc_critpath: compile a benchmark with the default ARTC method (a named
+// workload — a Magritte program, or one of the Figs 5-7 programs of
+// sweep::NamedWorkload — or any ARTCT or text trace file), run it on a
 // simulated target and print the critical-path attribution one-pager —
 // which ordering rules, resources, threads, and storage layers the
 // replay's end-to-end time is serialized behind — plus an optional JSON
