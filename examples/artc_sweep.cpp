@@ -78,7 +78,7 @@ int Main(int argc, char** argv) {
   }
 
   sweep::SweepPlan plan;
-  if (!sweep::BuildSweepPlan(std::move(grids), &plan, &error)) {
+  if (!sweep::BuildSweepPlan(std::move(grids), &plan, &error, options.jobs)) {
     std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
     return 2;
   }

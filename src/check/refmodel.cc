@@ -470,8 +470,8 @@ class Model {
   }
 
   void ApplyOpen(uint32_t i, const TraceEvent& ev) {
-    TouchPath(ev.path, i);
-    Resolution r = Resolve(ev.path);
+    TouchPath(ev.path.str(), i);
+    Resolution r = Resolve(ev.path.str());
     TouchMissingPrefix(r, i);
     if (r.via_symlink) {
       out_.unsupported_events++;
@@ -481,7 +481,7 @@ class Model {
     if (r.err == trace::kENOENT && (flags & trace::kOpenCreate) && r.parent != 0) {
       uint64_t node = NewNode(NodeKind::kFile);
       nodes_[r.parent].children[r.final_name] = node;
-      RebindPath(ev.path, i);
+      RebindPath(ev.path.str(), i);
       TouchNode(node, i);
       CheckRet(i, ev, 0);
       if (!ev.Failed()) {
@@ -631,8 +631,8 @@ class Model {
   }
 
   void ApplyMkdir(uint32_t i, const TraceEvent& ev) {
-    TouchPath(ev.path, i);
-    Resolution r = Resolve(ev.path);
+    TouchPath(ev.path.str(), i);
+    Resolution r = Resolve(ev.path.str());
     TouchMissingPrefix(r, i);
     if (r.via_symlink) {
       out_.unsupported_events++;
@@ -649,14 +649,14 @@ class Model {
     uint64_t node = NewNode(NodeKind::kDir);
     nodes_[r.parent].children[r.final_name] = node;
     nodes_[r.parent].nlink++;
-    RebindPath(ev.path, i);
+    RebindPath(ev.path.str(), i);
     TouchNode(node, i);
     CheckRet(i, ev, 0);
   }
 
   void ApplyRmdir(uint32_t i, const TraceEvent& ev) {
-    TouchPath(ev.path, i);
-    Resolution r = Resolve(ev.path);
+    TouchPath(ev.path.str(), i);
+    Resolution r = Resolve(ev.path.str());
     TouchMissingPrefix(r, i);
     if (r.via_symlink) {
       out_.unsupported_events++;
@@ -682,13 +682,13 @@ class Model {
     TouchNode(r.node, i);
     nodes_[r.parent].children.erase(r.final_name);
     nodes_[r.parent].nlink--;
-    RebindPath(ev.path, i);
+    RebindPath(ev.path.str(), i);
     CheckRet(i, ev, 0);
   }
 
   void ApplyUnlink(uint32_t i, const TraceEvent& ev) {
-    TouchPath(ev.path, i);
-    Resolution r = Resolve(ev.path);
+    TouchPath(ev.path.str(), i);
+    Resolution r = Resolve(ev.path.str());
     TouchMissingPrefix(r, i);
     if (r.via_symlink) {
       out_.unsupported_events++;
@@ -705,15 +705,15 @@ class Model {
     TouchNode(r.node, i);
     nodes_[r.parent].children.erase(r.final_name);
     nodes_[r.node].nlink--;
-    RebindPath(ev.path, i);
+    RebindPath(ev.path.str(), i);
     CheckRet(i, ev, 0);
   }
 
   void ApplyRename(uint32_t i, const TraceEvent& ev) {
-    TouchPath(ev.path, i);
-    TouchPath(ev.path2, i);
-    Resolution src = Resolve(ev.path);
-    Resolution dst = Resolve(ev.path2);
+    TouchPath(ev.path.str(), i);
+    TouchPath(ev.path2.str(), i);
+    Resolution src = Resolve(ev.path.str());
+    Resolution dst = Resolve(ev.path2.str());
     TouchMissingPrefix(src, i);
     TouchMissingPrefix(dst, i);
     if (src.via_symlink || dst.via_symlink) {
@@ -760,20 +760,20 @@ class Model {
     TouchNode(src.node, i);
     nodes_[src.parent].children.erase(src.final_name);
     nodes_[dst.parent].children[dst.final_name] = src.node;
-    RebindPath(ev.path, i);
-    RebindPath(ev.path2, i);
+    RebindPath(ev.path.str(), i);
+    RebindPath(ev.path2.str(), i);
     if (src_dir) {
-      RebindSubtree(ev.path, i);
-      RebindSubtree(ev.path2, i);
+      RebindSubtree(ev.path.str(), i);
+      RebindSubtree(ev.path2.str(), i);
     }
     CheckRet(i, ev, 0);
   }
 
   void ApplyLink(uint32_t i, const TraceEvent& ev) {
-    TouchPath(ev.path, i);
-    TouchPath(ev.path2, i);
-    Resolution src = Resolve(ev.path);
-    Resolution dst = Resolve(ev.path2);
+    TouchPath(ev.path.str(), i);
+    TouchPath(ev.path2.str(), i);
+    Resolution src = Resolve(ev.path.str());
+    Resolution dst = Resolve(ev.path2.str());
     TouchMissingPrefix(src, i);
     TouchMissingPrefix(dst, i);
     if (src.via_symlink || dst.via_symlink) {
@@ -799,13 +799,13 @@ class Model {
     TouchNode(src.node, i);
     nodes_[dst.parent].children[dst.final_name] = src.node;
     nodes_[src.node].nlink++;
-    RebindPath(ev.path2, i);
+    RebindPath(ev.path2.str(), i);
     CheckRet(i, ev, 0);
   }
 
   void ApplyStat(uint32_t i, const TraceEvent& ev) {
-    TouchPath(ev.path, i);
-    Resolution r = Resolve(ev.path);
+    TouchPath(ev.path.str(), i);
+    Resolution r = Resolve(ev.path.str());
     TouchMissingPrefix(r, i);
     if (r.via_symlink) {
       out_.unsupported_events++;

@@ -46,8 +46,8 @@ void DigestEvent(Fnv1a& f, const trace::TraceEvent& ev) {
   f.I64(ev.enter);
   f.I64(ev.ret_time);
   f.I64(ev.ret);
-  f.Str(ev.path);
-  f.Str(ev.path2);
+  f.Str(ev.path.str());
+  f.Str(ev.path2.str());
   f.I32(ev.fd);
   f.I32(ev.fd2);
   f.I64(ev.offset);
@@ -55,7 +55,7 @@ void DigestEvent(Fnv1a& f, const trace::TraceEvent& ev) {
   f.U32(ev.flags);
   f.U32(ev.mode);
   f.I32(ev.whence);
-  f.Str(ev.name);
+  f.Str(ev.name.str());
   f.U64(ev.aio_id);
 }
 

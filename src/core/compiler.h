@@ -30,7 +30,7 @@ struct CompileOptions {
 
 // Annotates and compiles. Pass the trace as an rvalue when done with it
 // (the normal parse -> compile pipeline): the benchmark then takes over the
-// event vector instead of copying ~200 bytes per event.
+// event vector instead of copying 104 bytes per event.
 CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
                           const CompileOptions& options = {});
 

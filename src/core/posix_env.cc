@@ -217,8 +217,8 @@ int64_t PosixReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& 
     call = rule.substitute;
   }
   if (rule.action == EmulationAction::kSequence && ev.call == Sys::kExchangeData) {
-    std::string pa = Translate(ev.path);
-    std::string pb = Translate(ev.path2);
+    std::string pa = Translate(ev.path.str());
+    std::string pb = Translate(ev.path2.str());
     std::string tmp = StrFormat("%s.artc_xchg.%llu", pa.c_str(),
                                 static_cast<unsigned long long>(
                                     exchange_tmp_counter_.fetch_add(1)));
@@ -242,11 +242,11 @@ int64_t PosixReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& 
         // Compile-time anomaly handling strips O_EXCL only when needed; be
         // permissive here for robustness.
       }
-      return RetOf(::open(Translate(ev.path).c_str(), HostOpenFlags(flags),
+      return RetOf(::open(Translate(ev.path.str()).c_str(), HostOpenFlags(flags),
                           ev.mode != 0 ? ev.mode : 0644));
     }
     case Sys::kCreat:
-      return RetOf(::open(Translate(ev.path).c_str(), O_CREAT | O_WRONLY | O_TRUNC,
+      return RetOf(::open(Translate(ev.path.str()).c_str(), O_CREAT | O_WRONLY | O_TRUNC,
                           ev.mode != 0 ? ev.mode : 0644));
     case Sys::kClose:
       return RetOf(::close(ctx.fd));
@@ -286,11 +286,11 @@ int64_t PosixReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& 
     case Sys::kStat:
     case Sys::kFstatAt: {
       struct stat st;
-      return RetOf(::stat(Translate(ev.path).c_str(), &st));
+      return RetOf(::stat(Translate(ev.path.str()).c_str(), &st));
     }
     case Sys::kLstat: {
       struct stat st;
-      return RetOf(::lstat(Translate(ev.path).c_str(), &st));
+      return RetOf(::lstat(Translate(ev.path.str()).c_str(), &st));
     }
     case Sys::kFstat: {
       struct stat st;
@@ -298,17 +298,17 @@ int64_t PosixReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& 
     }
     case Sys::kAccess:
     case Sys::kFaccessAt:
-      return RetOf(::access(Translate(ev.path).c_str(), F_OK));
+      return RetOf(::access(Translate(ev.path.str()).c_str(), F_OK));
     case Sys::kStatFs: {
       struct statvfs sv;
-      return RetOf(::statvfs(Translate(ev.path).c_str(), &sv));
+      return RetOf(::statvfs(Translate(ev.path.str()).c_str(), &sv));
     }
     case Sys::kFstatFs: {
       struct statvfs sv;
       return RetOf(::fstatvfs(ctx.fd, &sv));
     }
     case Sys::kChmod:
-      return RetOf(::chmod(Translate(ev.path).c_str(),
+      return RetOf(::chmod(Translate(ev.path.str()).c_str(),
                            ev.mode != 0 ? ev.mode : 0644));
     case Sys::kFchmod:
       return RetOf(::fchmod(ctx.fd, ev.mode != 0 ? ev.mode : 0644));
@@ -319,36 +319,36 @@ int64_t PosixReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& 
     case Sys::kFutimes:
       return 0;  // ownership/times: no-ops in the sandbox
     case Sys::kTruncate:
-      return RetOf(::truncate(Translate(ev.path).c_str(), static_cast<off_t>(ev.size)));
+      return RetOf(::truncate(Translate(ev.path.str()).c_str(), static_cast<off_t>(ev.size)));
     case Sys::kFtruncate:
       return RetOf(::ftruncate(ctx.fd, static_cast<off_t>(ev.size)));
     case Sys::kMkdir:
     case Sys::kMkdirAt:
-      return RetOf(::mkdir(Translate(ev.path).c_str(), ev.mode != 0 ? ev.mode : 0755));
+      return RetOf(::mkdir(Translate(ev.path.str()).c_str(), ev.mode != 0 ? ev.mode : 0755));
     case Sys::kRmdir:
-      return RetOf(::rmdir(Translate(ev.path).c_str()));
+      return RetOf(::rmdir(Translate(ev.path.str()).c_str()));
     case Sys::kUnlink:
     case Sys::kUnlinkAt:
     case Sys::kShmUnlink:
-      return RetOf(::unlink(Translate(ev.path).c_str()));
+      return RetOf(::unlink(Translate(ev.path.str()).c_str()));
     case Sys::kRename:
     case Sys::kRenameAt:
-      return RetOf(::rename(Translate(ev.path).c_str(), Translate(ev.path2).c_str()));
+      return RetOf(::rename(Translate(ev.path.str()).c_str(), Translate(ev.path2.str()).c_str()));
     case Sys::kLink:
     case Sys::kLinkAt:
-      return RetOf(::link(Translate(ev.path).c_str(), Translate(ev.path2).c_str()));
+      return RetOf(::link(Translate(ev.path.str()).c_str(), Translate(ev.path2.str()).c_str()));
     case Sys::kSymlink:
     case Sys::kSymlinkAt: {
-      std::string target = ev.path;
+      std::string target = ev.path.str();
       if (!target.empty() && target[0] == '/') {
         target = Translate(target);
       }
-      return RetOf(::symlink(target.c_str(), Translate(ev.path2).c_str()));
+      return RetOf(::symlink(target.c_str(), Translate(ev.path2.str()).c_str()));
     }
     case Sys::kReadlink:
     case Sys::kReadlinkAt: {
       char buf[4096];
-      return RetOf(::readlink(Translate(ev.path).c_str(), buf, sizeof(buf)));
+      return RetOf(::readlink(Translate(ev.path.str()).c_str(), buf, sizeof(buf)));
     }
     case Sys::kGetDirEntries:
     case Sys::kGetDents: {
@@ -360,28 +360,28 @@ int64_t PosixReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& 
 #if ARTC_HAVE_XATTR
     case Sys::kGetXattr: {
       char buf[256];
-      return RetOf(::getxattr(Translate(ev.path).c_str(),
-                              HostXattrName(ev.name).c_str(), buf, sizeof(buf)));
+      return RetOf(::getxattr(Translate(ev.path.str()).c_str(),
+                              HostXattrName(ev.name.str()).c_str(), buf, sizeof(buf)));
     }
     case Sys::kLGetXattr: {
       char buf[256];
-      return RetOf(::lgetxattr(Translate(ev.path).c_str(),
-                               HostXattrName(ev.name).c_str(), buf, sizeof(buf)));
+      return RetOf(::lgetxattr(Translate(ev.path.str()).c_str(),
+                               HostXattrName(ev.name.str()).c_str(), buf, sizeof(buf)));
     }
     case Sys::kFGetXattr: {
       char buf[256];
-      return RetOf(::fgetxattr(ctx.fd, HostXattrName(ev.name).c_str(), buf, sizeof(buf)));
+      return RetOf(::fgetxattr(ctx.fd, HostXattrName(ev.name.str()).c_str(), buf, sizeof(buf)));
     }
     case Sys::kSetXattr:
     case Sys::kLSetXattr:
-      return RetOf(::setxattr(Translate(ev.path).c_str(), HostXattrName(ev.name).c_str(),
+      return RetOf(::setxattr(Translate(ev.path.str()).c_str(), HostXattrName(ev.name.str()).c_str(),
                               "artc", 4, 0));
     case Sys::kFSetXattr:
-      return RetOf(::fsetxattr(ctx.fd, HostXattrName(ev.name).c_str(), "artc", 4, 0));
+      return RetOf(::fsetxattr(ctx.fd, HostXattrName(ev.name.str()).c_str(), "artc", 4, 0));
     case Sys::kListXattr:
     case Sys::kLListXattr: {
       char buf[1024];
-      return RetOf(::listxattr(Translate(ev.path).c_str(), buf, sizeof(buf)));
+      return RetOf(::listxattr(Translate(ev.path.str()).c_str(), buf, sizeof(buf)));
     }
     case Sys::kFListXattr: {
       char buf[1024];
@@ -389,10 +389,10 @@ int64_t PosixReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& 
     }
     case Sys::kRemoveXattr:
     case Sys::kLRemoveXattr:
-      return RetOf(::removexattr(Translate(ev.path).c_str(),
-                                 HostXattrName(ev.name).c_str()));
+      return RetOf(::removexattr(Translate(ev.path.str()).c_str(),
+                                 HostXattrName(ev.name.str()).c_str()));
     case Sys::kFRemoveXattr:
-      return RetOf(::fremovexattr(ctx.fd, HostXattrName(ev.name).c_str()));
+      return RetOf(::fremovexattr(ctx.fd, HostXattrName(ev.name.str()).c_str()));
 #endif
     case Sys::kFadvise:
     case Sys::kFcntlRdAdvise:

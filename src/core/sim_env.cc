@@ -114,16 +114,16 @@ int64_t SimReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& ct
     // the atomic swap on platforms without exchangedata.
     std::string tmp = StrFormat("%s.artc_xchg.%llu", ev.path.c_str(),
                                 static_cast<unsigned long long>(exchange_tmp_counter_++));
-    VfsResult l = fs_->Link(ev.path, tmp);
+    VfsResult l = fs_->Link(ev.path.str(), tmp);
     if (!l.ok()) {
       return l.TraceRet();
     }
-    VfsResult r1 = fs_->Rename(ev.path2, ev.path);
+    VfsResult r1 = fs_->Rename(ev.path2.str(), ev.path.str());
     if (!r1.ok()) {
       fs_->Unlink(tmp);
       return r1.TraceRet();
     }
-    VfsResult r2 = fs_->Rename(tmp, ev.path2);
+    VfsResult r2 = fs_->Rename(tmp, ev.path2.str());
     return r2.TraceRet();
   }
 
@@ -137,9 +137,9 @@ int64_t SimReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& ct
         // trace anomalies; replay them without O_EXCL so they succeed.
         open_flags &= ~trace::kOpenExcl;
       }
-      return fs_->Open(ev.path, open_flags, ev.mode != 0 ? ev.mode : 0644).TraceRet();
+      return fs_->Open(ev.path.str(), open_flags, ev.mode != 0 ? ev.mode : 0644).TraceRet();
     case Sys::kCreat:
-      return fs_->Open(ev.path, trace::kOpenWrite | trace::kOpenCreate | trace::kOpenTrunc,
+      return fs_->Open(ev.path.str(), trace::kOpenWrite | trace::kOpenCreate | trace::kOpenTrunc,
                        ev.mode != 0 ? ev.mode : 0644)
           .TraceRet();
     case Sys::kClose:
@@ -206,11 +206,11 @@ int64_t SimReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& ct
       return fs_->SyncAll().TraceRet();
     case Sys::kStat:
     case Sys::kFstatAt: {
-      VfsResult r = fs_->Stat(ev.path);
+      VfsResult r = fs_->Stat(ev.path.str());
       return r.ok() ? 0 : r.TraceRet();
     }
     case Sys::kLstat: {
-      VfsResult r = fs_->Lstat(ev.path);
+      VfsResult r = fs_->Lstat(ev.path.str());
       return r.ok() ? 0 : r.TraceRet();
     }
     case Sys::kFstat: {
@@ -219,72 +219,72 @@ int64_t SimReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& ct
     }
     case Sys::kAccess:
     case Sys::kFaccessAt:
-      return fs_->Access(ev.path).TraceRet();
+      return fs_->Access(ev.path.str()).TraceRet();
     case Sys::kStatFs:
-      return fs_->StatFs(ev.path).TraceRet();
+      return fs_->StatFs(ev.path.str()).TraceRet();
     case Sys::kFstatFs:
       return fs_->Fstat(ctx.fd).ok() ? 0 : -trace::kEBADF;
     case Sys::kChmod:
-      return fs_->Chmod(ev.path, ev.mode).TraceRet();
+      return fs_->Chmod(ev.path.str(), ev.mode).TraceRet();
     case Sys::kFchmod:
       return fs_->Fstat(ctx.fd).ok() ? 0 : -trace::kEBADF;
     case Sys::kChown:
     case Sys::kLchown:
-      return fs_->Chmod(ev.path, 0).TraceRet();
+      return fs_->Chmod(ev.path.str(), 0).TraceRet();
     case Sys::kFchown:
     case Sys::kFutimes:
       return fs_->Fstat(ctx.fd).ok() ? 0 : -trace::kEBADF;
     case Sys::kUtimes:
-      return fs_->Utimes(ev.path).TraceRet();
+      return fs_->Utimes(ev.path.str()).TraceRet();
     case Sys::kTruncate:
-      return fs_->Truncate(ev.path, ev.size).TraceRet();
+      return fs_->Truncate(ev.path.str(), ev.size).TraceRet();
     case Sys::kFtruncate:
       return fs_->Ftruncate(ctx.fd, ev.size).TraceRet();
     case Sys::kMkdir:
     case Sys::kMkdirAt:
-      return fs_->Mkdir(ev.path, ev.mode != 0 ? ev.mode : 0755).TraceRet();
+      return fs_->Mkdir(ev.path.str(), ev.mode != 0 ? ev.mode : 0755).TraceRet();
     case Sys::kRmdir:
-      return fs_->Rmdir(ev.path).TraceRet();
+      return fs_->Rmdir(ev.path.str()).TraceRet();
     case Sys::kUnlink:
     case Sys::kUnlinkAt:
     case Sys::kShmUnlink:
-      return fs_->Unlink(ev.path).TraceRet();
+      return fs_->Unlink(ev.path.str()).TraceRet();
     case Sys::kRename:
     case Sys::kRenameAt:
-      return fs_->Rename(ev.path, ev.path2).TraceRet();
+      return fs_->Rename(ev.path.str(), ev.path2.str()).TraceRet();
     case Sys::kLink:
     case Sys::kLinkAt:
-      return fs_->Link(ev.path, ev.path2).TraceRet();
+      return fs_->Link(ev.path.str(), ev.path2.str()).TraceRet();
     case Sys::kSymlink:
     case Sys::kSymlinkAt:
-      return fs_->Symlink(ev.path, ev.path2).TraceRet();
+      return fs_->Symlink(ev.path.str(), ev.path2.str()).TraceRet();
     case Sys::kReadlink:
     case Sys::kReadlinkAt:
-      return fs_->Readlink(ev.path).TraceRet();
+      return fs_->Readlink(ev.path.str()).TraceRet();
     case Sys::kGetDirEntries:
     case Sys::kGetDents: {
       VfsResult r = fs_->GetDirEntries(ctx.fd, ev.size);
       return r.TraceRet();
     }
     case Sys::kGetXattr:
-      return fs_->GetXattr(ev.path, ev.name).TraceRet();
+      return fs_->GetXattr(ev.path.str(), ev.name.str()).TraceRet();
     case Sys::kLGetXattr:
-      return fs_->GetXattr(ev.path, ev.name).TraceRet();
+      return fs_->GetXattr(ev.path.str(), ev.name.str()).TraceRet();
     case Sys::kFGetXattr:
-      return fs_->FGetXattr(ctx.fd, ev.name).TraceRet();
+      return fs_->FGetXattr(ctx.fd, ev.name.str()).TraceRet();
     case Sys::kSetXattr:
     case Sys::kLSetXattr:
-      return fs_->SetXattr(ev.path, ev.name, ev.size).TraceRet();
+      return fs_->SetXattr(ev.path.str(), ev.name.str(), ev.size).TraceRet();
     case Sys::kFSetXattr:
-      return fs_->FSetXattr(ctx.fd, ev.name, ev.size).TraceRet();
+      return fs_->FSetXattr(ctx.fd, ev.name.str(), ev.size).TraceRet();
     case Sys::kListXattr:
     case Sys::kLListXattr:
-      return fs_->ListXattr(ev.path).TraceRet();
+      return fs_->ListXattr(ev.path.str()).TraceRet();
     case Sys::kFListXattr:
       return fs_->Fstat(ctx.fd).ok() ? 0 : -trace::kEBADF;
     case Sys::kRemoveXattr:
     case Sys::kLRemoveXattr:
-      return fs_->RemoveXattr(ev.path, ev.name).TraceRet();
+      return fs_->RemoveXattr(ev.path.str(), ev.name.str()).TraceRet();
     case Sys::kFRemoveXattr:
       return fs_->Fstat(ctx.fd).ok() ? 0 : -trace::kEBADF;
     case Sys::kFadvise:
@@ -298,7 +298,7 @@ int64_t SimReplayEnv::Execute(const trace::TraceEvent& ev, const ExecContext& ct
       sim_->Sleep(Us(1));
       return 0;
     case Sys::kExchangeData:
-      return fs_->ExchangeData(ev.path, ev.path2).TraceRet();
+      return fs_->ExchangeData(ev.path.str(), ev.path2.str()).TraceRet();
     case Sys::kAioRead:
       return AioSubmit(ev, ctx, /*is_write=*/false);
     case Sys::kAioWrite:

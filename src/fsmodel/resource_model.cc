@@ -501,7 +501,7 @@ struct Annotator::Impl : public SyncHost {
 
   void HandleCreateAt(const TraceEvent& ev, uint8_t node_type) {
     // Shared by open(O_CREAT) when it creates, mkdir, symlink.
-    std::string norm = NormalizePath(node_type == kNodeSymlink ? ev.path2 : ev.path);
+    std::string norm = NormalizePath(node_type == kNodeSymlink ? ev.path2.str() : ev.path.str());
     std::vector<Node*> via;
     Resolved r = ResolvePath(norm, /*follow_last=*/false, &via);
     for (Node* link : via) {
@@ -535,7 +535,7 @@ struct Annotator::Impl : public SyncHost {
     TouchRes(NodeResource(r.parent), Access::kUse);
     Node* fresh = NewNode(node_type);
     if (node_type == kNodeSymlink) {
-      fresh->symlink_target = ev.path;  // symlink(target=path, link=path2)
+      fresh->symlink_target = ev.path.str();  // symlink(target=path, link=path2)
     }
     r.parent->children[r.leaf] = fresh->id;
     RebindPath(r.final_path_id, true, fresh->id);
@@ -546,7 +546,7 @@ struct Annotator::Impl : public SyncHost {
   }
 
   void HandleUnlinkLike(const TraceEvent& ev, bool is_rmdir) {
-    std::string norm = NormalizePath(ev.path);
+    std::string norm = NormalizePath(ev.path.str());
     std::vector<Node*> via;
     Resolved r = ResolvePath(norm, /*follow_last=*/false, &via);
     for (Node* link : via) {
@@ -574,8 +574,8 @@ struct Annotator::Impl : public SyncHost {
   }
 
   void HandleRename(const TraceEvent& ev) {
-    std::string src = NormalizePath(ev.path);
-    std::string dst = NormalizePath(ev.path2);
+    std::string src = NormalizePath(ev.path.str());
+    std::string dst = NormalizePath(ev.path2.str());
     std::vector<Node*> via;
     Resolved rs = ResolvePath(src, /*follow_last=*/false, &via);
     Resolved rd = ResolvePath(dst, /*follow_last=*/false, &via);
@@ -667,7 +667,7 @@ struct Annotator::Impl : public SyncHost {
       case Sys::kOpen:
       case Sys::kCreat:
       case Sys::kShmOpen: {
-        std::string norm = NormalizePath(ev.path);
+        std::string norm = NormalizePath(ev.path.str());
         std::vector<Node*> via;
         bool follow = !(ev.flags & trace::kOpenNoFollow);
         Resolved r = ResolvePath(norm, follow, &via);
@@ -684,7 +684,7 @@ struct Annotator::Impl : public SyncHost {
           HandleCreateAt(ev, kNodeFile);
           break;
         }
-        Node* node = UsePathTarget(ev.path, follow);
+        Node* node = UsePathTarget(ev.path.str(), follow);
         if (!ev.Failed() && node != nullptr) {
           FdOpen(static_cast<int32_t>(ev.ret), node->id);
         } else if (!ev.Failed() && node == nullptr) {
@@ -787,7 +787,7 @@ struct Annotator::Impl : public SyncHost {
       case Sys::kOsxUndoc1:
       case Sys::kOsxUndoc2:
       case Sys::kOsxUndoc3:
-        UsePathTarget(ev.path, /*follow_last=*/true);
+        UsePathTarget(ev.path.str(), /*follow_last=*/true);
         break;
       case Sys::kLstat:
       case Sys::kLGetXattr:
@@ -795,36 +795,36 @@ struct Annotator::Impl : public SyncHost {
       case Sys::kLListXattr:
       case Sys::kLRemoveXattr:
       case Sys::kReadlink:
-        UsePathTarget(ev.path, /*follow_last=*/false);
+        UsePathTarget(ev.path.str(), /*follow_last=*/false);
         break;
       case Sys::kMkdir:
         if (!ev.Failed()) {
-          UsePath(InternPathName(ev.path));
+          UsePath(InternPathName(ev.path.str()));
           HandleCreateAt(ev, kNodeDir);
         } else {
-          UsePathTarget(ev.path, /*follow_last=*/false);
+          UsePathTarget(ev.path.str(), /*follow_last=*/false);
         }
         break;
       case Sys::kSymlink:
         // path = target (not touched: may not exist), path2 = link name.
         if (!ev.Failed()) {
-          UsePath(InternPathName(ev.path2));
+          UsePath(InternPathName(ev.path2.str()));
           HandleCreateAt(ev, kNodeSymlink);
         } else {
-          UsePathTarget(ev.path2, /*follow_last=*/false);
+          UsePathTarget(ev.path2.str(), /*follow_last=*/false);
         }
         break;
       case Sys::kLink: {
-        Node* target = UsePathTarget(ev.path, /*follow_last=*/true);
+        Node* target = UsePathTarget(ev.path.str(), /*follow_last=*/true);
         if (ev.Failed() || target == nullptr) {
-          UsePathTarget(ev.path2, /*follow_last=*/false);
+          UsePathTarget(ev.path2.str(), /*follow_last=*/false);
           break;
         }
-        std::string norm = NormalizePath(ev.path2);
+        std::string norm = NormalizePath(ev.path2.str());
         std::vector<Node*> via;
         Resolved r = ResolvePath(norm, /*follow_last=*/false, &via);
         if (r.parent == nullptr || r.node != nullptr) {
-          UsePathTarget(ev.path2, /*follow_last=*/false);
+          UsePathTarget(ev.path2.str(), /*follow_last=*/false);
           break;
         }
         UsePath(Intern(norm));
@@ -846,8 +846,8 @@ struct Annotator::Impl : public SyncHost {
         break;
       case Sys::kExchangeData: {
         // Atomic content swap: both files' data change; paths stay bound.
-        Node* a = UsePathTarget(ev.path, /*follow_last=*/true);
-        Node* b = UsePathTarget(ev.path2, /*follow_last=*/true);
+        Node* a = UsePathTarget(ev.path.str(), /*follow_last=*/true);
+        Node* b = UsePathTarget(ev.path2.str(), /*follow_last=*/true);
         (void)a;
         (void)b;
         break;

@@ -99,6 +99,11 @@ MetricId MetricsRegistry::Histogram(std::string_view name) {
   return Register(name, MetricKind::kHistogram, kHistogramBuckets + 1);
 }
 
+void MetricsRegistry::Set(MetricId id, int64_t value) {
+  std::lock_guard<std::mutex> lk(mu_);
+  gauge_base_[id.cell] = value - SumCell(id.cell);
+}
+
 void MetricsRegistry::Observe(MetricId id, uint64_t value) {
   // Bucket 0 <- 0; bucket b <- [2^(b-1), 2^b - 1], i.e. the value's bit
   // width, clamped to the last bucket.
@@ -133,9 +138,12 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       case MetricKind::kCounter:
         snap.counters[m.name] = SumCell(m.id.cell);
         break;
-      case MetricKind::kGauge:
-        snap.gauges[m.name] = SumCell(m.id.cell);
+      case MetricKind::kGauge: {
+        const auto base = gauge_base_.find(m.id.cell);
+        snap.gauges[m.name] =
+            SumCell(m.id.cell) + (base == gauge_base_.end() ? 0 : base->second);
         break;
+      }
       case MetricKind::kHistogram: {
         HistogramSnapshot h;
         for (uint32_t b = 0; b < kHistogramBuckets; ++b) {

@@ -81,6 +81,12 @@ class MetricsRegistry {
     LocalShard()->Cell(id.cell)->fetch_add(delta, std::memory_order_relaxed);
   }
 
+  // Gauge update to an absolute value: the gauge reads `value` until the
+  // next Add or Set, whichever thread made the earlier updates (last writer
+  // wins). Takes the registry mutex, so it suits progress reporting, not
+  // per-event paths.
+  void Set(MetricId id, int64_t value);
+
   // Histogram sample.
   void Observe(MetricId id, uint64_t value);
 
@@ -118,6 +124,8 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, MetricId, std::less<>> by_name_;
   std::vector<Metric> metrics_;  // registration order, for export
+  // Gauge cell -> offset that makes the shard sum read the last Set value.
+  std::map<uint32_t, int64_t> gauge_base_;
   mutable std::vector<std::unique_ptr<Shard>> shards_;
   uint32_t next_cell_ = 0;
 };

@@ -99,14 +99,9 @@ bool Fail(std::string* error, std::string msg) {
 }
 
 // The live progress plane. All names are stable (scraped by CI); per-axis
-// roll-up counters are interned on demand. The "set"-style gauges
-// (progress, ETA) are emulated on top of the registry's add-only cells by
-// tracking the last published value in a shadow. The shadows are plain
-// ints, so callers must serialize access: there is ONE process-lifetime
-// instance (the registry cells it fronts are process-global too), sweeps
-// are serialized by SweepMu, and within a sweep CellFinished is only ever
-// called under RunSweep's per-sweep mutex. StartSweep runs before any
-// worker is submitted, so it needs no further locking.
+// roll-up counters are interned on demand. Gauges that report a level
+// (total, progress, ETA) are Set, so each sweep overwrites what the last
+// one left in the process-global registry.
 class ProgressMetrics {
  public:
   ProgressMetrics()
@@ -120,11 +115,9 @@ class ProgressMetrics {
         eta_(registry_.Gauge("sweep.eta_ms")) {}
 
   void StartSweep(size_t cells) {
-    // Shadows persist across sweeps (one instance per process), so these
-    // deltas rewind whatever the previous sweep left in the global gauges.
-    SetGauge(total_, &total_shadow_, static_cast<int64_t>(cells));
-    SetGauge(progress_, &progress_shadow_, 0);
-    SetGauge(eta_, &eta_shadow_, 0);
+    registry_.Set(total_, static_cast<int64_t>(cells));
+    registry_.Set(progress_, 0);
+    registry_.Set(eta_, 0);
   }
 
   void CellStarted() { registry_.Add(inflight_, 1); }
@@ -149,40 +142,24 @@ class ProgressMetrics {
           1);
     }
     if (total > 0) {
-      SetGauge(progress_, &progress_shadow_,
-               static_cast<int64_t>(completed * 1000 / total));
+      registry_.Set(progress_, static_cast<int64_t>(completed * 1000 / total));
     }
     if (completed > 0) {
       const int64_t eta =
           elapsed_ms * static_cast<int64_t>(total - completed) /
           static_cast<int64_t>(completed);
-      SetGauge(eta_, &eta_shadow_, eta);
+      registry_.Set(eta_, eta);
     }
   }
 
  private:
-  void SetGauge(obs::MetricId id, int64_t* shadow, int64_t value) {
-    registry_.Add(id, value - *shadow);
-    *shadow = value;
-  }
-
   obs::MetricsRegistry& registry_;
   obs::MetricId completed_, failed_, stall_total_;
   obs::MetricId inflight_, total_, progress_, eta_;
-  int64_t total_shadow_ = 0;
-  int64_t progress_shadow_ = 0;
-  int64_t eta_shadow_ = 0;
 };
 
-// One sweep at a time per process: the registry gauges above have no
-// set-operation, so concurrent sweeps would corrupt each other's shadows.
-std::mutex& SweepMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-// The single process-lifetime instance (see the class comment). Leaked like
-// SweepMu so gauge updates stay valid during static teardown.
+// The single process-lifetime instance, leaked so gauge updates stay valid
+// during static teardown.
 ProgressMetrics& SweepProgressMetrics() {
   static ProgressMetrics* metrics = new ProgressMetrics();
   return *metrics;
@@ -241,37 +218,55 @@ void LogPlan(const SweepPlan& plan) {
 }  // namespace
 
 bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
-                    std::string* error) {
+                    std::string* error, size_t jobs) {
   *out = SweepPlan{};
   if (!ExpandGrids(std::move(grids), &out->cells, error)) {
     return false;
   }
   // Trace keys in first-appearance order, each with the methods its cells
-  // replay.
+  // replay, and original runs in first-appearance order.
   std::vector<const CellConfig*> first_of_trace;
   std::map<std::string, std::set<std::string>> methods;
+  std::vector<const CellConfig*> first_of_original;
+  std::set<std::string> original_keys;
   for (const CellConfig& cell : out->cells) {
     std::set<std::string>& m = methods[cell.TraceKey()];
     if (m.empty()) {
       first_of_trace.push_back(&cell);
     }
     m.insert(cell.method);
+    if (original_keys.insert(cell.OriginalKey()).second) {
+      first_of_original.push_back(&cell);
+    }
   }
-  for (const CellConfig* cell : first_of_trace) {
-    workloads::TracedRun run = NamedWorkload::Find(cell->workload)
-                                   ->Trace(cell->threads, cell->SourceStack().MakeSourceConfig());
-    const std::string key = cell->TraceKey();
-    for (auto& [method, bench] :
-         CompileMethods(std::move(run.trace), run.snapshot, methods[key])) {
+  // Every trace (with its compiles) and every original run is an
+  // independent simulation: run them on the pool, each into its own slot,
+  // and fill the plan's maps afterwards so nothing depends on finish order.
+  const size_t traces = first_of_trace.size();
+  std::vector<std::map<std::string, core::CompiledBenchmarkPtr>> compiled(traces);
+  std::vector<TimeNs> originals(first_of_original.size());
+  util::ThreadPool pool(jobs);
+  util::ParallelFor(pool, traces + first_of_original.size(), [&](size_t task) {
+    if (task < traces) {
+      const CellConfig& cell = *first_of_trace[task];
+      workloads::TracedRun run = NamedWorkload::Find(cell.workload)
+                                     ->Trace(cell.threads, cell.SourceStack().MakeSourceConfig());
+      compiled[task] =
+          CompileMethods(std::move(run.trace), run.snapshot, methods.at(cell.TraceKey()));
+    } else {
+      const CellConfig& cell = *first_of_original[task - traces];
+      originals[task - traces] =
+          NamedWorkload::Find(cell.workload)->Measure(cell.threads, cell.MakeSourceConfig());
+    }
+  });
+  for (size_t i = 0; i < traces; ++i) {
+    const std::string key = first_of_trace[i]->TraceKey();
+    for (auto& [method, bench] : compiled[i]) {
       out->compiled[key + "|" + method] = std::move(bench);
     }
   }
-  for (const CellConfig& cell : out->cells) {
-    const std::string key = cell.OriginalKey();
-    if (out->originals.count(key) == 0) {
-      out->originals[key] =
-          NamedWorkload::Find(cell.workload)->Measure(cell.threads, cell.MakeSourceConfig());
-    }
+  for (size_t i = 0; i < first_of_original.size(); ++i) {
+    out->originals[first_of_original[i]->OriginalKey()] = originals[i];
   }
   LogPlan(*out);
   return true;
@@ -446,7 +441,6 @@ double AxisAgg::EndSensitivity() const {
 
 bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
               SweepReport* out, std::string* error) {
-  std::lock_guard<std::mutex> sweep_lock(SweepMu());
   const int64_t sweep_t0 = HostNowUs();
 
   std::ofstream file;
@@ -538,8 +532,7 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
           out->stall_by_rule_sum[r] += stats.stall_by_rule[r];
         }
         out->stats[i] = std::move(stats);
-        // Under mu: CellFinished's gauge shadows are plain read-modify-write
-        // state, and this mutex is what serializes workers within the sweep.
+        // Under mu, so the progress last Set is the highest count.
         metrics.CellFinished(out->stats[i], completed, plan.cells.size(),
                              (HostNowUs() - sweep_t0) / 1000);
       }

@@ -51,10 +51,12 @@ struct SweepPlan {
 
 // Expands the grids, traces each named workload once per (threads, source,
 // seed) and compiles it for every method its cells use, and measures the
-// original program once per (workload, threads, target, seed). Returns
+// original program once per (workload, threads, target, seed). The traces
+// and original runs share a pool of `jobs` host workers (0 =
+// util::DefaultJobs()); the plan is the same whatever `jobs` is. Returns
 // false with *error set on grid validation failure.
 bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
-                    std::string* error);
+                    std::string* error, size_t jobs = 0);
 
 // The same over a pre-traced input: every cell replays `t`, and the cells'
 // workload is `trace_name` (the grid's workload axis is not used). There is

@@ -27,7 +27,6 @@ uint32_t HeaderCrc(const ArtctHeader& h) {
 ArtctWriter::ArtctWriter(const std::string& path, const FsSnapshot& snapshot,
                          uint32_t chunk_events)
     : path_(path), chunk_events_(chunk_events == 0 ? 1 : chunk_events) {
-  strings_.Intern("");  // id 0: the unset path/name
   std::ostringstream snap;
   WriteSnapshot(snapshot, snap);
   snapshot_text_ = snap.str();
@@ -62,9 +61,9 @@ void ArtctWriter::Add(const TraceEvent& ev) {
   b.aio_id = ev.aio_id;
   b.sync_id = ev.sync_id;
   b.tid = ev.tid;
-  b.path_id = ev.path.empty() ? 0 : string_cache_.Intern(ev.path);
-  b.path2_id = ev.path2.empty() ? 0 : string_cache_.Intern(ev.path2);
-  b.name_id = ev.name.empty() ? 0 : string_cache_.Intern(ev.name);
+  b.path_id = FileStringId(ev.path);
+  b.path2_id = FileStringId(ev.path2);
+  b.name_id = FileStringId(ev.name);
   b.fd = ev.fd;
   b.fd2 = ev.fd2;
   b.flags = ev.flags;
@@ -77,6 +76,21 @@ void ArtctWriter::Add(const TraceEvent& ev) {
   if (chunk_.size() >= chunk_events_) {
     FlushChunk();
   }
+}
+
+uint32_t ArtctWriter::FileStringId(Str s) {
+  if (s.empty()) {
+    return 0;
+  }
+  if (s.id() >= file_ids_.size()) {
+    file_ids_.resize(StringTable().size(), 0);
+  }
+  uint32_t& file_id = file_ids_[s.id()];
+  if (file_id == 0) {
+    file_id = static_cast<uint32_t>(table_ids_.size());
+    table_ids_.push_back(s.id());
+  }
+  return file_id;
 }
 
 bool ArtctWriter::FlushChunk() {
@@ -129,17 +143,18 @@ bool ArtctWriter::Finish(std::string* error) {
   if (error_.empty()) {
     // String table: count, count+1 cumulative offsets, concatenated bytes.
     h.strtab_off = static_cast<uint64_t>(ftello(file_));
-    const uint32_t count = static_cast<uint32_t>(strings_.size());
+    const util::StringInterner& table = StringTable();
+    const uint32_t count = static_cast<uint32_t>(table_ids_.size());
     std::vector<uint32_t> offsets(count + 1, 0);
     for (uint32_t i = 0; i < count; ++i) {
       offsets[i + 1] =
-          offsets[i] + static_cast<uint32_t>(strings_.View(i).size());
+          offsets[i] + static_cast<uint32_t>(table.Str(table_ids_[i]).size());
     }
     bool ok = fwrite(&count, sizeof(count), 1, file_) == 1 &&
               fwrite(offsets.data(), sizeof(uint32_t), offsets.size(), file_) ==
                   offsets.size();
     for (uint32_t i = 0; ok && i < count; ++i) {
-      std::string_view s = strings_.View(i);
+      const std::string& s = table.Str(table_ids_[i]);
       ok = s.empty() || fwrite(s.data(), 1, s.size(), file_) == s.size();
     }
     if (!ok) {
@@ -231,19 +246,34 @@ std::unique_ptr<ArtctReader> ArtctReader::Open(const std::string& path,
   if (h.strtab_bytes < sizeof(uint32_t)) {
     return fail("string table truncated");
   }
-  std::memcpy(&r->str_count_, r->map_ + h.strtab_off, sizeof(uint32_t));
+  uint32_t str_count = 0;
+  std::memcpy(&str_count, r->map_ + h.strtab_off, sizeof(uint32_t));
   const uint64_t offsets_bytes =
-      static_cast<uint64_t>(r->str_count_ + 1) * sizeof(uint32_t);
+      (static_cast<uint64_t>(str_count) + 1) * sizeof(uint32_t);
   if (sizeof(uint32_t) + offsets_bytes > h.strtab_bytes) {
     return fail("string table truncated");
   }
-  r->str_offsets_ = reinterpret_cast<const uint32_t*>(r->map_ + h.strtab_off +
-                                                      sizeof(uint32_t));
-  r->str_bytes_ = reinterpret_cast<const char*>(r->map_ + h.strtab_off +
-                                                sizeof(uint32_t) + offsets_bytes);
+  const uint32_t* offsets =
+      reinterpret_cast<const uint32_t*>(r->map_ + h.strtab_off + sizeof(uint32_t));
+  const char* blob = reinterpret_cast<const char*>(r->map_ + h.strtab_off +
+                                                   sizeof(uint32_t) + offsets_bytes);
   const uint64_t blob_bytes = h.strtab_bytes - sizeof(uint32_t) - offsets_bytes;
-  if (r->str_count_ > 0 && r->str_offsets_[r->str_count_] > blob_bytes) {
+  if (str_count > 0 && offsets[str_count] > blob_bytes) {
     return fail("string table offsets out of bounds");
+  }
+  // Intern the file's strings once; decoding then maps ids by array lookup.
+  std::vector<std::string_view> views(str_count);
+  for (uint32_t i = 0; i < str_count; ++i) {
+    if (offsets[i] > offsets[i + 1]) {
+      return fail("string table offsets out of order");
+    }
+    views[i] = std::string_view(blob + offsets[i], offsets[i + 1] - offsets[i]);
+  }
+  std::vector<uint32_t> ids(str_count);
+  StringTable().InternBatch(views.data(), ids.data(), ids.size());
+  r->strs_.reserve(ids.size());
+  for (uint32_t id : ids) {
+    r->strs_.push_back(Str::FromId(id));
   }
   // Validate the chunk index once here so DecodeChunk can trust it.
   uint64_t next_event = 0;
@@ -276,14 +306,6 @@ ArtctReader::~ArtctReader() {
   }
 }
 
-std::string_view ArtctReader::StringAt(uint32_t id) const {
-  if (id >= str_count_) {
-    return {};
-  }
-  return std::string_view(str_bytes_ + str_offsets_[id],
-                          str_offsets_[id + 1] - str_offsets_[id]);
-}
-
 bool ArtctReader::DecodeChunkInto(uint32_t i, TraceEvent* dst,
                                   std::string* error) const {
   if (i >= header_.chunk_count) {
@@ -308,8 +330,8 @@ bool ArtctReader::DecodeChunkInto(uint32_t i, TraceEvent* dst,
   for (uint32_t j = 0; j < c.count; ++j) {
     const BinaryEvent& b = recs[j];
     if (b.call >= static_cast<uint16_t>(Sys::kCount) ||
-        b.path_id >= str_count_ || b.path2_id >= str_count_ ||
-        b.name_id >= str_count_) {
+        b.path_id >= strs_.size() || b.path2_id >= strs_.size() ||
+        b.name_id >= strs_.size()) {
       if (error != nullptr) {
         *error = StrFormat(
             "chunk %u record %u (event %llu) is corrupt despite a clean CRC",
@@ -324,8 +346,8 @@ bool ArtctReader::DecodeChunkInto(uint32_t i, TraceEvent* dst,
     ev.enter = b.enter;
     ev.ret_time = b.ret_time;
     ev.ret = b.ret;
-    ev.path.assign(StringAt(b.path_id));
-    ev.path2.assign(StringAt(b.path2_id));
+    ev.path = strs_[b.path_id];
+    ev.path2 = strs_[b.path2_id];
     ev.fd = b.fd;
     ev.fd2 = b.fd2;
     ev.offset = b.offset;
@@ -333,7 +355,7 @@ bool ArtctReader::DecodeChunkInto(uint32_t i, TraceEvent* dst,
     ev.flags = b.flags;
     ev.mode = b.mode;
     ev.whence = b.whence;
-    ev.name.assign(StringAt(b.name_id));
+    ev.name = strs_[b.name_id];
     ev.aio_id = b.aio_id;
     ev.sync_id = b.sync_id;
   }

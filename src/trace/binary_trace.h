@@ -37,7 +37,6 @@
 #include "src/trace/event.h"
 #include "src/trace/snapshot.h"
 #include "src/trace/trace_io.h"
-#include "src/util/interner.h"
 
 namespace artc::trace {
 
@@ -121,14 +120,17 @@ class ArtctWriter {
 
  private:
   bool FlushChunk();
+  uint32_t FileStringId(Str s);
 
   std::string path_;
   FILE* file_ = nullptr;
   uint32_t chunk_events_;
   std::vector<BinaryEvent> chunk_;     // current chunk's records
   std::vector<ArtctChunk> index_;
-  util::StringInterner strings_;       // "" pre-interned as id 0
-  util::LocalBatch string_cache_{&strings_};  // lock-free repeat-path hits
+  // This file's string ids, assigned in first-sight order so the file
+  // bytes never depend on StringTable() ids.
+  std::vector<uint32_t> file_ids_;      // table id -> file id (0: unseen)
+  std::vector<uint32_t> table_ids_{0};  // file id -> table id; 0 is ""
   uint64_t event_count_ = 0;
   std::string snapshot_text_;
   std::string error_;
@@ -136,10 +138,12 @@ class ArtctWriter {
 };
 
 // Read-only view over an mmap'ed ARTCT file. Open() validates the header
-// CRC/version and parses the (small) snapshot and string-table index;
-// DecodeChunkInto() verifies the chunk CRC and materializes TraceEvents.
-// DecodeChunkInto and StringAt are const and touch only immutable mapped
-// bytes, so chunks can be decoded concurrently from ThreadPool workers.
+// CRC/version, parses the (small) snapshot and interns the file's string
+// table into StringTable() once; DecodeChunkInto() verifies the chunk CRC
+// and materializes TraceEvents, mapping each record's string ids through
+// that one lookup array. DecodeChunkInto is const and touches only
+// immutable state, so chunks can be decoded concurrently from ThreadPool
+// workers.
 // Whole files are loaded through ParallelReadTraceFile (stream_reader.h).
 class ArtctReader {
  public:
@@ -169,9 +173,6 @@ class ArtctReader {
   // mapping never accumulates in RSS.
   void ReleaseChunkPages(uint32_t first, uint32_t count) const;
 
-  std::string_view StringAt(uint32_t id) const;
-  uint32_t string_count() const { return str_count_; }
-
  private:
   ArtctReader() = default;
 
@@ -179,9 +180,7 @@ class ArtctReader {
   const unsigned char* map_ = nullptr;  // whole-file mapping
   size_t map_len_ = 0;
   const ArtctChunk* index_ = nullptr;   // points into the mapping
-  const uint32_t* str_offsets_ = nullptr;
-  const char* str_bytes_ = nullptr;
-  uint32_t str_count_ = 0;
+  std::vector<Str> strs_;  // file string id -> StringTable() handle
   FsSnapshot snapshot_;
 };
 

@@ -7,8 +7,10 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "src/trace/string_table.h"
 #include "src/trace/syscalls.h"
 #include "src/util/time.h"
 
@@ -36,34 +38,40 @@ inline constexpr int kENOTSUP = 95;
 
 const char* ErrnoName(int err);
 
+// A trivially copyable 104-byte record: eight 64-bit fields, six 32-bit
+// fields, three string ids and the call. Strings are Str handles into the
+// process-wide string table (string_table.h), so copying or moving an
+// event never allocates and a million-event trace is one flat block.
 struct TraceEvent {
   uint64_t index = 0;     // position in the trace (dense, from 0)
-  uint32_t tid = 0;       // numeric id of the issuing thread
-  Sys call = Sys::kCount;
   TimeNs enter = 0;       // entry timestamp
   TimeNs ret_time = 0;    // return timestamp
   int64_t ret = 0;        // return value or -errno
 
   // Parameters. Unused fields keep their defaults; which fields are
   // meaningful depends on `call`.
-  std::string path;       // primary path argument
-  std::string path2;      // second path (rename/link/symlink target)
-  int32_t fd = -1;        // primary fd argument
-  int32_t fd2 = -1;       // dup2's new fd
   int64_t offset = -1;    // pread/pwrite/lseek offset
   uint64_t size = 0;      // byte count / truncate length
-  uint32_t flags = 0;     // portable open flags / call-specific flags
-  uint32_t mode = 0;      // creation mode
-  int32_t whence = 0;     // lseek whence
-  std::string name;       // xattr name
   uint64_t aio_id = 0;    // identity of the aiocb for aio_* calls
   uint64_t sync_id = 0;   // identity of the sync object for sync calls;
                           // for thread_join, the joined thread's id
+  uint32_t tid = 0;       // numeric id of the issuing thread
+  Str path;               // primary path argument
+  Str path2;              // second path (rename/link/symlink target)
+  Str name;               // xattr name
+  int32_t fd = -1;        // primary fd argument
+  int32_t fd2 = -1;       // dup2's new fd
+  uint32_t flags = 0;     // portable open flags / call-specific flags
+  uint32_t mode = 0;      // creation mode
+  int32_t whence = 0;     // lseek whence
+  Sys call = Sys::kCount;
 
   TimeNs Duration() const { return ret_time - enter; }
   bool Failed() const { return ret < 0; }
   int Errno() const { return ret < 0 ? static_cast<int>(-ret) : 0; }
 };
+static_assert(std::is_trivially_copyable_v<TraceEvent> && sizeof(TraceEvent) <= 104,
+              "TraceEvent must stay a compact POD");
 
 struct Trace {
   std::vector<TraceEvent> events;

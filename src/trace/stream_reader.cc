@@ -139,12 +139,13 @@ void CountChunk(TextChunk* c, const std::string& path) {
 void ParseChunk(TextChunk* c, const std::string& path, bool skip_bad,
                 std::vector<TraceEvent>* out) {
   TraceEvent* dst = out->data() + c->event_base;
+  util::LocalBatch strings(&StringTable());
   ForEachLine(*c, [&](std::string_view line, uint64_t off, size_t k) {
     if (c->failed || Classify(line) != LineClass::kEvent) {
       return;
     }
     std::string error;
-    if (ParseEventLine(line, &dst[c->parsed], &error)) {
+    if (ParseEventLine(line, &dst[c->parsed], &error, &strings)) {
       dst[c->parsed].index = c->event_base + c->parsed;
       c->parsed++;
       return;
@@ -186,8 +187,8 @@ bool ParallelReadArtct(const std::string& path, util::ThreadPool& pool,
     const uint32_t ci = static_cast<uint32_t>(i);
     reader->DecodeChunkInto(ci, events.data() + reader->chunk(ci).first_event,
                             &chunk_errors[i]);
-    // The events own copies of everything decoded; drop the chunk's pages
-    // so the whole file is never resident beside the event array.
+    // The events hold nothing that points into the mapping; drop the
+    // chunk's pages so the whole file is never resident beside the events.
     reader->ReleaseChunkPages(ci, 1);
   });
   for (const std::string& e : chunk_errors) {
@@ -446,8 +447,9 @@ bool StreamReader::Next(std::vector<TraceEvent>* window, ParseDiag* diag) {
       ARTC_OBS_COUNT("stream.windows", 1);
       ARTC_OBS_COUNT("stream.events", count);
     }
-    // The window owns copies of everything it needs; let the kernel drop
-    // the decoded record pages so RSS tracks the window, not the file.
+    // The window holds nothing that points into the mapping; let the
+    // kernel drop the decoded record pages so RSS tracks the window, not
+    // the file.
     reader_->ReleaseChunkPages(first, nchunks);
     return true;
   }
@@ -493,7 +495,7 @@ bool StreamReader::Next(std::vector<TraceEvent>* window, ParseDiag* diag) {
     }
     TraceEvent ev;
     std::string error;
-    if (!ParseEventLine(line, &ev, &error)) {
+    if (!ParseEventLine(line, &ev, &error, &text_strings_)) {
       diag->file = path_;
       diag->line = cur_lineno;
       diag->byte_offset = cur_off;

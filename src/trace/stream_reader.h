@@ -123,6 +123,7 @@ class StreamReader {
   size_t lineno_ = 0;
   uint64_t byte_off_ = 0;
   uint64_t next_index_ = 0;
+  util::LocalBatch text_strings_{&StringTable()};
 };
 
 }  // namespace artc::trace

@@ -87,7 +87,8 @@ bool ParseI64(std::string_view s, int64_t* out) {
 
 }  // namespace
 
-bool ParseEventLine(std::string_view line, TraceEvent* out, std::string* error) {
+bool ParseEventLine(std::string_view line, TraceEvent* out, std::string* error,
+                    util::LocalBatch* strings) {
   // Trim trailing whitespace/CR.
   while (!line.empty() && (line.back() == '\r' || line.back() == '\n' || line.back() == ' ')) {
     line.remove_suffix(1);
@@ -145,9 +146,9 @@ bool ParseEventLine(std::string_view line, TraceEvent* out, std::string* error) 
       ev.ret = num;
       have_ret = true;
     } else if (key == "path") {
-      ev.path = value;
+      ev.path = Str::FromId(strings->Intern(value));
     } else if (key == "path2") {
-      ev.path2 = value;
+      ev.path2 = Str::FromId(strings->Intern(value));
     } else if (key == "fd") {
       ev.fd = static_cast<int32_t>(num);
     } else if (key == "fd2") {
@@ -163,7 +164,7 @@ bool ParseEventLine(std::string_view line, TraceEvent* out, std::string* error) 
     } else if (key == "whence") {
       ev.whence = static_cast<int32_t>(num);
     } else if (key == "name") {
-      ev.name = value;
+      ev.name = Str::FromId(strings->Intern(value));
     } else if (key == "aio") {
       ev.aio_id = static_cast<uint64_t>(num);
     } else if (key == "sync") {
@@ -196,6 +197,7 @@ std::string ParseDiag::Format() const {
 }
 
 bool ReadTrace(std::istream& in, Trace* out, ParseDiag* diag) {
+  util::LocalBatch strings(&StringTable());
   std::string line;
   size_t lineno = 0;
   uint64_t offset = 0;
@@ -205,7 +207,7 @@ bool ReadTrace(std::istream& in, Trace* out, ParseDiag* diag) {
     offset += line.size() + 1;  // the newline getline consumed
     TraceEvent ev;
     std::string error;
-    if (ParseEventLine(line, &ev, &error)) {
+    if (ParseEventLine(line, &ev, &error, &strings)) {
       ev.index = out->events.size();  // reindex densely
       out->events.push_back(std::move(ev));
     } else if (!error.empty()) {
@@ -245,6 +247,7 @@ constexpr std::string_view kSnapshotLinePrefix = "#snapshot ";
 }  // namespace
 
 bool ReadTraceBundle(std::istream& in, TraceBundle* out, ParseDiag* diag) {
+  util::LocalBatch strings(&StringTable());
   std::string line;
   size_t lineno = 0;
   uint64_t offset = 0;
@@ -261,7 +264,7 @@ bool ReadTraceBundle(std::istream& in, TraceBundle* out, ParseDiag* diag) {
       }
     } else {
       TraceEvent ev;
-      if (ParseEventLine(line, &ev, &error)) {
+      if (ParseEventLine(line, &ev, &error, &strings)) {
         ev.index = out->trace.events.size();
         out->trace.events.push_back(std::move(ev));
         continue;

@@ -46,7 +46,10 @@ void WriteTrace(const Trace& trace, std::ostream& out);
 void WriteTraceFile(const Trace& trace, const std::string& path);
 
 // Parses one native-format line; returns false for blank/comment lines.
-bool ParseEventLine(std::string_view line, TraceEvent* out, std::string* error);
+// Paths and names are interned into StringTable() through `strings`, one
+// per reader, so the shared lock is taken once per distinct string.
+bool ParseEventLine(std::string_view line, TraceEvent* out, std::string* error,
+                    util::LocalBatch* strings);
 
 // ---------------------------------------------------------------------------
 // Trace bundles: a trace plus the initial file-tree snapshot it replays

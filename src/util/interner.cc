@@ -1,42 +1,36 @@
 #include "src/util/interner.h"
 
-#include <algorithm>
-#include <cstring>
-
-#include "src/util/check.h"
-
 namespace artc::util {
 
-namespace {
-constexpr size_t kChunkBytes = 64 << 10;
-}  // namespace
-
-std::string_view StringInterner::Store(std::string_view s) {
-  if (chunks_.empty() || chunk_used_ + s.size() > chunk_cap_) {
-    size_t cap = std::max(kChunkBytes, s.size());
-    chunks_.push_back(std::make_unique<char[]>(cap));
-    chunk_used_ = 0;
-    chunk_cap_ = cap;
+StringInterner::~StringInterner() {
+  for (std::atomic<std::string*>& seg : segments_) {
+    delete[] seg.load(std::memory_order_relaxed);
   }
-  char* dst = chunks_.back().get() + chunk_used_;
-  std::memcpy(dst, s.data(), s.size());
-  chunk_used_ += s.size();
+}
+
+uint32_t StringInterner::Append(std::string_view s) {
+  const uint32_t id = size_.load(std::memory_order_relaxed);
+  ARTC_CHECK_MSG(id < UINT32_MAX, "interner id space exhausted");
+  const uint64_t x = (static_cast<uint64_t>(id) >> kFirstBits) + 1;
+  const int seg = std::bit_width(x) - 1;
+  std::string* base = segments_[seg].load(std::memory_order_relaxed);
+  if (base == nullptr) {
+    base = new std::string[kFirstSegment << seg];
+    segments_[seg].store(base, std::memory_order_relaxed);
+  }
+  std::string& entry = base[id - ((uint64_t{1} << seg) - 1) * kFirstSegment];
+  entry.assign(s);
+  ids_.emplace(entry, id);
   payload_ += s.size();
-  return std::string_view(dst, s.size());
+  // Publishes the entry (and its segment pointer) to lock-free readers.
+  size_.store(id + 1, std::memory_order_release);
+  return id;
 }
 
 uint32_t StringInterner::Intern(std::string_view s) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = ids_.find(s);
-  if (it != ids_.end()) {
-    return it->second;
-  }
-  ARTC_CHECK_MSG(views_.size() < UINT32_MAX, "interner id space exhausted");
-  std::string_view stored = Store(s);
-  uint32_t id = static_cast<uint32_t>(views_.size());
-  views_.push_back(stored);
-  ids_.emplace(stored, id);
-  return id;
+  return it != ids_.end() ? it->second : Append(s);
 }
 
 void StringInterner::InternBatch(const std::string_view* strs, uint32_t* ids,
@@ -44,28 +38,8 @@ void StringInterner::InternBatch(const std::string_view* strs, uint32_t* ids,
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < count; ++i) {
     auto it = ids_.find(strs[i]);
-    if (it != ids_.end()) {
-      ids[i] = it->second;
-      continue;
-    }
-    ARTC_CHECK_MSG(views_.size() < UINT32_MAX, "interner id space exhausted");
-    std::string_view stored = Store(strs[i]);
-    const uint32_t id = static_cast<uint32_t>(views_.size());
-    views_.push_back(stored);
-    ids_.emplace(stored, id);
-    ids[i] = id;
+    ids[i] = it != ids_.end() ? it->second : Append(strs[i]);
   }
-}
-
-std::string_view StringInterner::View(uint32_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ARTC_CHECK_MSG(id < views_.size(), "interner id out of range");
-  return views_[id];
-}
-
-size_t StringInterner::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return views_.size();
 }
 
 size_t StringInterner::payload_bytes() const {

@@ -2,34 +2,43 @@
 // pipeline interns path names once and does all subsequent bookkeeping
 // (shadow-tree children, path-generation tables) on the ids, so the hot
 // annotation loops compare and hash 4-byte integers instead of rebuilding
-// std::string keys per component.
+// std::string keys per component. The process-wide trace string table
+// (src/trace/string_table.h) is one of these.
 //
-// Interned views are stable for the lifetime of the interner: string bytes
-// live in append-only chunks that are never reallocated.
+// Interned strings never move: each lives in a std::string inside an
+// append-only segment, and segment s holds kFirstSegment << s entries, so
+// the 25 segment slots cover the whole 32-bit id space without ever
+// reallocating one. Str()/View() references stay valid for the interner's
+// lifetime.
 //
-// Thread safety: Intern/View/size may be called concurrently from multiple
-// threads (a single mutex; the annotator owns a private interner, so the
-// lock is uncontended on the hot path). Parallel producers that intern in
-// bulk — the ARTCT writer encoding a chunk of events, a parallel parser —
-// should batch through InternBatch or a LocalBatch: one lock acquisition
-// per batch instead of one per string (see bench_components_micro for the
-// contended-vs-batched numbers).
+// Thread safety: Intern/InternBatch take a mutex. Str/View/size take no
+// lock: an entry is fully built before the release store that raises
+// size(), and lookups acquire-load that count before reading the entry, so
+// an id may be read on any thread while others keep interning. Parallel
+// producers that intern in bulk (the ARTCT writer, the parallel text
+// parser) should batch through InternBatch or a LocalBatch: one lock
+// acquisition per batch instead of one per string (see
+// bench_components_micro for the contended-vs-batched numbers).
 #ifndef SRC_UTIL_INTERNER_H_
 #define SRC_UTIL_INTERNER_H_
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
+
+#include "src/util/check.h"
 
 namespace artc::util {
 
 class StringInterner {
  public:
   StringInterner() = default;
+  ~StringInterner();
   StringInterner(const StringInterner&) = delete;
   StringInterner& operator=(const StringInterner&) = delete;
 
@@ -41,26 +50,36 @@ class StringInterner {
   // first sight) at a fraction of the contention.
   void InternBatch(const std::string_view* strs, uint32_t* ids, size_t count);
 
-  // The interned bytes for `id`. Valid for the interner's lifetime.
-  std::string_view View(uint32_t id) const;
+  // The interned string for `id`. Lock-free; valid for the interner's
+  // lifetime.
+  const std::string& Str(uint32_t id) const {
+    ARTC_CHECK_MSG(id < size_.load(std::memory_order_acquire),
+                   "interner id %u out of range", id);
+    const uint64_t x = (static_cast<uint64_t>(id) >> kFirstBits) + 1;
+    const int seg = std::bit_width(x) - 1;
+    return segments_[seg].load(std::memory_order_relaxed)
+        [id - ((uint64_t{1} << seg) - 1) * kFirstSegment];
+  }
+  std::string_view View(uint32_t id) const { return Str(id); }
 
   // Number of distinct strings interned so far.
-  size_t size() const;
+  size_t size() const { return size_.load(std::memory_order_acquire); }
 
   // Total bytes of string payload stored (diagnostics).
   size_t payload_bytes() const;
 
  private:
-  friend class LocalBatch;
-  // Copies `s` into chunk storage and returns a stable view of the copy.
-  std::string_view Store(std::string_view s);
+  static constexpr int kFirstBits = 8;
+  static constexpr uint64_t kFirstSegment = uint64_t{1} << kFirstBits;
+  static constexpr int kSegments = 25;  // kFirstSegment * (2^25 - 1) >= 2^32
+
+  // Appends `s` as the next id; caller holds mu_.
+  uint32_t Append(std::string_view s);
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string_view, uint32_t> ids_;  // keys view into chunks
-  std::vector<std::string_view> views_;                 // id -> stable view
-  std::vector<std::unique_ptr<char[]>> chunks_;
-  size_t chunk_used_ = 0;
-  size_t chunk_cap_ = 0;
+  std::unordered_map<std::string_view, uint32_t> ids_;  // keys view entries
+  std::array<std::atomic<std::string*>, kSegments> segments_{};
+  std::atomic<uint32_t> size_{0};
   size_t payload_ = 0;
 };
 

@@ -396,6 +396,17 @@ Vfs::OpenFile* Vfs::GetOpenFile(int32_t fd) {
   return fd_table_[static_cast<size_t>(fd)].get();
 }
 
+trace::TraceEvent Vfs::Proto(std::string_view path, std::string_view path2,
+                             std::string_view name) const {
+  trace::TraceEvent proto;
+  if (recorder_ != nullptr) {
+    proto.path = path;
+    proto.path2 = path2;
+    proto.name = name;
+  }
+  return proto;
+}
+
 template <typename Fn>
 VfsResult Vfs::Traced(trace::Sys call, Fn&& body, trace::TraceEvent proto) {
   if (recorder_ == nullptr) {
@@ -416,8 +427,7 @@ VfsResult Vfs::Traced(trace::Sys call, Fn&& body, trace::TraceEvent proto) {
 // ---------------------------------------------------------------------------
 
 VfsResult Vfs::Open(const std::string& path, uint32_t flags, uint32_t mode) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   proto.flags = flags;
   proto.mode = mode;
   auto body = [&]() -> VfsResult {
@@ -544,8 +554,7 @@ VfsResult Vfs::Dup2(int32_t fd, int32_t newfd) {
 }
 
 VfsResult Vfs::Mkdir(const std::string& path, uint32_t mode) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   proto.mode = mode;
   return Traced(trace::Sys::kMkdir, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
@@ -573,8 +582,7 @@ VfsResult Vfs::Mkdir(const std::string& path, uint32_t mode) {
 }
 
 VfsResult Vfs::Rmdir(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kRmdir, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/false, /*timed=*/true);
@@ -611,8 +619,7 @@ VfsResult Vfs::Rmdir(const std::string& path) {
 }
 
 VfsResult Vfs::Unlink(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kUnlink, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/false, /*timed=*/true);
@@ -639,9 +646,7 @@ VfsResult Vfs::Unlink(const std::string& path) {
 }
 
 VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
-  trace::TraceEvent proto;
-  proto.path = from;
-  proto.path2 = to;
+  trace::TraceEvent proto = Proto(from, to);
   return Traced(trace::Sys::kRename, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu * 2);
     ResolveOutcome src = Resolve(from, /*follow_last=*/false, /*timed=*/true);
@@ -719,9 +724,7 @@ VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
 }
 
 VfsResult Vfs::Link(const std::string& existing, const std::string& link) {
-  trace::TraceEvent proto;
-  proto.path = existing;
-  proto.path2 = link;
+  trace::TraceEvent proto = Proto(existing, link);
   return Traced(trace::Sys::kLink, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome src = Resolve(existing, /*follow_last=*/true, /*timed=*/true);
@@ -754,9 +757,7 @@ VfsResult Vfs::Link(const std::string& existing, const std::string& link) {
 }
 
 VfsResult Vfs::Symlink(const std::string& target, const std::string& link) {
-  trace::TraceEvent proto;
-  proto.path = target;
-  proto.path2 = link;
+  trace::TraceEvent proto = Proto(target, link);
   return Traced(trace::Sys::kSymlink, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome dst = Resolve(link, /*follow_last=*/false, /*timed=*/true);
@@ -783,8 +784,7 @@ VfsResult Vfs::Symlink(const std::string& target, const std::string& link) {
 }
 
 VfsResult Vfs::Readlink(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kReadlink, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/false, /*timed=*/true);
@@ -993,8 +993,7 @@ VfsResult Vfs::Lseek(int32_t fd, int64_t offset, int whence) {
 }
 
 VfsResult Vfs::Truncate(const std::string& path, uint64_t length) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   proto.size = length;
   return Traced(trace::Sys::kTruncate, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
@@ -1111,8 +1110,7 @@ VfsResult Vfs::SyncAll() {
 // ---------------------------------------------------------------------------
 
 VfsResult Vfs::Stat(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kStat, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/true, /*timed=*/true);
@@ -1125,8 +1123,7 @@ VfsResult Vfs::Stat(const std::string& path) {
 }
 
 VfsResult Vfs::Lstat(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kLstat, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/false, /*timed=*/true);
@@ -1152,8 +1149,7 @@ VfsResult Vfs::Fstat(int32_t fd) {
 }
 
 VfsResult Vfs::Access(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kAccess, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/true, /*timed=*/true);
@@ -1165,8 +1161,7 @@ VfsResult Vfs::Access(const std::string& path) {
 }
 
 VfsResult Vfs::StatFs(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kStatFs, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/true, /*timed=*/true);
@@ -1175,8 +1170,7 @@ VfsResult Vfs::StatFs(const std::string& path) {
 }
 
 VfsResult Vfs::Chmod(const std::string& path, uint32_t mode) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   proto.mode = mode;
   return Traced(trace::Sys::kChmod, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
@@ -1192,8 +1186,7 @@ VfsResult Vfs::Chmod(const std::string& path, uint32_t mode) {
 }
 
 VfsResult Vfs::Utimes(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kUtimes, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/true, /*timed=*/true);
@@ -1236,9 +1229,7 @@ VfsResult Vfs::GetDirEntries(int32_t fd, uint64_t count) {
 // ---------------------------------------------------------------------------
 
 VfsResult Vfs::GetXattr(const std::string& path, const std::string& name) {
-  trace::TraceEvent proto;
-  proto.path = path;
-  proto.name = name;
+  trace::TraceEvent proto = Proto(path, {}, name);
   return Traced(trace::Sys::kGetXattr, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/true, /*timed=*/true);
@@ -1255,9 +1246,7 @@ VfsResult Vfs::GetXattr(const std::string& path, const std::string& name) {
 }
 
 VfsResult Vfs::SetXattr(const std::string& path, const std::string& name, uint64_t size) {
-  trace::TraceEvent proto;
-  proto.path = path;
-  proto.name = name;
+  trace::TraceEvent proto = Proto(path, {}, name);
   proto.size = size;
   return Traced(trace::Sys::kSetXattr, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
@@ -1273,8 +1262,7 @@ VfsResult Vfs::SetXattr(const std::string& path, const std::string& name, uint64
 }
 
 VfsResult Vfs::ListXattr(const std::string& path) {
-  trace::TraceEvent proto;
-  proto.path = path;
+  trace::TraceEvent proto = Proto(path);
   return Traced(trace::Sys::kListXattr, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/true, /*timed=*/true);
@@ -1291,9 +1279,7 @@ VfsResult Vfs::ListXattr(const std::string& path) {
 }
 
 VfsResult Vfs::RemoveXattr(const std::string& path, const std::string& name) {
-  trace::TraceEvent proto;
-  proto.path = path;
-  proto.name = name;
+  trace::TraceEvent proto = Proto(path, {}, name);
   return Traced(trace::Sys::kRemoveXattr, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, /*follow_last=*/true, /*timed=*/true);
@@ -1312,9 +1298,8 @@ VfsResult Vfs::RemoveXattr(const std::string& path, const std::string& name) {
 }
 
 VfsResult Vfs::FGetXattr(int32_t fd, const std::string& name) {
-  trace::TraceEvent proto;
+  trace::TraceEvent proto = Proto({}, {}, name);
   proto.fd = fd;
-  proto.name = name;
   return Traced(trace::Sys::kFGetXattr, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
     OpenFile* of = GetOpenFile(fd);
@@ -1331,9 +1316,8 @@ VfsResult Vfs::FGetXattr(int32_t fd, const std::string& name) {
 }
 
 VfsResult Vfs::FSetXattr(int32_t fd, const std::string& name, uint64_t size) {
-  trace::TraceEvent proto;
+  trace::TraceEvent proto = Proto({}, {}, name);
   proto.fd = fd;
-  proto.name = name;
   proto.size = size;
   return Traced(trace::Sys::kFSetXattr, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu);
@@ -1406,9 +1390,7 @@ VfsResult Vfs::Fallocate(int32_t fd, int64_t offset, uint64_t len) {
 }
 
 VfsResult Vfs::ExchangeData(const std::string& a, const std::string& b) {
-  trace::TraceEvent proto;
-  proto.path = a;
-  proto.path2 = b;
+  trace::TraceEvent proto = Proto(a, b);
   return Traced(trace::Sys::kExchangeData, [&]() -> VfsResult {
     sim_->Sleep(fs_.meta_cpu * 2);
     ResolveOutcome ra = Resolve(a, /*follow_last=*/true, /*timed=*/true);

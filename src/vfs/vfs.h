@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -219,6 +220,11 @@ class Vfs {
   int32_t AllocFd(std::shared_ptr<OpenFile> of);
   OpenFile* GetOpenFile(int32_t fd);
 
+  // The event Traced() records, with its string arguments interned only
+  // while a recorder is attached: an untraced replay never touches the
+  // trace string table.
+  trace::TraceEvent Proto(std::string_view path = {}, std::string_view path2 = {},
+                          std::string_view name = {}) const;
   // Trace recording helper: wraps a syscall body, stamping enter/ret times.
   template <typename Fn>
   VfsResult Traced(trace::Sys call, Fn&& body, trace::TraceEvent proto);

@@ -3,19 +3,29 @@
 // counting one, warms a storage stack up with one pass of a workload, drops
 // the cache, and asserts that a second pass of the same workload makes no
 // heap allocation: submit, scheduler, device, completion, wake-up, eviction
-// and write-back all run on storage that the first pass left behind.
+// and write-back all run on storage that the first pass left behind. A
+// last gate bounds the allocations of an ARTCT decode by the trace's
+// distinct strings.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "src/sim/simulation.h"
 #include "src/storage/storage_stack.h"
+#include "src/trace/binary_trace.h"
+#include "src/trace/stream_reader.h"
 #include "src/util/rng.h"
+#include "src/util/strings.h"
+#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -188,6 +198,65 @@ TEST(AllocGate, CounterCountsAllocations) {
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
   delete sink;
   EXPECT_GE(after - before, 2u);
+}
+
+// Decoding an ARTCT file allocates per distinct string, not per event: the
+// reader interns the file's string table once at Open, and each event keeps
+// 4-byte string ids. 100k events cycle through 500 paths, all longer than
+// the 15 bytes a std::string keeps inline.
+TEST(AllocGate, ArtctDecodeScalesWithDistinctStrings) {
+  constexpr size_t kEvents = 100'000;
+  constexpr size_t kDistinct = 500;
+  trace::Trace t;
+  t.events.resize(kEvents);
+  for (size_t i = 0; i < kEvents; ++i) {
+    trace::TraceEvent& ev = t.events[i];
+    ev.index = i;
+    ev.call = trace::Sys::kStat;
+    ev.enter = static_cast<TimeNs>(i) * 10;
+    ev.ret_time = ev.enter + 5;
+    ev.path = StrFormat("/srv/written_/htdocs/doc_%04zu.html", i % kDistinct);
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "alloc_gate_decode.artct").string();
+  std::string error;
+  ASSERT_TRUE(trace::WriteArtctFile(path, t, trace::FsSnapshot{}, &error)) << error;
+  // Writing interned the written paths. Rename them in the file's string
+  // table (same length; the table sits outside the chunk CRCs) so the
+  // decode below interns strings this process has not seen.
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  size_t renamed = 0;
+  for (size_t at = bytes.find("/written_/"); at != std::string::npos;
+       at = bytes.find("/written_/", at)) {
+    bytes.replace(at, 10, "/decoded_/");
+    ++renamed;
+  }
+  ASSERT_EQ(renamed, kDistinct);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  util::ThreadPool pool(1);
+  trace::ParallelReadOptions opt;
+  opt.pool = &pool;
+  trace::ParallelReadResult res;
+  trace::ParseDiag diag;
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  ASSERT_TRUE(trace::ParallelReadTraceFile(path, opt, &res, &diag)) << diag.Format();
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  std::remove(path.c_str());
+
+  ASSERT_EQ(res.bundle.trace.events.size(), kEvents);
+  EXPECT_EQ(res.bundle.trace.events[kEvents - 1].path,
+            StrFormat("/srv/decoded_/htdocs/doc_%04zu.html", (kEvents - 1) % kDistinct));
+  std::printf("ARTCT decode of %zu events, %zu distinct paths: %llu allocations\n",
+              kEvents, kDistinct, static_cast<unsigned long long>(allocations));
+  EXPECT_LE(allocations, 3 * kDistinct + 100);
 }
 
 }  // namespace

@@ -422,6 +422,45 @@ TEST(BinaryTrace, RejectsVersion1) {
   std::remove(bin.c_str());
 }
 
+// The string table has no CRC either: a count whose offsets would run past
+// the section, and offsets that go backwards, must be rejected at Open.
+TEST(BinaryTrace, CorruptStringTableRejected) {
+  check::GenOptions gen;
+  gen.seed = 8;
+  trace::TraceBundle orig = check::GenerateTrace(gen);
+  const std::string bin = TempPath("artct_badstrtab.artct");
+  std::string error;
+  ASSERT_TRUE(trace::WriteArtctFile(bin, orig.trace, orig.snapshot, &error));
+  trace::ArtctHeader h;
+  uint32_t count = 0;
+  std::vector<uint32_t> offsets;
+  {
+    std::ifstream f(bin, std::ios::binary);
+    f.read(reinterpret_cast<char*>(&h), sizeof(h));
+    f.seekg(static_cast<std::streamoff>(h.strtab_off));
+    f.read(reinterpret_cast<char*>(&count), sizeof(count));
+    offsets.resize(count + 1);
+    f.read(reinterpret_cast<char*>(offsets.data()),
+           static_cast<std::streamsize>(offsets.size() * sizeof(uint32_t)));
+  }
+  ASSERT_GE(count, 3u);
+  ASSERT_LT(offsets[2], offsets[count]);
+  auto patch = [&](uint64_t off, uint32_t value) {
+    std::fstream f(bin, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(off));
+    f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  patch(h.strtab_off, UINT32_MAX);
+  EXPECT_EQ(trace::ArtctReader::Open(bin, &error), nullptr);
+  EXPECT_NE(error.find("string table truncated"), std::string::npos) << error;
+
+  patch(h.strtab_off, count);
+  patch(h.strtab_off + 2 * sizeof(uint32_t), offsets[count]);  // offsets[1]
+  EXPECT_EQ(trace::ArtctReader::Open(bin, &error), nullptr);
+  EXPECT_NE(error.find("string table offsets out of order"), std::string::npos) << error;
+  std::remove(bin.c_str());
+}
+
 // The ARTCT snapshot section has no CRC; an entry edited to an unknown type
 // must surface as a diagnostic from every reader that opens the file.
 TEST(BinaryTrace, CorruptSnapshotSectionDiagnosed) {

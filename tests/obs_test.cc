@@ -49,6 +49,36 @@ TEST(MetricsRegistry, CountersAndGaugesMergeAcrossThreads) {
   EXPECT_GE(reg.ShardCount(), static_cast<size_t>(kThreads));
 }
 
+// Two sweeps in one process report progress into one registry, each from
+// its own threads: a Set wins over every earlier update, whichever thread's
+// shard holds it, and later Adds move the gauge from the set value.
+TEST(MetricsRegistry, SetIsLastWriterAcrossSweeps) {
+  MetricsRegistry reg;
+  MetricId total = reg.Gauge("sweep.cells_total");
+  MetricId inflight = reg.Gauge("sweep.cells_inflight");
+  std::thread first([&] {
+    reg.Set(total, 8);
+    for (int i = 0; i < 8; ++i) {
+      reg.Add(inflight, 1);
+    }
+    reg.Add(inflight, -3);
+  });
+  first.join();
+  MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.gauges.at("sweep.cells_total"), 8);
+  EXPECT_EQ(snap.gauges.at("sweep.cells_inflight"), 5);
+  std::thread second([&] {
+    reg.Set(total, 2);
+    reg.Set(inflight, 0);
+  });
+  second.join();
+  snap = reg.Snapshot();
+  EXPECT_EQ(snap.gauges.at("sweep.cells_total"), 2);
+  EXPECT_EQ(snap.gauges.at("sweep.cells_inflight"), 0);
+  reg.Add(inflight, 1);
+  EXPECT_EQ(reg.Snapshot().gauges.at("sweep.cells_inflight"), 1);
+}
+
 TEST(MetricsRegistry, RegistrationInternsByName) {
   MetricsRegistry reg;
   MetricId a = reg.Counter("same.name");

@@ -342,6 +342,28 @@ TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
   }
 }
 
+TEST(SweepTest, PlanIsIndependentOfItsWorkerCount) {
+  // Four traces and four original runs: built serially and on four
+  // workers, the plans must replay to the same rows.
+  std::vector<SweepGrid> grids;
+  std::string error;
+  ASSERT_TRUE(ParseGridText("workload = seq_readers, random_readers\n"
+                            "source = hdd, ssd\n"
+                            "method = artc\n"
+                            "storage = hdd, ssd\n",
+                            &grids, &error));
+  SweepPlan serial;
+  SweepPlan parallel;
+  ASSERT_TRUE(BuildSweepPlan(grids, &serial, &error, 1)) << error;
+  ASSERT_TRUE(BuildSweepPlan(grids, &parallel, &error, 4)) << error;
+  EXPECT_EQ(serial.compiled.size(), 4u);
+  EXPECT_EQ(serial.originals, parallel.originals);
+  ASSERT_EQ(serial.originals.size(), 4u);
+  SweepReport a, b;
+  EXPECT_EQ(SweepToString(serial, 2, 0, &a), SweepToString(parallel, 2, 0, &b));
+  EXPECT_EQ(a.digest_sum, b.digest_sum);
+}
+
 TEST(SweepTest, NamedWorkloadCellsCarryTheOriginalRunAndReplayError) {
   // Fig. 5(d)'s program traced once on a 100 ms CFQ slice, replayed and
   // measured on two targets.

@@ -95,7 +95,9 @@ TEST(TraceIo, QuotedEscapes) {
   // handles escaped input.
   TraceEvent out;
   std::string error;
-  ASSERT_TRUE(ParseEventLine("0 1 0 0 open ret=3 path=\"/a/\\\"q\\\"\"", &out, &error))
+  util::LocalBatch strings(&StringTable());
+  ASSERT_TRUE(ParseEventLine("0 1 0 0 open ret=3 path=\"/a/\\\"q\\\"\"", &out, &error,
+                             &strings))
       << error;
   EXPECT_EQ(out.path, "/a/\"q\"");
 }

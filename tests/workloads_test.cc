@@ -75,7 +75,7 @@ TEST(WorkloadHarness, SnapshotCoversTraceInputs) {
   TracedRun run = TraceWorkload(w, SsdSource());
   for (const trace::TraceEvent& ev : run.trace.events) {
     if (ev.call == trace::Sys::kOpen && ev.ret >= 0) {
-      EXPECT_NE(run.snapshot.Find(ev.path), nullptr) << ev.path;
+      EXPECT_NE(run.snapshot.Find(ev.path.str()), nullptr) << ev.path;
     }
   }
 }
