@@ -51,16 +51,6 @@ class HarnessObsSession {
   obs::ScopedObsSession session_;
 };
 
-// Traces a Magritte workload on the suite's canonical source environment.
-inline workloads::TracedRun TraceMagritteOnSuiteSource(
-    const workloads::MagritteSpec& spec, uint64_t seed = 1) {
-  workloads::SourceConfig source;
-  source.storage = storage::MakeNamedConfig("ssd");
-  source.platform = "osx";
-  source.seed = seed;
-  return workloads::TraceMagritte(spec, source);
-}
-
 // The Magritte workload `name`; fails through `flags`, listing the suite,
 // when there is none.
 inline const workloads::MagritteSpec& MagritteSpecOrFail(

@@ -98,14 +98,17 @@ CompiledBenchmark CompileArtc(TracedRun run) {
   return core::Compile(std::move(run.trace), run.snapshot, core::CompileOptions{});
 }
 
-// --all on the parallel backend: trace every Magritte workload, compile them
-// on the host thread pool (--jobs), then replay the whole suite as one
-// sharded simulation — one shard per workload — and analyze each shard.
-int AnalyzeSuiteParallel(const Options& opt, uint64_t seed) {
+// --all: trace every Magritte workload on the suite's ssd source, compile
+// them on the host thread pool (--jobs), replay them as one suite on the
+// chosen backend and print one pager per workload.
+int AnalyzeSuite(const Options& opt, uint64_t seed) {
   const std::vector<MagritteSpec>& specs = workloads::MagritteSuite();
+  workloads::SourceConfig source;
+  source.storage = storage::MakeNamedConfig("ssd");
+  source.seed = seed;
   std::vector<TracedRun> runs;
   for (const MagritteSpec& spec : specs) {
-    runs.push_back(bench::TraceMagritteOnSuiteSource(spec, seed));
+    runs.push_back(sweep::NamedWorkload::Find(spec.FullName())->Trace(0, source));
   }
   std::vector<core::CompileJob> jobs;
   for (const TracedRun& run : runs) {
@@ -124,8 +127,7 @@ int AnalyzeSuiteParallel(const Options& opt, uint64_t seed) {
   for (size_t i = 0; i < benches.size(); ++i) {
     rc |= PrintPager(specs[i].FullName(), benches[i], suite.runs[i], opt);
   }
-  std::printf("suite: %zu workloads on %zu shards, %zu host workers\n",
-              benches.size(), suite.shards, suite.workers);
+  std::printf("suite: %zu workloads, %zu host workers\n", benches.size(), suite.workers);
   return rc;
 }
 
@@ -143,8 +145,8 @@ int Main(int argc, char** argv) {
   flags.Choice("fs", &opt.target.fs_profile, vfs::kFsProfileNames);
   flags.Switch("pacing", &pacing);
   flags.Choice("backend", &backend, sim::kSimBackendNames);
-  // Host worker threads for compilation and the parallel backend
-  // (0 = ARTC_JOBS / core count).
+  // Host worker threads for --all's compiles and, on the parallel backend,
+  // its replays (0 = ARTC_JOBS / core count).
   flags.Unsigned("jobs", &opt.target.jobs);
   flags.String("json", &opt.json_path);
   flags.String("trace", &trace_path);
@@ -174,16 +176,7 @@ int Main(int argc, char** argv) {
   if (ws.micro.empty() && all) {
     Options per = opt;
     per.json_path.clear();  // one pager per workload; JSON is single-run only
-    if (per.target.sim_backend == sim::SimBackend::kParallel) {
-      return AnalyzeSuiteParallel(per, ws.seed);
-    }
-    int rc = 0;
-    for (const MagritteSpec& spec : workloads::MagritteSuite()) {
-      rc |= AnalyzeOne(spec.FullName(),
-                       CompileArtc(bench::TraceMagritteOnSuiteSource(spec, ws.seed)),
-                       per);
-    }
-    return rc;
+    return AnalyzeSuite(per, ws.seed);
   }
   TracedRun run = ws.Trace(flags);
   std::string title = run.workload_name;

@@ -77,15 +77,9 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  sweep::SweepPlan plan;
-  if (!sweep::BuildSweepPlan(std::move(grids), &plan, &error, options.jobs)) {
-    std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
-    return 2;
-  }
-
   if (!drill.empty()) {
     sweep::DrillResult result;
-    if (!sweep::DrillCell(plan, drill, &result, &error)) {
+    if (!sweep::DrillGrids(std::move(grids), drill, &result, &error, options.jobs)) {
       std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
       return 2;
     }
@@ -98,6 +92,11 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
+  sweep::SweepPlan plan;
+  if (!sweep::BuildSweepPlan(std::move(grids), &plan, &error, options.jobs)) {
+    std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
+    return 2;
+  }
   options.include_host_time = !no_host_ms;
   sweep::SweepReport report;
   if (!sweep::RunSweep(plan, options, &report, &error)) {

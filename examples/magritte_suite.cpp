@@ -18,6 +18,7 @@
 #include "src/core/artc.h"
 #include "src/obs/log.h"
 #include "src/obs/obs.h"
+#include "src/sweep/workload_table.h"
 #include "src/trace/snapshot.h"
 #include "src/trace/trace_io.h"
 #include "src/util/flags.h"
@@ -31,8 +32,15 @@ using artc::workloads::TracedRun;
 
 namespace {
 
+// Traces a suite workload on the suite's source: its OS X program on an ssd.
+TracedRun TraceOnSuiteSource(const MagritteSpec& spec) {
+  artc::workloads::SourceConfig source;
+  source.storage = artc::storage::MakeNamedConfig("ssd");
+  return artc::sweep::NamedWorkload::Find(spec.FullName())->Trace(0, source);
+}
+
 void RunOne(const MagritteSpec& spec) {
-  TracedRun run = artc::bench::TraceMagritteOnSuiteSource(spec);
+  TracedRun run = TraceOnSuiteSource(spec);
 
   SimTarget target;
   target.storage = artc::storage::MakeNamedConfig("hdd");
@@ -93,7 +101,7 @@ int main(int argc, char** argv) {
       }
     }
     for (const MagritteSpec& spec : MagritteSuite()) {
-      TracedRun run = artc::bench::TraceMagritteOnSuiteSource(spec);
+      TracedRun run = TraceOnSuiteSource(spec);
       std::string base = export_dir + "/" + spec.FullName();
       artc::trace::WriteTraceFile(run.trace, base + ".trace");
       artc::trace::WriteSnapshotFile(run.snapshot, base + ".snap");

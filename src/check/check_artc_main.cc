@@ -60,14 +60,12 @@ int Main(int argc, char** argv) {
   uint64_t iters = 20;
   uint64_t seed = 1;
   uint64_t sync = 0;
-  uint64_t differential = 1;
   uint64_t obs_repro = 0;
   std::string corpus;
   std::string out_dir = "check_repros";
   std::string schedule;
   std::string emit;
   std::string storage_name = "ssd";
-  std::string backend = "fibers";
   GenOptions gen;
   ExploreOptions opt;
   util::FlagSet flags;
@@ -87,23 +85,17 @@ int Main(int argc, char** argv) {
   flags.Unsigned("pct", &opt.pct_schedules);
   flags.Unsigned("preemptions", &opt.exhaustive_preemption_bound);
   flags.Unsigned("budget", &opt.exhaustive_budget);
-  flags.Unsigned("differential", &differential);
   flags.Unsigned("obs-repro", &obs_repro);
   flags.Choice("storage", &storage_name, storage::kNamedConfigNames);
-  flags.Choice("backend", &backend, sim::kSimBackendNames);
-  // 0 = ARTC_JOBS / host core count; forwarded to the parallel backend.
-  flags.Unsigned("jobs", &opt.target.jobs);
   bench::HarnessObsSession obs_session(argc, argv, &flags);
   if (gen.threads == 0) {
     flags.Fail("--threads must be at least 1");
   }
 
   gen.sync = sync != 0;
-  opt.differential_backend = differential != 0;
   opt.repro_dir = out_dir;
   opt.repro_obs_trace = obs_repro != 0;
   opt.target.storage = storage::MakeNamedConfig(storage_name);
-  sim::ParseSimBackendName(backend, &opt.target.sim_backend);
   sim::ScheduleSpec repro_spec;
   if (!schedule.empty() && !sim::ParseScheduleSpec(schedule, &repro_spec)) {
     flags.Fail("unparsable --schedule '" + schedule + "'");

@@ -54,61 +54,31 @@ uint64_t SnapshotDigest(const trace::FsSnapshot& snapshot) {
   return h;
 }
 
-namespace {
-
-// Replays one copy of `bench` on every shard of a simulation built from
-// `config`. Each shard gets its own storage stack, file system and replay
-// environment; shard k is seeded with Simulation::ShardSeed(target.seed, k),
-// so shard 0 of any config is the single-shard run. `policy` drives shard 0.
-// unfinished_threads counts the whole simulation.
-std::vector<PolicyRunResult> ReplayCopies(const core::CompiledBenchmark& bench,
-                                          const core::SimTarget& target,
-                                          sim::SchedulePolicy* policy,
-                                          const sim::SimConfig& config) {
-  sim::Simulation sim(target.seed, target.sim_backend, config);
-  sim.SetSchedulePolicy(policy);
-  std::vector<std::unique_ptr<storage::StorageStack>> stacks;
-  std::vector<std::unique_ptr<vfs::Vfs>> fss;
-  std::vector<std::unique_ptr<core::SimReplayEnv>> envs;
-  std::vector<PolicyRunResult> out(config.shards);
-  for (size_t k = 0; k < config.shards; ++k) {
-    stacks.push_back(std::make_unique<storage::StorageStack>(&sim, target.storage));
-    fss.push_back(std::make_unique<vfs::Vfs>(&sim, stacks.back().get(),
-                                             vfs::MakeFsProfile(target.fs_profile),
-                                             vfs::MakePlatformProfile(target.platform)));
-    envs.push_back(
-        std::make_unique<core::SimReplayEnv>(&sim, fss.back().get(), target.emulation));
-    storage::StorageStack* stack = stacks.back().get();
-    vfs::Vfs* fs = fss.back().get();
-    core::SimReplayEnv* env = envs.back().get();
-    PolicyRunResult* run = &out[k];
-    sim::SimThreadId init = sim.SpawnOnShard(k, "init", [&bench, &target, env] {
-      env->Initialize(bench.snapshot, target.delta_init);
-    });
-    sim.SpawnOnShard(k, "harness", [&sim, &bench, &target, init, stack, fs, env, run] {
-      sim.Join(init);
-      if (target.drop_caches_after_init) {
-        stack->DropCaches();
-      }
-      run->report = Replay(bench, *env, target.replay);
-      run->digest = SnapshotDigest(fs->CaptureSnapshot());
-    });
-  }
-  sim.Run();
-  for (size_t k = 0; k < config.shards; ++k) {
-    out[k].end_time = sim.ShardNow(k);
-    out[k].switches = sim.ShardSwitchCount(k);
-    out[k].unfinished_threads = sim.UnfinishedThreads();
-  }
-  return out;
-}
-
-}  // namespace
-
 PolicyRunResult ReplayCompiledUnderPolicy(const core::CompiledBenchmark& bench,
                                           const core::SimTarget& target,
                                           sim::SchedulePolicy* policy) {
-  return std::move(ReplayCopies(bench, target, policy, sim::SimConfig{})[0]);
+  sim::Simulation sim(target.seed);
+  sim.SetSchedulePolicy(policy);
+  storage::StorageStack stack(&sim, target.storage);
+  vfs::Vfs fs(&sim, &stack, vfs::MakeFsProfile(target.fs_profile),
+              vfs::MakePlatformProfile(target.platform));
+  core::SimReplayEnv env(&sim, &fs, target.emulation);
+  PolicyRunResult run;
+  sim::SimThreadId init = sim.Spawn("init", [&] {
+    env.Initialize(bench.snapshot, target.delta_init);
+  });
+  sim.Spawn("harness", [&] {
+    sim.Join(init);
+    if (target.drop_caches_after_init) {
+      stack.DropCaches();
+    }
+    run.report = Replay(bench, env, target.replay);
+    run.digest = SnapshotDigest(fs.CaptureSnapshot());
+  });
+  run.end_time = sim.Run();
+  run.switches = sim.switch_count();
+  run.unfinished_threads = sim.UnfinishedThreads();
+  return run;
 }
 
 namespace {
@@ -197,7 +167,6 @@ bool FailsWith(const trace::TraceBundle& b, const sim::ScheduleSpec& spec,
   sub.random_schedules = 0;
   sub.pct_schedules = 0;
   sub.exhaustive_preemption_bound = 0;
-  sub.differential_backend = false;
   sub.repro_dir.clear();
   sub.repro_obs_trace = false;
 
@@ -373,32 +342,6 @@ ExploreResult ExploreBundle(const trace::TraceBundle& bundle, const ExploreOptio
           }
         }
       }
-    }
-  }
-
-  if (opt.differential_backend) {
-    // Two copies of the trace as a two-shard suite on two kParallel workers.
-    // The storage lookahead keeps the window finite, so the run crosses many
-    // barriers and fibers resume on worker threads. Shard 0 keeps the root
-    // seed, so it must reproduce the single-shard baseline exactly.
-    core::SimTarget suite_target = opt.target;
-    suite_target.sim_backend = sim::SimBackend::kParallel;
-    sim::SimConfig config;
-    config.shards = 2;
-    config.workers = 2;
-    config.cross_shard_latency = storage::MinDeviceLatencyNs(opt.target.storage);
-    PolicyRunResult other = ReplayCopies(ex.bench, suite_target, nullptr, config)[0];
-    if (other.end_time != ex.baseline.end_time || other.switches != ex.baseline.switches ||
-        other.digest != ex.baseline.digest ||
-        other.report.wall_time != ex.baseline.report.wall_time) {
-      ex.result.violations++;
-      ex.Problem(StrFormat(
-          "2-shard parallel suite diverged from the baseline on shard 0: end %lld vs "
-          "%lld, switches %llu vs %llu",
-          static_cast<long long>(other.end_time),
-          static_cast<long long>(ex.baseline.end_time),
-          static_cast<unsigned long long>(other.switches),
-          static_cast<unsigned long long>(ex.baseline.switches)));
     }
   }
 

@@ -32,12 +32,6 @@ struct ExploreOptions {
   uint32_t exhaustive_preemption_bound = 0;
   uint32_t exhaustive_budget = 64;  // max extra schedules
 
-  // Re-run the default schedule as shard 0 of a two-copy suite on two
-  // kParallel workers with a finite window, and require bit-identical
-  // timing and final state (backend parity, standing guard in the fuzz
-  // loop).
-  bool differential_backend = false;
-
   // Replay end times may legitimately vary with the schedule (different
   // cache/seek patterns), but only within reason; flag runs slower AND
   // faster than baseline by more than this factor.

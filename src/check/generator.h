@@ -21,7 +21,7 @@
 // Sync events (GenOptions::sync) are recorded by hand at their grant
 // instants — a lock after SimMutex::Lock returns, a barrier wait at
 // arrival, a cond wait at wakeup — with zero-width call windows. Within a
-// simulation shard only one thread runs at any instant and the recorder
+// simulation only one thread runs at any instant and the recorder
 // appends in execution order, so the stable sort by enter time keeps
 // same-instant sync events (a barrier release, a signal and its wakeup) in
 // the order they actually happened.

@@ -1,10 +1,12 @@
 #include "src/core/artc.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "src/core/sim_env.h"
 #include "src/obs/obs.h"
 #include "src/sim/simulation.h"
+#include "src/util/thread_pool.h"
 
 namespace artc::core {
 
@@ -14,7 +16,7 @@ SimReplayResult ReplayCompiledOnSimTarget(const CompiledBenchmark& bench,
   if (target.obs) {
     obs::Enable();
   }
-  sim::Simulation sim(target.seed, target.sim_backend);
+  sim::Simulation sim(target.seed);
   std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
   sim.SetSchedulePolicy(policy.get());
   storage::StorageStack stack(&sim, target.storage);
@@ -59,7 +61,7 @@ MultiReplayResult ReplayConcurrentlyOnSimTarget(
   if (target.obs) {
     obs::Enable();
   }
-  sim::Simulation sim(target.seed, target.sim_backend);
+  sim::Simulation sim(target.seed);
   std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
   sim.SetSchedulePolicy(policy.get());
   storage::StorageStack stack(&sim, target.storage);
@@ -104,75 +106,31 @@ MultiReplayResult ReplayConcurrentlyOnSimTarget(
 
 SuiteReplayResult ReplaySuiteOnSimTarget(
     const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target) {
-  if (target.obs) {
-    obs::Enable();
-  }
   SuiteReplayResult result;
-  result.shards = benches.size();
+  result.workers = 1;
   if (benches.empty()) {
-    result.workers = 1;
     return result;
   }
-
-  sim::SimConfig config;
-  config.shards = benches.size();
-  config.workers = target.jobs;
-  // The shards are independent replays by construction — every spawn, join,
-  // and storage wait stays inside one shard — so their mutual lookahead is
-  // infinite: the whole suite is one window and each worker runs its shards
-  // to completion back-to-back with a single barrier. (Shards that *did*
-  // exchange joins would instead bound δ by the storage lookahead,
-  // storage::MinDeviceLatencyNs(target.storage); see DESIGN.md §5f.)
-  config.cross_shard_latency = sim::kInfiniteLookahead;
-  sim::Simulation sim(target.seed, target.sim_backend, config);
-
-  // Per-shard worlds. Policies must outlive Run(); stacks/envs are read for
-  // counters afterwards.
-  std::vector<std::unique_ptr<sim::SchedulePolicy>> policies(benches.size());
-  std::vector<std::unique_ptr<storage::StorageStack>> stacks;
-  std::vector<std::unique_ptr<vfs::Vfs>> fss;
-  std::vector<std::unique_ptr<SimReplayEnv>> envs;
   result.runs.resize(benches.size());
-
-  for (size_t k = 0; k < benches.size(); ++k) {
-    sim::ScheduleSpec spec = target.schedule;
-    spec.seed = sim::Simulation::ShardSeed(spec.seed, k);
-    policies[k] = sim::MakeSchedulePolicy(spec);
-    sim.SetShardSchedulePolicy(k, policies[k].get());
-
-    stacks.push_back(std::make_unique<storage::StorageStack>(&sim, target.storage));
-    fss.push_back(std::make_unique<vfs::Vfs>(
-        &sim, stacks.back().get(), vfs::MakeFsProfile(target.fs_profile),
-        vfs::MakePlatformProfile(target.platform)));
-    envs.push_back(std::make_unique<SimReplayEnv>(&sim, fss.back().get(),
-                                                  target.emulation));
-
-    SimReplayResult& run = result.runs[k];
-    run.edge_stats = benches[k]->edge_stats;
-    run.model_warnings = benches[k]->model_warnings;
-    SimReplayEnv* env = envs.back().get();
-    storage::StorageStack* stack = stacks.back().get();
-    const CompiledBenchmark* bench = benches[k];
-    sim::SimThreadId init = sim.SpawnOnShard(k, "init", [env, bench, &target] {
-      env->Initialize(bench->snapshot, target.delta_init);
-    });
-    sim.SpawnOnShard(k, "harness", [&sim, init, stack, env, bench, &target, &run] {
-      sim.Join(init);
-      if (target.drop_caches_after_init) {
-        stack->DropCaches();
-      }
-      run.report = Replay(*bench, *env, target.replay);
-    });
+  result.windows = 1;
+  auto replay = [&](size_t k) {
+    SimTarget own = target;
+    own.seed = sim::Simulation::ShardSeed(target.seed, k);
+    own.schedule.seed = sim::Simulation::ShardSeed(target.schedule.seed, k);
+    result.runs[k] = ReplayCompiledOnSimTarget(*benches[k], own);
+  };
+  if (target.sim_backend == sim::SimBackend::kParallel) {
+    util::ThreadPool pool(
+        std::min(target.jobs != 0 ? target.jobs : util::DefaultJobs(), benches.size()));
+    result.workers = pool.worker_count();
+    util::ParallelFor(pool, benches.size(), replay);
+  } else {
+    for (size_t k = 0; k < benches.size(); ++k) {
+      replay(k);
+    }
   }
-
-  result.end_time = sim.Run();
-  result.workers = sim.worker_count();
-  result.windows = sim.WindowCount();
-  result.messages = sim.MessagesDelivered();
-  for (size_t k = 0; k < benches.size(); ++k) {
-    result.runs[k].sim_end_time = sim.ShardNow(k);
-    result.runs[k].sim_switches = sim.ShardSwitchCount(k);
-    result.runs[k].storage = stacks[k]->Counters();
+  for (const SimReplayResult& run : result.runs) {
+    result.end_time = std::max(result.end_time, run.sim_end_time);
   }
   return result;
 }

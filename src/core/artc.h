@@ -28,9 +28,10 @@ struct SimTarget {
   EmulationPolicy emulation;
   ReplayOptions replay;     // pacing
   uint64_t seed = 1;        // simulated-scheduler seed
-  // Simulation backend. kParallel only changes anything for suite replays
-  // (one shard per benchmark), where it spreads the shards over `jobs`
-  // host workers.
+  // How a suite replay (ReplaySuiteOnSimTarget) runs its replays: one after
+  // another on the calling thread (kFibers) or on a pool of `jobs` host
+  // workers (kParallel). A single replay ignores it: every simulation runs
+  // on the host thread that calls it.
   sim::SimBackend sim_backend = sim::SimBackend::kFibers;
   // Scheduler choice-point policy for the simulation. kDefault keeps the
   // built-in seeded-random scheduler and is bit-identical to not setting a
@@ -41,7 +42,7 @@ struct SimTarget {
   bool delta_init = false;
   // Host worker threads for sim::SimBackend::kParallel suite replays
   // (0 = util::DefaultJobs(), i.e. ARTC_JOBS or the core count). Ignored by
-  // single-shard replays and by the fibers backend.
+  // single replays and by the fibers backend.
   size_t jobs = 0;
   // Turns on the process-wide observability switch (obs::Enable) for this
   // replay, so instrumented spans/counters are collected even without
@@ -55,8 +56,7 @@ struct SimReplayResult {
   EdgeStats edge_stats;
   uint64_t model_warnings = 0;
   // Simulator diagnostics for the whole run (init + replay): total simulated
-  // context switches and the final virtual clock. Identical across backends
-  // for the same seed; the throughput bench asserts exactly that.
+  // context switches and the final virtual clock.
   uint64_t sim_switches = 0;
   TimeNs sim_end_time = 0;
   // Storage-stack counters for this run only (the obs registry accumulates
@@ -98,25 +98,21 @@ struct MultiReplayResult {
 MultiReplayResult ReplayConcurrentlyOnSimTarget(
     const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target);
 
-// Replays several compiled benchmarks as *independent* runs inside one
-// simulation, one shard per benchmark: each shard gets its own storage
-// stack, VFS, and replay environment, seeded with
-// sim::Simulation::ShardSeed(target.seed, shard). Shard k's virtual
-// timeline (timestamps, switch counts, storage counters) is bit-identical
-// to a standalone ReplayCompiledOnSimTarget with that derived seed — and,
-// under SimBackend::kParallel, independent of how many host workers
-// (`target.jobs`) execute the shards. This is the multi-core replay path:
-// throughput scales with min(jobs, benches.size()).
+// Replays several compiled benchmarks as *independent* runs: benchmark k is
+// a standalone ReplayCompiledOnSimTarget, in its own simulated world, with
+// `seed` and `schedule.seed` replaced by sim::Simulation::ShardSeed(.., k).
+// Its results are therefore bit-identical to that standalone replay,
+// whatever the backend and however many host workers run the suite. Under
+// SimBackend::kParallel the replays run on a pool of min(jobs, n) host
+// workers (jobs 0 = util::DefaultJobs()); this is the multi-core replay
+// path. Under kFibers they run one after another on the calling thread.
 struct SuiteReplayResult {
   std::vector<SimReplayResult> runs;  // parallel to the input benchmarks
-  TimeNs end_time = 0;                // max shard end time
-  size_t shards = 0;
+  TimeNs end_time = 0;                // max run end time
   size_t workers = 0;                 // host workers actually used
-  // Window-machinery diagnostics: synchronization windows executed and
-  // cross-shard messages delivered (0 for an independent suite — its
-  // lookahead is infinite, so the whole run is one window).
+  // Time domains the suite advanced in lockstep: 1 for a non-empty suite,
+  // whose replays never interact, 0 for an empty one.
   uint64_t windows = 0;
-  uint64_t messages = 0;
 };
 SuiteReplayResult ReplaySuiteOnSimTarget(
     const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target);

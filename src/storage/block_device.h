@@ -40,14 +40,6 @@ class BlockDevice {
 
   // Number of requests accepted but not yet completed.
   virtual size_t Inflight() const = 0;
-
-  // A lower bound on the virtual time between Submit() and the completion
-  // callback for any request: the device's fastest possible service (SSD
-  // channel read latency, HDD settle). This is the device's *lookahead* for
-  // conservative parallel simulation — a shard whose threads only block on
-  // this device cannot affect anything sooner, so it bounds how far a
-  // cross-shard synchronization window can safely stretch (DESIGN.md §5f).
-  virtual TimeNs MinLatencyNs() const = 0;
 };
 
 }  // namespace artc::storage

@@ -34,10 +34,6 @@ class HddModel : public BlockDevice {
   uint64_t CapacityBlocks() const override { return params_.capacity_blocks; }
   size_t Inflight() const override { return pending_.size() + (busy_ ? 1 : 0); }
 
-  // Fastest possible service: same-cylinder settle with zero rotation and a
-  // single-block transfer still costs the settle time.
-  TimeNs MinLatencyNs() const override { return params_.settle; }
-
   // Positioning (seek + rotation) plus transfer for a request starting at
   // virtual time `now` with the head at block `head`. Exposed for tests.
   TimeNs ServiceTime(TimeNs now, uint64_t head, uint64_t lba, uint32_t nblocks) const;

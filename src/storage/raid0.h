@@ -21,9 +21,6 @@ class Raid0 : public BlockDevice {
   uint64_t CapacityBlocks() const override { return capacity_; }
   size_t Inflight() const override;
 
-  // The array is as fast as its fastest member for a single-chunk request.
-  TimeNs MinLatencyNs() const override;
-
   size_t MemberCount() const { return members_.size(); }
 
   // Per-member blocks routed (stripe-balance diagnostics); index = member.

@@ -3,7 +3,6 @@
 #ifndef SRC_STORAGE_SSD_MODEL_H_
 #define SRC_STORAGE_SSD_MODEL_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "src/storage/block_device.h"
@@ -26,11 +25,6 @@ class SsdModel : public BlockDevice {
   void Submit(BlockRequest req) override;
   uint64_t CapacityBlocks() const override { return params_.capacity_blocks; }
   size_t Inflight() const override { return inflight_; }
-
-  // Fastest possible service: an uncontended channel read.
-  TimeNs MinLatencyNs() const override {
-    return std::min(params_.read_latency, params_.write_latency);
-  }
 
  private:
   struct Channel {

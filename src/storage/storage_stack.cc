@@ -52,15 +52,6 @@ StorageConfig MakeNamedConfig(const std::string& name) {
   return *c;
 }
 
-TimeNs MinDeviceLatencyNs(const StorageConfig& config) {
-  // RAID-0 is as fast as its fastest member, and members are homogeneous, so
-  // the member minimum is the array minimum.
-  if (config.device == DeviceKind::kSsd) {
-    return std::min(config.ssd.read_latency, config.ssd.write_latency);
-  }
-  return config.hdd.settle;
-}
-
 StorageStack::StorageStack(sim::Simulation* simulation, const StorageConfig& config)
     : sim_(simulation), config_(config), inflight_cv_(simulation) {
   auto make_device = [&]() -> std::unique_ptr<BlockDevice> {
@@ -95,18 +86,10 @@ void StorageStack::AccountService(TimeNs dt, ServiceCat cat) {
   }
   const sim::SimThreadId t = sim_->CurrentThread();
   if (t != sim::kInvalidThread) {
-    const uint32_t shard = sim::ShardOfThread(t);
-    if (bound_shard_ == UINT32_MAX) {
-      bound_shard_ = shard;
+    if (service_ns_by_thread_.size() <= t) {
+      service_ns_by_thread_.resize(t + 1, 0);
     }
-    ARTC_CHECK_MSG(shard == bound_shard_,
-                   "StorageStack used from shard %u but bound to shard %u",
-                   shard, bound_shard_);
-    const uint32_t local = sim::LocalIndexOfThread(t);
-    if (service_ns_by_thread_.size() <= local) {
-      service_ns_by_thread_.resize(local + 1, 0);
-    }
-    service_ns_by_thread_[local] += dt;
+    service_ns_by_thread_[t] += dt;
   }
   switch (cat) {
     case ServiceCat::kCache:
@@ -129,8 +112,7 @@ TimeNs StorageStack::ServiceNsForCurrentThread() const {
   if (t == sim::kInvalidThread) {
     return 0;
   }
-  const uint32_t local = sim::LocalIndexOfThread(t);
-  return local < service_ns_by_thread_.size() ? service_ns_by_thread_[local] : 0;
+  return t < service_ns_by_thread_.size() ? service_ns_by_thread_[t] : 0;
 }
 
 void StorageStack::BlockingIo(uint64_t lba, uint32_t nblocks, bool is_write,

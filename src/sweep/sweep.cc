@@ -215,14 +215,11 @@ void LogPlan(const SweepPlan& plan) {
                 {"originals", static_cast<int64_t>(plan.originals.size())}});
 }
 
-}  // namespace
-
-bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
-                    std::string* error, size_t jobs) {
-  *out = SweepPlan{};
-  if (!ExpandGrids(std::move(grids), &out->cells, error)) {
-    return false;
-  }
+// Traces each named workload of out->cells once per (threads, source,
+// seed), compiles it for every method its cells use, and measures the
+// original program once per (workload, threads, target, seed), on a pool of
+// `jobs` host workers.
+void PlanCells(SweepPlan* out, size_t jobs) {
   // Trace keys in first-appearance order, each with the methods its cells
   // replay, and original runs in first-appearance order.
   std::vector<const CellConfig*> first_of_trace;
@@ -269,6 +266,17 @@ bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
     out->originals[first_of_original[i]->OriginalKey()] = originals[i];
   }
   LogPlan(*out);
+}
+
+}  // namespace
+
+bool BuildSweepPlan(std::vector<SweepGrid> grids, SweepPlan* out,
+                    std::string* error, size_t jobs) {
+  *out = SweepPlan{};
+  if (!ExpandGrids(std::move(grids), &out->cells, error)) {
+    return false;
+  }
+  PlanCells(out, jobs);
   return true;
 }
 
@@ -805,20 +813,20 @@ std::string SweepReport::OnePager() const {
   return out;
 }
 
-bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
-               DrillResult* out, std::string* error) {
+namespace {
+
+// The index of the one cell whose id starts with `id_prefix`; false with
+// *error set when the prefix is empty, matches no cell or several.
+bool FindCell(const std::vector<CellConfig>& cells, const std::string& id_prefix,
+              size_t* index, std::string* error) {
   if (id_prefix.empty()) {
     return Fail(error, "empty cell id");
   }
-  const CellConfig* match = nullptr;
-  size_t match_index = 0;
   size_t matches = 0;
-  for (size_t i = 0; i < plan.cells.size(); ++i) {
-    const std::string id = plan.cells[i].Id();
-    if (id.compare(0, id_prefix.size(), id_prefix) == 0) {
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].Id().compare(0, id_prefix.size(), id_prefix) == 0) {
       ++matches;
-      match = &plan.cells[i];
-      match_index = i;
+      *index = i;
     }
   }
   if (matches != 1) {
@@ -828,16 +836,45 @@ bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
                            : StrFormat("cell id prefix '%s' is ambiguous (%zu matches)",
                                        id_prefix.c_str(), matches));
   }
+  return true;
+}
+
+void DrillAt(const SweepPlan& plan, size_t index, DrillResult* out) {
+  const CellConfig& cell = plan.cells[index];
   obs::LogInfo("sweep", "drilling cell",
-               {{"cell", match->Id().c_str()},
-                {"config", match->Echo().c_str()}});
+               {{"cell", cell.Id().c_str()}, {"config", cell.Echo().c_str()}});
   std::string pager;
-  out->stats = RunOneCell(plan, match_index, /*emit_trace=*/true,
-                          &out->critpath_json, &pager);
+  out->stats = RunOneCell(plan, index, /*emit_trace=*/true, &out->critpath_json, &pager);
   out->one_pager =
-      StrFormat("==== cell %s ====\n%s\n", out->stats.id.c_str(),
-                match->Echo().c_str()) +
+      StrFormat("==== cell %s ====\n%s\n", out->stats.id.c_str(), cell.Echo().c_str()) +
       pager;
+}
+
+}  // namespace
+
+bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
+               DrillResult* out, std::string* error) {
+  size_t index = 0;
+  if (!FindCell(plan.cells, id_prefix, &index, error)) {
+    return false;
+  }
+  DrillAt(plan, index, out);
+  return true;
+}
+
+bool DrillGrids(std::vector<SweepGrid> grids, const std::string& id_prefix,
+                DrillResult* out, std::string* error, size_t jobs) {
+  std::vector<CellConfig> cells;
+  size_t index = 0;
+  if (!ExpandGrids(std::move(grids), &cells, error) ||
+      !FindCell(cells, id_prefix, &index, error)) {
+    return false;
+  }
+  SweepPlan plan;
+  plan.cells.push_back(std::move(cells[index]));
+  PlanCells(&plan, jobs);
+  DrillAt(plan, 0, out);
+  out->stats.index = index;
   return true;
 }
 

@@ -20,8 +20,8 @@ namespace artc::util {
 // The process-wide host-parallelism default: the ARTC_JOBS environment
 // variable if set to a positive integer, else hardware_concurrency (min 1).
 // Everything that sizes a worker team without an explicit count — ThreadPool
-// construction, the kParallel simulation backend, the bench/check mains'
-// --jobs flags — funnels through this one policy.
+// construction, parallel suite replays, the bench/check mains' --jobs
+// flags — funnels through this one policy.
 size_t DefaultJobs();
 
 class ThreadPool {

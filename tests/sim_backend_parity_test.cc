@@ -1,14 +1,17 @@
-// Differential test for the two Simulation backends: the single-host-thread
-// fiber backend (default) and the sharded parallel backend must produce
-// bit-identical schedules for the same seed — same virtual end time, same
-// switch count, same side-effect order, same replay reports. The scheduler
-// (ready list, RNG, event queue) is shared between backends, so any
-// divergence means the window machinery leaked into scheduling. Both must
-// also equal goldens recorded from an independent switch mechanism (one
-// host std::thread per simulated thread, run token over a mutex/condvar).
+// Differential test for the two suite backends. A Simulation always runs on
+// the host thread that calls Run(); the backends differ only in where a
+// suite's simulations run: on the calling thread (kFibers) or on a host
+// pool worker (kParallel). Both must give bit-identical schedules for the
+// same seed — same virtual end time, switch count, side-effect order and
+// replay reports — and a single replay must equal replay 0 of a one-replay
+// parallel suite. Both must also equal goldens recorded from an
+// independent switch mechanism (one host std::thread per simulated thread,
+// run token over a mutex/condvar).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "src/obs/critpath.h"
 #include "src/sim/schedule.h"
 #include "src/sim/simulation.h"
+#include "src/util/thread_pool.h"
 #include "src/workloads/micro.h"
 #include "src/workloads/synthetic_gen.h"
 #include "src/workloads/workload.h"
@@ -34,6 +38,18 @@ using sim::Simulation;
 
 constexpr SimBackend kAllBackends[] = {SimBackend::kFibers, SimBackend::kParallel};
 
+// Runs `fn` where `backend` runs a suite's simulations: on this thread
+// (kFibers) or on a host pool worker (kParallel).
+void RunOn(SimBackend backend, const std::function<void()>& fn) {
+  if (backend == SimBackend::kFibers) {
+    fn();
+    return;
+  }
+  util::ThreadPool pool(1);
+  pool.Submit(fn);
+  pool.Wait();
+}
+
 // A deliberately messy program exercising every scheduling primitive:
 // seeded ready-list picks, sleeps, condvars (NotifyOne's RNG choice),
 // mutex contention, spawn-from-thread, join, callbacks and cancellation.
@@ -47,8 +63,8 @@ struct ChaosResult {
   }
 };
 
-ChaosResult RunChaos(uint64_t seed, SimBackend backend) {
-  Simulation sim(seed, backend);
+ChaosResult RunChaosOnce(uint64_t seed) {
+  Simulation sim(seed);
   ChaosResult r;
   SimCondVar cv(&sim);
   SimMutex mu(&sim);
@@ -91,6 +107,12 @@ ChaosResult RunChaos(uint64_t seed, SimBackend backend) {
   return r;
 }
 
+ChaosResult RunChaos(uint64_t seed, SimBackend backend) {
+  ChaosResult r;
+  RunOn(backend, [&] { r = RunChaosOnce(seed); });
+  return r;
+}
+
 TEST(SimBackendParity, ChaosProgramIdenticalAcrossBackends) {
   struct Golden {
     uint64_t seed;
@@ -127,12 +149,14 @@ TEST(SimBackendParity, DeterministicWithinEachBackend) {
 
 TEST(SimBackendParity, DeadlockUnwindsCleanlyOnAllBackends) {
   for (SimBackend backend : kAllBackends) {
-    auto sim = std::make_unique<Simulation>(1, backend);
-    SimCondVar cv(sim.get());
-    sim->Spawn("stuck", [&] { cv.Wait(); });
-    sim->Run();
-    EXPECT_EQ(sim->UnfinishedThreads(), 1u);
-    sim.reset();  // must unwind the blocked thread and free its stack
+    RunOn(backend, [] {
+      auto sim = std::make_unique<Simulation>(1);
+      SimCondVar cv(sim.get());
+      sim->Spawn("stuck", [&] { cv.Wait(); });
+      sim->Run();
+      EXPECT_EQ(sim->UnfinishedThreads(), 1u);
+      sim.reset();  // must unwind the blocked thread and free its stack
+    });
   }
 }
 
@@ -160,6 +184,15 @@ void ExpectGoldenReplay(const SimReplayResult& r, const ReplayGolden& g,
   EXPECT_EQ(r.report.wall_time, g.wall_time) << label;
 }
 
+// Replay 0 of a one-replay suite on the parallel backend: the same
+// simulation as a standalone replay, run on a pool worker.
+SimReplayResult ReplayAsParallelSuite(const core::CompiledBenchmark& bench,
+                                      SimTarget target) {
+  target.sim_backend = SimBackend::kParallel;
+  core::SuiteReplayResult suite = core::ReplaySuiteOnSimTarget({&bench}, target);
+  return std::move(suite.runs.at(0));
+}
+
 void ExpectIdenticalReplays(const SimReplayResult& a, const SimReplayResult& b,
                             const char* label) {
   EXPECT_EQ(a.sim_end_time, b.sim_end_time) << label;
@@ -179,7 +212,8 @@ void ExpectIdenticalReplays(const SimReplayResult& a, const SimReplayResult& b,
 }
 
 // Full pipeline: trace a multithreaded workload once, replay the compiled
-// benchmark on both backends, and require identical reports down to the
+// benchmark alone and as a parallel suite, and require identical reports
+// down to the
 // per-action timestamps and golden end time, switch count and wall time —
 // also under the exploration schedule policies (random / PCT), which
 // consume extra RNG at every choice point and so catch any backend that
@@ -207,10 +241,8 @@ TEST(SimBackendParity, ReplayReportsIdenticalAcrossBackends) {
     SimTarget target;
     target.seed = 12345;
     target.schedule = spec;
-    target.sim_backend = SimBackend::kFibers;
     SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
-    target.sim_backend = SimBackend::kParallel;
-    SimReplayResult parallel = core::ReplayCompiledOnSimTarget(bench, target);
+    SimReplayResult parallel = ReplayAsParallelSuite(bench, target);
 
     ExpectGoldenReplay(fibers, golden, schedule);
     ExpectIdenticalReplays(fibers, parallel, schedule);
@@ -260,10 +292,8 @@ TEST(SimBackendParity, SyncTraceReplayIdenticalAcrossBackends) {
     SimTarget target;
     target.seed = 777;
     target.schedule = spec;
-    target.sim_backend = SimBackend::kFibers;
     SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
-    target.sim_backend = SimBackend::kParallel;
-    SimReplayResult parallel = core::ReplayCompiledOnSimTarget(bench, target);
+    SimReplayResult parallel = ReplayAsParallelSuite(bench, target);
     ExpectGoldenReplay(fibers, golden, schedule_name.c_str());
     ExpectIdenticalReplays(fibers, parallel, schedule_name.c_str());
   }
@@ -309,24 +339,22 @@ core::CompiledBenchmark CompileRandomReaders16() {
   return core::Compile(run.trace, run.snapshot, {});
 }
 
-// The 104k-action random-readers-16 trace replayed at seed 1 on fibers and
-// on a one-shard kParallel simulation.
+// The 104k-action random-readers-16 trace replayed at seed 1 alone and as
+// a one-replay kParallel suite.
 TEST(SimBackendParity, RandomReaders16ReplayGolden) {
   core::CompiledBenchmark bench = CompileRandomReaders16();
   SimTarget target;
   target.seed = 1;
-  target.sim_backend = SimBackend::kFibers;
   SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
-  target.sim_backend = SimBackend::kParallel;
-  SimReplayResult parallel = core::ReplayCompiledOnSimTarget(bench, target);
+  SimReplayResult parallel = ReplayAsParallelSuite(bench, target);
 
   ExpectGoldenReplay(fibers, {209688891493, 104132, 209688891493}, "rr16");
   EXPECT_EQ(fibers.report.failed_events, 0u);
   ExpectIdenticalReplays(fibers, parallel, "rr16");
 }
 
-// Eight copies of the same trace as one sharded kParallel suite at seed 1.
-// SimParallel.SuiteShardsMatchStandaloneRuns holds each shard to its
+// Eight copies of the same trace as one kParallel suite at seed 1.
+// SimParallel.SuiteShardsMatchStandaloneRuns holds each replay to its
 // standalone run; this pins the suite's totals.
 TEST(SimBackendParity, RandomReaders16SuiteGolden) {
   core::CompiledBenchmark bench = CompileRandomReaders16();
@@ -354,19 +382,18 @@ TEST(SimBackendParity, RandomReaders16SuiteGolden) {
 }
 
 // Critical-path analysis consumes the replay report + compiled benchmark
-// only, so identical replays must yield identical stall attributions on
-// both backends (and turning the analyzer on must not perturb the replay).
+// only, so identical replays must yield identical stall attributions alone
+// and in a parallel suite (and turning the analyzer on must not perturb the
+// replay).
 TEST(SimBackendParity, CritPathIdenticalAcrossBackends) {
   core::CompiledBenchmark bench = CompileParityBench();
 
   SimTarget target;
   target.seed = 999;
-  target.sim_backend = SimBackend::kFibers;
   SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
   obs::CritPathReport base = obs::AnalyzeSimReplay(bench, fibers);
 
-  target.sim_backend = SimBackend::kParallel;
-  SimReplayResult other = core::ReplayCompiledOnSimTarget(bench, target);
+  SimReplayResult other = ReplayAsParallelSuite(bench, target);
   obs::CritPathReport cp = obs::AnalyzeSimReplay(bench, other);
   EXPECT_EQ(base.segments.size(), cp.segments.size());
   EXPECT_EQ(base.end_time, cp.end_time);

@@ -1,8 +1,8 @@
-// Tests for the sharded parallel simulation backend: packed thread ids,
-// cross-shard join messaging through the window/mailbox machinery,
-// worker-count independence (the core determinism claim: host workers only
-// affect wall time, never virtual time), fiber-stack reclamation, and the
-// suite-replay shard-equivalence property.
+// Tests for suite replays on the parallel backend (independent simulations
+// on a host thread pool): worker-count independence (host workers only
+// affect wall time, never virtual time), the suite-vs-standalone
+// equivalence property, the empty and over-provisioned edge cases, and
+// fiber-stack reclamation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include "src/core/artc.h"
 #include "src/sim/schedule.h"
 #include "src/sim/simulation.h"
-#include "src/storage/storage_stack.h"
 #include "src/workloads/micro.h"
 #include "src/workloads/workload.h"
 
@@ -23,152 +22,13 @@ using core::SimReplayResult;
 using core::SimTarget;
 using core::SuiteReplayResult;
 using sim::SimBackend;
-using sim::SimConfig;
 using sim::Simulation;
-
-TEST(SimParallel, PackedThreadIdsRoundTrip) {
-  EXPECT_EQ(sim::PackThreadId(0, 0), 0u);
-  EXPECT_EQ(sim::PackThreadId(0, 7), 7u);  // shard-0 ids are the legacy ids
-  for (uint32_t shard : {0u, 1u, 5u, 100u}) {
-    for (uint32_t local : {0u, 1u, 1000u, sim::kLocalThreadMask}) {
-      sim::SimThreadId id = sim::PackThreadId(shard, local);
-      EXPECT_EQ(sim::ShardOfThread(id), shard);
-      EXPECT_EQ(sim::LocalIndexOfThread(id), local);
-    }
-  }
-  // Packing must stay clear of the obs pseudo-tracks at bit 20.
-  EXPECT_GT(1u << sim::kShardIdShift, (1u << 20) + 1);
-}
-
-// A 4-shard program with cross-shard joins: shard 0 runs three joiners (one
-// per worker shard) plus a local sleeper; shards 1..3 each run one worker.
-// Returns every virtual-time observable.
-struct CrossShardResult {
-  TimeNs end = 0;
-  std::vector<TimeNs> shard_now;
-  std::vector<uint64_t> switches;
-  std::vector<std::vector<int>> order;  // per shard, written only by it
-  uint64_t messages = 0;
-  uint64_t windows = 0;
-
-  bool operator==(const CrossShardResult& o) const {
-    return end == o.end && shard_now == o.shard_now && switches == o.switches &&
-           order == o.order && messages == o.messages;
-  }
-};
-
-CrossShardResult RunCrossShard(SimBackend backend, size_t workers,
-                               TimeNs latency = Us(5)) {
-  SimConfig config;
-  config.shards = 4;
-  config.workers = workers;
-  config.cross_shard_latency = latency;
-  Simulation sim(42, backend, config);
-  CrossShardResult r;
-  r.order.resize(4);
-
-  std::vector<sim::SimThreadId> targets;
-  for (size_t k = 1; k < 4; ++k) {
-    targets.push_back(sim.SpawnOnShard(k, "worker", [&sim, &r, k] {
-      sim.Sleep(Us(10 * static_cast<int64_t>(k)));
-      r.order[k].push_back(static_cast<int>(k));
-    }));
-  }
-  for (size_t j = 0; j < 3; ++j) {
-    sim.SpawnOnShard(0, "joiner", [&sim, &r, &targets, j] {
-      sim.Join(targets[j]);
-      sim.Sleep(Us(5));
-      r.order[0].push_back(10 + static_cast<int>(j));
-    });
-  }
-  sim.SpawnOnShard(0, "local", [&sim, &r] {
-    for (int i = 0; i < 4; ++i) {
-      sim.Sleep(Us(8));
-      r.order[0].push_back(50 + i);
-    }
-  });
-
-  r.end = sim.Run();
-  for (size_t k = 0; k < 4; ++k) {
-    r.shard_now.push_back(sim.ShardNow(k));
-    r.switches.push_back(sim.ShardSwitchCount(k));
-  }
-  r.messages = sim.MessagesDelivered();
-  r.windows = sim.WindowCount();
-  return r;
-}
-
-TEST(SimParallel, CrossShardJoinsIdenticalAcrossWorkerCounts) {
-  // Sequential multi-shard fibers is the oracle; kParallel must match it
-  // bit-for-bit at every worker count.
-  CrossShardResult oracle = RunCrossShard(SimBackend::kFibers, 1);
-  EXPECT_FALSE(oracle.order[0].empty());
-  // Join request + done per joiner, at least.
-  EXPECT_GE(oracle.messages, 6u);
-  EXPECT_GT(oracle.windows, 0u);
-
-  for (size_t workers : {1u, 2u, 4u}) {
-    CrossShardResult got = RunCrossShard(SimBackend::kParallel, workers);
-    EXPECT_EQ(oracle, got) << "workers=" << workers;
-  }
-}
-
-// Widening δ to a storage device's lookahead (the recommended margin for
-// storage-backed shards that exchange joins) must not change determinism or
-// worker independence — only the number of window barriers.
-TEST(SimParallel, DeviceLookaheadWindowsStayDeterministic) {
-  const TimeNs lookahead =
-      storage::MinDeviceLatencyNs(storage::MakeNamedConfig("hdd"));
-  ASSERT_GT(lookahead, Us(5));
-  CrossShardResult oracle = RunCrossShard(SimBackend::kFibers, 1, lookahead);
-  for (size_t workers : {1u, 4u}) {
-    CrossShardResult got = RunCrossShard(SimBackend::kParallel, workers, lookahead);
-    EXPECT_EQ(oracle, got) << "workers=" << workers;
-  }
-  // A wider window also shifts virtual results (δ is part of the simulated
-  // semantics), so the two latencies must genuinely differ.
-  EXPECT_NE(oracle.end, RunCrossShard(SimBackend::kFibers, 1, Us(5)).end);
-}
-
-// The statically-computed lookahead (usable before any device exists) must
-// agree with what the built stack reports.
-TEST(SimParallel, StorageLookaheadMatchesBuiltStack) {
-  for (const char* name : {"hdd", "ssd", "raid0", "smallcache", "cfq-1ms"}) {
-    storage::StorageConfig config = storage::MakeNamedConfig(name);
-    Simulation sim(1);
-    storage::StorageStack stack(&sim, config);
-    EXPECT_EQ(stack.LookaheadNs(), storage::MinDeviceLatencyNs(config)) << name;
-    EXPECT_GT(stack.LookaheadNs(), 0) << name;
-  }
-}
-
-TEST(SimParallel, CrossShardJoinPaysLatencyBothWays) {
-  SimConfig config;
-  config.shards = 2;
-  config.cross_shard_latency = Us(5);
-  Simulation sim(1, SimBackend::kParallel, config);
-  TimeNs joined_at = -1;
-  sim::SimThreadId target = sim.SpawnOnShard(1, "target", [&sim] {
-    sim.Sleep(Us(100));
-  });
-  sim.SpawnOnShard(0, "joiner", [&sim, &joined_at, target] {
-    sim.Join(target);
-    joined_at = sim.Now();
-  });
-  sim.Run();
-  // Request travels δ to shard 1 (arriving after the target is done at
-  // t=100us would make it immediate, arriving before registers a waiter);
-  // the completion notification travels δ back. Either way the joiner
-  // cannot observe completion before 100us + δ.
-  EXPECT_GE(joined_at, Us(100) + Us(5));
-  EXPECT_LT(joined_at, Us(200));
-}
 
 TEST(SimParallel, FiberStackPoolReclaimsExitedThreads) {
   // A chain of 100 short-lived threads, at most two alive at once: the
   // high-water mark of allocated stacks must track *live* threads, not the
   // total ever spawned.
-  Simulation sim(3, SimBackend::kFibers);
+  Simulation sim(3);
   sim.Spawn("root", [&sim] {
     for (int i = 0; i < 100; ++i) {
       sim::SimThreadId child = sim.Spawn("child", [&sim] { sim.Sleep(Us(1)); });
@@ -191,6 +51,18 @@ core::CompiledBenchmark CompileSmallBench() {
   return core::Compile(run.trace, run.snapshot, {});
 }
 
+// Four readers: the scheduler often picks among several ready threads, so a
+// replay's schedule seed changes its timeline.
+core::CompiledBenchmark CompileFourReaderBench() {
+  workloads::RandomReaders::Options opt;
+  opt.threads = 4;
+  opt.reads_per_thread = 60;
+  opt.file_bytes = 64ULL << 20;
+  workloads::RandomReaders workload(opt);
+  workloads::TracedRun run = workloads::TraceWorkload(workload, {});
+  return core::Compile(run.trace, run.snapshot, {});
+}
+
 void ExpectSameRun(const SimReplayResult& a, const SimReplayResult& b,
                    const std::string& label) {
   EXPECT_EQ(a.sim_end_time, b.sim_end_time) << label;
@@ -208,10 +80,9 @@ void ExpectSameRun(const SimReplayResult& a, const SimReplayResult& b,
   }
 }
 
-// The suite-replay equivalence property: shard k of a parallel suite run is
-// bit-identical to a standalone single-shard replay seeded with
-// ShardSeed(seed, k) — the basis for trusting parallel suite throughput
-// numbers, and exactly what makes the fibers backend the oracle.
+// The suite-replay equivalence property: replay k of a parallel suite run is
+// bit-identical to a standalone replay seeded with ShardSeed(seed, k) — the
+// basis for trusting parallel suite throughput numbers.
 TEST(SimParallel, SuiteShardsMatchStandaloneRuns) {
   core::CompiledBenchmark bench = CompileSmallBench();
   std::vector<const core::CompiledBenchmark*> benches = {&bench, &bench, &bench};
@@ -222,29 +93,26 @@ TEST(SimParallel, SuiteShardsMatchStandaloneRuns) {
   target.jobs = 2;
   SuiteReplayResult suite = core::ReplaySuiteOnSimTarget(benches, target);
   ASSERT_EQ(suite.runs.size(), 3u);
-  EXPECT_EQ(suite.shards, 3u);
-  // Independent suite == infinite lookahead == a single window, no mail.
+  // Independent replays: the suite is a single time window.
   EXPECT_EQ(suite.windows, 1u);
-  EXPECT_EQ(suite.messages, 0u);
 
   for (size_t k = 0; k < 3; ++k) {
     SimTarget solo;
     solo.seed = Simulation::ShardSeed(target.seed, k);
-    solo.sim_backend = SimBackend::kFibers;
     SimReplayResult standalone = core::ReplayCompiledOnSimTarget(bench, solo);
-    ExpectSameRun(suite.runs[k], standalone, "shard " + std::to_string(k));
+    ExpectSameRun(suite.runs[k], standalone, "replay " + std::to_string(k));
   }
-  // Shard 0 keeps the root seed; other shards get distinct derived streams.
+  // Replay 0 keeps the root seed; others get distinct derived streams.
   EXPECT_EQ(Simulation::ShardSeed(target.seed, 0), target.seed);
   EXPECT_NE(Simulation::ShardSeed(target.seed, 1), target.seed);
   EXPECT_NE(Simulation::ShardSeed(target.seed, 1),
             Simulation::ShardSeed(target.seed, 2));
 }
 
-// Same property under an exploration schedule: the per-shard policy seed is
-// derived with the same ShardSeed stream.
+// Same property under an exploration schedule: the per-replay policy seed
+// is derived with the same ShardSeed stream.
 TEST(SimParallel, SuiteShardsMatchStandaloneUnderRandomSchedule) {
-  core::CompiledBenchmark bench = CompileSmallBench();
+  core::CompiledBenchmark bench = CompileFourReaderBench();
   std::vector<const core::CompiledBenchmark*> benches = {&bench, &bench};
 
   SimTarget target;
@@ -261,9 +129,8 @@ TEST(SimParallel, SuiteShardsMatchStandaloneUnderRandomSchedule) {
     solo.seed = Simulation::ShardSeed(target.seed, k);
     solo.schedule.kind = sim::ScheduleKind::kRandom;
     solo.schedule.seed = Simulation::ShardSeed(target.schedule.seed, k);
-    solo.sim_backend = SimBackend::kFibers;
     SimReplayResult standalone = core::ReplayCompiledOnSimTarget(bench, solo);
-    ExpectSameRun(suite.runs[k], standalone, "shard " + std::to_string(k));
+    ExpectSameRun(suite.runs[k], standalone, "replay " + std::to_string(k));
   }
 }
 
@@ -284,8 +151,44 @@ TEST(SimParallel, SuiteIndependentOfWorkerCount) {
     EXPECT_EQ(par.end_time, serial.end_time);
     for (size_t k = 0; k < par.runs.size(); ++k) {
       ExpectSameRun(par.runs[k], serial.runs[k],
-                    "jobs=" + std::to_string(jobs) + " shard " + std::to_string(k));
+                    "jobs=" + std::to_string(jobs) + " replay " + std::to_string(k));
     }
+  }
+}
+
+// An empty suite replays nothing and starts no pool.
+TEST(SimParallel, EmptySuiteReplaysNothing) {
+  SimTarget target;
+  target.sim_backend = SimBackend::kParallel;
+  target.jobs = 4;
+  SuiteReplayResult suite = core::ReplaySuiteOnSimTarget({}, target);
+  EXPECT_TRUE(suite.runs.empty());
+  EXPECT_EQ(suite.end_time, 0);
+  EXPECT_EQ(suite.windows, 0u);
+  EXPECT_EQ(suite.workers, 1u);
+}
+
+// More jobs than benchmarks: one worker per benchmark, and the same runs
+// as the fibers backend's serial loop on the calling thread.
+TEST(SimParallel, SuiteWorkersCappedAtBenchmarkCount) {
+  core::CompiledBenchmark bench = CompileSmallBench();
+  std::vector<const core::CompiledBenchmark*> benches = {&bench, &bench};
+  SimTarget target;
+  target.seed = 91;
+  target.sim_backend = SimBackend::kParallel;
+  target.jobs = 8;
+  SuiteReplayResult par = core::ReplaySuiteOnSimTarget(benches, target);
+  EXPECT_EQ(par.workers, 2u);
+  EXPECT_EQ(par.windows, 1u);
+
+  target.sim_backend = SimBackend::kFibers;
+  SuiteReplayResult serial = core::ReplaySuiteOnSimTarget(benches, target);
+  EXPECT_EQ(serial.workers, 1u);
+  EXPECT_EQ(serial.windows, 1u);
+  EXPECT_EQ(par.end_time, serial.end_time);
+  ASSERT_EQ(par.runs.size(), serial.runs.size());
+  for (size_t k = 0; k < par.runs.size(); ++k) {
+    ExpectSameRun(par.runs[k], serial.runs[k], "replay " + std::to_string(k));
   }
 }
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cfenv>
 #include <functional>
 #include <stdexcept>
@@ -10,6 +9,7 @@
 
 #include "src/sim/schedule.h"
 #include "src/sim/simulation.h"
+#include "src/util/thread_pool.h"
 
 namespace artc::sim {
 namespace {
@@ -375,14 +375,12 @@ TEST(Simulation, DestructorReleasesBlockedThreads) {
 }
 
 // ---- The fiber switch's contract: per-context FP control state, ABI stack
-// alignment, and unwinding, on one host thread and on the kParallel worker
-// team, where a fiber may resume on another host thread. ----
+// alignment, and unwinding, on the main thread and on a util::ThreadPool
+// worker, where a parallel suite runs its simulations. ----
 
 struct SwitchCase {
   const char* name;
-  SimBackend backend;
-  size_t shards;
-  size_t workers;
+  bool on_pool_worker;
 };
 
 void PrintTo(const SwitchCase& c, std::ostream* os) { *os << c.name; }
@@ -408,44 +406,40 @@ double Third() {
   throw std::runtime_error("after sleep");
 }
 
-// Counts how often the calling fiber found itself on a different host
-// thread than at its previous call.
-class HostThreadHops {
- public:
-  void Note() {
-    const std::thread::id id = std::this_thread::get_id();
-    hops_ += (last_ != std::thread::id() && id != last_) ? 1 : 0;
-    last_ = id;
-  }
-  int hops() const { return hops_; }
-
- private:
-  std::thread::id last_;  // default: no thread seen yet
-  int hops_ = 0;
-};
-
 using FiberBody = std::function<void(Simulation&, const std::function<void()>& note)>;
 
 class FiberSwitch : public ::testing::TestWithParam<SwitchCase> {
  protected:
-  // Runs `probe` on shard 0 and `pacer` on the last shard; both call note()
-  // on entry and after every resume (the pacer's is a no-op). On 2 shards
-  // with 2 workers the windows alternate between both shards due (run on
-  // the workers) and one (run inline on the coordinator), so the probe's
-  // fiber changes host thread; the test fails if it never did.
+  // Runs `probe` and `pacer` in one simulation, on this thread or on a pool
+  // worker. Both call note() on entry and after every resume; the probe's
+  // records the host thread, which must be the one the simulation was
+  // meant to run on.
   void RunPair(const FiberBody& probe, const FiberBody& pacer) {
-    SimConfig config;
-    config.shards = GetParam().shards;
-    config.workers = GetParam().workers;
-    Simulation sim(1, GetParam().backend, config);
-    HostThreadHops probe_hops;
-    sim.SpawnOnShard(0, "probe", [&] { probe(sim, [&] { probe_hops.Note(); }); });
-    sim.SpawnOnShard(config.shards - 1, "pacer", [&] { pacer(sim, [] {}); });
-    sim.Run();
-    EXPECT_EQ(sim.UnfinishedThreads(), 0u);
-    if (config.workers > 1) {
-      EXPECT_GT(probe_hops.hops(), 0) << "the probe never resumed on another host thread";
+    std::thread::id ran_on;
+    std::thread::id probe_on;
+    int probe_hops = 0;
+    auto run = [&] {
+      ran_on = std::this_thread::get_id();
+      Simulation sim(1);
+      sim.Spawn("probe", [&] {
+        probe(sim, [&] { probe_hops += std::this_thread::get_id() != ran_on ? 1 : 0; });
+        probe_on = std::this_thread::get_id();
+      });
+      sim.Spawn("pacer", [&] { pacer(sim, [] {}); });
+      sim.Run();
+      EXPECT_EQ(sim.UnfinishedThreads(), 0u);
+      EXPECT_EQ(fegetround(), FE_TONEAREST) << "leaked into the running host thread";
+    };
+    if (GetParam().on_pool_worker) {
+      util::ThreadPool pool(1);
+      pool.Submit(run);
+      pool.Wait();
+      EXPECT_NE(ran_on, std::this_thread::get_id()) << "the simulation ran on the main thread";
+    } else {
+      run();
     }
+    EXPECT_EQ(probe_on, ran_on);
+    EXPECT_EQ(probe_hops, 0) << "the probe resumed on another host thread";
   }
 };
 
@@ -513,7 +507,7 @@ TEST_P(FiberSwitch, ExceptionUnwindsAcrossSleepInsideFiber) {
     int* destroyed;
     ~Guard() { ++*destroyed; }
   };
-  std::atomic<int> caught{0};  // the two fibers may run on two workers at once
+  int caught = 0;
   auto body = [&](TimeNs nap) -> FiberBody {
     return [&, nap](Simulation& sim, const std::function<void()>& note) {
       note();
@@ -537,13 +531,12 @@ TEST_P(FiberSwitch, ExceptionUnwindsAcrossSleepInsideFiber) {
     };
   };
   RunPair(body(Us(50)), body(Us(25)));
-  EXPECT_EQ(caught.load(), 6);
+  EXPECT_EQ(caught, 6);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, FiberSwitch,
-    ::testing::Values(SwitchCase{"fibers", SimBackend::kFibers, 1, 1},
-                      SwitchCase{"parallel_2x2", SimBackend::kParallel, 2, 2}),
+    ::testing::Values(SwitchCase{"fibers", false}, SwitchCase{"pool_worker", true}),
     [](const ::testing::TestParamInfo<SwitchCase>& param_info) {
       return std::string(param_info.param.name);
     });

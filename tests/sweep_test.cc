@@ -171,8 +171,8 @@ TEST(SweepGridTest, RejectsUnknownAxesAndValues) {
     EXPECT_NE(error.find(needle), std::string::npos) << text << ": " << error;
   };
   rejects("warp_factor = 9\n", "grid line 1: unknown axis 'warp_factor'");
-  // The sweep has no backend axis: every cell runs the same single-shard
-  // path.
+  // The sweep has no backend axis: every cell is one standalone
+  // simulation.
   rejects("backend = fibers\n", "unknown axis 'backend'");
   rejects("seed = banana\n", "bad seed value 'banana'");
   rejects("seed = +1\n", "bad seed value");
