@@ -104,7 +104,7 @@ CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
                           const fsmodel::AnnotatedTrace& ann,
                           const CompileOptions& options) {
   ARTC_OBS_SPAN("compiler", "compile");
-  ARTC_CHECK(ann.touches.size() == t.events.size());
+  ARTC_CHECK(ann.touch_offsets.size() == t.events.size() + 1);
   CompiledBenchmark bench;
   bench.method = options.method;
   bench.modes = options.modes;
@@ -122,7 +122,7 @@ CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
   bench.thread_actions.resize(bench.thread_ids.size());
   for (uint32_t i = 0; i < n; ++i) {
     const CompiledAction& a =
-        bench.actions.emplace_back(step.Push(bench.events[i], ann.touches[i]));
+        bench.actions.emplace_back(step.Push(bench.events[i], ann.TouchesFor(i)));
     if (a.thread_index == bench.thread_actions.size()) {
       bench.thread_actions.emplace_back();
     }

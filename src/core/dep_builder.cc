@@ -352,8 +352,7 @@ uint64_t DepBuilder::state_bytes() const {
                key_to_compact_.size() * (sizeof(uint64_t) + sizeof(uint32_t)) +
                scratch_.capacity() * sizeof(Dep);
   for (const Cursor& c : cursors_) {
-    n += c.last_use_by_thread.capacity() * sizeof(std::pair<uint32_t, uint32_t>) +
-         c.create_waiters.capacity() * sizeof(uint32_t);
+    n += c.last_use_by_thread.heap_bytes() + c.create_waiters.heap_bytes();
   }
   return n;
 }
@@ -423,7 +422,7 @@ void CompileStep::AssignSlots() {
 }
 
 CompiledAction CompileStep::Push(const trace::TraceEvent& ev,
-                                 const std::vector<fsmodel::Touch>& touches) {
+                                 std::span<const fsmodel::Touch> touches) {
   const uint32_t i = static_cast<uint32_t>(meta_.size());
   if (i == 0) {
     trace_start_ = ev.enter;

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "src/core/compiler.h"
 #include "src/fsmodel/resource_model.h"
 #include "src/util/interner.h"
+#include "src/util/small_vec.h"
 
 namespace artc::core::internal {
 
@@ -44,18 +46,25 @@ struct EventMeta {
   size_t size() const { return thread_index.size(); }
 };
 
+struct ThreadUse {
+  uint32_t thread;
+  uint32_t event;
+};
+
 // Per-resource scan state (the paper's "last action / creating action /
-// remaining uses" bookkeeping).
+// remaining uses" bookkeeping). Nearly every resource is used by one
+// thread and waited on by one, so both lists keep that much inline and
+// only a shared resource's lists reach the heap.
 struct Cursor {
   uint32_t create_event = kNoEvent;
   uint32_t last_event = kNoEvent;
   // Last use per replay thread since create (a delete must wait for every
   // outstanding use, but one completion-dep per thread suffices: each
   // thread's later use subsumes its earlier ones).
-  std::vector<std::pair<uint32_t, uint32_t>> last_use_by_thread;
+  util::SmallVec<ThreadUse, 1> last_use_by_thread;
   // Threads that already hold a dep on create_event (a second dep from the
   // same thread is transitively implied by thread ordering).
-  std::vector<uint32_t> create_waiters;
+  util::SmallVec<uint32_t, 2> create_waiters;
   bool touched = false;
 };
 
@@ -248,7 +257,7 @@ class CompileStep {
   // Compiles the next event. Returns its action; deps() then holds the
   // edges it keeps, sorted by prerequisite event.
   CompiledAction Push(const trace::TraceEvent& ev,
-                      const std::vector<fsmodel::Touch>& touches);
+                      std::span<const fsmodel::Touch> touches);
 
   const std::vector<Dep>& deps() { return builder_.deps(); }
   const EventMeta& meta() const { return meta_; }

@@ -24,9 +24,9 @@ struct SimReplayEnv::AioOp {
 SimReplayEnv::SimReplayEnv(sim::Simulation* simulation, vfs::Vfs* fs,
                            EmulationPolicy policy)
     : sim_(simulation), fs_(fs), policy_(std::move(policy)) {
-  stripes_.reserve(kStripeCount);
+  stripes_.reserve(kStripeCount);  // the table's one allocation
   for (size_t i = 0; i < kStripeCount; ++i) {
-    stripes_.push_back(std::make_unique<sim::SimCondVar>(sim_));
+    stripes_.emplace_back(sim_);
   }
   stripe_mask_ = static_cast<uint32_t>(kStripeCount - 1);
 }

@@ -32,7 +32,7 @@ class SimReplayEnv {
   void RunThreads(size_t n, std::function<void(size_t)> body);
   template <typename Pred>
   void WaitOn(uint32_t idx, Pred pred) {
-    sim::SimCondVar& cv = *stripes_[idx & stripe_mask_];
+    sim::SimCondVar& cv = stripes_[idx & stripe_mask_];
     while (!pred()) {
       cv.Wait();
     }
@@ -40,7 +40,7 @@ class SimReplayEnv {
   // Wakes every waiter on idx's stripe. With the fiber simulation backend
   // this is a pure user-space ready-list append per waiter — no kernel
   // wakeup — so the thundering-herd cost of striping stays negligible.
-  void Notify(uint32_t idx) { stripes_[idx & stripe_mask_]->NotifyAll(); }
+  void Notify(uint32_t idx) { stripes_[idx & stripe_mask_].NotifyAll(); }
   int64_t Execute(const trace::TraceEvent& ev, const ExecContext& ctx);
 
   // ---- Optional obs hooks (see replay_engine.h) ----
@@ -78,7 +78,7 @@ class SimReplayEnv {
   sim::Simulation* sim_;
   vfs::Vfs* fs_;
   EmulationPolicy policy_;
-  std::vector<std::unique_ptr<sim::SimCondVar>> stripes_;
+  std::vector<sim::SimCondVar> stripes_;
   uint32_t stripe_mask_ = 0;  // stripes_.size() - 1; size is a power of two
   std::unordered_map<int64_t, std::unique_ptr<AioOp>> aio_ops_;
   int64_t next_aio_handle_ = 1;

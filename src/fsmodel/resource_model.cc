@@ -117,8 +117,11 @@ struct Annotator::Impl : public SyncHost {
     BuildTree(snapshot);
   }
 
+  // Appends ev's touches to *touches. Intra-event dedup scans only what
+  // this event appended, so *touches may hold earlier events' touches.
   void Annotate(const TraceEvent& ev, std::vector<Touch>* touches) {
     cur_ = touches;
+    cur_start_ = touches->size();
     TouchThread(ev.tid);
     // Touches deferred onto this thread by a sync rendezvous (barrier
     // fan-out) land on its first event past the rendezvous.
@@ -173,7 +176,8 @@ struct Annotator::Impl : public SyncHost {
     if (resource == kNoResource) {
       return;
     }
-    for (const auto& t : *cur_) {
+    for (size_t i = cur_start_; i < cur_->size(); ++i) {
+      const Touch& t = (*cur_)[i];
       if (t.resource == resource && t.access == access) {
         return;  // dedup within the event
       }
@@ -198,17 +202,14 @@ struct Annotator::Impl : public SyncHost {
   }
 
   // ---- shadow tree ----
-  Node* GetNode(uint64_t id) {
-    auto it = nodes_.find(id);
-    return it == nodes_.end() ? nullptr : it->second.get();
-  }
+  Node* GetNode(uint64_t id) { return id < nodes_.size() ? nodes_[id].get() : nullptr; }
 
   Node* NewNode(uint8_t type) {
     auto n = std::make_unique<Node>();
-    n->id = next_node_++;
+    n->id = nodes_.size();
     n->type = type;
     Node* raw = n.get();
-    nodes_[raw->id] = std::move(n);
+    nodes_.push_back(std::move(n));
     return raw;
   }
 
@@ -483,6 +484,11 @@ struct Annotator::Impl : public SyncHost {
     uint32_t pid = InternPathName(raw_path);
     std::vector<Node*> via;
     Resolved r = ResolvePath(interner_->View(pid), follow_last, &via);
+    return UseResolvedPath(pid, r, via);
+  }
+
+  // UsePathTarget's touches for a path the caller already resolved.
+  Node* UseResolvedPath(uint32_t pid, const Resolved& r, const std::vector<Node*>& via) {
     UsePath(pid);
     if (r.missing_prefix_id != kNoPathId) {
       UsePath(r.missing_prefix_id);
@@ -667,7 +673,10 @@ struct Annotator::Impl : public SyncHost {
       case Sys::kOpen:
       case Sys::kCreat:
       case Sys::kShmOpen: {
-        std::string norm = NormalizePath(ev.path.str());
+        // Normalized into the InternPathName scratch, so `norm` is read only
+        // before the next InternPathName call (HandleCreateAt).
+        NormalizePathInto(ev.path.str(), &intern_scratch_);
+        const std::string& norm = intern_scratch_;
         std::vector<Node*> via;
         bool follow = !(ev.flags & trace::kOpenNoFollow);
         Resolved r = ResolvePath(norm, follow, &via);
@@ -684,7 +693,8 @@ struct Annotator::Impl : public SyncHost {
           HandleCreateAt(ev, kNodeFile);
           break;
         }
-        Node* node = UsePathTarget(ev.path.str(), follow);
+        // The tree has not changed since the resolve above.
+        Node* node = UseResolvedPath(Intern(norm), r, via);
         if (!ev.Failed() && node != nullptr) {
           FdOpen(static_cast<int32_t>(ev.ret), node->id);
         } else if (!ev.Failed() && node == nullptr) {
@@ -935,6 +945,7 @@ struct Annotator::Impl : public SyncHost {
   const AnnotateOptions opts_;
   AnnotatedTrace out_;
   std::vector<Touch>* cur_ = nullptr;
+  size_t cur_start_ = 0;  // the current event's first entry in *cur_
 
   // Path names and components. Heap-allocated so the finished annotation can
   // keep a reference (AnnotatedTrace::path_names) after the annotator dies.
@@ -943,8 +954,9 @@ struct Annotator::Impl : public SyncHost {
   std::vector<std::string> norm_stack_;  // ResolvePath per-depth buffers
   std::string intern_scratch_;           // InternPathName buffer
 
-  std::unordered_map<uint64_t, std::unique_ptr<Node>> nodes_;
-  uint64_t next_node_ = 1;
+  // Indexed by node id; ids are dense and nodes are never removed. Id 0 is
+  // unused.
+  std::vector<std::unique_ptr<Node>> nodes_ = std::vector<std::unique_ptr<Node>>(1);
   uint64_t root_ = 0;
   std::unordered_map<uint32_t, PathState> paths_;  // interned path id -> state
   std::unordered_map<int32_t, FdState> fds_;
@@ -987,12 +999,18 @@ AnnotatedTrace AnnotateTrace(const trace::Trace& t, const trace::FsSnapshot& sna
                              const AnnotateOptions& options) {
   ARTC_OBS_SPAN("compiler", "annotate");
   Annotator a(snapshot, options);
-  std::vector<std::vector<Touch>> touches(t.events.size());
-  for (size_t i = 0; i < t.events.size(); ++i) {
-    a.AnnotateEvent(t.events[i], &touches[i]);
+  // Each event appends its touches to the end of one flat table.
+  std::vector<Touch> touches;
+  std::vector<uint32_t> offsets;
+  offsets.reserve(t.events.size() + 1);
+  offsets.push_back(0);
+  for (const trace::TraceEvent& ev : t.events) {
+    a.AnnotateEvent(ev, &touches);
+    offsets.push_back(static_cast<uint32_t>(touches.size()));
   }
   AnnotatedTrace out = a.Finish();
   out.touches = std::move(touches);
+  out.touch_offsets = std::move(offsets);
   return out;
 }
 

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,9 +73,17 @@ struct Touch {
 
 struct AnnotatedTrace {
   std::vector<ResourceInfo> resources;
-  // touches[i] lists the resources touched by trace event i. The thread
-  // resource is included; the program resource (index 0) is implicit.
-  std::vector<std::vector<Touch>> touches;
+  // Every event's touches, in event order, as one flat table: event i's
+  // are touches[touch_offsets[i], touch_offsets[i + 1]) (TouchesFor). The
+  // thread resource is included; the program resource (index 0) is
+  // implicit.
+  std::vector<Touch> touches;
+  std::vector<uint32_t> touch_offsets;  // one per event, plus the end
+
+  std::span<const Touch> TouchesFor(size_t event) const {
+    return std::span<const Touch>(touches).subspan(
+        touch_offsets[event], touch_offsets[event + 1] - touch_offsets[event]);
+  }
   // Model inconsistencies encountered (e.g., a successful open of a path
   // the model believes absent — the paper saw these in the iTunes traces).
   uint64_t warnings = 0;
@@ -115,8 +124,9 @@ class Annotator {
   Annotator& operator=(const Annotator&) = delete;
 
   // Annotates the next event. Events MUST be presented in trace (issue)
-  // order. Appends this event's touches to *touches; callers normally pass
-  // a cleared scratch vector (intra-event dedup considers existing entries).
+  // order. Appends this event's touches to *touches; intra-event dedup
+  // considers only the entries this call appends, so *touches may be a
+  // cleared scratch vector or a table holding earlier events' touches.
   void AnnotateEvent(const trace::TraceEvent& ev, std::vector<Touch>* touches);
 
   // The resource table so far. Grows monotonically; ids are stable, so a

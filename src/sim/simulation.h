@@ -93,6 +93,9 @@ class SimCondVar {
   explicit SimCondVar(Simulation* simulation) : sim_(simulation) {}
   SimCondVar(const SimCondVar&) = delete;
   SimCondVar& operator=(const SimCondVar&) = delete;
+  // A moved condvar takes its waiters along: a waiter holds no pointer to
+  // the condvar it waits on. Lets a table of condvars live in one vector.
+  SimCondVar(SimCondVar&&) noexcept = default;
 
   // Blocks the calling simulated thread until notified.
   void Wait();

@@ -839,28 +839,7 @@ bool FindCell(const std::vector<CellConfig>& cells, const std::string& id_prefix
   return true;
 }
 
-void DrillAt(const SweepPlan& plan, size_t index, DrillResult* out) {
-  const CellConfig& cell = plan.cells[index];
-  obs::LogInfo("sweep", "drilling cell",
-               {{"cell", cell.Id().c_str()}, {"config", cell.Echo().c_str()}});
-  std::string pager;
-  out->stats = RunOneCell(plan, index, /*emit_trace=*/true, &out->critpath_json, &pager);
-  out->one_pager =
-      StrFormat("==== cell %s ====\n%s\n", out->stats.id.c_str(), cell.Echo().c_str()) +
-      pager;
-}
-
 }  // namespace
-
-bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
-               DrillResult* out, std::string* error) {
-  size_t index = 0;
-  if (!FindCell(plan.cells, id_prefix, &index, error)) {
-    return false;
-  }
-  DrillAt(plan, index, out);
-  return true;
-}
 
 bool DrillGrids(std::vector<SweepGrid> grids, const std::string& id_prefix,
                 DrillResult* out, std::string* error, size_t jobs) {
@@ -873,8 +852,15 @@ bool DrillGrids(std::vector<SweepGrid> grids, const std::string& id_prefix,
   SweepPlan plan;
   plan.cells.push_back(std::move(cells[index]));
   PlanCells(&plan, jobs);
-  DrillAt(plan, 0, out);
+  const CellConfig& cell = plan.cells[0];
+  obs::LogInfo("sweep", "drilling cell",
+               {{"cell", cell.Id().c_str()}, {"config", cell.Echo().c_str()}});
+  std::string pager;
+  out->stats = RunOneCell(plan, 0, /*emit_trace=*/true, &out->critpath_json, &pager);
   out->stats.index = index;
+  out->one_pager =
+      StrFormat("==== cell %s ====\n%s\n", out->stats.id.c_str(), cell.Echo().c_str()) +
+      pager;
   return true;
 }
 

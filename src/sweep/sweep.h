@@ -221,19 +221,18 @@ struct DrillResult {
   std::string one_pager;      // critpath OnePager + sweep cell header
   std::string critpath_json;  // CritPathReport::ToJson()
 };
-bool DrillCell(const SweepPlan& plan, const std::string& id_prefix,
-               DrillResult* out, std::string* error);
 
-// DrillCell over the grids' cells without building their whole plan: it
-// expands the grids, resolves `id_prefix` among all their cells, then
+// Drills into one of the grids' cells without building their whole plan:
+// it expands the grids, resolves `id_prefix` among all their cells, then
 // traces, compiles and measures only what that one cell needs (on `jobs`
 // host workers, 0 = util::DefaultJobs()). The result, the cell's index in
-// the expanded grids included, equals DrillCell on the full plan.
+// the expanded grids included, equals the cell's row in a sweep of the
+// grids.
 bool DrillGrids(std::vector<SweepGrid> grids, const std::string& id_prefix,
                 DrillResult* out, std::string* error, size_t jobs = 0);
 
 // Runs plan.cells[index] synchronously (shared by RunSweep workers and
-// DrillCell). `emit_trace` overlays the critical path on the default tracer;
+// DrillGrids). `emit_trace` overlays the critical path on the default tracer;
 // when non-null, *critpath_json / *one_pager receive the full
 // CritPathReport renderings.
 CellStats RunOneCell(const SweepPlan& plan, size_t index,

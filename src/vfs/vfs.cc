@@ -104,9 +104,10 @@ struct Vfs::Inode {
   uint32_t open_count = 0;
   std::vector<std::pair<uint64_t, uint32_t>> extents;  // (lba, nblocks), file order
   uint64_t allocated_blocks = 0;
-  std::map<std::string, uint64_t> children;  // dirs: name -> ino
+  // std::less<> looks names up by string_view without building a string.
+  std::map<std::string, uint64_t, std::less<>> children;  // dirs: name -> ino
   std::string symlink_target;
-  std::map<std::string, uint64_t> xattrs;    // name -> value size
+  std::map<std::string, uint64_t, std::less<>> xattrs;  // name -> value size
   std::string special_kind;                  // "random"/"urandom"/"null"
   uint64_t inode_block_lba = 0;
 };
@@ -196,9 +197,8 @@ void Vfs::EnsureExtents(Inode* inode, uint64_t up_to_block) {
   }
 }
 
-std::vector<std::pair<uint64_t, uint32_t>> Vfs::MapRange(const Inode* inode, uint64_t block,
-                                                         uint64_t nblocks) const {
-  std::vector<std::pair<uint64_t, uint32_t>> out;
+Vfs::ExtentList Vfs::MapRange(const Inode* inode, uint64_t block, uint64_t nblocks) const {
+  ExtentList out;
   uint64_t pos = 0;  // file block index at the start of the current extent
   for (const auto& [lba, len] : inode->extents) {
     uint64_t ext_end = pos + len;
@@ -281,19 +281,52 @@ void Vfs::JournalCommit() {
   pending_journal_blocks_ = 0;
 }
 
-Vfs::ResolveOutcome Vfs::Resolve(const std::string& path, bool follow_last, bool timed) {
+namespace {
+
+// A path's components as views. Most paths are a handful of components
+// deep, so the list stays inside the caller's frame.
+using PathParts = util::SmallVec<std::string_view, 16>;
+
+// Appends path's non-empty components to *parts as views into `path`.
+// With `normalize`, "." components drop out too and ".." pops the previous
+// one, which gives the components of NormalizePath(path).
+void AppendParts(std::string_view path, bool normalize, PathParts* parts) {
+  size_t start = 0;
+  while (start <= path.size()) {
+    size_t end = path.find('/', start);
+    if (end == std::string_view::npos) {
+      end = path.size();
+    }
+    const std::string_view comp = path.substr(start, end - start);
+    start = end + 1;
+    if (comp.empty() || (normalize && comp == ".")) {
+      continue;
+    }
+    if (normalize && comp == "..") {
+      if (!parts->empty()) {
+        parts->pop_back();
+      }
+      continue;
+    }
+    parts->push_back(comp);
+  }
+}
+
+}  // namespace
+
+Vfs::ResolveOutcome Vfs::Resolve(std::string_view path, bool follow_last, bool timed) {
   int budget = kMaxSymlinkDepth;
   return ResolveWithBudget(path, follow_last, timed, &budget);
 }
 
-Vfs::ResolveOutcome Vfs::ResolveWithBudget(const std::string& path, bool follow_last,
+Vfs::ResolveOutcome Vfs::ResolveWithBudget(std::string_view path, bool follow_last,
                                            bool timed, int* symlink_budget) {
   ResolveOutcome out;
-  std::string norm = NormalizePath(path);
-  std::vector<std::string> parts;
-  for (std::string_view p : SplitPath(norm)) {
-    parts.emplace_back(p);
-  }
+  PathParts parts;
+  AppendParts(path, /*normalize=*/true, &parts);
+  // Owns the components of a relative symlink's splice; `parts` views
+  // into it from then on.
+  std::string splice;
   Inode* dir = GetInode(root_ino_);
   if (parts.empty()) {
     out.node = dir;
@@ -307,7 +340,14 @@ Vfs::ResolveOutcome Vfs::ResolveWithBudget(const std::string& path, bool follow_
       return out;
     }
     if (timed) {
+      const uint64_t dir_ino = dir->ino;
       sim_->Sleep(fs_.lookup_cpu);
+      // A concurrent rmdir may have freed the directory meanwhile.
+      dir = GetInode(dir_ino);
+      if (dir == nullptr) {
+        out.err = kENOENT;
+        return out;
+      }
     }
     bool last = i + 1 == parts.size();
     auto it = dir->children.find(parts[i]);
@@ -328,7 +368,7 @@ Vfs::ResolveOutcome Vfs::ResolveWithBudget(const std::string& path, bool follow_
         out.err = kELOOP;
         return out;
       }
-      std::string target = child->symlink_target;
+      const std::string& target = child->symlink_target;
       if (!target.empty() && target[0] == '/') {
         // Absolute symlink: restart resolution with remaining components,
         // carrying the hop budget so loops terminate with ELOOP.
@@ -338,33 +378,32 @@ Vfs::ResolveOutcome Vfs::ResolveWithBudget(const std::string& path, bool follow_
         }
         return ResolveWithBudget(rest, follow_last, timed, symlink_budget);
       }
-      // Relative symlink: resolve within the current directory.
-      std::string rest = JoinPath("/", target);
-      // Build absolute path of current dir is not tracked; relative links
-      // are resolved against the parent dir by splicing components.
-      std::vector<std::string> spliced;
-      for (std::string_view p : SplitPath(target)) {
-        spliced.emplace_back(p);
-      }
+      // Relative symlink: the target's components, taken literally, replace
+      // this one within the current directory, followed by the components
+      // not yet walked.
+      std::string next = target;
       for (size_t j = i + 1; j < parts.size(); ++j) {
-        spliced.push_back(parts[j]);
+        next.push_back('/');
+        next.append(parts[j]);
       }
-      parts.erase(parts.begin() + static_cast<ptrdiff_t>(i), parts.end());
-      parts.insert(parts.end(), spliced.begin(), spliced.end());
-      // Re-enter loop at the same index, now naming the link target.
-      if (i >= parts.size()) {
+      splice = std::move(next);
+      parts.clear();
+      AppendParts(splice, /*normalize=*/false, &parts);
+      i = 0;
+      // Re-enter the lookup at the first spliced component.
+      if (parts.empty()) {
         out.err = kENOENT;
         return out;
       }
-      auto it2 = dir->children.find(parts[i]);
+      auto it2 = dir->children.find(parts[0]);
       if (it2 == dir->children.end()) {
         out.err = kENOENT;
         out.parent = dir;
-        out.final_name = parts[i];
+        out.final_name = parts[0];
         return out;
       }
       child = GetInode(it2->second);
-      last = i + 1 == parts.size();
+      last = parts.size() == 1;
     }
     if (last) {
       out.node = child;

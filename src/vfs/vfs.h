@@ -27,6 +27,7 @@
 #include "src/storage/storage_stack.h"
 #include "src/trace/event.h"
 #include "src/trace/snapshot.h"
+#include "src/util/small_vec.h"
 
 namespace artc::vfs {
 
@@ -189,9 +190,11 @@ class Vfs {
   struct ResolveOutcome;
 
   // Path walk. follow_last: dereference a trailing symlink. The budget
-  // bounds total symlink hops across nested resolutions (ELOOP).
-  ResolveOutcome Resolve(const std::string& path, bool follow_last, bool timed);
-  ResolveOutcome ResolveWithBudget(const std::string& path, bool follow_last, bool timed,
+  // bounds total symlink hops across nested resolutions (ELOOP). A timed
+  // walk sleeps per component and looks its directory up again after
+  // each sleep, so a directory removed meanwhile gives ENOENT.
+  ResolveOutcome Resolve(std::string_view path, bool follow_last, bool timed);
+  ResolveOutcome ResolveWithBudget(std::string_view path, bool follow_last, bool timed,
                                    int* symlink_budget);
 
   Inode* GetInode(uint64_t ino);
@@ -201,8 +204,15 @@ class Vfs {
   void FreeInode(Inode* inode);
 
   void EnsureExtents(Inode* inode, uint64_t up_to_block);
-  std::vector<std::pair<uint64_t, uint32_t>> MapRange(const Inode* inode, uint64_t block,
-                                                      uint64_t nblocks) const;
+  // The device extents behind file blocks [block, block + nblocks), copied
+  // out: callers block on the device while iterating, and EnsureExtents
+  // may reallocate the inode's extents meanwhile.
+  struct Extent {
+    uint64_t lba;
+    uint32_t nblocks;
+  };
+  using ExtentList = util::SmallVec<Extent, 4>;
+  ExtentList MapRange(const Inode* inode, uint64_t block, uint64_t nblocks) const;
   void ReadInodeBlock(const Inode* inode);   // metadata read through cache
   void DirtyInodeBlock(const Inode* inode);  // metadata write (cache)
   // Reads a directory's data blocks. The read can block, and a concurrent

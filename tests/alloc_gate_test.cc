@@ -3,9 +3,11 @@
 // counting one, warms a storage stack up with one pass of a workload, drops
 // the cache, and asserts that a second pass of the same workload makes no
 // heap allocation: submit, scheduler, device, completion, wake-up, eviction
-// and write-back all run on storage that the first pass left behind. A
-// last gate bounds the allocations of an ARTCT decode by the trace's
-// distinct strings.
+// and write-back all run on storage that the first pass left behind. Further
+// gates bound the allocations of an ARTCT decode by the trace's distinct
+// strings, keep annotation and compilation off the allocator per event, and
+// hold the vfs's per-call paths (stat, pread, pwrite, open/close) to the one
+// allocation an open file needs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "src/core/compiler.h"
+#include "src/fsmodel/resource_model.h"
 #include "src/sim/simulation.h"
 #include "src/storage/storage_stack.h"
 #include "src/trace/binary_trace.h"
@@ -26,6 +30,8 @@
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
+#include "src/vfs/vfs.h"
+#include "src/workloads/synthetic_gen.h"
 
 namespace {
 
@@ -261,3 +267,156 @@ TEST(AllocGate, ArtctDecodeScalesWithDistinctStrings) {
 
 }  // namespace
 }  // namespace artc::storage
+
+namespace artc {
+namespace {
+
+uint64_t Allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+// Web-server traces: 8 workers serving a shared corpus and appending to
+// private logs, so most events touch a path, a file and an fd. The workers
+// cycle through a fixed set of fds and documents, so every resource exists
+// within the first few thousand events.
+trace::TraceBundle WebServerTrace(uint64_t events) {
+  workloads::SynthOptions opt;
+  opt.scenario = workloads::SynthScenario::kWebServer;
+  opt.events = events;
+  return workloads::GenerateSyntheticBundle(opt);
+}
+
+fsmodel::AnnotateOptions CompilerAnnotateOptions() {
+  fsmodel::AnnotateOptions opt;
+  opt.materialize_labels = false;  // what Compile asks for
+  return opt;
+}
+
+uint64_t AnnotateAllocations(const trace::TraceBundle& b) {
+  const uint64_t before = Allocations();
+  const fsmodel::AnnotatedTrace ann =
+      fsmodel::AnnotateTrace(b.trace, b.snapshot, CompilerAnnotateOptions());
+  const uint64_t allocations = Allocations() - before;
+  EXPECT_EQ(ann.touch_offsets.size(), b.trace.events.size() + 1);
+  EXPECT_GT(ann.touches.size(), 2 * b.trace.events.size());  // thread, path, file, fd
+  return allocations;
+}
+
+uint64_t CompileAllocations(const trace::TraceBundle& b) {
+  const fsmodel::AnnotatedTrace ann =
+      fsmodel::AnnotateTrace(b.trace, b.snapshot, CompilerAnnotateOptions());
+  trace::Trace t = b.trace;
+  const uint64_t before = Allocations();
+  const core::CompiledBenchmark bench =
+      core::Compile(std::move(t), b.snapshot, ann, core::CompileOptions{});
+  const uint64_t allocations = Allocations() - before;
+  EXPECT_EQ(bench.actions.size(), b.trace.events.size());
+  EXPECT_GT(bench.dep_arena.size(), b.trace.events.size() / 10);
+  return allocations;
+}
+
+// What annotating or compiling costs the allocator per event: the 90k
+// events a 100k-event trace has beyond a 10k-event one may make fewer than
+// 1 allocation per 100 events. The 10k-event trace already holds every
+// resource, so the difference leaves out the costs that grow with the
+// resources (snapshot tree, path names, fd and cursor tables).
+constexpr uint64_t kShortEvents = 10'000;
+constexpr uint64_t kLongEvents = 100'000;
+
+// Annotation appends each event's touches to one flat table.
+TEST(AllocGate, AnnotateStaysOffTheAllocatorPerEvent) {
+  const uint64_t short_allocations = AnnotateAllocations(WebServerTrace(kShortEvents));
+  const uint64_t long_allocations = AnnotateAllocations(WebServerTrace(kLongEvents));
+  std::printf("annotate: %llu allocations for %llu events, %llu for %llu\n",
+              static_cast<unsigned long long>(short_allocations),
+              static_cast<unsigned long long>(kShortEvents),
+              static_cast<unsigned long long>(long_allocations),
+              static_cast<unsigned long long>(kLongEvents));
+  ASSERT_GE(long_allocations, short_allocations);
+  EXPECT_LT(long_allocations - short_allocations, (kLongEvents - kShortEvents) / 100);
+}
+
+// Compile scans that table once; per-resource cursors keep their first use
+// and waiters inline, so only resources several threads share allocate.
+TEST(AllocGate, CompileStaysOffTheAllocatorPerEvent) {
+  const uint64_t short_allocations = CompileAllocations(WebServerTrace(kShortEvents));
+  const uint64_t long_allocations = CompileAllocations(WebServerTrace(kLongEvents));
+  std::printf("compile: %llu allocations for %llu events, %llu for %llu\n",
+              static_cast<unsigned long long>(short_allocations),
+              static_cast<unsigned long long>(kShortEvents),
+              static_cast<unsigned long long>(long_allocations),
+              static_cast<unsigned long long>(kLongEvents));
+  ASSERT_GE(long_allocations, short_allocations);
+  EXPECT_LT(long_allocations - short_allocations, (kLongEvents - kShortEvents) / 100);
+}
+
+// Allocations made by each vfs call on files that already exist, after one
+// warm-up round of the same calls on the same blocks (so the page cache
+// holds them). The files sit on normalized 4-component paths whose names
+// fit a std::string's inline buffer.
+struct VfsCallAllocations {
+  uint64_t stat = 0;
+  uint64_t pread = 0;
+  uint64_t pwrite = 0;
+  uint64_t open_close = 0;
+};
+
+VfsCallAllocations MeasureVfsCalls(int rounds) {
+  constexpr int kFiles = 8;
+  constexpr uint64_t kFileBytes = 64 * 1024;
+  sim::Simulation sim(3);
+  storage::StorageStack stack(&sim, storage::MakeNamedConfig("ssd"));
+  vfs::Vfs fs(&sim, &stack, vfs::MakeFsProfile("ext4"));
+  std::vector<std::string> paths;
+  for (int f = 0; f < kFiles; ++f) {
+    paths.push_back(StrFormat("/srv/www/docs/page_%02d.html", f));
+    fs.MustCreateFile(paths.back(), kFileBytes);
+  }
+  VfsCallAllocations out;
+  sim.Spawn("caller", [&] {
+    for (int round = 0; round <= rounds; ++round) {
+      const bool measured = round > 0;
+      for (const std::string& path : paths) {
+        uint64_t at = Allocations();
+        EXPECT_EQ(fs.Stat(path).value, static_cast<int64_t>(kFileBytes));
+        if (measured) {
+          out.stat += Allocations() - at;
+        }
+        at = Allocations();
+        const vfs::VfsResult fd = fs.Open(path, trace::kOpenRead | trace::kOpenWrite);
+        ASSERT_TRUE(fd.ok());
+        const uint64_t open_allocations = Allocations() - at;
+        const auto fdn = static_cast<int32_t>(fd.value);
+        at = Allocations();
+        EXPECT_EQ(fs.Pread(fdn, 8192, 4096).value, 8192);
+        if (measured) {
+          out.pread += Allocations() - at;
+        }
+        at = Allocations();
+        EXPECT_EQ(fs.Pwrite(fdn, 4096, 8192).value, 4096);
+        if (measured) {
+          out.pwrite += Allocations() - at;
+        }
+        at = Allocations();
+        EXPECT_TRUE(fs.Close(fdn).ok());
+        if (measured) {
+          out.open_close += open_allocations + Allocations() - at;
+        }
+      }
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(sim.UnfinishedThreads(), 0u);
+  return out;
+}
+
+TEST(AllocGate, VfsCallsOnExistingFiles) {
+  constexpr int kRounds = 4;
+  constexpr uint64_t kCalls = kRounds * 8;
+  const VfsCallAllocations a = MeasureVfsCalls(kRounds);
+  EXPECT_EQ(a.stat, 0u);
+  EXPECT_EQ(a.pread, 0u);
+  EXPECT_EQ(a.pwrite, 0u);
+  EXPECT_EQ(a.open_close, kCalls) << "one OpenFile per open";
+}
+
+}  // namespace
+}  // namespace artc

@@ -35,7 +35,7 @@ struct TraceBuilder {
 std::vector<uint32_t> TouchedOfKind(const AnnotatedTrace& ann, size_t idx,
                                     ResourceKind kind) {
   std::vector<uint32_t> out;
-  for (const Touch& t : ann.touches[idx]) {
+  for (const Touch& t : ann.TouchesFor(idx)) {
     if (ann.resources[t.resource].kind == kind &&
         std::find(out.begin(), out.end(), t.resource) == out.end()) {
       out.push_back(t.resource);
@@ -45,7 +45,7 @@ std::vector<uint32_t> TouchedOfKind(const AnnotatedTrace& ann, size_t idx,
 }
 
 bool HasAccess(const AnnotatedTrace& ann, size_t idx, uint32_t resource, Access a) {
-  for (const Touch& t : ann.touches[idx]) {
+  for (const Touch& t : ann.TouchesFor(idx)) {
     if (t.resource == resource && t.access == a) {
       return true;
     }
@@ -124,7 +124,7 @@ TEST(ResourceModel, PaperFigure2Example) {
 
   // The rename closes the generation of path /a/b and /a/b/c.
   bool closed_ab = false;
-  for (const Touch& t : ann.touches[4]) {
+  for (const Touch& t : ann.TouchesFor(4)) {
     if (ann.resources[t.resource].kind == ResourceKind::kPath &&
         t.access == Access::kDelete) {
       closed_ab = true;
@@ -212,7 +212,7 @@ TEST(ResourceModel, DirectoryRenameClosesDescendantPathGenerations) {
   AnnotatedTrace ann = AnnotateTrace(b.t, snap);
   // The rename must delete the old generation of /dir/sub/file.
   bool closed = false;
-  for (const Touch& t : ann.touches[1]) {
+  for (const Touch& t : ann.TouchesFor(1)) {
     const ResourceInfo& r = ann.resources[t.resource];
     if (r.kind == ResourceKind::kPath && t.access == Access::kDelete &&
         r.label.find("/dir/sub/file") != std::string::npos) {

@@ -311,9 +311,11 @@ TEST(SweepTest, EqualCellDigestsDoNotCancelInTheAggregate) {
   EXPECT_EQ(report.digest_sum, 2 * MixCellDigest(report.stats[0].digest));
 }
 
-TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
+TEST(SweepTest, CellsMatchStandaloneReplay) {
   // Every cell's virtual results must be bit-identical to a standalone
-  // replay of that configuration, on either simulation backend.
+  // replay of that configuration (a single replay runs on the calling
+  // thread whatever the target's backend, so one replay per cell covers
+  // both).
   SweepGrid grid;
   grid.axes["method"] = {"artc", "temporal"};
   grid.axes["storage"] = {"hdd", "ssd"};
@@ -325,20 +327,16 @@ TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
 
   for (const CellStats& stats : report.stats) {
     const CellConfig& cell = plan.cells[stats.index];
-    for (sim::SimBackend backend : {sim::SimBackend::kFibers, sim::SimBackend::kParallel}) {
-      core::SimTarget target = cell.MakeTarget();
-      target.sim_backend = backend;
-      trace::FsSnapshot final_state;
-      const core::SimReplayResult standalone =
-          core::ReplayCompiledOnSimTarget(plan.BenchFor(cell), target, &final_state);
-      const std::string where = cell.Echo() + " on " + sim::SimBackendName(backend);
-      EXPECT_EQ(stats.end_ns, standalone.report.wall_time) << where;
-      EXPECT_EQ(stats.sim_end_ns, standalone.sim_end_time) << where;
-      EXPECT_EQ(stats.sim_switches, standalone.sim_switches) << where;
-      EXPECT_EQ(stats.digest, check::SnapshotDigest(final_state)) << where;
-      EXPECT_EQ(stats.storage.media_read_blocks, standalone.storage.media_read_blocks)
-          << where;
-    }
+    trace::FsSnapshot final_state;
+    const core::SimReplayResult standalone =
+        core::ReplayCompiledOnSimTarget(plan.BenchFor(cell), cell.MakeTarget(), &final_state);
+    const std::string where = cell.Echo();
+    EXPECT_EQ(stats.end_ns, standalone.report.wall_time) << where;
+    EXPECT_EQ(stats.sim_end_ns, standalone.sim_end_time) << where;
+    EXPECT_EQ(stats.sim_switches, standalone.sim_switches) << where;
+    EXPECT_EQ(stats.digest, check::SnapshotDigest(final_state)) << where;
+    EXPECT_EQ(stats.storage.media_read_blocks, standalone.storage.media_read_blocks)
+        << where;
   }
 }
 
@@ -416,7 +414,7 @@ TEST(SweepTest, NamedWorkloadCellsCarryTheOriginalRunAndReplayError) {
 
   // Drilling reproduces the whole row, original and error included.
   DrillResult drill;
-  ASSERT_TRUE(DrillCell(plan, r1.stats[1].id, &drill, &error)) << error;
+  ASSERT_TRUE(DrillGrids(grids, r1.stats[1].id, &drill, &error)) << error;
   EXPECT_EQ(drill.stats.ToJsonl(false), r1.stats[1].ToJsonl(false));
 }
 
@@ -489,14 +487,21 @@ TEST(SweepTest, ProgressGaugesResetAcrossSweepsInOneProcess) {
 }
 
 TEST(SweepTest, DrillReproducesTheSweptCellExactly) {
-  SweepPlan plan = BuildSmallPlan(SmallGrid());
+  std::vector<SweepGrid> grids;
+  std::string error;
+  ASSERT_TRUE(ParseGridText("workload = random_readers\n"
+                            "source = ssd\n"
+                            "method = artc, temporal\n"
+                            "storage = hdd, ssd\n",
+                            &grids, &error));
+  SweepPlan plan;
+  ASSERT_TRUE(BuildSweepPlan(grids, &plan, &error)) << error;
   SweepReport report;
   SweepToString(plan, 2, 0, &report);
 
   const CellStats& target = report.stats[3];
   DrillResult drill;
-  std::string error;
-  ASSERT_TRUE(DrillCell(plan, target.id, &drill, &error)) << error;
+  ASSERT_TRUE(DrillGrids(grids, target.id, &drill, &error)) << error;
   // The drilled replay is bit-identical to the swept one: the whole
   // host-time-free row matches byte for byte.
   EXPECT_EQ(drill.stats.ToJsonl(false), target.ToJsonl(false));
@@ -504,10 +509,10 @@ TEST(SweepTest, DrillReproducesTheSweptCellExactly) {
   EXPECT_FALSE(drill.critpath_json.empty());
 
   // Prefix match works; ambiguous and unknown prefixes are errors.
-  ASSERT_TRUE(DrillCell(plan, target.id.substr(0, 6), &drill, &error));
+  ASSERT_TRUE(DrillGrids(grids, target.id.substr(0, 6), &drill, &error));
   EXPECT_EQ(drill.stats.id, target.id);
-  EXPECT_FALSE(DrillCell(plan, "", &drill, &error));
-  EXPECT_FALSE(DrillCell(plan, "zzzz", &drill, &error));
+  EXPECT_FALSE(DrillGrids(grids, "", &drill, &error));
+  EXPECT_FALSE(DrillGrids(grids, "zzzz", &drill, &error));
 }
 
 }  // namespace

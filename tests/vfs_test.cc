@@ -627,5 +627,38 @@ TEST_F(VfsRaceTest, SecondUnlinkOfOneNameGivesEnoent) {
   EXPECT_FALSE(vfs_.Exists("/f"));
 }
 
+TEST_F(VfsRaceTest, RmdirDuringTimedResolveGivesEnoent) {
+  // Slow lookups give the rmdir room to land inside the stat's sleep in /d.
+  FsProfile slow = profile_;
+  slow.lookup_cpu = Us(20);
+  Vfs fs(&sim_, &stack_, slow);
+  fs.MustMkdirAll("/d");
+  VfsResult stat_result;
+  VfsResult rmdir_result;
+  TimeNs in_d = 0;  // when the stat starts its sleep in /d
+  TimeNs stat_done = 0;
+  TimeNs rmdir_done = 0;
+  Race(
+      [&](std::function<void()> go) {
+        // Caches the root's blocks, so the rmdir never waits on the device.
+        ASSERT_TRUE(fs.Mkdir("/warm").ok());
+        go();
+        in_d = sim_.Now() + slow.meta_cpu + slow.lookup_cpu;
+        stat_result = fs.Stat("/d/x");
+        stat_done = sim_.Now();
+      },
+      // The rmdir's resolve of /d ends a quarter into the stat's sleep in /d.
+      slow.lookup_cpu / 4,
+      [&] {
+        rmdir_result = fs.Rmdir("/d");
+        rmdir_done = sim_.Now();
+      });
+  EXPECT_TRUE(rmdir_result.ok());
+  EXPECT_GT(rmdir_done, in_d) << "rmdir finished before the stat walked into /d";
+  EXPECT_LT(rmdir_done, stat_done) << "rmdir did not land inside the stat's sleep in /d";
+  EXPECT_EQ(stat_result.err, kENOENT);
+  EXPECT_FALSE(fs.Exists("/d"));
+}
+
 }  // namespace
 }  // namespace artc::vfs
