@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <string>
 
 #include "src/core/artc.h"
@@ -18,36 +17,25 @@
 
 namespace artc::bench {
 
-// RAII observability session for a harness main(): adds --metrics-port to
-// the main's flags (none for a main without flags of its own), parses argv
-// against them, exiting 2 on any error, then opens the usual env-wired obs
-// session (ARTC_TRACE_OUT / ARTC_METRICS_OUT / ARTC_TIMESERIES_OUT /
-// ARTC_METRICS_PORT / ARTC_METRICS_ADDR). `flags` then holds a pointer into
-// this object, so it must not be parsed again once the session is gone.
+// RAII observability session for a harness main(): parses argv against the
+// main's flags (none for a main without flags of its own), exiting 2 on any
+// error, then opens the environment-wired obs session (ARTC_TRACE_OUT /
+// ARTC_METRICS_OUT / ARTC_TIMESERIES_OUT / ARTC_METRICS_PORT /
+// ARTC_METRICS_ADDR; see obs::StartTelemetry).
 class HarnessObsSession {
  public:
-  HarnessObsSession(int argc, char** argv, util::FlagSet* flags = nullptr)
-      : session_(ParseFlags(argc, argv, flags)) {}
-
- private:
-  obs::SessionOptions ParseFlags(int argc, char** argv, util::FlagSet* flags) {
+  HarnessObsSession(int argc, char** argv, util::FlagSet* flags = nullptr) {
     util::FlagSet none;
     if (flags == nullptr) {
       flags = &none;
     }
-    flags->Unsigned("metrics-port", &metrics_port_);
     std::string error;
     if (!flags->Parse(argc, argv, &error)) {
       flags->Fail(error);
     }
-    obs::SessionOptions opts;
-    if (metrics_port_) {
-      opts.metrics_port = *metrics_port_;
-    }
-    return opts;
   }
 
-  std::optional<uint16_t> metrics_port_;
+ private:
   obs::ScopedObsSession session_;
 };
 

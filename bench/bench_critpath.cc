@@ -99,8 +99,8 @@ CompiledBenchmark CompileArtc(TracedRun run) {
 }
 
 // --all: trace every Magritte workload on the suite's ssd source, compile
-// them on the host thread pool (--jobs), replay them as one suite on the
-// chosen backend and print one pager per workload.
+// them on the host thread pool (--jobs), replay them as one suite on a pool
+// of --jobs workers and print one pager per workload.
 int AnalyzeSuite(const Options& opt, uint64_t seed) {
   const std::vector<MagritteSpec>& specs = workloads::MagritteSuite();
   workloads::SourceConfig source;
@@ -135,7 +135,6 @@ int Main(int argc, char** argv) {
   Options opt;
   WorkloadSource ws;
   std::string storage_name = "hdd";
-  std::string backend = "fibers";
   std::string trace_path;
   bool pacing = false;
   bool all = false;
@@ -144,9 +143,8 @@ int Main(int argc, char** argv) {
   flags.Choice("storage", &storage_name, storage::kNamedConfigNames);
   flags.Choice("fs", &opt.target.fs_profile, vfs::kFsProfileNames);
   flags.Switch("pacing", &pacing);
-  flags.Choice("backend", &backend, sim::kSimBackendNames);
-  // Host worker threads for --all's compiles and, on the parallel backend,
-  // its replays (0 = ARTC_JOBS / core count).
+  // Host worker threads for --all's compiles and replays (0 = ARTC_JOBS /
+  // core count; 1 runs the replays one after another).
   flags.Unsigned("jobs", &opt.target.jobs);
   flags.String("json", &opt.json_path);
   flags.String("trace", &trace_path);
@@ -158,7 +156,6 @@ int Main(int argc, char** argv) {
   if (pacing) {
     opt.target.replay.pacing = core::PacingMode::kNatural;
   }
-  sim::ParseSimBackendName(backend, &opt.target.sim_backend);
 
   if (ws.micro.empty() && !trace_path.empty()) {
     trace::ParallelReadResult read;
@@ -176,6 +173,7 @@ int Main(int argc, char** argv) {
   if (ws.micro.empty() && all) {
     Options per = opt;
     per.json_path.clear();  // one pager per workload; JSON is single-run only
+    per.target.sim_backend = sim::SimBackend::kParallel;
     return AnalyzeSuite(per, ws.seed);
   }
   TracedRun run = ws.Trace(flags);

@@ -108,8 +108,8 @@ int Main() {
 }  // namespace artc
 
 int main(int argc, char** argv) {
-  // Env wiring (ARTC_TRACE_OUT / ARTC_METRICS_OUT / ...) plus --metrics-port
-  // for a live endpoint; see bench::HarnessObsSession.
+  // Env wiring (ARTC_TRACE_OUT / ARTC_METRICS_PORT / ...); see
+  // bench::HarnessObsSession.
   artc::bench::HarnessObsSession obs_session(argc, argv);
   return artc::Main();
 }

@@ -8,7 +8,7 @@
 // cell with the virtual end time, the error against the original, the
 // critical-path stall attribution, the storage block counts and the
 // fs-state digest. Progress is live on the obs metrics plane
-// (--metrics-port / ARTC_*), and any row can be re-run alone, fully
+// (ARTC_METRICS_PORT / ARTC_*), and any row can be re-run alone, fully
 // instrumented, with --drill.
 //
 //   artc_sweep --grid=bench/grids/fig5a.grid      # one paper figure

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   flags.String("export", &export_dir);
   // ARTC_TRACE_OUT=trace.json (optionally ARTC_METRICS_OUT=metrics.json)
   // records the replay for Perfetto / chrome://tracing; see README.
-  // --metrics-port P (or ARTC_METRICS_PORT=P) serves live /metrics.
+  // ARTC_METRICS_PORT=P serves live /metrics.
   artc::bench::HarnessObsSession obs_session(argc, argv, &flags);
   if (!export_dir.empty()) {
     // Release the suite: one .trace + .snap pair per workload, replayable

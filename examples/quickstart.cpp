@@ -14,7 +14,7 @@
 #include "src/trace/strace_parser.h"
 
 int main(int argc, char** argv) {
-  // Telemetry (ARTC_TRACE_OUT / --metrics-port / ...) via the shared
+  // Telemetry (ARTC_TRACE_OUT / ARTC_METRICS_PORT / ...) via the shared
   // harness session; the quickstart runs fine with none of it set.
   artc::bench::HarnessObsSession obs_session(argc, argv);
   // A tiny two-thread strace fragment: thread 101 creates and writes a file

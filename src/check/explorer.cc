@@ -19,6 +19,11 @@
 namespace artc::check {
 namespace {
 
+// Replay end times may legitimately vary with the schedule (different
+// cache/seek patterns), but only within reason; runs slower AND faster than
+// baseline by more than this factor are flagged.
+constexpr double kEndTimeSlack = 16.0;
+
 std::string PrefixLabel(const std::vector<uint32_t>& prefix) {
   std::string out = "prefix:";
   for (size_t i = 0; i < prefix.size(); ++i) {
@@ -141,11 +146,11 @@ struct Explorer {
       double hi = static_cast<double>(std::max<TimeNs>(run.end_time, 1));
       double lo = static_cast<double>(std::max<TimeNs>(baseline.end_time, 1));
       double ratio = hi > lo ? hi / lo : lo / hi;
-      if (ratio > opt.end_time_slack) {
+      if (ratio > kEndTimeSlack) {
         run_violations++;
         Problem(StrFormat("[%s] virtual end time %lld vs baseline %lld exceeds %.1fx slack",
                           label.c_str(), static_cast<long long>(run.end_time),
-                          static_cast<long long>(baseline.end_time), opt.end_time_slack));
+                          static_cast<long long>(baseline.end_time), kEndTimeSlack));
       }
     }
     if (run_violations > 0 && result.violations == 0 && spec != nullptr) {
@@ -171,7 +176,7 @@ bool FailsWith(const trace::TraceBundle& b, const sim::ScheduleSpec& spec,
   sub.repro_obs_trace = false;
 
   Explorer ex(b, sub);
-  if (sub.strict_trace && ex.model.mismatched_returns > 0) {
+  if (ex.model.mismatched_returns > 0) {
     return true;
   }
   ex.baseline = ReplayCompiledUnderPolicy(ex.bench, sub.target, nullptr);
@@ -254,21 +259,21 @@ ExploreResult ExploreBundle(const trace::TraceBundle& bundle, const ExploreOptio
   Explorer ex(bundle, opt);
   ex.result.hb_edges = ex.model.edges.size();
 
-  if (opt.strict_trace) {
-    if (ex.model.mismatched_returns > 0) {
-      ex.result.violations += ex.model.mismatched_returns;
-      ex.Problem(StrFormat("trace disagrees with the reference model: %s",
-                           ex.model.first_mismatch.c_str()));
-    }
-    fsmodel::AnnotateOptions aopt;
-    aopt.materialize_labels = false;
-    fsmodel::AnnotatedTrace ann = fsmodel::AnnotateTrace(bundle.trace, bundle.snapshot, aopt);
-    if (ann.warnings > 0) {
-      ex.result.violations += ann.warnings;
-      ex.Problem(StrFormat("fsmodel annotation reported %llu warnings: %s",
-                           static_cast<unsigned long long>(ann.warnings),
-                           ann.first_warning.c_str()));
-    }
+  // A generated or corpus trace must be self-consistent: zero refmodel
+  // return mismatches and zero fsmodel annotation warnings.
+  if (ex.model.mismatched_returns > 0) {
+    ex.result.violations += ex.model.mismatched_returns;
+    ex.Problem(StrFormat("trace disagrees with the reference model: %s",
+                         ex.model.first_mismatch.c_str()));
+  }
+  fsmodel::AnnotateOptions aopt;
+  aopt.materialize_labels = false;
+  fsmodel::AnnotatedTrace ann = fsmodel::AnnotateTrace(bundle.trace, bundle.snapshot, aopt);
+  if (ann.warnings > 0) {
+    ex.result.violations += ann.warnings;
+    ex.Problem(StrFormat("fsmodel annotation reported %llu warnings: %s",
+                         static_cast<unsigned long long>(ann.warnings),
+                         ann.first_warning.c_str()));
   }
 
   // Baseline: the default scheduler, exactly as production replay runs it.

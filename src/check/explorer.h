@@ -32,16 +32,6 @@ struct ExploreOptions {
   uint32_t exhaustive_preemption_bound = 0;
   uint32_t exhaustive_budget = 64;  // max extra schedules
 
-  // Replay end times may legitimately vary with the schedule (different
-  // cache/seek patterns), but only within reason; flag runs slower AND
-  // faster than baseline by more than this factor.
-  double end_time_slack = 16.0;
-
-  // A generated/corpus trace must be self-consistent: annotate with zero
-  // fsmodel warnings and zero refmodel return mismatches. Counted as
-  // violations when strict (the harness default).
-  bool strict_trace = true;
-
   core::CompileOptions compile;
   core::SimTarget target;      // .schedule is overridden per run
   std::string repro_dir;       // dump repro bundles here ("" = disabled)

@@ -30,6 +30,11 @@ constexpr uint32_t kFlagSets[] = {
     kOpenWrite | kOpenCreate | kOpenAppend,
 };
 
+// The namespace: "/d0", "/d1", each holding "f0".."f2", half of all files
+// pre-bound in the snapshot.
+constexpr uint32_t kDirs = 2;
+constexpr uint32_t kFilesPerDir = 3;
+
 struct PathPools {
   std::vector<std::string> files;   // open/read/write/unlink/rename/link targets
   std::vector<std::string> dirish;  // mkdir/rmdir targets (collide with files)
@@ -307,22 +312,22 @@ void WorkerBody(vfs::Vfs& fs, sim::Simulation& sim, sim::SimMutex& mu,
 }  // namespace
 
 trace::TraceBundle GenerateTrace(const GenOptions& opt) {
-  ARTC_CHECK(opt.threads > 0 && opt.dirs > 0 && opt.files_per_dir > 0);
+  ARTC_CHECK(opt.threads > 0);
   sim::Simulation sim(opt.seed);
   storage::StorageStack stack(&sim, storage::MakeNamedConfig(opt.storage));
   vfs::Vfs fs(&sim, &stack, vfs::MakeFsProfile(opt.fs_profile));
 
   PathPools pools;
-  for (uint32_t d = 0; d < opt.dirs; ++d) {
+  for (uint32_t d = 0; d < kDirs; ++d) {
     std::string dir = StrFormat("/d%u", d);
     pools.dirish.push_back(dir);
-    for (uint32_t f = 0; f < opt.files_per_dir; ++f) {
+    for (uint32_t f = 0; f < kFilesPerDir; ++f) {
       pools.files.push_back(StrFormat("%s/f%u", dir.c_str(), f));
     }
   }
   // Collision names: used as mkdir/rmdir AND open/unlink/rename targets, so
   // the same literal path flips between file and directory bindings.
-  for (uint32_t d = 0; d < opt.dirs; ++d) {
+  for (uint32_t d = 0; d < kDirs; ++d) {
     std::string both = StrFormat("/d%u/x", d);
     pools.files.push_back(both);
     pools.dirish.push_back(both);
@@ -332,7 +337,7 @@ trace::TraceBundle GenerateTrace(const GenOptions& opt) {
   vfs::TraceRecorder recorder(&bundle.trace);
 
   sim.Spawn("gen-harness", [&] {
-    for (uint32_t d = 0; d < opt.dirs; ++d) {
+    for (uint32_t d = 0; d < kDirs; ++d) {
       fs.MustMkdirAll(StrFormat("/d%u", d));
     }
     for (size_t i = 0; i < pools.files.size(); i += 2) {

@@ -39,8 +39,6 @@ struct GenOptions {
   uint64_t seed = 1;
   uint32_t threads = 4;
   uint32_t ops_per_thread = 24;
-  uint32_t dirs = 2;           // "/d0", "/d1", ...
-  uint32_t files_per_dir = 3;  // "/d0/f0" ... ; half pre-bound in the snapshot
   std::string storage = "ssd";
   std::string fs_profile = "ext4";
 

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "src/core/sim_env.h"
-#include "src/obs/obs.h"
 #include "src/sim/simulation.h"
 #include "src/util/thread_pool.h"
 
@@ -13,9 +12,6 @@ namespace artc::core {
 SimReplayResult ReplayCompiledOnSimTarget(const CompiledBenchmark& bench,
                                           const SimTarget& target,
                                           trace::FsSnapshot* final_state) {
-  if (target.obs) {
-    obs::Enable();
-  }
   sim::Simulation sim(target.seed);
   std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
   sim.SetSchedulePolicy(policy.get());
@@ -58,9 +54,6 @@ SimReplayResult ReplayCompiledOnSimTarget(const CompiledBenchmark& bench,
 
 MultiReplayResult ReplayConcurrentlyOnSimTarget(
     const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target) {
-  if (target.obs) {
-    obs::Enable();
-  }
   sim::Simulation sim(target.seed);
   std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
   sim.SetSchedulePolicy(policy.get());

@@ -44,11 +44,6 @@ struct SimTarget {
   // (0 = util::DefaultJobs(), i.e. ARTC_JOBS or the core count). Ignored by
   // single replays and by the fibers backend.
   size_t jobs = 0;
-  // Turns on the process-wide observability switch (obs::Enable) for this
-  // replay, so instrumented spans/counters are collected even without
-  // ARTC_TRACE_OUT in the environment. The caller still decides where the
-  // data goes (obs::FlushOutputs or direct registry/tracer reads).
-  bool obs = false;
 };
 
 struct SimReplayResult {

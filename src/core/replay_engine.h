@@ -34,12 +34,10 @@ namespace artc::core {
 enum class PacingMode : uint8_t {
   kAfap,     // as fast as possible: ignore predelay
   kNatural,  // sleep the recorded predelay before each action
-  kScaled,   // sleep predelay * scale
 };
 
 struct ReplayOptions {
   PacingMode pacing = PacingMode::kAfap;
-  double predelay_scale = 1.0;
 };
 
 // Runtime argument resolution handed to Env::Execute.
@@ -134,9 +132,6 @@ ReplayReport Replay(const CompiledBenchmark& bench, Env& env,
       // 2. Pacing.
       if (options.pacing == PacingMode::kNatural && a.predelay > 0) {
         env.SleepNs(a.predelay);
-      } else if (options.pacing == PacingMode::kScaled && a.predelay > 0) {
-        env.SleepNs(static_cast<TimeNs>(static_cast<double>(a.predelay) *
-                                        options.predelay_scale));
       }
       // 3. Issue.
       ActionOutcome& out = outcomes[idx];

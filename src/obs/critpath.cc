@@ -78,31 +78,7 @@ TimeNs WhatIfEndTime(const CompiledBenchmark& bench,
 
 void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
+  AppendJsonEscaped(out, s);
   out->push_back('"');
 }
 

@@ -7,8 +7,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
 
 #include "src/obs/obs.h"
+#include "src/util/strings.h"
 
 namespace artc::obs {
 namespace internal {
@@ -65,21 +67,6 @@ int64_t HostNs() {
       .count();
 }
 
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 const char* LogLevelName(LogLevel level) {
@@ -111,7 +98,7 @@ bool ParseLogLevel(std::string_view name, LogLevel* out) {
 
 void LogField::AppendTo(std::string* out) const {
   out->push_back('"');
-  AppendEscaped(out, key_);
+  AppendJsonEscaped(out, key_);
   out->push_back('"');
   out->push_back(':');
   char buf[64];
@@ -134,7 +121,7 @@ void LogField::AppendTo(std::string* out) const {
       break;
     case Kind::kString:
       out->push_back('"');
-      AppendEscaped(out, s_);
+      AppendJsonEscaped(out, s_);
       out->push_back('"');
       break;
   }
@@ -186,9 +173,9 @@ std::string FormatLogLine(LogLevel level, const char* component,
                 ",\"level\":\"%s\",\"tid\":%u,\"component\":\"",
                 wall_ms, host_ns, LogLevelName(level), tid);
   out += buf;
-  AppendEscaped(&out, component != nullptr ? component : "?");
+  AppendJsonEscaped(&out, component != nullptr ? component : "?");
   out += "\",\"msg\":\"";
-  AppendEscaped(&out, msg);
+  AppendJsonEscaped(&out, msg);
   out.push_back('"');
   if (dropped > 0) {
     std::snprintf(buf, sizeof(buf), ",\"dropped\":%" PRIu64, dropped);
@@ -266,11 +253,24 @@ void InitLogFromEnv() {
               {{"path", out}});
     }
   }
-  const char* rate = std::getenv("ARTC_LOG_RATE");
-  if (rate != nullptr && rate[0] != '\0') {
-    const double r = std::strtod(rate, nullptr);
+  if (const std::optional<uint64_t> rate = EnvDecimal("ARTC_LOG_RATE", UINT64_MAX)) {
+    const double r = static_cast<double>(*rate);
     SetLogRateLimit(r, r > 0 ? r / 4 + 1 : 128.0);
   }
+}
+
+std::optional<uint64_t> EnvDecimal(const char* name, uint64_t max) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') {
+    return std::nullopt;
+  }
+  uint64_t v = 0;
+  if (!ParseDecimal(value, max, &v)) {
+    LogWarn("obs", "environment variable ignored: not a decimal number in [0, max]",
+            {{"name", name}, {"value", value}, {"max", max}});
+    return std::nullopt;
+  }
+  return v;
 }
 
 }  // namespace artc::obs

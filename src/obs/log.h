@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -127,9 +128,14 @@ inline void LogError(const char* component, std::string_view msg,
 }
 
 // Reads ARTC_LOG_LEVEL (debug|info|warn|error|off), ARTC_LOG_OUT (file
-// path) and ARTC_LOG_RATE (lines/sec, 0 = unlimited). Called by
+// path) and ARTC_LOG_RATE (whole lines/sec, 0 = unlimited). Called by
 // obs::InitFromEnv; safe to call more than once.
 void InitLogFromEnv();
+
+// The numeric environment variable `name`, a plain decimal in [0, max] (the
+// util::FlagSet number rule). Unset or empty gives nullopt; so does any other
+// value, after one warning naming the variable and its value.
+std::optional<uint64_t> EnvDecimal(const char* name, uint64_t max);
 
 namespace internal {
 // Pure formatter, exposed so tests can pin the exact line shape without

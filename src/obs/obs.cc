@@ -1,9 +1,11 @@
 #include "src/obs/obs.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "src/obs/http_server.h"
 #include "src/obs/log.h"
@@ -33,13 +35,6 @@ std::string& MetricsOutStorage() {
 struct Telemetry {
   std::unique_ptr<TimeSeriesSampler> sampler;
   std::unique_ptr<MetricsHttpServer> server;
-  // Nesting depth of StartTelemetry/StopTelemetry pairs. The first Start
-  // configures and launches the exporters; only the matching outermost Stop
-  // tears them down (final sampler tick included). Without the count, an
-  // inner ScopedObsSession — a harness main wrapping library code that opens
-  // its own session, as artc_sweep's drill path does — would stop the outer
-  // session's exporters mid-run and close the timeseries sink early.
-  int sessions = 0;
 };
 
 std::mutex& TelemetryMu() {
@@ -50,14 +45,6 @@ std::mutex& TelemetryMu() {
 Telemetry& TelemetryState() {
   static Telemetry* state = new Telemetry();
   return *state;
-}
-
-int64_t EnvInt(const char* name, int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') {
-    return fallback;
-  }
-  return std::strtoll(v, nullptr, 10);
 }
 
 }  // namespace
@@ -93,10 +80,7 @@ bool InitFromEnv() {
   if (metrics_out != nullptr && metrics_out[0] != '\0') {
     MetricsOutStorage() = metrics_out;
   }
-  const char* ts_out = std::getenv("ARTC_TIMESERIES_OUT");
-  const bool live = EnvInt("ARTC_METRICS_PORT", -1) >= 0 ||
-                    (ts_out != nullptr && ts_out[0] != '\0');
-  if (!TraceOutPath().empty() || !MetricsOutPath().empty() || live) {
+  if (!TraceOutPath().empty() || !MetricsOutPath().empty()) {
     Enable();
   }
   return Enabled();
@@ -122,46 +106,31 @@ void SyncDerivedMetrics() {
   }
 }
 
-void StartTelemetry(const SessionOptions& options) {
+void StartTelemetry() {
   std::lock_guard<std::mutex> lk(TelemetryMu());
   Telemetry& t = TelemetryState();
-  if (t.sessions++ > 0) {
-    return;  // nested session: the first configuration stays live
+  if (t.sampler != nullptr || t.server != nullptr) {
+    return;  // already running
   }
 
-  const int64_t env_port = EnvInt("ARTC_METRICS_PORT", -1);
-  int64_t port = options.metrics_port >= 0
-                     ? static_cast<int64_t>(options.metrics_port)
-                     : env_port;
-  if (port > 65535) {
-    // Refuse rather than truncate to uint16_t and bind a surprise port.
-    LogError("obs", "metrics port out of range; endpoint disabled",
-             {{"port", port}});
-    port = -1;
+  const std::optional<uint64_t> port = EnvDecimal("ARTC_METRICS_PORT", 65535);
+  std::string bind_addr;
+  if (const char* env_addr = std::getenv("ARTC_METRICS_ADDR")) {
+    bind_addr = env_addr;
   }
-  std::string bind_addr = options.metrics_addr;
-  if (bind_addr.empty()) {
-    const char* env_addr = std::getenv("ARTC_METRICS_ADDR");
-    if (env_addr != nullptr && env_addr[0] != '\0') {
-      bind_addr = env_addr;
-    }
+  std::string ts_path;
+  if (const char* env_ts = std::getenv("ARTC_TIMESERIES_OUT")) {
+    ts_path = env_ts;
   }
-  std::string ts_path = options.timeseries_out;
-  if (ts_path.empty()) {
-    const char* env_ts = std::getenv("ARTC_TIMESERIES_OUT");
-    if (env_ts != nullptr) {
-      ts_path = env_ts;
-    }
-  }
-  int64_t period_ms = options.sample_period_ms > 0
-                          ? options.sample_period_ms
-                          : EnvInt("ARTC_TIMESERIES_PERIOD_MS", 1000);
-  if (period_ms <= 0) {
-    period_ms = 1000;
+  int64_t period_ms = 1000;
+  if (const std::optional<uint64_t> env_period =
+          EnvDecimal("ARTC_TIMESERIES_PERIOD_MS", INT64_MAX);
+      env_period && *env_period > 0) {
+    period_ms = static_cast<int64_t>(*env_period);
   }
 
-  const bool want_sampler = !ts_path.empty() || port >= 0;
-  const bool want_server = port >= 0;
+  const bool want_sampler = !ts_path.empty() || port.has_value();
+  const bool want_server = port.has_value();
   if (!want_sampler && !want_server) {
     return;
   }
@@ -185,7 +154,7 @@ void StartTelemetry(const SessionOptions& options) {
   }
   if (want_server) {
     HttpServerOptions hopt;
-    hopt.port = static_cast<uint16_t>(port);
+    hopt.port = static_cast<uint16_t>(*port);
     if (!bind_addr.empty()) {
       hopt.bind_addr = bind_addr;
     }
@@ -195,7 +164,7 @@ void StartTelemetry(const SessionOptions& options) {
     std::string error;
     if (!t.server->Start(&error)) {
       LogError("obs", "metrics endpoint failed to start",
-               {{"port", static_cast<int64_t>(port)}, {"error", error}});
+               {{"port", *port}, {"error", error}});
       t.server.reset();
     } else {
       LogInfo("obs", "metrics endpoint listening",
@@ -209,9 +178,6 @@ void StartTelemetry(const SessionOptions& options) {
 void StopTelemetry() {
   std::lock_guard<std::mutex> lk(TelemetryMu());
   Telemetry& t = TelemetryState();
-  if (t.sessions > 0 && --t.sessions > 0) {
-    return;  // inner session of a nested pair: exporters stay up
-  }
   // Server first: scrapes reference the sampler's ring.
   if (t.server != nullptr) {
     t.server->Stop();
@@ -235,9 +201,9 @@ MetricsHttpServer* ActiveMetricsServer() {
   return TelemetryState().server.get();
 }
 
-ScopedObsSession::ScopedObsSession(const SessionOptions& options) {
+ScopedObsSession::ScopedObsSession() {
   InitFromEnv();
-  StartTelemetry(options);
+  StartTelemetry();
 }
 
 ScopedObsSession::~ScopedObsSession() {

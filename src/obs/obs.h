@@ -1,6 +1,7 @@
 // Observability front door: process-global MetricsRegistry + Tracer, a
-// runtime on/off switch, env-var wiring for the bench harnesses, and the
-// instrumentation macros the rest of the stack uses.
+// runtime on/off switch, the environment wiring every CLI main gets through
+// ScopedObsSession (the environment is telemetry's only configuration), and
+// the instrumentation macros the rest of the stack uses.
 //
 // Two switches, two costs:
 //  - Runtime (obs::Enable / ARTC_TRACE_OUT env): instrumentation sites pay
@@ -36,17 +37,11 @@ inline bool Enabled() {
 void Enable();
 void Disable();
 
-// Reads the telemetry environment:
-//   ARTC_TRACE_OUT / ARTC_METRICS_OUT        post-mortem artifact paths
-//   ARTC_METRICS_PORT                        live /metrics endpoint port
-//   ARTC_METRICS_ADDR                        endpoint bind address
-//                                            (default 127.0.0.1)
-//   ARTC_TIMESERIES_OUT                      sampler JSONL sink path
-//   ARTC_TIMESERIES_PERIOD_MS                sampler period (default 1000)
-//   ARTC_LOG_LEVEL / ARTC_LOG_OUT / ARTC_LOG_RATE   structured logging
-// If any metrics/trace/live output is configured, enables observability.
-// Returns true if observability ended up enabled. Does NOT start the live
-// exporters — StartTelemetry() (or ScopedObsSession) does.
+// Reads the post-mortem half of the telemetry environment: ARTC_TRACE_OUT /
+// ARTC_METRICS_OUT (artifact paths, enabling observability when either is
+// set) and, through InitLogFromEnv, ARTC_LOG_LEVEL / ARTC_LOG_OUT /
+// ARTC_LOG_RATE. Returns true if observability ended up enabled. The live
+// exporters' variables are read by StartTelemetry.
 bool InitFromEnv();
 
 // Configured output paths ("" if unset). A trace path with no metrics path
@@ -58,33 +53,23 @@ const std::string& MetricsOutPath();
 // paths). Returns false if any configured write failed.
 bool FlushOutputs();
 
-// Live-telemetry session configuration. Flag values override the env.
-struct SessionOptions {
-  // >= 0: serve /metrics on this port (0 = ephemeral; the bound port is
-  // logged and available via ActiveMetricsServer()->port()). -1: env only.
-  // Values > 65535 are rejected with an error instead of starting.
-  int metrics_port = -1;
-  // Non-empty: endpoint bind address override. Default: ARTC_METRICS_ADDR,
-  // falling back to loopback — the endpoint is unauthenticated, so serving
-  // beyond the host is opt-in ("0.0.0.0").
-  std::string metrics_addr;
-  // > 0: sampler period override in milliseconds.
-  int64_t sample_period_ms = 0;
-  // Non-empty: sampler JSONL sink override.
-  std::string timeseries_out;
-};
+// Starts the live exporters the environment asks for, enabling
+// observability if anything starts:
+//   ARTC_METRICS_PORT          serve /metrics (and the sampler) on this port;
+//                              0 = ephemeral, the bound port is logged and
+//                              available via ActiveMetricsServer()->port()
+//   ARTC_METRICS_ADDR          endpoint bind address (default 127.0.0.1: the
+//                              endpoint is unauthenticated, so serving beyond
+//                              the host is opt-in, e.g. "0.0.0.0")
+//   ARTC_TIMESERIES_OUT        sampler JSONL sink path
+//   ARTC_TIMESERIES_PERIOD_MS  sampler period (default 1000)
+// A numeric value that is not a plain decimal in range is reported once and
+// treated as unset (EnvDecimal). Does nothing while exporters are running.
+void StartTelemetry();
 
-// Starts the sampler and/or HTTP endpoint per env + options. Sessions nest:
-// the first Start configures and launches the exporters (later options are
-// ignored), and each Start must be matched by a StopTelemetry — only the
-// outermost Stop actually tears the exporters down. Enables observability
-// if anything starts.
-void StartTelemetry(const SessionOptions& options = {});
-
-// Closes one telemetry session. The outermost Stop shuts the exporters down
-// — the sampler takes a final partial-window tick first, so even a run
-// shorter than the sampling period exports at least one JSONL sample.
-// Extra Stops with no session open are no-ops.
+// Shuts the exporters down. The sampler takes a final partial-window tick
+// first, so even a run shorter than the sampling period exports at least one
+// JSONL sample. A Stop with nothing running does nothing.
 void StopTelemetry();
 
 // The live exporters, when running (nullptr otherwise). Owned by the obs
@@ -104,8 +89,7 @@ void SyncDerivedMetrics();
 // StopTelemetry + FlushOutputs on exit.
 class ScopedObsSession {
  public:
-  ScopedObsSession() : ScopedObsSession(SessionOptions{}) {}
-  explicit ScopedObsSession(const SessionOptions& options);
+  ScopedObsSession();
   ~ScopedObsSession();
   ScopedObsSession(const ScopedObsSession&) = delete;
   ScopedObsSession& operator=(const ScopedObsSession&) = delete;

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "src/util/strings.h"
+
 namespace artc::obs {
 namespace {
 
@@ -17,23 +19,6 @@ struct TlsRingCache {
 thread_local TlsRingCache g_tls_rings;
 
 bool IsPowerOfTwo(size_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-// Escapes a name for JSON output. Instrumentation names are plain
-// identifiers, but track names come from arbitrary strings.
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-}
 
 }  // namespace
 

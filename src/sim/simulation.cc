@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <iterator>
 #include <queue>
 
 #include "src/obs/obs.h"
@@ -269,20 +268,6 @@ void Simulation::FiberMain(ThreadState* t) {
     aborted = true;
   }
   FinishThread(t, aborted);
-}
-
-bool ParseSimBackendName(const std::string& name, SimBackend* out) {
-  for (size_t i = 0; i < std::size(kSimBackendNames); ++i) {
-    if (name == kSimBackendNames[i]) {
-      *out = static_cast<SimBackend>(i);
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* SimBackendName(SimBackend backend) {
-  return kSimBackendNames[static_cast<size_t>(backend)];
 }
 
 uint64_t Simulation::ShardSeed(uint64_t seed, size_t index) {

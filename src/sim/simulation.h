@@ -54,14 +54,6 @@ enum class SimBackend : uint8_t {
   kParallel,  // replays spread over a pool of host worker threads
 };
 
-// Backend names in enum order (the CLI --backend= vocabulary).
-inline constexpr const char* kSimBackendNames[] = {"fibers", "parallel"};
-
-// Parses a name in kSimBackendNames; returns false on anything else,
-// leaving *out untouched.
-bool ParseSimBackendName(const std::string& name, SimBackend* out);
-const char* SimBackendName(SimBackend backend);
-
 // Internal per-thread record. Exposed only so SimCondVar can hold pointers.
 struct ThreadState;
 // Internal scheduler state (defined in simulation.cc).

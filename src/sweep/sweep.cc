@@ -28,31 +28,6 @@ int64_t HostNowUs() {
       .count();
 }
 
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void AppendStrField(std::string* out, const char* key, const std::string& v,
                     bool* first) {
   if (!*first) {

@@ -1,6 +1,5 @@
 #include "src/util/flags.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -54,9 +53,7 @@ bool FlagSet::Assign(const Flag& flag, const std::string& value,
     return true;
   }
   uint64_t v = 0;
-  const char* end = value.data() + value.size();
-  const std::from_chars_result r = std::from_chars(value.data(), end, v);
-  if (value.empty() || r.ec != std::errc() || r.ptr != end || v > flag.max) {
+  if (!ParseDecimal(value, flag.max, &v)) {
     *error = (flag.kind == Kind::kPositional ? flag.name : "--" + flag.name) +
              ": '" + value + "' is not a decimal number in [0, " +
              std::to_string(flag.max) + "]";

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,12 +31,6 @@ class FlagSet {
   void Switch(const char* name, bool* out);
   template <std::unsigned_integral T>
   void Unsigned(const char* name, T* out) {
-    AddNumber(name, Kind::kValue, std::numeric_limits<T>::max(),
-              [out](uint64_t v) { *out = static_cast<T>(v); });
-  }
-  // Set only when the flag is given.
-  template <std::unsigned_integral T>
-  void Unsigned(const char* name, std::optional<T>* out) {
     AddNumber(name, Kind::kValue, std::numeric_limits<T>::max(),
               [out](uint64_t v) { *out = static_cast<T>(v); });
   }

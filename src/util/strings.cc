@@ -1,5 +1,6 @@
 #include "src/util/strings.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -136,6 +137,32 @@ std::string JoinNames(std::span<const char* const> names) {
     out += name;
   }
   return out;
+}
+
+bool ParseDecimal(std::string_view s, uint64_t max, uint64_t* out) {
+  uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, v);
+  if (s.empty() || r.ec != std::errc() || r.ptr != end || v > max) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      *out += buf;
+    } else {
+      out->push_back(c);
+    }
+  }
 }
 
 std::string StrFormat(const char* fmt, ...) {

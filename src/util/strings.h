@@ -2,6 +2,7 @@
 #ifndef SRC_UTIL_STRINGS_H_
 #define SRC_UTIL_STRINGS_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,6 +42,15 @@ bool IsOneOf(std::string_view s, std::span<const char* const> names);
 
 // The names joined with ", ", for the expected-values part of a diagnostic.
 std::string JoinNames(std::span<const char* const> names);
+
+// Parses a plain decimal that must fill `s` and be at most `max`: no sign,
+// no space, no suffix. The number rule of util::FlagSet and of the numeric
+// ARTC_* environment variables. False, leaving *out untouched, otherwise.
+bool ParseDecimal(std::string_view s, uint64_t max, uint64_t* out);
+
+// Appends `s` escaped for the inside of a JSON string: a quote or backslash
+// gets a backslash, other bytes below 0x20 become \u00XX, the rest is copied.
+void AppendJsonEscaped(std::string* out, std::string_view s);
 
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

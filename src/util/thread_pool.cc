@@ -1,21 +1,22 @@
 #include "src/util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+#include <optional>
 
+#include "src/obs/log.h"
 #include "src/obs/obs.h"
 
 namespace artc::util {
 
 size_t DefaultJobs() {
-  if (const char* env = std::getenv("ARTC_JOBS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      return static_cast<size_t>(v);
-    }
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
+  // Read once, so a malformed value is reported once.
+  static const size_t jobs = [] {
+    const std::optional<uint64_t> v = obs::EnvDecimal("ARTC_JOBS", SIZE_MAX);
+    return v && *v > 0 ? static_cast<size_t>(*v)
+                       : std::max<size_t>(1, std::thread::hardware_concurrency());
+  }();
+  return jobs;
 }
 
 ThreadPool::ThreadPool(size_t workers) {

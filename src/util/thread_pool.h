@@ -19,6 +19,8 @@ namespace artc::util {
 
 // The process-wide host-parallelism default: the ARTC_JOBS environment
 // variable if set to a positive integer, else hardware_concurrency (min 1).
+// The variable is read on the first call; a malformed value is reported
+// once and ignored.
 // Everything that sizes a worker team without an explicit count — ThreadPool
 // construction, parallel suite replays, the bench/check mains' --jobs
 // flags — funnels through this one policy.

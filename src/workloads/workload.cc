@@ -16,9 +16,7 @@ TracedRun RunInternal(Workload& w, const SourceConfig& config, bool tracing) {
     if (tracing) {
       out.snapshot = fs.CaptureSnapshot();
     }
-    if (config.drop_caches_before_run) {
-      stack.DropCaches();
-    }
+    stack.DropCaches();  // the run starts on a cold page cache
     vfs::TraceRecorder recorder(&out.trace);
     if (tracing) {
       fs.StartTracing(&recorder);

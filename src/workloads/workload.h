@@ -49,7 +49,6 @@ struct SourceConfig {
   std::string fs_profile = "ext4";
   std::string platform = "linux";
   uint64_t seed = 1;
-  bool drop_caches_before_run = true;
 };
 
 struct TracedRun {

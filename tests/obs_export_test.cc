@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -423,6 +425,29 @@ TEST(MetricsHttpServer, TimeseriesEndpointServesRing) {
   server.Stop();
 }
 
+// Sets an environment variable for one scope, restoring the old value (or
+// its absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      old_ = old;
+    }
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
 // A telemetry session far shorter than the sampling period still exports at
 // least one JSONL sample: StopTelemetry's final partial-window tick runs
 // before the sink closes. (Regression: short-lived harness runs used to
@@ -433,12 +458,16 @@ TEST(Telemetry, ShortSessionFlushesFinalPartialWindow) {
   ASSERT_GE(fd, 0);
   close(fd);
 
-  SessionOptions opts;
-  opts.timeseries_out = path;
-  opts.sample_period_ms = 60 * 1000;  // far longer than the session
-  StartTelemetry(opts);
+  {
+    ScopedEnv out("ARTC_TIMESERIES_OUT", path);
+    ScopedEnv period("ARTC_TIMESERIES_PERIOD_MS", "60000");  // far longer than the session
+    StartTelemetry();
+  }
   ASSERT_NE(ActiveSampler(), nullptr);
   DefaultRegistry().Add(DefaultRegistry().Counter("telemetry_test.count"), 7);
+  StopTelemetry();
+  EXPECT_EQ(ActiveSampler(), nullptr);
+  // A Stop with nothing running does nothing.
   StopTelemetry();
   EXPECT_EQ(ActiveSampler(), nullptr);
 
@@ -455,32 +484,19 @@ TEST(Telemetry, ShortSessionFlushesFinalPartialWindow) {
   std::remove(path);
 }
 
-// Sessions nest: an inner Start/Stop pair (library code opening its own
-// session inside a harness main, like artc_sweep's drill path) must not
-// tear down the outer session's exporters.
-TEST(Telemetry, NestedSessionsKeepExportersAlive) {
-  char path[] = "/tmp/artc_telemetry_nest_XXXXXX";
-  const int fd = mkstemp(path);
-  ASSERT_GE(fd, 0);
-  close(fd);
-
-  SessionOptions outer;
-  outer.timeseries_out = path;
-  outer.sample_period_ms = 60 * 1000;
-  StartTelemetry(outer);
-  ASSERT_NE(ActiveSampler(), nullptr);
-
-  StartTelemetry(SessionOptions{});  // inner session: options ignored
-  StopTelemetry();                   // inner stop: exporters stay up
-  EXPECT_NE(ActiveSampler(), nullptr);
-
-  StopTelemetry();  // outer stop: now they come down
-  EXPECT_EQ(ActiveSampler(), nullptr);
-
-  // An extra Stop with no session open stays a no-op.
-  StopTelemetry();
-  EXPECT_EQ(ActiveSampler(), nullptr);
-  std::remove(path);
+// ARTC_METRICS_PORT=abc is reported and treated as unset: no endpoint opens
+// (reading it as port 0 would open an ephemeral one) and observability stays
+// off.
+TEST(Telemetry, MalformedPortStartsNothing) {
+  Disable();
+  ScopedEnv port("ARTC_METRICS_PORT", "abc");
+  {
+    ScopedObsSession session;
+    EXPECT_EQ(ActiveMetricsServer(), nullptr);
+    EXPECT_EQ(ActiveSampler(), nullptr);
+    EXPECT_FALSE(Enabled());
+  }
+  EXPECT_EQ(ActiveMetricsServer(), nullptr);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Pacing-mode and initialization-mode coverage: scaled predelay, delta init
-// through the replay facade, and cache-state options.
+// Pacing-mode and initialization-mode coverage: natural predelay against the
+// original run, delta init through the replay facade, and cache-state options.
 #include <gtest/gtest.h>
 
 #include "src/core/artc.h"
@@ -24,28 +24,20 @@ TracedRun ComputeHeavyTrace() {
   return TraceWorkload(w, src);
 }
 
-TEST(Pacing, ScaledPredelayInterpolates) {
+TEST(Pacing, NaturalPredelayTracksTheOriginal) {
   TracedRun run = ComputeHeavyTrace();
   CompiledBenchmark bench = Compile(run.trace, run.snapshot, {});
 
-  auto wall_at = [&](PacingMode pacing, double scale) {
+  auto wall_at = [&](PacingMode pacing) {
     SimTarget target;
     target.storage = storage::MakeNamedConfig("ssd");
     target.replay.pacing = pacing;
-    target.replay.predelay_scale = scale;
     return ReplayCompiledOnSimTarget(bench, target).report.wall_time;
   };
 
-  TimeNs afap = wall_at(PacingMode::kAfap, 1.0);
-  TimeNs half = wall_at(PacingMode::kScaled, 0.5);
-  TimeNs natural = wall_at(PacingMode::kNatural, 1.0);
-  TimeNs doubled = wall_at(PacingMode::kScaled, 2.0);
-
-  EXPECT_LT(afap, half);
-  EXPECT_LT(half, natural);
-  EXPECT_LT(natural, doubled);
-  // Scale 1.0 == natural.
-  EXPECT_EQ(wall_at(PacingMode::kScaled, 1.0), natural);
+  TimeNs afap = wall_at(PacingMode::kAfap);
+  TimeNs natural = wall_at(PacingMode::kNatural);
+  EXPECT_LT(afap, natural);
   // Natural replay of a compute-heavy trace approximates the original.
   double err = std::abs(ToSeconds(natural) - ToSeconds(run.elapsed)) /
                ToSeconds(run.elapsed);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -101,6 +100,17 @@ TEST(Strings, IsOneOfAndJoinNames) {
   EXPECT_EQ(JoinNames(names), "a, bc, d");
 }
 
+// The one JSON string escaper behind log lines, Chrome traces, critpath
+// reports and sweep rows.
+TEST(Strings, AppendJsonEscaped) {
+  std::string out = "x";
+  AppendJsonEscaped(&out, std::string_view("q\"b\\n\nt\tr\r\x01\x1f \x7f/\xc3\xa9", 17));
+  EXPECT_EQ(out, "xq\\\"b\\\\n\\u000at\\u0009r\\u000d\\u0001\\u001f \x7f/\xc3\xa9");
+  out.clear();
+  AppendJsonEscaped(&out, std::string_view("a\0b", 3));
+  EXPECT_EQ(out, "a\\u0000b");
+}
+
 TEST(SampleStats, Basics) {
   SampleStats s;
   for (double v : {1.0, 2.0, 3.0, 4.0}) {
@@ -191,7 +201,7 @@ struct FlagVars {
   uint64_t count = 5;
   uint32_t width = 6;
   bool on = false;
-  std::optional<uint16_t> port;
+  uint16_t port = 7;
   std::string mode = "a";
   std::string dir;
 
@@ -221,7 +231,7 @@ TEST(Flags, AcceptsBothSpellingsSwitchesAndOnePositional) {
   EXPECT_EQ(v.name, "def");
   EXPECT_EQ(v.count, 5u);
   EXPECT_FALSE(v.on);
-  EXPECT_FALSE(v.port.has_value());
+  EXPECT_EQ(v.port, 7u);
 
   const std::vector<std::vector<const char*>> spellings = {
       {"--name=x", "--count=7", "--width=4294967295", "--on", "--port=0",
@@ -238,7 +248,7 @@ TEST(Flags, AcceptsBothSpellingsSwitchesAndOnePositional) {
     EXPECT_EQ(w.count, 7u);
     EXPECT_EQ(w.width, 4294967295u);
     EXPECT_TRUE(w.on);
-    EXPECT_EQ(w.port, std::optional<uint16_t>(0));
+    EXPECT_EQ(w.port, 0u);
     EXPECT_EQ(w.mode, "b");
     EXPECT_EQ(w.dir, "d");
   }
@@ -247,7 +257,7 @@ TEST(Flags, AcceptsBothSpellingsSwitchesAndOnePositional) {
   EXPECT_EQ(edge.Parse({"--count=18446744073709551615", "--name=", "--port=065535"}), "");
   EXPECT_EQ(edge.count, UINT64_MAX);
   EXPECT_EQ(edge.name, "");
-  EXPECT_EQ(edge.port, std::optional<uint16_t>(65535));
+  EXPECT_EQ(edge.port, 65535u);
 }
 
 TEST(Flags, RejectsMalformedArguments) {
