@@ -77,22 +77,6 @@ inline void PrintHeader(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }
 
-// Replays a traced run with the given method on the given target. AFAP by
-// default: the evaluation workloads are I/O-bound (per-op compute is
-// microseconds), and predelay cannot distinguish compute from
-// thread-coordination idleness (e.g., a coordinator joining its workers),
-// which would dominate when replaying a slow source on a fast target.
-inline core::SimReplayResult ReplayWithMethod(const workloads::TracedRun& run,
-                                              core::ReplayMethod method,
-                                              core::SimTarget target,
-                                              core::PacingMode pacing =
-                                                  core::PacingMode::kAfap) {
-  core::CompileOptions copt;
-  copt.method = method;
-  target.replay.pacing = pacing;
-  return core::ReplayOnSimTarget(run.trace, run.snapshot, copt, target);
-}
-
 }  // namespace artc::bench
 
 #endif  // BENCH_BENCH_COMMON_H_

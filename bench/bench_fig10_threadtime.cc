@@ -16,7 +16,6 @@ namespace artc {
 namespace {
 
 using bench::PrintHeader;
-using bench::ReplayWithMethod;
 using core::ReplayMethod;
 using core::SimTarget;
 using workloads::MagritteSpec;
@@ -39,11 +38,18 @@ int Main() {
     src.storage = storage::MakeNamedConfig("ssd");
     src.platform = "osx";
     TracedRun run = workloads::TraceMagritte(spec, src);
+    core::CompileOptions copt;
+    copt.method = ReplayMethod::kArtc;
     for (const char* storage_name : {"hdd", "ssd"}) {
       SimTarget target;
       target.storage = storage::MakeNamedConfig(storage_name);
-      core::SimReplayResult res = ReplayWithMethod(run, ReplayMethod::kArtc, target,
-                                                   core::PacingMode::kAfap);
+      // AFAP: the Magritte calls are I/O-bound (per-op compute is
+      // microseconds), and predelay cannot tell compute from
+      // thread-coordination idleness, which would dominate when replaying
+      // a slow source on a fast target.
+      target.replay.pacing = core::PacingMode::kAfap;
+      core::SimReplayResult res =
+          core::ReplayOnSimTarget(run.trace, run.snapshot, copt, target);
       AppTimes& at = by_app[spec.app];
       auto& dst = std::string(storage_name) == "hdd" ? at.hdd : at.ssd;
       for (size_t c = 0; c < core::kCategoryCount; ++c) {

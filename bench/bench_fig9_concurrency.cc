@@ -13,7 +13,6 @@ namespace artc {
 namespace {
 
 using bench::PrintHeader;
-using bench::ReplayWithMethod;
 using core::ReplayMethod;
 using core::SimTarget;
 using workloads::KvReadRandom;

@@ -9,12 +9,13 @@
 //    suite. A directory contributes its *.trace files.
 //
 // On a violation the explorer dumps a minimized repro under --out; re-run it
-// with: check_artc --corpus=<repro.trace> --schedule=<spec from repro.txt>.
+// with the command on repro.txt's "reproduce:" line,
+// check_artc --corpus=<repro.trace> --schedule=<spec> --storage=<config>,
+// which applies the same checks to the baseline and that one schedule.
 // Exits 1 if any invariant was violated or a corpus file cannot be read.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,11 +38,15 @@ struct Totals {
   uint64_t hb_edges = 0;
 };
 
-void ReportExploration(const std::string& name, const ExploreResult& r, Totals* totals) {
+void Tally(const ExploreResult& r, Totals* totals) {
   totals->traces++;
   totals->schedules += r.schedules_run;
   totals->violations += r.violations;
   totals->hb_edges += r.hb_edges;
+}
+
+void ReportExploration(const std::string& name, const ExploreResult& r, Totals* totals) {
+  Tally(r, totals);
   if (r.ok()) {
     return;
   }
@@ -53,6 +58,20 @@ void ReportExploration(const std::string& name, const ExploreResult& r, Totals* 
   }
   if (!r.repro_path.empty()) {
     std::printf("  repro: %s\n", r.repro_path.c_str());
+  }
+}
+
+// Repro mode's report: one line whatever the verdict, then the problems.
+void ReportRepro(const std::string& name, const std::string& schedule,
+                 const ExploreResult& r, Totals* totals) {
+  Tally(r, totals);
+  std::printf("%s %s under %s: %llu violations, digest %016llx (baseline %016llx)\n",
+              r.ok() ? "OK  " : "FAIL", name.c_str(), schedule.c_str(),
+              static_cast<unsigned long long>(r.violations),
+              static_cast<unsigned long long>(r.runs.back().digest),
+              static_cast<unsigned long long>(r.runs.front().digest));
+  for (const std::string& p : r.problems) {
+    std::printf("  %s\n", p.c_str());
   }
 }
 
@@ -100,35 +119,6 @@ int Main(int argc, char** argv) {
   if (!schedule.empty() && !sim::ParseScheduleSpec(schedule, &repro_spec)) {
     flags.Fail("unparsable --schedule '" + schedule + "'");
   }
-  // Repro mode: run the default baseline plus exactly the named schedule.
-  auto run_single = [&](const trace::TraceBundle& bundle, const std::string& name,
-                        Totals* t) {
-    RefModel model = BuildRefModel(bundle);
-    core::CompiledBenchmark bench =
-        core::Compile(bundle.trace, bundle.snapshot, opt.compile);
-    PolicyRunResult base = ReplayCompiledUnderPolicy(bench, opt.target, nullptr);
-    std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(repro_spec);
-    PolicyRunResult run = ReplayCompiledUnderPolicy(bench, opt.target, policy.get());
-    OracleFindings findings = CheckSchedule(model, bundle.trace, run.report);
-    uint64_t violations = findings.hb_violations + findings.ret_mismatches +
-                          findings.unexecuted;
-    if (run.unfinished_threads > 0 || run.digest != base.digest) {
-      violations++;
-    }
-    t->traces++;
-    t->schedules += 2;
-    t->hb_edges += model.edges.size();
-    t->violations += violations;
-    std::printf("%s %s under %s: %llu violations, digest %016llx (baseline %016llx)\n",
-                violations == 0 ? "OK  " : "FAIL", name.c_str(), schedule.c_str(),
-                static_cast<unsigned long long>(violations),
-                static_cast<unsigned long long>(run.digest),
-                static_cast<unsigned long long>(base.digest));
-    if (!findings.first_violation.empty()) {
-      std::printf("  %s\n", findings.first_violation.c_str());
-    }
-  };
-
   Totals totals;
   if (!corpus.empty()) {
     std::vector<std::string> paths;
@@ -152,7 +142,9 @@ int Main(int argc, char** argv) {
       }
       const trace::TraceBundle& bundle = read.bundle;
       if (!schedule.empty()) {
-        run_single(bundle, path, &totals);
+        // Repro mode: the default baseline plus exactly the named schedule,
+        // judged as the exploration that printed the command judged it.
+        ReportRepro(path, schedule, ExploreUnderSpec(bundle, repro_spec, opt), &totals);
         continue;
       }
       ExploreOptions o = opt;

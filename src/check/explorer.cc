@@ -7,14 +7,10 @@
 #include <sstream>
 #include <vector>
 
-#include "src/core/sim_env.h"
 #include "src/fsmodel/resource_model.h"
 #include "src/obs/obs.h"
 #include "src/obs/tracer.h"
-#include "src/storage/storage_stack.h"
-#include "src/util/check.h"
 #include "src/util/strings.h"
-#include "src/vfs/vfs.h"
 
 namespace artc::check {
 namespace {
@@ -59,49 +55,23 @@ uint64_t SnapshotDigest(const trace::FsSnapshot& snapshot) {
   return h;
 }
 
-PolicyRunResult ReplayCompiledUnderPolicy(const core::CompiledBenchmark& bench,
-                                          const core::SimTarget& target,
-                                          sim::SchedulePolicy* policy) {
-  sim::Simulation sim(target.seed);
-  sim.SetSchedulePolicy(policy);
-  storage::StorageStack stack(&sim, target.storage);
-  vfs::Vfs fs(&sim, &stack, vfs::MakeFsProfile(target.fs_profile),
-              vfs::MakePlatformProfile(target.platform));
-  core::SimReplayEnv env(&sim, &fs, target.emulation);
-  PolicyRunResult run;
-  sim::SimThreadId init = sim.Spawn("init", [&] {
-    env.Initialize(bench.snapshot, target.delta_init);
-  });
-  sim.Spawn("harness", [&] {
-    sim.Join(init);
-    if (target.drop_caches_after_init) {
-      stack.DropCaches();
-    }
-    run.report = Replay(bench, env, target.replay);
-    run.digest = SnapshotDigest(fs.CaptureSnapshot());
-  });
-  run.end_time = sim.Run();
-  run.switches = sim.switch_count();
-  run.unfinished_threads = sim.UnfinishedThreads();
-  return run;
-}
-
 namespace {
 
-// Shared state for one ExploreBundle invocation.
+// Shared state for one exploration of a bundle.
 struct Explorer {
   const trace::TraceBundle& bundle;
   const ExploreOptions& opt;
   RefModel model;
   core::CompiledBenchmark bench;
   ExploreResult result;
-  PolicyRunResult baseline;
   bool have_failing_spec = false;
   sim::ScheduleSpec failing_spec;  // first spec-describable failing schedule
 
   Explorer(const trace::TraceBundle& b, const ExploreOptions& o)
       : bundle(b), opt(o), model(BuildRefModel(b)),
-        bench(core::Compile(b.trace, b.snapshot, o.compile)) {}
+        bench(core::Compile(b.trace, b.snapshot, o.compile)) {
+    result.hb_edges = model.edges.size();
+  }
 
   void Problem(const std::string& text) {
     if (result.problems.size() < 8 &&
@@ -111,17 +81,50 @@ struct Explorer {
     }
   }
 
-  // Runs one schedule, checks it, and records the summary. `spec` is set
-  // for spec-describable schedules (usable in a repro), null for prefixes.
-  ScheduleRunSummary RunOne(sim::SchedulePolicy* policy, const std::string& label,
-                            const sim::ScheduleSpec* spec, bool is_baseline = false) {
-    PolicyRunResult run = ReplayCompiledUnderPolicy(bench, opt.target, policy);
+  // What every exploration starts with. First the checks that need no
+  // replay: a generated or corpus trace must be self-consistent, with zero
+  // refmodel return mismatches and zero fsmodel annotation warnings. Then
+  // the baseline run: the default scheduler, exactly as production replay
+  // runs it.
+  void CheckTraceAndBaseline() {
+    if (model.mismatched_returns > 0) {
+      result.violations += model.mismatched_returns;
+      Problem(StrFormat("trace disagrees with the reference model: %s",
+                        model.first_mismatch.c_str()));
+    }
+    fsmodel::AnnotateOptions aopt;
+    aopt.materialize_labels = false;
+    fsmodel::AnnotatedTrace ann = fsmodel::AnnotateTrace(bundle.trace, bundle.snapshot, aopt);
+    if (ann.warnings > 0) {
+      result.violations += ann.warnings;
+      Problem(StrFormat("fsmodel annotation reported %llu warnings: %s",
+                        static_cast<unsigned long long>(ann.warnings),
+                        ann.first_warning.c_str()));
+    }
+    RunSpec(sim::ScheduleSpec());
+  }
+
+  void RunSpec(const sim::ScheduleSpec& spec) {
+    std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(spec);
+    RunOne(policy.get(), spec.ToString(), &spec);
+  }
+
+  // The verdict on one schedule: replays under `policy`, checks the run
+  // against the invariant oracle and, for every run after the baseline (the
+  // first run), against the baseline's final fs state and end time, then
+  // records the summary. `spec` is set for spec-describable schedules
+  // (usable in a repro), null for prefixes.
+  void RunOne(sim::SchedulePolicy* policy, const std::string& label,
+              const sim::ScheduleSpec* spec) {
+    trace::FsSnapshot final_state;
+    core::SimReplayResult run =
+        core::ReplayCompiledUnderPolicy(bench, opt.target, policy, &final_state);
     OracleFindings findings = CheckSchedule(model, bundle.trace, run.report);
 
     ScheduleRunSummary summary;
     summary.schedule = label;
-    summary.digest = run.digest;
-    summary.end_time = run.end_time;
+    summary.digest = SnapshotDigest(final_state);
+    summary.end_time = run.sim_end_time;
     summary.hb_violations = findings.hb_violations;
     summary.ret_mismatches = findings.ret_mismatches;
 
@@ -135,21 +138,22 @@ struct Explorer {
     if (!findings.ok()) {
       Problem(StrFormat("[%s] %s", label.c_str(), findings.first_violation.c_str()));
     }
-    if (!is_baseline) {
-      if (run.digest != baseline.digest) {
+    if (!result.runs.empty()) {
+      const ScheduleRunSummary& baseline = result.runs.front();
+      if (summary.digest != baseline.digest) {
         run_violations++;
         Problem(StrFormat(
             "[%s] final fs state diverged from baseline (digest %016llx vs %016llx)",
-            label.c_str(), static_cast<unsigned long long>(run.digest),
+            label.c_str(), static_cast<unsigned long long>(summary.digest),
             static_cast<unsigned long long>(baseline.digest)));
       }
-      double hi = static_cast<double>(std::max<TimeNs>(run.end_time, 1));
+      double hi = static_cast<double>(std::max<TimeNs>(summary.end_time, 1));
       double lo = static_cast<double>(std::max<TimeNs>(baseline.end_time, 1));
       double ratio = hi > lo ? hi / lo : lo / hi;
       if (ratio > kEndTimeSlack) {
         run_violations++;
         Problem(StrFormat("[%s] virtual end time %lld vs baseline %lld exceeds %.1fx slack",
-                          label.c_str(), static_cast<long long>(run.end_time),
+                          label.c_str(), static_cast<long long>(summary.end_time),
                           static_cast<long long>(baseline.end_time), kEndTimeSlack));
       }
     }
@@ -159,37 +163,14 @@ struct Explorer {
     }
     result.violations += run_violations;
     result.schedules_run++;
-    result.runs.push_back(summary);
-    return summary;
+    result.runs.push_back(std::move(summary));
   }
 };
 
-// True if exploring `b` under (baseline + spec schedule) still violates an
-// invariant — the predicate driving repro minimization.
-bool FailsWith(const trace::TraceBundle& b, const sim::ScheduleSpec& spec,
-               const ExploreOptions& opt) {
-  ExploreOptions sub = opt;
-  sub.random_schedules = 0;
-  sub.pct_schedules = 0;
-  sub.exhaustive_preemption_bound = 0;
-  sub.repro_dir.clear();
-  sub.repro_obs_trace = false;
-
-  Explorer ex(b, sub);
-  if (ex.model.mismatched_returns > 0) {
-    return true;
-  }
-  ex.baseline = ReplayCompiledUnderPolicy(ex.bench, sub.target, nullptr);
-  OracleFindings base = CheckSchedule(ex.model, b.trace, ex.baseline.report);
-  ex.result.violations += base.hb_violations + base.ret_mismatches + base.unexecuted;
-  std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(spec);
-  ex.RunOne(policy.get(), spec.ToString(), &spec);
-  return ex.result.violations > 0;
-}
-
-// Shrinks the trace to the shortest prefix that still fails under `spec`.
-// A prefix of a sequentially consistent trace is always itself a valid
-// trace, so plain binary search over the cut point suffices.
+// Shrinks the trace to the shortest prefix that still fails under `spec`,
+// judged by ExploreUnderSpec. A prefix of a sequentially consistent trace is
+// always itself a valid trace, so plain binary search over the cut point
+// suffices.
 trace::TraceBundle MinimizeRepro(const trace::TraceBundle& bundle,
                                  const sim::ScheduleSpec& spec,
                                  const ExploreOptions& opt) {
@@ -204,7 +185,7 @@ trace::TraceBundle MinimizeRepro(const trace::TraceBundle& bundle,
   };
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (FailsWith(slice(mid), spec, opt)) {
+    if (!ExploreUnderSpec(slice(mid), spec, opt).ok()) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -236,18 +217,17 @@ void DumpRepro(Explorer& ex) {
   for (const std::string& p : ex.result.problems) {
     txt << "problem: " << p << "\n";
   }
-  txt << "reproduce: check_artc --corpus=" << bundle_path
-      << " --schedule=" << schedule << "\n";
+  txt << "reproduce: check_artc --corpus=" << bundle_path << " --schedule=" << schedule
+      << " --storage=" << opt.target.storage.name << "\n";
 
   if (opt.repro_obs_trace && ex.have_failing_spec) {
-    // Capture the failing run with the PR 3 tracer for timeline inspection.
+    // Capture the failing run with the obs tracer for timeline inspection.
     obs::Enable();
     obs::DefaultTracer().Clear();
-    trace::TraceBundle minimized = repro;
-    core::CompiledBenchmark bench =
-        core::Compile(minimized.trace, minimized.snapshot, opt.compile);
-    std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(ex.failing_spec);
-    ReplayCompiledUnderPolicy(bench, opt.target, policy.get());
+    core::CompiledBenchmark bench = core::Compile(repro.trace, repro.snapshot, opt.compile);
+    core::SimTarget target = opt.target;
+    target.schedule = ex.failing_spec;
+    core::ReplayCompiledOnSimTarget(bench, target);
     obs::DefaultTracer().WriteChromeJson(opt.repro_dir + "/repro_obs.json");
     obs::Disable();
   }
@@ -257,67 +237,20 @@ void DumpRepro(Explorer& ex) {
 
 ExploreResult ExploreBundle(const trace::TraceBundle& bundle, const ExploreOptions& opt) {
   Explorer ex(bundle, opt);
-  ex.result.hb_edges = ex.model.edges.size();
-
-  // A generated or corpus trace must be self-consistent: zero refmodel
-  // return mismatches and zero fsmodel annotation warnings.
-  if (ex.model.mismatched_returns > 0) {
-    ex.result.violations += ex.model.mismatched_returns;
-    ex.Problem(StrFormat("trace disagrees with the reference model: %s",
-                         ex.model.first_mismatch.c_str()));
-  }
-  fsmodel::AnnotateOptions aopt;
-  aopt.materialize_labels = false;
-  fsmodel::AnnotatedTrace ann = fsmodel::AnnotateTrace(bundle.trace, bundle.snapshot, aopt);
-  if (ann.warnings > 0) {
-    ex.result.violations += ann.warnings;
-    ex.Problem(StrFormat("fsmodel annotation reported %llu warnings: %s",
-                         static_cast<unsigned long long>(ann.warnings),
-                         ann.first_warning.c_str()));
-  }
-
-  // Baseline: the default scheduler, exactly as production replay runs it.
-  ex.baseline = ReplayCompiledUnderPolicy(ex.bench, opt.target, nullptr);
-  sim::ScheduleSpec default_spec;
-  {
-    OracleFindings findings = CheckSchedule(ex.model, bundle.trace, ex.baseline.report);
-    ScheduleRunSummary summary;
-    summary.schedule = "default";
-    summary.digest = ex.baseline.digest;
-    summary.end_time = ex.baseline.end_time;
-    summary.hb_violations = findings.hb_violations;
-    summary.ret_mismatches = findings.ret_mismatches;
-    ex.result.runs.push_back(summary);
-    ex.result.schedules_run++;
-    uint64_t v = findings.hb_violations + findings.ret_mismatches + findings.unexecuted;
-    if (ex.baseline.unfinished_threads > 0) {
-      v++;
-      ex.Problem("[default] simulated threads never finished (deadlock)");
-    }
-    if (!findings.ok()) {
-      ex.Problem(StrFormat("[default] %s", findings.first_violation.c_str()));
-    }
-    if (v > 0 && ex.result.violations == 0) {
-      ex.have_failing_spec = true;
-      ex.failing_spec = default_spec;
-    }
-    ex.result.violations += v;
-  }
+  ex.CheckTraceAndBaseline();
 
   for (uint32_t i = 0; i < opt.random_schedules; ++i) {
     sim::ScheduleSpec spec;
     spec.kind = sim::ScheduleKind::kRandom;
     spec.seed = opt.seed * 7919 + i;
-    std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(spec);
-    ex.RunOne(policy.get(), spec.ToString(), &spec);
+    ex.RunSpec(spec);
   }
   for (uint32_t i = 0; i < opt.pct_schedules; ++i) {
     sim::ScheduleSpec spec;
     spec.kind = sim::ScheduleKind::kPct;
     spec.seed = opt.seed * 104729 + i;
     spec.pct_change_points = 2 + (i % 8);
-    std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(spec);
-    ex.RunOne(policy.get(), spec.ToString(), &spec);
+    ex.RunSpec(spec);
   }
 
   if (opt.exhaustive_preemption_bound > 0 && opt.exhaustive_budget > 0) {
@@ -353,6 +286,14 @@ ExploreResult ExploreBundle(const trace::TraceBundle& bundle, const ExploreOptio
   if (ex.result.violations > 0 && !opt.repro_dir.empty()) {
     DumpRepro(ex);
   }
+  return std::move(ex.result);
+}
+
+ExploreResult ExploreUnderSpec(const trace::TraceBundle& bundle,
+                               const sim::ScheduleSpec& spec, const ExploreOptions& opt) {
+  Explorer ex(bundle, opt);
+  ex.CheckTraceAndBaseline();
+  ex.RunSpec(spec);
   return std::move(ex.result);
 }
 

@@ -1,10 +1,12 @@
 // Schedule-space explorer: replays one compiled benchmark under many
 // distinct legal schedules and checks every run against the invariant
 // oracle plus the cross-run invariants (schedule-invariant final file-system
-// state, bounded virtual end-time spread, multi-worker parallel identity).
-// On a violation it dumps a minimized repro — a trace-bundle slice plus the
-// schedule spec that re-triggers it — and optionally a PR 3 chrome-trace of
-// the failing run.
+// state, bounded virtual end-time spread). Every replay goes through
+// core::ReplayCompiledUnderPolicy, and every run is judged by the same
+// verdict, whether it is the baseline, an explored schedule, a step of repro
+// minimization or a repro-mode run. On a violation it dumps a minimized
+// repro — a trace-bundle slice plus the check_artc command that re-triggers
+// it — and optionally a chrome-trace of the failing run.
 #ifndef SRC_CHECK_EXPLORER_H_
 #define SRC_CHECK_EXPLORER_H_
 
@@ -33,7 +35,7 @@ struct ExploreOptions {
   uint32_t exhaustive_budget = 64;  // max extra schedules
 
   core::CompileOptions compile;
-  core::SimTarget target;      // .schedule is overridden per run
+  core::SimTarget target;      // .schedule is ignored: each run names its own
   std::string repro_dir;       // dump repro bundles here ("" = disabled)
   bool repro_obs_trace = false;  // also dump a chrome-trace of a failing run
 };
@@ -51,7 +53,7 @@ struct ExploreResult {
   uint64_t violations = 0;
   uint64_t hb_edges = 0;  // refmodel edge count (diagnostics)
   std::vector<std::string> problems;  // deduped human-readable, capped
-  std::vector<ScheduleRunSummary> runs;
+  std::vector<ScheduleRunSummary> runs;  // runs[0] is the default baseline
   std::string repro_path;  // bundle written on first violation ("" if none)
 
   bool ok() const { return violations == 0; }
@@ -59,19 +61,15 @@ struct ExploreResult {
 
 ExploreResult ExploreBundle(const trace::TraceBundle& bundle, const ExploreOptions& opt);
 
-// One replay under an explicit policy (nullptr = built-in scheduler), with
-// the final file-system state digested for cross-schedule comparison.
-// Exposed for tests and the negative-rule checks.
-struct PolicyRunResult {
-  core::ReplayReport report;
-  TimeNs end_time = 0;
-  uint64_t switches = 0;
-  uint64_t digest = 0;
-  size_t unfinished_threads = 0;
-};
-PolicyRunResult ReplayCompiledUnderPolicy(const core::CompiledBenchmark& bench,
-                                          const core::SimTarget& target,
-                                          sim::SchedulePolicy* policy);
+// Explores `bundle` under the default baseline and `spec` alone, with every
+// check ExploreBundle applies: the trace-level checks, the oracle on both
+// runs, and `spec`'s run against the baseline's final state and end time.
+// This is the predicate repro minimization shrinks a trace under, and what
+// `check_artc --corpus=F --schedule=S` reports, so a printed repro command
+// re-applies exactly the verdict that failed. Only `compile` and `target`
+// of `opt` are read; it dumps no repro.
+ExploreResult ExploreUnderSpec(const trace::TraceBundle& bundle,
+                               const sim::ScheduleSpec& spec, const ExploreOptions& opt);
 
 // FNV-1a over the canonical snapshot serialization.
 uint64_t SnapshotDigest(const trace::FsSnapshot& snapshot);

@@ -9,59 +9,71 @@
 
 namespace artc::core {
 
-SimReplayResult ReplayCompiledOnSimTarget(const CompiledBenchmark& bench,
-                                          const SimTarget& target,
-                                          trace::FsSnapshot* final_state) {
+namespace {
+
+// The one simulated replay world: a simulation seeded from `target` with
+// `policy` at its choice points (nullptr = built-in scheduler), the target's
+// storage stack, vfs and replay env. An init thread restores `snapshot`
+// (delta when `delta_init`); its virtual cost is not charged to the replay,
+// since the engine measures from its own start time. The harness thread
+// then drops the caches if the target asks and calls `replay(sim, env)`.
+// Fills the simulator and storage diagnostics of *result.
+template <typename ReplayFn>
+void RunInSimWorld(const SimTarget& target, sim::SchedulePolicy* policy,
+                   const trace::FsSnapshot& snapshot, bool delta_init,
+                   SimReplayResult* result, ReplayFn replay) {
   sim::Simulation sim(target.seed);
-  std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
-  sim.SetSchedulePolicy(policy.get());
+  sim.SetSchedulePolicy(policy);
   storage::StorageStack stack(&sim, target.storage);
   vfs::Vfs fs(&sim, &stack, vfs::MakeFsProfile(target.fs_profile),
               vfs::MakePlatformProfile(target.platform));
   SimReplayEnv env(&sim, &fs, target.emulation);
 
-  SimReplayResult result;
-  result.edge_stats = bench.edge_stats;
-  result.model_warnings = bench.model_warnings;
-
-  // Initialization runs inside the simulation but its (virtual) cost is not
-  // charged to the replay: the engine measures from its own start time.
-  sim::SimThreadId init = sim.Spawn("init", [&] {
-    env.Initialize(bench.snapshot, target.delta_init);
-  });
+  sim::SimThreadId init = sim.Spawn("init", [&] { env.Initialize(snapshot, delta_init); });
   sim.Spawn("harness", [&] {
     sim.Join(init);
     if (target.drop_caches_after_init) {
       stack.DropCaches();
     }
-    result.report = Replay(bench, env, target.replay);
-    if (final_state != nullptr) {
-      // Pure tree walk: consumes no virtual time, so capture cannot perturb
-      // the replay results it rides along with.
-      *final_state = fs.CaptureSnapshot();
-    }
+    replay(sim, env);
   });
-  result.sim_end_time = sim.Run();
-  result.sim_switches = sim.switch_count();
-  result.storage = stack.Counters();
+  result->sim_end_time = sim.Run();
+  result->sim_switches = sim.switch_count();
+  result->unfinished_threads = sim.UnfinishedThreads();
+  result->storage = stack.Counters();
+}
+
+}  // namespace
+
+SimReplayResult ReplayCompiledUnderPolicy(const CompiledBenchmark& bench,
+                                          const SimTarget& target,
+                                          sim::SchedulePolicy* policy,
+                                          trace::FsSnapshot* final_state) {
+  SimReplayResult result;
+  result.edge_stats = bench.edge_stats;
+  result.model_warnings = bench.model_warnings;
+  RunInSimWorld(target, policy, bench.snapshot, target.delta_init, &result,
+                [&](sim::Simulation&, SimReplayEnv& env) {
+                  result.report = Replay(bench, env, target.replay);
+                  if (final_state != nullptr) {
+                    // Pure tree walk: consumes no virtual time, so capture
+                    // cannot perturb the replay results it rides along with.
+                    *final_state = env.fs().CaptureSnapshot();
+                  }
+                });
   return result;
 }
 
 SimReplayResult ReplayCompiledOnSimTarget(const CompiledBenchmark& bench,
-                                          const SimTarget& target) {
-  return ReplayCompiledOnSimTarget(bench, target, nullptr);
+                                          const SimTarget& target,
+                                          trace::FsSnapshot* final_state) {
+  std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
+  return ReplayCompiledUnderPolicy(bench, target, policy.get(), final_state);
 }
 
 MultiReplayResult ReplayConcurrentlyOnSimTarget(
     const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target) {
-  sim::Simulation sim(target.seed);
   std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
-  sim.SetSchedulePolicy(policy.get());
-  storage::StorageStack stack(&sim, target.storage);
-  vfs::Vfs fs(&sim, &stack, vfs::MakeFsProfile(target.fs_profile),
-              vfs::MakePlatformProfile(target.platform));
-  SimReplayEnv env(&sim, &fs, target.emulation);
-
   MultiReplayResult result;
   result.reports.resize(benches.size());
 
@@ -70,30 +82,24 @@ MultiReplayResult ReplayConcurrentlyOnSimTarget(
   for (const CompiledBenchmark* bench : benches) {
     merged = merged.Overlay(bench->snapshot);
   }
-  sim::SimThreadId init = sim.Spawn("init", [&] { env.Initialize(merged); });
-  TimeNs start = 0;
-  TimeNs end = 0;
-  sim.Spawn("harness", [&] {
-    sim.Join(init);
-    if (target.drop_caches_after_init) {
-      stack.DropCaches();
-    }
-    start = sim.Now();
-    // Launch one runner per benchmark; each spawns its own replay threads.
-    std::vector<sim::SimThreadId> runners;
-    runners.reserve(benches.size());
-    for (size_t i = 0; i < benches.size(); ++i) {
-      runners.push_back(sim.Spawn("replay-bench", [&, i] {
-        result.reports[i] = Replay(*benches[i], env, target.replay);
-      }));
-    }
-    for (sim::SimThreadId runner : runners) {
-      sim.Join(runner);
-    }
-    end = sim.Now();
-  });
-  sim.Run();
-  result.wall_time = end - start;
+  SimReplayResult world;  // the run's diagnostics, not reported
+  RunInSimWorld(target, policy.get(), merged, /*delta_init=*/false, &world,
+                [&](sim::Simulation& sim, SimReplayEnv& env) {
+                  TimeNs start = sim.Now();
+                  // One runner per benchmark; each spawns its own replay
+                  // threads.
+                  std::vector<sim::SimThreadId> runners;
+                  runners.reserve(benches.size());
+                  for (size_t i = 0; i < benches.size(); ++i) {
+                    runners.push_back(sim.Spawn("replay-bench", [&, i] {
+                      result.reports[i] = Replay(*benches[i], env, target.replay);
+                    }));
+                  }
+                  for (sim::SimThreadId runner : runners) {
+                    sim.Join(runner);
+                  }
+                  result.wall_time = sim.Now() - start;
+                });
   return result;
 }
 

@@ -57,6 +57,9 @@ struct SimReplayResult {
   // Storage-stack counters for this run only (the obs registry accumulates
   // process-wide): cache hits/misses, media traffic, RAID stripe balance.
   storage::StorageCounters storage;
+  // Simulated threads that never ran to completion; nonzero means the
+  // replay deadlocked.
+  size_t unfinished_threads = 0;
 };
 
 // Compiles the trace under `options` and replays it on the simulated target.
@@ -76,9 +79,17 @@ SimReplayResult ReplayOnSimTarget(const trace::Trace& t,
 // Virtual results are bit-identical with capture on or off.
 SimReplayResult ReplayCompiledOnSimTarget(const CompiledBenchmark& bench,
                                           const SimTarget& target,
-                                          trace::FsSnapshot* final_state);
-SimReplayResult ReplayCompiledOnSimTarget(const CompiledBenchmark& bench,
-                                          const SimTarget& target);
+                                          trace::FsSnapshot* final_state = nullptr);
+
+// ReplayCompiledOnSimTarget with `policy` choosing at the scheduler's choice
+// points instead of the policy `target.schedule` describes (nullptr = the
+// built-in scheduler). For policies no ScheduleSpec can describe, such as
+// the schedule explorer's sim::PrefixSchedulePolicy; the caller keeps
+// `policy` alive for the call.
+SimReplayResult ReplayCompiledUnderPolicy(const CompiledBenchmark& bench,
+                                          const SimTarget& target,
+                                          sim::SchedulePolicy* policy,
+                                          trace::FsSnapshot* final_state = nullptr);
 
 // Replays several compiled benchmarks *concurrently* on one simulated
 // target: their snapshots are overlaid into a single tree and each

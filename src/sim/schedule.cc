@@ -1,7 +1,8 @@
 #include "src/sim/schedule.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+#include <string_view>
 
 #include "src/util/check.h"
 #include "src/util/strings.h"
@@ -102,22 +103,31 @@ std::string ScheduleSpec::ToString() const {
 
 bool ParseScheduleSpec(const std::string& s, ScheduleSpec* out) {
   *out = ScheduleSpec();
-  if (s == "default") {
+  const std::string_view v = s;
+  uint64_t seed = 0;
+  if (v == "default") {
     return true;
   }
-  if (s.rfind("random:", 0) == 0) {
-    out->kind = ScheduleKind::kRandom;
-    out->seed = std::strtoull(s.c_str() + 7, nullptr, 10);
-    return true;
-  }
-  if (s.rfind("pct:", 0) == 0) {
-    out->kind = ScheduleKind::kPct;
-    char* end = nullptr;
-    out->seed = std::strtoull(s.c_str() + 4, &end, 10);
-    if (end != nullptr && *end == '/') {
-      out->pct_change_points =
-          static_cast<uint32_t>(std::strtoul(end + 1, nullptr, 10));
+  if (v.starts_with("random:")) {
+    if (!ParseDecimal(v.substr(7), UINT64_MAX, &seed)) {
+      return false;
     }
+    out->kind = ScheduleKind::kRandom;
+    out->seed = seed;
+    return true;
+  }
+  if (v.starts_with("pct:")) {
+    const std::string_view rest = v.substr(4);
+    const size_t slash = rest.find('/');
+    uint64_t points = out->pct_change_points;
+    if (!ParseDecimal(rest.substr(0, slash), UINT64_MAX, &seed) ||
+        (slash != std::string_view::npos &&
+         !ParseDecimal(rest.substr(slash + 1), UINT32_MAX, &points))) {
+      return false;
+    }
+    out->kind = ScheduleKind::kPct;
+    out->seed = seed;
+    out->pct_change_points = static_cast<uint32_t>(points);
     return true;
   }
   return false;

@@ -99,8 +99,9 @@ struct ScheduleSpec {
 const char* ScheduleKindName(ScheduleKind kind);
 
 // Parses the ScheduleSpec::ToString() forms: "default", "random:7",
-// "pct:7/8". Returns false (leaving *out default-initialized) on anything
-// else. Shared by every frontend that accepts --schedule flags or grid-axis
+// "pct:7/8", and "pct:7" (the default change-point count). Every number is
+// a whole plain decimal that fits its field (artc::ParseDecimal). Returns
+// false (leaving *out default-initialized) on anything else. Shared by every frontend that accepts --schedule flags or grid-axis
 // values (check_artc, artc_sweep).
 bool ParseScheduleSpec(const std::string& s, ScheduleSpec* out);
 

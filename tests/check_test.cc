@@ -5,6 +5,8 @@
 // annotator ordering bugs the fuzzer found, as crafted-trace regressions.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +21,10 @@
 #include "src/sim/schedule.h"
 #include "src/trace/trace_io.h"
 #include "src/util/rng.h"
+
+#ifndef ARTC_FIXTURE_DIR
+#error "build must define ARTC_FIXTURE_DIR"
+#endif
 
 namespace artc::check {
 namespace {
@@ -116,6 +122,38 @@ TEST(SchedulePolicy, SpecToStringForms) {
   spec.pct_change_points = 8;
   EXPECT_EQ(spec.ToString(), "pct:7/8");
   EXPECT_NE(sim::MakeSchedulePolicy(spec), nullptr);
+}
+
+TEST(SchedulePolicy, ParseRoundTripsAndRejectsMalformedNumbers) {
+  std::vector<sim::ScheduleSpec> specs(4);
+  specs[1].kind = sim::ScheduleKind::kRandom;
+  specs[1].seed = 18446744073709551615ULL;
+  specs[2].kind = sim::ScheduleKind::kPct;
+  specs[2].seed = 5;
+  specs[2].pct_change_points = 4;
+  specs[3].kind = sim::ScheduleKind::kPct;
+  specs[3].seed = 0;
+  specs[3].pct_change_points = 4294967295U;
+  for (const sim::ScheduleSpec& spec : specs) {
+    sim::ScheduleSpec parsed;
+    ASSERT_TRUE(sim::ParseScheduleSpec(spec.ToString(), &parsed)) << spec.ToString();
+    EXPECT_EQ(parsed.ToString(), spec.ToString());
+  }
+
+  // A bare PCT seed keeps the default change-point count.
+  sim::ScheduleSpec pct;
+  ASSERT_TRUE(sim::ParseScheduleSpec("pct:5", &pct));
+  EXPECT_EQ(pct.ToString(), "pct:5/8");
+
+  for (const char* bad : {"random:", "random:abc", "random:1x", "random:-1",
+                          "random:18446744073709551616", "pct:", "pct:5x/zz",
+                          "pct:5/", "pct:/4", "pct:5/4294967296", "default:1",
+                          "Random:1", ""}) {
+    sim::ScheduleSpec parsed;
+    parsed.kind = sim::ScheduleKind::kRandom;
+    EXPECT_FALSE(sim::ParseScheduleSpec(bad, &parsed)) << bad;
+    EXPECT_EQ(parsed.ToString(), "default") << bad;
+  }
 }
 
 TEST(SchedulePolicy, RandomIsDeterministicPerSeed) {
@@ -309,12 +347,30 @@ TEST(Explorer, DefaultPolicyRunsAreBitIdentical) {
   core::SimTarget target;
   target.storage = storage::MakeNamedConfig("ssd");
 
-  PolicyRunResult a = ReplayCompiledUnderPolicy(bench, target, nullptr);
-  PolicyRunResult b = ReplayCompiledUnderPolicy(bench, target, nullptr);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.switches, b.switches);
-  EXPECT_EQ(a.digest, b.digest);
+  trace::FsSnapshot state_a;
+  trace::FsSnapshot state_b;
+  core::SimReplayResult a = core::ReplayCompiledUnderPolicy(bench, target, nullptr, &state_a);
+  core::SimReplayResult b = core::ReplayCompiledUnderPolicy(bench, target, nullptr, &state_b);
+  EXPECT_EQ(a.sim_end_time, b.sim_end_time);
+  EXPECT_EQ(a.sim_switches, b.sim_switches);
+  EXPECT_EQ(SnapshotDigest(state_a), SnapshotDigest(state_b));
   EXPECT_EQ(a.unfinished_threads, 0u);
+
+  // The spec-driven entry point builds the same world: its default spec is
+  // the built-in scheduler, and a random spec is that spec's policy.
+  trace::FsSnapshot state_c;
+  core::SimReplayResult c = core::ReplayCompiledOnSimTarget(bench, target, &state_c);
+  EXPECT_EQ(c.sim_end_time, a.sim_end_time);
+  EXPECT_EQ(c.sim_switches, a.sim_switches);
+  EXPECT_EQ(SnapshotDigest(state_c), SnapshotDigest(state_a));
+
+  ASSERT_TRUE(sim::ParseScheduleSpec("random:5", &target.schedule));
+  sim::RandomSchedulePolicy policy(5);
+  core::SimReplayResult by_spec = core::ReplayCompiledOnSimTarget(bench, target);
+  core::SimReplayResult by_policy = core::ReplayCompiledUnderPolicy(bench, target, &policy);
+  EXPECT_EQ(by_spec.sim_end_time, by_policy.sim_end_time);
+  EXPECT_EQ(by_spec.sim_switches, by_policy.sim_switches);
+  EXPECT_EQ(by_spec.report.wall_time, by_policy.report.wall_time);
 }
 
 TEST(Explorer, MultiScheduleCleanOnGeneratedTrace) {
@@ -356,6 +412,55 @@ TEST(Explorer, ExhaustiveEnumerationVisitsSiblingSchedules) {
   ExploreResult result = ExploreBundle(bundle, opt);
   EXPECT_TRUE(result.ok()) << (result.problems.empty() ? "" : result.problems[0]);
   EXPECT_GT(result.schedules_run, 1u);  // baseline plus enumerated prefixes
+}
+
+// A corpus bundle with one return value altered: the trace-level check
+// fails whatever the schedule.
+trace::TraceBundle StatRetMismatchBundle() {
+  std::ifstream in(ARTC_FIXTURE_DIR "/stat_ret_mismatch.trace");
+  return trace::ReadTraceBundle(in);
+}
+
+TEST(Explorer, UnderSpecAppliesTheExplorationVerdict) {
+  trace::TraceBundle bundle = StatRetMismatchBundle();
+  ASSERT_FALSE(bundle.trace.events.empty());
+  ExploreOptions opt;
+  opt.random_schedules = 2;
+  opt.pct_schedules = 0;
+  ExploreResult explored = ExploreBundle(bundle, opt);
+  ExploreResult repro = ExploreUnderSpec(bundle, sim::ScheduleSpec(), opt);
+  ASSERT_FALSE(explored.ok());
+  ASSERT_FALSE(repro.ok());
+  EXPECT_EQ(repro.schedules_run, 2u);  // the baseline and the named schedule
+  EXPECT_EQ(repro.hb_edges, explored.hb_edges);
+  ASSERT_FALSE(repro.problems.empty());
+  EXPECT_EQ(repro.problems[0], explored.problems[0]);
+  EXPECT_NE(repro.problems[0].find("disagrees with the reference model"), std::string::npos)
+      << repro.problems[0];
+}
+
+TEST(Explorer, ReproCommandNamesTheStorage) {
+  ExploreOptions opt;
+  opt.random_schedules = 1;
+  opt.pct_schedules = 0;
+  opt.target.storage = storage::MakeNamedConfig("hdd");
+  opt.repro_dir = testing::TempDir() + "/check_test_repro_storage";
+  std::filesystem::remove_all(opt.repro_dir);
+  ExploreResult result = ExploreBundle(StatRetMismatchBundle(), opt);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.repro_path, opt.repro_dir + "/repro.trace");
+
+  std::ifstream txt(opt.repro_dir + "/repro.txt");
+  std::string line;
+  std::string reproduce;
+  while (std::getline(txt, line)) {
+    if (line.rfind("reproduce: ", 0) == 0) {
+      reproduce = line;
+    }
+  }
+  EXPECT_EQ(reproduce, "reproduce: check_artc --corpus=" + result.repro_path +
+                           " --schedule=default --storage=hdd");
+  std::filesystem::remove_all(opt.repro_dir);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "src/check/explorer.h"
 #include "src/check/generator.h"
 #include "src/core/artc.h"
 #include "src/core/compiled.h"
@@ -377,9 +376,8 @@ TEST_P(CritPathFuzz, InvariantsHoldUnderRandomSchedules) {
   schedules[2].seed = GetParam() * 7 + 2;
 
   for (const sim::ScheduleSpec& spec : schedules) {
-    auto policy = sim::MakeSchedulePolicy(spec);
-    check::PolicyRunResult run =
-        check::ReplayCompiledUnderPolicy(bench, target, policy.get());
+    target.schedule = spec;
+    core::SimReplayResult run = core::ReplayCompiledOnSimTarget(bench, target);
     CritPathReport cp = AnalyzeCriticalPath(bench, run.report);
     SCOPED_TRACE("schedule " + spec.ToString());
     CheckInvariants(bench, run.report, cp);

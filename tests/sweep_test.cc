@@ -126,6 +126,17 @@ TEST(SweepGridTest, EachCrossProductStartsFromTheOneBefore) {
   EXPECT_TRUE(cells.empty());
 }
 
+TEST(SweepGridTest, ScheduleAxisRejectsMalformedNumbers) {
+  CellConfig cell;
+  std::string error;
+  ASSERT_TRUE(SetCellAxis(&cell, "schedule", "pct:5/4", &error)) << error;
+  EXPECT_EQ(cell.schedule, "pct:5/4");
+  for (const char* bad : {"random:abc", "random:", "pct:5x/zz", "pct:5/"}) {
+    EXPECT_FALSE(SetCellAxis(&cell, "schedule", bad, &error)) << bad;
+    EXPECT_NE(error.find("bad schedule"), std::string::npos) << error;
+  }
+}
+
 TEST(SweepGridTest, SourcesParseAndPrintInOneSpelling) {
   CellConfig cell;
   std::string error;
