@@ -18,7 +18,6 @@
 
 #include "bench/bench_common.h"
 #include "src/core/artc.h"
-#include "src/core/suite.h"
 #include "src/obs/critpath.h"
 #include "src/obs/log.h"
 #include "src/sweep/workload_table.h"
@@ -110,12 +109,11 @@ int AnalyzeSuite(const Options& opt, uint64_t seed) {
   for (const MagritteSpec& spec : specs) {
     runs.push_back(sweep::NamedWorkload::Find(spec.FullName())->Trace(0, source));
   }
-  std::vector<core::CompileJob> jobs;
-  for (const TracedRun& run : runs) {
-    jobs.push_back(core::CompileJob{&run.trace, &run.snapshot, core::CompileOptions{}});
-  }
   util::ThreadPool pool(opt.target.jobs);
-  std::vector<CompiledBenchmark> benches = core::CompileSuite(jobs, &pool);
+  std::vector<CompiledBenchmark> benches(runs.size());
+  util::ParallelFor(pool, runs.size(), [&](size_t i) {
+    benches[i] = core::Compile(runs[i].trace, runs[i].snapshot, core::CompileOptions{});
+  });
 
   std::vector<const CompiledBenchmark*> ptrs;
   for (const CompiledBenchmark& b : benches) {

@@ -7,7 +7,6 @@
 
 #include "bench/bench_common.h"
 #include "src/core/compiler.h"
-#include "src/core/suite.h"
 #include "src/obs/obs.h"
 #include "src/util/thread_pool.h"
 #include "src/workloads/magritte.h"
@@ -88,12 +87,10 @@ int Main() {
     msrc.platform = "osx";
     runs[i] = workloads::TraceMagritte(suite[i], msrc);
   });
-  std::vector<core::CompileJob> jobs(suite.size());
-  for (size_t i = 0; i < suite.size(); ++i) {
-    jobs[i].trace = &runs[i].trace;
-    jobs[i].snapshot = &runs[i].snapshot;
-  }
-  std::vector<CompiledBenchmark> compiled = core::CompileSuite(jobs, &pool);
+  std::vector<CompiledBenchmark> compiled(suite.size());
+  util::ParallelFor(pool, suite.size(), [&](size_t i) {
+    compiled[i] = core::Compile(runs[i].trace, runs[i].snapshot, CompileOptions{});
+  });
   uint64_t emitted_total = 0;
   uint64_t pruned_total = 0;
   for (size_t i = 0; i < compiled.size(); ++i) {

@@ -24,6 +24,7 @@
 //   method   = single, temporal, artc
 //   storage  = hdd, ssd, raid0
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@ int Main(int argc, char** argv) {
   std::string drill;
   bool list = false;
   bool no_host_ms = false;
+  std::string out_path;
   sweep::SweepOptions options;
   util::FlagSet flags;
   flags.String("grid", &grid_path);
@@ -48,7 +50,7 @@ int Main(int argc, char** argv) {
   flags.String("report", &report_path);
   flags.Unsigned("jobs", &options.jobs);
   flags.Switch("no-host-ms", &no_host_ms);
-  flags.String("out", &options.jsonl_path);
+  flags.String("out", &out_path);
   bench::HarnessObsSession obs_session(argc, argv, &flags);
 
   std::string error;
@@ -92,21 +94,26 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
+  // Opened before the plan is built, so an unwritable --out fails at once.
+  std::ofstream rows;
+  if (!out_path.empty()) {
+    rows.open(out_path);
+    if (!rows.good()) {
+      std::fprintf(stderr, "artc_sweep: cannot write '%s'\n", out_path.c_str());
+      return 1;
+    }
+    options.rows = &rows;
+  }
   sweep::SweepPlan plan;
   if (!sweep::BuildSweepPlan(std::move(grids), &plan, &error, options.jobs)) {
     std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
     return 2;
   }
   options.include_host_time = !no_host_ms;
-  sweep::SweepReport report;
-  if (!sweep::RunSweep(plan, options, &report, &error)) {
-    std::fprintf(stderr, "artc_sweep: %s\n", error.c_str());
-    return 1;
-  }
+  const sweep::SweepReport report = sweep::RunSweep(plan, options);
   std::fputs(report.OnePager().c_str(), stdout);
-  if (!options.jsonl_path.empty()) {
-    std::printf("wrote %s (%zu rows)\n", options.jsonl_path.c_str(),
-                report.cells);
+  if (!out_path.empty()) {
+    std::printf("wrote %s (%zu rows)\n", out_path.c_str(), report.cells);
   }
   if (!report_path.empty() && !bench::WriteReport(report_path, report.ToJson())) {
     return 1;

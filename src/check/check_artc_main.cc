@@ -1,17 +1,21 @@
 // check_artc: schedule-space fuzzing harness for the ROOT ordering rules.
 //
-// Two modes:
+// Three modes:
 //  * Fuzz (default): generate --iters random traces (src/check/generator),
 //    compile each, and explore it under many legal schedules
 //    (src/check/explorer), asserting the invariant oracle on every run.
 //  * Corpus (--corpus=FILE|DIR): explore pre-recorded trace bundles (or
 //    ARTCT files) instead of generating fresh ones; used by the regression
 //    suite. A directory contributes its *.trace files.
+//  * Repro (--corpus=FILE --schedule=SPEC): replay one named schedule, below.
 //
 // On a violation the explorer dumps a minimized repro under --out; re-run it
 // with the command on repro.txt's "reproduce:" line,
 // check_artc --corpus=<repro.trace> --schedule=<spec> --storage=<config>,
-// which applies the same checks to the baseline and that one schedule.
+// which applies the same checks to the baseline and that one schedule; with
+// --obs-repro=1 it also writes that schedule's Chrome trace to
+// <out>/repro_obs.json. The flags that choose explored schedules (--seed,
+// --schedules, --pct, --preemptions, --budget) exit 2 in this mode.
 // Exits 1 if any invariant was violated or a corpus file cannot be read.
 #include <algorithm>
 #include <cstdio>
@@ -116,8 +120,23 @@ int Main(int argc, char** argv) {
   opt.repro_obs_trace = obs_repro != 0;
   opt.target.storage = storage::MakeNamedConfig(storage_name);
   sim::ScheduleSpec repro_spec;
-  if (!schedule.empty() && !sim::ParseScheduleSpec(schedule, &repro_spec)) {
-    flags.Fail("unparsable --schedule '" + schedule + "'");
+  if (!schedule.empty()) {
+    if (!sim::ParseScheduleSpec(schedule, &repro_spec)) {
+      flags.Fail("unparsable --schedule '" + schedule + "'");
+    }
+    if (corpus.empty()) {
+      flags.Fail("--schedule replays a --corpus bundle; generated traces are explored");
+    }
+    // Repro mode runs the baseline and the named schedule only.
+    for (const char* name : {"seed", "schedules", "pct", "preemptions", "budget"}) {
+      if (flags.Given(name)) {
+        flags.Fail(StrFormat("--%s chooses explored schedules; --schedule runs only the named one",
+                             name));
+      }
+    }
+    if (flags.Given("out") && obs_repro == 0) {
+      flags.Fail("with --schedule, --out only names where --obs-repro=1 writes its trace");
+    }
   }
   Totals totals;
   if (!corpus.empty()) {
@@ -132,6 +151,11 @@ int Main(int argc, char** argv) {
     } else {
       paths.push_back(corpus);
     }
+    if (!schedule.empty() && opt.repro_obs_trace && paths.size() > 1) {
+      flags.Fail(StrFormat("with --schedule, --obs-repro=1 traces one bundle; "
+                           "--corpus names %zu bundles",
+                           paths.size()));
+    }
     for (const std::string& path : paths) {
       trace::ParallelReadResult read;
       trace::ParseDiag diag;
@@ -145,6 +169,15 @@ int Main(int argc, char** argv) {
         // Repro mode: the default baseline plus exactly the named schedule,
         // judged as the exploration that printed the command judged it.
         ReportRepro(path, schedule, ExploreUnderSpec(bundle, repro_spec, opt), &totals);
+        if (opt.repro_obs_trace) {
+          const std::string trace_path = out_dir + "/repro_obs.json";
+          std::error_code ec;
+          std::filesystem::create_directories(out_dir, ec);
+          if (!WriteScheduleTrace(bundle, repro_spec, opt, trace_path)) {
+            obs::LogError("check_artc", "cannot write repro trace", {{"path", trace_path}});
+            return 1;
+          }
+        }
         continue;
       }
       ExploreOptions o = opt;

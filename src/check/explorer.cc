@@ -4,7 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "src/fsmodel/resource_model.h"
@@ -41,22 +41,6 @@ uint32_t CountPreemptions(const std::vector<uint32_t>& prefix) {
   return n;
 }
 
-}  // namespace
-
-uint64_t SnapshotDigest(const trace::FsSnapshot& snapshot) {
-  std::ostringstream out;
-  trace::WriteSnapshot(snapshot, out);
-  const std::string s = out.str();
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-namespace {
-
 // Shared state for one exploration of a bundle.
 struct Explorer {
   const trace::TraceBundle& bundle;
@@ -64,8 +48,8 @@ struct Explorer {
   RefModel model;
   core::CompiledBenchmark bench;
   ExploreResult result;
-  bool have_failing_spec = false;
-  sim::ScheduleSpec failing_spec;  // first spec-describable failing schedule
+  bool trace_failed = false;  // a check that needs no replay failed
+  std::optional<sim::ScheduleSpec> failing_spec;  // first spec-describable failing run
 
   Explorer(const trace::TraceBundle& b, const ExploreOptions& o)
       : bundle(b), opt(o), model(BuildRefModel(b)),
@@ -88,6 +72,7 @@ struct Explorer {
   // runs it.
   void CheckTraceAndBaseline() {
     if (model.mismatched_returns > 0) {
+      trace_failed = true;
       result.violations += model.mismatched_returns;
       Problem(StrFormat("trace disagrees with the reference model: %s",
                         model.first_mismatch.c_str()));
@@ -96,6 +81,7 @@ struct Explorer {
     aopt.materialize_labels = false;
     fsmodel::AnnotatedTrace ann = fsmodel::AnnotateTrace(bundle.trace, bundle.snapshot, aopt);
     if (ann.warnings > 0) {
+      trace_failed = true;
       result.violations += ann.warnings;
       Problem(StrFormat("fsmodel annotation reported %llu warnings: %s",
                         static_cast<unsigned long long>(ann.warnings),
@@ -123,7 +109,7 @@ struct Explorer {
 
     ScheduleRunSummary summary;
     summary.schedule = label;
-    summary.digest = SnapshotDigest(final_state);
+    summary.digest = trace::SnapshotDigest(final_state);
     summary.end_time = run.sim_end_time;
     summary.hb_violations = findings.hb_violations;
     summary.ret_mismatches = findings.ret_mismatches;
@@ -157,8 +143,7 @@ struct Explorer {
                           static_cast<long long>(baseline.end_time), kEndTimeSlack));
       }
     }
-    if (run_violations > 0 && result.violations == 0 && spec != nullptr) {
-      have_failing_spec = true;
+    if (run_violations > 0 && !failing_spec && spec != nullptr) {
       failing_spec = *spec;
     }
     result.violations += run_violations;
@@ -194,16 +179,25 @@ trace::TraceBundle MinimizeRepro(const trace::TraceBundle& bundle,
   return lo < bundle.trace.events.size() ? slice(lo) : bundle;
 }
 
+// Writes the repro bundle and its reproduce: line. The bundle is minimized
+// under the first failing spec-describable run, or under the default
+// schedule when only the trace-level checks failed (ExploreUnderSpec applies
+// them under any spec); when only prefix schedules failed it is the whole
+// bundle.
 void DumpRepro(Explorer& ex) {
   const ExploreOptions& opt = ex.opt;
   std::error_code ec;
   std::filesystem::create_directories(opt.repro_dir, ec);
 
+  std::optional<sim::ScheduleSpec> spec = ex.failing_spec;
+  if (!spec && ex.trace_failed) {
+    spec = sim::ScheduleSpec();
+  }
   trace::TraceBundle repro = ex.bundle;
   std::string schedule = "default";
-  if (ex.have_failing_spec) {
-    schedule = ex.failing_spec.ToString();
-    repro = MinimizeRepro(ex.bundle, ex.failing_spec, opt);
+  if (spec) {
+    schedule = spec->ToString();
+    repro = MinimizeRepro(ex.bundle, *spec, opt);
   }
   std::string bundle_path = opt.repro_dir + "/repro.trace";
   trace::WriteTraceBundleFile(repro, bundle_path);
@@ -220,20 +214,25 @@ void DumpRepro(Explorer& ex) {
   txt << "reproduce: check_artc --corpus=" << bundle_path << " --schedule=" << schedule
       << " --storage=" << opt.target.storage.name << "\n";
 
-  if (opt.repro_obs_trace && ex.have_failing_spec) {
-    // Capture the failing run with the obs tracer for timeline inspection.
-    obs::Enable();
-    obs::DefaultTracer().Clear();
-    core::CompiledBenchmark bench = core::Compile(repro.trace, repro.snapshot, opt.compile);
-    core::SimTarget target = opt.target;
-    target.schedule = ex.failing_spec;
-    core::ReplayCompiledOnSimTarget(bench, target);
-    obs::DefaultTracer().WriteChromeJson(opt.repro_dir + "/repro_obs.json");
-    obs::Disable();
+  if (opt.repro_obs_trace && spec) {
+    WriteScheduleTrace(repro, *spec, opt, opt.repro_dir + "/repro_obs.json");
   }
 }
 
 }  // namespace
+
+bool WriteScheduleTrace(const trace::TraceBundle& bundle, const sim::ScheduleSpec& spec,
+                        const ExploreOptions& opt, const std::string& path) {
+  obs::Enable();
+  obs::DefaultTracer().Clear();
+  const core::CompiledBenchmark bench = core::Compile(bundle.trace, bundle.snapshot, opt.compile);
+  core::SimTarget target = opt.target;
+  target.schedule = spec;
+  core::ReplayCompiledOnSimTarget(bench, target);
+  const bool ok = obs::DefaultTracer().WriteChromeJson(path);
+  obs::Disable();
+  return ok;
+}
 
 ExploreResult ExploreBundle(const trace::TraceBundle& bundle, const ExploreOptions& opt) {
   Explorer ex(bundle, opt);

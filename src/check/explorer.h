@@ -71,8 +71,13 @@ ExploreResult ExploreBundle(const trace::TraceBundle& bundle, const ExploreOptio
 ExploreResult ExploreUnderSpec(const trace::TraceBundle& bundle,
                                const sim::ScheduleSpec& spec, const ExploreOptions& opt);
 
-// FNV-1a over the canonical snapshot serialization.
-uint64_t SnapshotDigest(const trace::FsSnapshot& snapshot);
+// Replays `bundle` under `spec` with the obs tracer on and writes the run's
+// Chrome trace to `path`: the failing run a repro dumps with
+// `repro_obs_trace`, and the named run of `check_artc --schedule=S
+// --obs-repro=1`. Only `compile` and `target` of `opt` are read. False when
+// `path` cannot be written.
+bool WriteScheduleTrace(const trace::TraceBundle& bundle, const sim::ScheduleSpec& spec,
+                        const ExploreOptions& opt, const std::string& path);
 
 }  // namespace artc::check
 

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <chrono>
-#include <condition_variable>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
 
-#include "src/check/explorer.h"
 #include "src/fsmodel/resource_model.h"
 #include "src/obs/critpath.h"
 #include "src/obs/log.h"
@@ -276,8 +273,15 @@ bool BuildSweepPlan(trace::Trace&& t, const trace::FsSnapshot& snapshot,
   return true;
 }
 
-CellStats RunOneCell(const SweepPlan& plan, size_t index, bool emit_trace,
-                     std::string* critpath_json, std::string* one_pager) {
+namespace {
+
+// Runs plan.cells[index] synchronously (shared by RunSweep workers and
+// DrillGrids). `emit_trace` overlays the critical path on the default tracer;
+// when non-null, *critpath_json / *one_pager receive the full
+// CritPathReport renderings.
+CellStats RunOneCell(const SweepPlan& plan, size_t index, bool emit_trace = false,
+                     std::string* critpath_json = nullptr,
+                     std::string* one_pager = nullptr) {
   const int64_t t0 = HostNowUs();
   const CellConfig& cell = plan.cells[index];
   const core::CompiledBenchmark& bench = plan.BenchFor(cell);
@@ -291,7 +295,7 @@ CellStats RunOneCell(const SweepPlan& plan, size_t index, bool emit_trace,
   trace::FsSnapshot final_state;
   const core::SimReplayResult result =
       core::ReplayCompiledOnSimTarget(bench, target, &final_state);
-  s.digest = check::SnapshotDigest(final_state);
+  s.digest = trace::SnapshotDigest(final_state);
 
   const obs::CritPathReport cp =
       obs::AnalyzeSimReplay(bench, result, emit_trace);
@@ -327,6 +331,8 @@ CellStats RunOneCell(const SweepPlan& plan, size_t index, bool emit_trace,
   s.host_us = HostNowUs() - t0;
   return s;
 }
+
+}  // namespace
 
 double CellStats::ErrorPct() const {
   return 100.0 * (static_cast<double>(end_ns) - static_cast<double>(orig_ns)) /
@@ -422,162 +428,115 @@ double AxisAgg::EndSensitivity() const {
   return (hi - lo) / (static_cast<double>(end_sum) / static_cast<double>(cells));
 }
 
-bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
-              SweepReport* out, std::string* error) {
+SweepReport RunSweep(const SweepPlan& plan, const SweepOptions& options) {
   const int64_t sweep_t0 = HostNowUs();
-
-  std::ofstream file;
-  if (!options.jsonl_path.empty()) {
-    file.open(options.jsonl_path);
-    if (!file.good()) {
-      return Fail(error, StrFormat("cannot write '%s'", options.jsonl_path.c_str()));
-    }
-  }
-
-  *out = SweepReport{};
+  const size_t n = plan.cells.size();
+  SweepReport out;
   std::vector<std::string> workloads;  // distinct, in cell order
   for (const CellConfig& cell : plan.cells) {
     if (std::find(workloads.begin(), workloads.end(), cell.workload) ==
         workloads.end()) {
       workloads.push_back(cell.workload);
-      out->workloads += (workloads.size() > 1 ? ", " : "") + cell.workload;
+      out.workloads += (workloads.size() > 1 ? ", " : "") + cell.workload;
     }
   }
-  out->cells = plan.cells.size();
-  out->stats.resize(plan.cells.size());
+  out.cells = n;
+  out.stats.resize(n);
 
   ProgressMetrics& metrics = SweepProgressMetrics();
-  metrics.StartSweep(plan.cells.size());
+  metrics.StartSweep(n);
   obs::LogInfo("sweep", "sweep started",
-               {{"workloads", out->workloads.c_str()},
-                {"cells", static_cast<int64_t>(plan.cells.size())}});
+               {{"workloads", out.workloads.c_str()}, {"cells", static_cast<int64_t>(n)}});
 
   util::ThreadPool pool(options.jobs);
-  out->jobs = pool.worker_count();
-  const size_t window = options.max_inflight > 0
-                            ? options.max_inflight
-                            : 4 * pool.worker_count();
-
+  out.jobs = pool.worker_count();
   std::mutex mu;
-  std::condition_variable slot_cv;
-  size_t inflight = 0;     // submitted, not yet finished
+  std::vector<bool> finished(n);  // guarded by mu, as are out.stats and the rows
   size_t completed = 0;
-  size_t next_emit = 0;    // next cell index to write
-  std::map<size_t, std::string> parked;  // finished rows awaiting their turn
-
-  auto emit_ready = [&]() {
-    // Called under mu: stream every parked row that is next in index order.
-    for (auto it = parked.begin();
-         it != parked.end() && it->first == next_emit;
-         it = parked.erase(it), ++next_emit) {
-      if (file.is_open()) {
-        file << it->second << '\n';
-      }
-      if (options.jsonl_stream != nullptr) {
-        *options.jsonl_stream << it->second << '\n';
-      }
-    }
-    if (file.is_open()) {
-      file.flush();  // rows are scrape-able mid-run (tail -f the sweep)
-    }
-  };
-
-  for (size_t i = 0; i < plan.cells.size(); ++i) {
-    {
-      // Backpressure: cap submitted-but-unfinished cells. Bounds both the
-      // pool queue and the reorder buffer (a parked row has finished, so it
-      // no longer counts against the window).
-      std::unique_lock<std::mutex> lk(mu);
-      slot_cv.wait(lk, [&] { return inflight < window; });
-      ++inflight;
-    }
+  size_t next_emit = 0;  // next cell index to write
+  util::ParallelFor(pool, n, [&](size_t i) {
     metrics.CellStarted();
-    pool.Submit([&, i] {
-      CellStats stats = RunOneCell(plan, i);
-      const std::string row = stats.ToJsonl(options.include_host_time);
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        --inflight;
-        ++completed;
-        parked.emplace(i, row);
-        emit_ready();
-
-        // Order-independent aggregates (wrapping integer sums), so
-        // completion order cannot leak into the report.
-        if (stats.failed_events > 0) {
-          ++out->failed_cells;
-        }
-        out->end_ns_sum += stats.end_ns;
-        out->stall_ns_sum += stats.stall_ns;
-        out->exec_ns_sum += stats.exec_ns;
-        out->digest_sum += MixCellDigest(stats.digest);
-        for (size_t r = 0; r < stats.stall_by_rule.size(); ++r) {
-          out->stall_by_rule_sum[r] += stats.stall_by_rule[r];
-        }
-        out->stats[i] = std::move(stats);
-        // Under mu, so the progress last Set is the highest count.
-        metrics.CellFinished(out->stats[i], completed, plan.cells.size(),
-                             (HostNowUs() - sweep_t0) / 1000);
-      }
-      slot_cv.notify_all();
-    });
-  }
-  pool.Wait();
-  {
+    CellStats stats = RunOneCell(plan, i);
     std::lock_guard<std::mutex> lk(mu);
-    emit_ready();
-    ARTC_CHECK(parked.empty() && next_emit == plan.cells.size());
-  }
-  out->host_ms = (HostNowUs() - sweep_t0) / 1000;
+    out.stats[i] = std::move(stats);
+    finished[i] = true;
+    // Under mu, so the progress last Set is the highest count.
+    metrics.CellFinished(out.stats[i], ++completed, n, (HostNowUs() - sweep_t0) / 1000);
+    if (options.rows != nullptr) {
+      for (; next_emit < n && finished[next_emit]; ++next_emit) {
+        *options.rows << out.stats[next_emit].ToJsonl(options.include_host_time) << '\n';
+      }
+      options.rows->flush();  // rows can be tailed mid-run
+    }
+  });
+  out.host_ms = (HostNowUs() - sweep_t0) / 1000;
 
-  // Axis aggregates per workload: only axes that actually vary, values in
+  // Every aggregate in one pass, in cell-index order. The axis aggregates
+  // hold one AxisAgg per (workload, axis but the workload axis), values in
   // first-appearance (= grid declaration) order.
+  std::vector<std::string> axis_names;
+  for (const std::string& axis : GridAxisNames()) {
+    if (axis != "workload") {
+      axis_names.push_back(axis);
+    }
+  }
+  std::vector<AxisAgg> aggs;
   for (const std::string& workload : workloads) {
-    for (const std::string& axis : GridAxisNames()) {
-      if (axis == "workload") {
-        continue;
+    for (const std::string& axis : axis_names) {
+      aggs.push_back({workload, axis, {}});
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const CellStats& s = out.stats[i];
+    if (s.failed_events > 0) {
+      ++out.failed_cells;
+    }
+    out.end_ns_sum += s.end_ns;
+    out.stall_ns_sum += s.stall_ns;
+    out.exec_ns_sum += s.exec_ns;
+    out.digest_sum += MixCellDigest(s.digest);
+    for (size_t r = 0; r < s.stall_by_rule.size(); ++r) {
+      out.stall_by_rule_sum[r] += s.stall_by_rule[r];
+    }
+    // Extremes: ties keep the lower cell index.
+    if (s.end_ns < out.stats[out.best_cell].end_ns) {
+      out.best_cell = i;
+    }
+    if (s.end_ns > out.stats[out.worst_cell].end_ns) {
+      out.worst_cell = i;
+    }
+    const size_t w =
+        std::find(workloads.begin(), workloads.end(), s.config.workload) - workloads.begin();
+    for (size_t a = 0; a < axis_names.size(); ++a) {
+      AxisAgg& agg = aggs[w * axis_names.size() + a];
+      const std::string value = CellAxisValue(s.config, axis_names[a]);
+      auto it = std::find_if(agg.values.begin(), agg.values.end(),
+                             [&](const AxisValueAgg& v) { return v.value == value; });
+      if (it == agg.values.end()) {
+        agg.values.emplace_back().value = value;
+        it = agg.values.end() - 1;
       }
-      AxisAgg agg;
-      agg.workload = workload;
-      agg.axis = axis;
-      std::map<std::string, size_t> slot;
-      for (const CellStats& s : out->stats) {
-        if (s.config.workload != workload) {
-          continue;
-        }
-        const std::string value = CellAxisValue(s.config, axis);
-        auto [it, inserted] = slot.emplace(value, agg.values.size());
-        if (inserted) {
-          agg.values.emplace_back().value = value;
-        }
-        AxisValueAgg& v = agg.values[it->second];
-        ++v.cells;
-        v.end_ns_sum += s.end_ns;
-        v.stall_ns_sum += s.stall_ns;
-        if (s.orig_ns > 0) {
-          v.abs_error_pct.Add(std::abs(s.ErrorPct()));
-        }
-      }
-      if (agg.values.size() > 1) {
-        out->axes.push_back(std::move(agg));
+      AxisValueAgg& v = *it;
+      ++v.cells;
+      v.end_ns_sum += s.end_ns;
+      v.stall_ns_sum += s.stall_ns;
+      if (s.orig_ns > 0) {
+        v.abs_error_pct.Add(std::abs(s.ErrorPct()));
       }
     }
   }
-
-  for (size_t i = 0; i < out->stats.size(); ++i) {
-    if (out->stats[i].end_ns < out->stats[out->best_cell].end_ns) {
-      out->best_cell = i;
-    }
-    if (out->stats[i].end_ns > out->stats[out->worst_cell].end_ns) {
-      out->worst_cell = i;
+  // Only axes that actually vary.
+  for (AxisAgg& agg : aggs) {
+    if (agg.values.size() > 1) {
+      out.axes.push_back(std::move(agg));
     }
   }
 
   obs::LogInfo("sweep", "sweep finished",
-               {{"cells", static_cast<int64_t>(out->cells)},
-                {"failed_cells", static_cast<int64_t>(out->failed_cells)},
-                {"host_ms", out->host_ms}});
-  return true;
+               {{"cells", static_cast<int64_t>(out.cells)},
+                {"failed_cells", static_cast<int64_t>(out.failed_cells)},
+                {"host_ms", out.host_ms}});
+  return out;
 }
 
 namespace {

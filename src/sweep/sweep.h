@@ -8,9 +8,9 @@
 // Determinism contract: every cell is an independent simulated world built
 // from a shared *const* CompiledBenchmark, so a cell's row content is
 // bit-identical whatever --jobs is, and identical to a standalone
-// ReplayCompiledOnSimTarget of the same configuration. Rows are emitted in
-// cell-index order through a reorder buffer, so the whole JSONL stream is
-// byte-identical across worker counts (with host-time reporting off — the
+// ReplayCompiledOnSimTarget of the same configuration. Rows are written in
+// cell-index order from the finished cells' stats, so the whole JSONL stream
+// is byte-identical across worker counts (with host-time reporting off — the
 // one intentionally nondeterministic field).
 #ifndef SRC_SWEEP_SWEEP_H_
 #define SRC_SWEEP_SWEEP_H_
@@ -84,7 +84,7 @@ struct CellStats {
   uint64_t sim_switches = 0;
   uint64_t total_events = 0;
   uint64_t failed_events = 0;
-  uint64_t digest = 0;        // check::SnapshotDigest of the final fs state
+  uint64_t digest = 0;        // trace::SnapshotDigest of the final fs state
 
   // Critical-path tiling (exec + stall + pacing + idle == end_ns).
   TimeNs exec_ns = 0;
@@ -188,27 +188,22 @@ struct SweepReport {
 
 struct SweepOptions {
   size_t jobs = 0;          // host workers (0 = util::DefaultJobs())
-  // Backpressure window: at most this many cells in flight or parked in the
-  // reorder buffer (0 = 4x the worker count). Bounds memory on huge grids.
-  size_t max_inflight = 0;
   // Include the per-cell host_us field in JSONL rows. On by default; the
   // determinism tests (and anyone diffing rows across runs) turn it off —
   // it is the only nondeterministic field.
   bool include_host_time = true;
-  // JSONL sink: a stream (tests), a path, or neither. When both are set the
-  // rows go to both.
-  std::ostream* jsonl_stream = nullptr;
-  std::string jsonl_path;
+  // The JSONL row sink, flushed as rows are written; null writes no rows.
+  std::ostream* rows = nullptr;
 };
 
-// Runs every cell of the plan. Emits JSONL rows in cell-index order, updates
-// the obs metrics plane as it goes (counters sweep.cells_completed /
-// sweep.cells_failed / per-axis sweep.stall_ns.<axis>.<value>, gauges
-// sweep.cells_inflight / sweep.cells_total / sweep.progress_permille /
-// sweep.eta_ms), and returns the aggregate report. Returns false only when
-// the JSONL path cannot be opened.
-bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
-              SweepReport* out, std::string* error);
+// Runs every cell of the plan as one util::ParallelFor task, writes the JSONL
+// rows in cell-index order (each as soon as every lower-index cell has
+// finished), updates the obs metrics plane as it goes (counters
+// sweep.cells_completed / sweep.cells_failed / per-axis
+// sweep.stall_ns.<axis>.<value>, gauges sweep.cells_inflight — cells being
+// replayed, at most one per worker — / sweep.cells_total /
+// sweep.progress_permille / sweep.eta_ms), and returns the aggregate report.
+SweepReport RunSweep(const SweepPlan& plan, const SweepOptions& options);
 
 // Deterministic drill-down: re-runs exactly one cell (found by id prefix
 // match against CellConfig::Id()) with full observability — the
@@ -230,15 +225,6 @@ struct DrillResult {
 // grids.
 bool DrillGrids(std::vector<SweepGrid> grids, const std::string& id_prefix,
                 DrillResult* out, std::string* error, size_t jobs = 0);
-
-// Runs plan.cells[index] synchronously (shared by RunSweep workers and
-// DrillGrids). `emit_trace` overlays the critical path on the default tracer;
-// when non-null, *critpath_json / *one_pager receive the full
-// CritPathReport renderings.
-CellStats RunOneCell(const SweepPlan& plan, size_t index,
-                     bool emit_trace = false,
-                     std::string* critpath_json = nullptr,
-                     std::string* one_pager = nullptr);
 
 }  // namespace artc::sweep
 

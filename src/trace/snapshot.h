@@ -67,6 +67,10 @@ FsSnapshot ReadSnapshotFile(const std::string& path);
 void WriteSnapshot(const FsSnapshot& snapshot, std::ostream& out);
 void WriteSnapshotFile(const FsSnapshot& snapshot, const std::string& path);
 
+// FNV-1a 64 over the snapshot's WriteSnapshot text: equal file-system states
+// give equal digests.
+uint64_t SnapshotDigest(const FsSnapshot& snapshot);
+
 }  // namespace artc::trace
 
 #endif  // SRC_TRACE_SNAPSHOT_H_

@@ -86,8 +86,8 @@ bool FlagSet::Parse(int argc, const char* const* argv, std::string* error) {
     }
     const size_t eq = arg.find('=');
     const std::string name = arg.substr(0, eq);
-    const Flag* flag = nullptr;
-    for (const Flag& f : flags_) {
+    Flag* flag = nullptr;
+    for (Flag& f : flags_) {
       if (f.kind != Kind::kPositional && name == "--" + f.name) {
         flag = &f;
       }
@@ -96,6 +96,7 @@ bool FlagSet::Parse(int argc, const char* const* argv, std::string* error) {
       *error = "unknown flag " + name;
       return false;
     }
+    flag->given = true;
     if (flag->kind == Kind::kSwitch) {
       if (eq != std::string::npos) {
         *error = name + " takes no value";
@@ -118,6 +119,15 @@ bool FlagSet::Parse(int argc, const char* const* argv, std::string* error) {
     }
   }
   return true;
+}
+
+bool FlagSet::Given(const char* name) const {
+  for (const Flag& f : flags_) {
+    if (f.kind != Kind::kPositional && f.name == name) {
+      return f.given;
+    }
+  }
+  return false;
 }
 
 std::string FlagSet::Usage() const {

@@ -46,6 +46,9 @@ class FlagSet {
   // false with a one-line diagnostic at the first error.
   bool Parse(int argc, const char* const* argv, std::string* error);
 
+  // Whether the command line set the flag `name` (not just its default).
+  bool Given(const char* name) const;
+
   // "usage: PROGRAM [--name=STR] [--name=a|b] [--name=N] [--switch] [pos]".
   std::string Usage() const;
   // Prints "PROGRAM: message" and the usage line to stderr and exits 2; for
@@ -61,6 +64,7 @@ class FlagSet {
     std::span<const char* const> names;  // a choice's accepted values
     uint64_t max = 0;  // a number or switch: its largest value and store
     std::function<void(uint64_t)> number;
+    bool given = false;
   };
 
   Flag& Add(const char* name, Kind kind);

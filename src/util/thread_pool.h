@@ -1,6 +1,8 @@
-// A fixed-size worker pool for host-level parallelism (suite compilation,
-// concurrent sim replays). Distinct from sim::Simulation's simulated
-// threads: these are real OS threads doing real work in host time.
+// A fixed-size worker pool for host-level parallelism, and ParallelFor, the
+// one way the library maps independent jobs over it (sweep plans and cells,
+// suite compiles and replays, trace loading). Distinct from
+// sim::Simulation's simulated threads: these are real OS threads doing real
+// work in host time.
 //
 // Shutdown semantics: the destructor drains the queue — every task that was
 // submitted before destruction runs to completion before the workers join.

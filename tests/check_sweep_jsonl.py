@@ -2,7 +2,7 @@
 """Validator for artc_sweep's per-cell JSONL rows.
 
 One JSON object per line, one line per grid cell, as written by
-`artc_sweep --out rows.jsonl` (and by sweep::RunSweep's jsonl_stream).
+`artc_sweep --out rows.jsonl` (and by sweep::RunSweep's rows sink).
 Checks, per row:
 
   * every required key is present with the right type (config echo axes,

@@ -101,8 +101,8 @@ TEST(SnapshotDigest, DistinguishesStates) {
   opt.seed = 3;
   trace::TraceBundle bundle = GenerateTrace(opt);
   trace::FsSnapshot empty;
-  EXPECT_EQ(SnapshotDigest(bundle.snapshot), SnapshotDigest(bundle.snapshot));
-  EXPECT_NE(SnapshotDigest(bundle.snapshot), SnapshotDigest(empty));
+  EXPECT_EQ(trace::SnapshotDigest(bundle.snapshot), trace::SnapshotDigest(bundle.snapshot));
+  EXPECT_NE(trace::SnapshotDigest(bundle.snapshot), trace::SnapshotDigest(empty));
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ TEST(Explorer, DefaultPolicyRunsAreBitIdentical) {
   core::SimReplayResult b = core::ReplayCompiledUnderPolicy(bench, target, nullptr, &state_b);
   EXPECT_EQ(a.sim_end_time, b.sim_end_time);
   EXPECT_EQ(a.sim_switches, b.sim_switches);
-  EXPECT_EQ(SnapshotDigest(state_a), SnapshotDigest(state_b));
+  EXPECT_EQ(trace::SnapshotDigest(state_a), trace::SnapshotDigest(state_b));
   EXPECT_EQ(a.unfinished_threads, 0u);
 
   // The spec-driven entry point builds the same world: its default spec is
@@ -362,7 +362,7 @@ TEST(Explorer, DefaultPolicyRunsAreBitIdentical) {
   core::SimReplayResult c = core::ReplayCompiledOnSimTarget(bench, target, &state_c);
   EXPECT_EQ(c.sim_end_time, a.sim_end_time);
   EXPECT_EQ(c.sim_switches, a.sim_switches);
-  EXPECT_EQ(SnapshotDigest(state_c), SnapshotDigest(state_a));
+  EXPECT_EQ(trace::SnapshotDigest(state_c), trace::SnapshotDigest(state_a));
 
   ASSERT_TRUE(sim::ParseScheduleSpec("random:5", &target.schedule));
   sim::RandomSchedulePolicy policy(5);
@@ -460,6 +460,37 @@ TEST(Explorer, ReproCommandNamesTheStorage) {
   }
   EXPECT_EQ(reproduce, "reproduce: check_artc --corpus=" + result.repro_path +
                            " --schedule=default --storage=hdd");
+  std::filesystem::remove_all(opt.repro_dir);
+}
+
+// A bundle that fails the trace-level checks is still minimized, and the
+// minimized bundle fails under the schedule its repro.txt prints.
+TEST(Explorer, TraceLevelFailureReproIsMinimized) {
+  ExploreOptions opt;
+  opt.random_schedules = 1;
+  opt.pct_schedules = 0;
+  opt.repro_obs_trace = true;
+  opt.repro_dir = testing::TempDir() + "/check_test_repro_minimized";
+  std::filesystem::remove_all(opt.repro_dir);
+  const trace::TraceBundle bundle = StatRetMismatchBundle();
+  ASSERT_EQ(bundle.trace.events.size(), 112u);
+  ASSERT_FALSE(ExploreBundle(bundle, opt).ok());
+
+  std::ifstream txt(opt.repro_dir + "/repro.txt");
+  std::string line;
+  std::string schedule;
+  while (std::getline(txt, line)) {
+    if (line.rfind("schedule: ", 0) == 0) {
+      schedule = line.substr(10);
+    }
+  }
+  sim::ScheduleSpec spec;
+  ASSERT_TRUE(sim::ParseScheduleSpec(schedule, &spec)) << schedule;
+  std::ifstream in(opt.repro_dir + "/repro.trace");
+  const trace::TraceBundle repro = trace::ReadTraceBundle(in);
+  EXPECT_LT(repro.trace.events.size(), 112u);
+  EXPECT_FALSE(ExploreUnderSpec(repro, spec, opt).ok());
+  EXPECT_TRUE(std::filesystem::exists(opt.repro_dir + "/repro_obs.json"));
   std::filesystem::remove_all(opt.repro_dir);
 }
 

@@ -31,8 +31,7 @@ Sums RunGrid(const std::string& name) {
   EXPECT_TRUE(BuildSweepPlan(std::move(grids), &plan, &error)) << error;
   SweepOptions options;
   options.include_host_time = false;
-  SweepReport report;
-  EXPECT_TRUE(RunSweep(plan, options, &report, &error)) << error;
+  const SweepReport report = RunSweep(plan, options);
   Sums sums;
   for (const CellStats& s : report.stats) {
     ++sums.cells;

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/check/explorer.h"
 #include "src/obs/obs.h"
 #include "src/sweep/grid.h"
 #include "src/sweep/sweep.h"
@@ -57,16 +56,13 @@ SweepPlan BuildSmallPlan(SweepGrid grid) {
   return plan;
 }
 
-std::string SweepToString(const SweepPlan& plan, size_t jobs,
-                          size_t max_inflight, SweepReport* report) {
+std::string SweepToString(const SweepPlan& plan, size_t jobs, SweepReport* report) {
   std::ostringstream rows;
   SweepOptions options;
   options.jobs = jobs;
-  options.max_inflight = max_inflight;
   options.include_host_time = false;
-  options.jsonl_stream = &rows;
-  std::string error;
-  EXPECT_TRUE(RunSweep(plan, options, report, &error)) << error;
+  options.rows = &rows;
+  *report = RunSweep(plan, options);
   return rows.str();
 }
 
@@ -257,16 +253,12 @@ TEST(SweepGridTest, CellIdsAreContentAddressedAndUnique) {
 TEST(SweepTest, JsonlRowsAreByteIdenticalAcrossWorkerCounts) {
   SweepPlan plan = BuildSmallPlan(SmallGrid());
   SweepReport r1, r2, r4;
-  const std::string rows1 = SweepToString(plan, 1, 0, &r1);
-  const std::string rows2 = SweepToString(plan, 2, 0, &r2);
-  const std::string rows4 = SweepToString(plan, 4, 0, &r4);
+  const std::string rows1 = SweepToString(plan, 1, &r1);
+  const std::string rows2 = SweepToString(plan, 2, &r2);
+  const std::string rows4 = SweepToString(plan, 4, &r4);
   EXPECT_FALSE(rows1.empty());
   EXPECT_EQ(rows1, rows2);
   EXPECT_EQ(rows1, rows4);
-
-  // A tight backpressure window changes scheduling, not bytes.
-  SweepReport rw;
-  EXPECT_EQ(rows1, SweepToString(plan, 4, 1, &rw));
 
   // Aggregates are order-independent too.
   EXPECT_EQ(r1.end_ns_sum, r4.end_ns_sum);
@@ -298,8 +290,8 @@ TEST(SweepTest, TwelveCellGridGolden) {
       << error;
 
   SweepReport r4, r1;
-  const std::string rows4 = SweepToString(plan, 4, 0, &r4);
-  EXPECT_EQ(rows4, SweepToString(plan, 1, 0, &r1));
+  const std::string rows4 = SweepToString(plan, 4, &r4);
+  EXPECT_EQ(rows4, SweepToString(plan, 1, &r1));
   EXPECT_EQ(r4.cells, 12u);
   EXPECT_EQ(r4.failed_cells, 0u);
   EXPECT_EQ(r4.end_ns_sum, 23074146472);
@@ -315,7 +307,7 @@ TEST(SweepTest, EqualCellDigestsDoNotCancelInTheAggregate) {
   grid.axes["storage"] = {"hdd", "ssd"};
   SweepPlan plan = BuildSmallPlan(std::move(grid));
   SweepReport report;
-  SweepToString(plan, 2, 0, &report);
+  SweepToString(plan, 2, &report);
   ASSERT_EQ(report.stats.size(), 2u);
   ASSERT_EQ(report.stats[0].digest, report.stats[1].digest);
   EXPECT_NE(report.digest_sum, 0u);
@@ -333,7 +325,7 @@ TEST(SweepTest, CellsMatchStandaloneReplay) {
   SweepPlan plan = BuildSmallPlan(std::move(grid));
 
   SweepReport report;
-  SweepToString(plan, 4, 0, &report);
+  SweepToString(plan, 4, &report);
   ASSERT_EQ(report.stats.size(), plan.cells.size());
 
   for (const CellStats& stats : report.stats) {
@@ -345,7 +337,7 @@ TEST(SweepTest, CellsMatchStandaloneReplay) {
     EXPECT_EQ(stats.end_ns, standalone.report.wall_time) << where;
     EXPECT_EQ(stats.sim_end_ns, standalone.sim_end_time) << where;
     EXPECT_EQ(stats.sim_switches, standalone.sim_switches) << where;
-    EXPECT_EQ(stats.digest, check::SnapshotDigest(final_state)) << where;
+    EXPECT_EQ(stats.digest, trace::SnapshotDigest(final_state)) << where;
     EXPECT_EQ(stats.storage.media_read_blocks, standalone.storage.media_read_blocks)
         << where;
   }
@@ -369,7 +361,7 @@ TEST(SweepTest, PlanIsIndependentOfItsWorkerCount) {
   EXPECT_EQ(serial.originals, parallel.originals);
   ASSERT_EQ(serial.originals.size(), 4u);
   SweepReport a, b;
-  EXPECT_EQ(SweepToString(serial, 2, 0, &a), SweepToString(parallel, 2, 0, &b));
+  EXPECT_EQ(SweepToString(serial, 2, &a), SweepToString(parallel, 2, &b));
   EXPECT_EQ(a.digest_sum, b.digest_sum);
 }
 
@@ -391,8 +383,8 @@ TEST(SweepTest, NamedWorkloadCellsCarryTheOriginalRunAndReplayError) {
   EXPECT_EQ(plan.originals.size(), 2u);  // one original per target
 
   SweepReport r1, r3;
-  const std::string rows = SweepToString(plan, 1, 0, &r1);
-  EXPECT_EQ(rows, SweepToString(plan, 3, 0, &r3));
+  const std::string rows = SweepToString(plan, 1, &r1);
+  EXPECT_EQ(rows, SweepToString(plan, 3, &r3));
 
   const std::optional<NamedWorkload> program = NamedWorkload::Find("seq_readers");
   ASSERT_TRUE(program.has_value());
@@ -432,7 +424,7 @@ TEST(SweepTest, NamedWorkloadCellsCarryTheOriginalRunAndReplayError) {
 TEST(SweepTest, AggregatesAndExtremesAreConsistentWithRows) {
   SweepPlan plan = BuildSmallPlan(SmallGrid());
   SweepReport report;
-  SweepToString(plan, 2, 0, &report);
+  SweepToString(plan, 2, &report);
 
   TimeNs end_sum = 0;
   TimeNs stall_sum = 0;
@@ -483,14 +475,14 @@ TEST(SweepTest, ProgressGaugesResetAcrossSweepsInOneProcess) {
   SweepPlan two = BuildSmallPlan(std::move(two_grid));
 
   SweepReport report;
-  SweepToString(eight, 2, 0, &report);
+  SweepToString(eight, 2, &report);
   std::map<std::string, int64_t> gauges =
       obs::DefaultRegistry().Snapshot().gauges;
   EXPECT_EQ(gauges["sweep.cells_total"], 8);
   EXPECT_EQ(gauges["sweep.progress_permille"], 1000);
   EXPECT_EQ(gauges["sweep.cells_inflight"], 0);
 
-  SweepToString(two, 2, 0, &report);
+  SweepToString(two, 2, &report);
   gauges = obs::DefaultRegistry().Snapshot().gauges;
   EXPECT_EQ(gauges["sweep.cells_total"], 2);
   EXPECT_EQ(gauges["sweep.progress_permille"], 1000);
@@ -508,7 +500,7 @@ TEST(SweepTest, DrillReproducesTheSweptCellExactly) {
   SweepPlan plan;
   ASSERT_TRUE(BuildSweepPlan(grids, &plan, &error)) << error;
   SweepReport report;
-  SweepToString(plan, 2, 0, &report);
+  SweepToString(plan, 2, &report);
 
   const CellStats& target = report.stats[3];
   DrillResult drill;

@@ -313,6 +313,23 @@ TEST(Flags, NumericPositionalAndNoPositionals) {
   EXPECT_EQ(none.Usage(), "usage: prog");
 }
 
+TEST(Flags, GivenTellsASetFlagFromItsDefault) {
+  uint64_t seed = 1;
+  std::string out = "dir";
+  bool on = false;
+  util::FlagSet flags;
+  flags.Unsigned("seed", &seed);
+  flags.String("out", &out);
+  flags.Switch("on", &on);
+  const char* argv[] = {"prog", "--seed=1", "--on"};
+  std::string error;
+  ASSERT_TRUE(flags.Parse(3, argv, &error));
+  EXPECT_TRUE(flags.Given("seed"));  // set to its default, still given
+  EXPECT_TRUE(flags.Given("on"));
+  EXPECT_FALSE(flags.Given("out"));
+  EXPECT_FALSE(flags.Given("nonesuch"));
+}
+
 TEST(Flags, UsageListsFlagsThenPositionals) {
   std::string s;
   uint64_t u = 0;
