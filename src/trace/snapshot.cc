@@ -265,15 +265,4 @@ void WriteSnapshotFile(const FsSnapshot& snapshot, const std::string& path) {
   WriteSnapshot(snapshot, out);
 }
 
-uint64_t SnapshotDigest(const FsSnapshot& snapshot) {
-  std::ostringstream out;
-  WriteSnapshot(snapshot, out);
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
-  for (unsigned char c : out.view()) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace artc::trace
